@@ -37,7 +37,7 @@ from .errors import (
 )
 from .mean_variance import (
     DEFAULT_SWEEP_W,
-    optimal_ese_mv,
+    optimal_ese_mv_batch,
     slope_for_baseline,
 )
 from .model_core import (
@@ -320,6 +320,16 @@ def cmd_sweep_group_size(args: argparse.Namespace) -> int:
     return 0
 
 
+def _solve_mv_cells(w, cells: list, labels: list[str], endogenous: bool) -> list:
+    """Solve every sweep cell at once; errors name the cell they came from."""
+    try:
+        return optimal_ese_mv_batch(w, cells, endogenous_w=endogenous)
+    except (DomainError, EvaluationError, InvariantViolation) as exc:
+        if exc.cell is None:
+            raise
+        raise type(exc)(f"{labels[exc.cell]}: {exc}") from None
+
+
 def cmd_sweep_mv(args: argparse.Namespace) -> int:
     settings = _resolve(args, "sweep-mv")
     params = _market(settings)
@@ -328,17 +338,18 @@ def cmd_sweep_mv(args: argparse.Namespace) -> int:
     gammas = _parse_grid(str(settings["gamma_grid"]), "gamma-grid")
     endogenous = bool(settings["endogenous_w"])
     w = None if endogenous else float(settings["w"])
-    rows = []
+    cells, labels, keys = [], [], []
     for b in b_set:
         k = float(settings["k"]) if settings["k"] is not None else slope_for_baseline(b)
         link = ScoreLink(k=k, b=float(b))
         for c in c_set:
             cost = CostModel(c=float(c))
             for gamma in gammas:
-                opt = optimal_ese_mv(w, params, gamma, cost, link,
-                                     endogenous_w=endogenous)
-                rows.append([float(b), float(c), float(gamma),
-                             opt.score, opt.at_boundary])
+                cells.append((params, gamma, cost, link))
+                labels.append(f"b={_fmt(b)}, c={_fmt(c)}, gamma={_fmt(gamma)}")
+                keys.append([float(b), float(c), float(gamma)])
+    optima = _solve_mv_cells(w, cells, labels, endogenous)
+    rows = [key + [opt.score, opt.at_boundary] for key, opt in zip(keys, optima)]
     _write_output(settings, "sweep-mv",
                   ["b", "c", "gamma", "optimal_E", "at_boundary"], rows)
     return 0
@@ -354,14 +365,16 @@ def cmd_sweep_yield(args: argparse.Namespace) -> int:
     cost = CostModel(c=float(settings["c"]))
     endogenous = bool(settings["endogenous_w"])
     w = None if endogenous else float(settings["w"])
-    rows = []
+    cells, labels, keys = [], [], []
     for y_high, y_low in pairs:
         params = _market({**settings, "y_high": y_high, "y_low": y_low})
-        label = f"Ybar={_fmt(y_high)},Ylow={_fmt(y_low)}"
+        scenario = f"Ybar={_fmt(y_high)},Ylow={_fmt(y_low)}"
         for gamma in gammas:
-            opt = optimal_ese_mv(w, params, gamma, cost, link,
-                                 endogenous_w=endogenous)
-            rows.append([label, float(gamma), opt.score])
+            cells.append((params, gamma, cost, link))
+            labels.append(f"scenario={scenario}, gamma={_fmt(gamma)}")
+            keys.append([scenario, float(gamma)])
+    optima = _solve_mv_cells(w, cells, labels, endogenous)
+    rows = [key + [opt.score] for key, opt in zip(keys, optima)]
     _write_output(settings, "sweep-yield", ["scenario", "gamma", "optimal_E"], rows)
     return 0
 

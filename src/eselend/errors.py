@@ -11,7 +11,13 @@ from __future__ import annotations
 
 
 class EselendError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    ``cell`` is the index of the input cell a batched solver was handling
+    when the error arose, and None otherwise.
+    """
+
+    cell: int | None = None
 
 
 class DomainError(EselendError, ValueError):

@@ -12,19 +12,31 @@ polynomial forms in ``e`` with ``A = pYh - w`` and ``B = pYh + pYl - 2w``:
 route and raises InvariantViolation if they disagree beyond floating-point
 noise, so an algebra bug here cannot produce a silently wrong number.
 
-The quartic variance term can destroy concavity in ``e``, so the optimal
-score is found by global grid search with golden-section refinement rather
-than by FOC root-finding. Module-level constants at the bottom are the
-documented default parameter sets shared by the CLI sweeps and the tests.
+The quartic variance term can destroy concavity in ``e``, so a stationary
+point need not be the maximizer. The utility is a polynomial in ``e`` for a
+fixed ``w``, and a polynomial over ``(e(2-e))^2`` for the break-even ``w``,
+so the maximizer is an endpoint of the score range or a real root of the
+derivative's polynomial numerator. `optimal_ese_mv_batch` finds every such
+root for a whole sweep at once (companion-matrix eigenvalues) and ranks the
+candidates by utility; `argmax_grid` stays as the independent test oracle.
+Module-level constants at the bottom are the documented default parameter
+sets shared by the CLI sweeps and the tests.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, InvariantViolation
+from .errors import (
+    ConfigError,
+    DomainError,
+    EselendError,
+    EvaluationError,
+    InvariantViolation,
+)
 from .model_core import (
     CostModel,
     MarketParams,
@@ -34,7 +46,7 @@ from .model_core import (
     profit_distribution_pair,
     success_probability,
 )
-from .optimizer import Optimum, SolverConfig, _DEFAULT_CFG, argmax_grid
+from .optimizer import Optimum, _snap_tolerance
 
 __all__ = [
     "RiskPreference",
@@ -43,6 +55,7 @@ __all__ = [
     "mv_utility",
     "mv_foc",
     "optimal_ese_mv",
+    "optimal_ese_mv_batch",
     "slope_for_baseline",
     "DEFAULT_SWEEP_PARAMS",
     "DEFAULT_SWEEP_W",
@@ -179,81 +192,116 @@ def mv_foc(E, w: float, params: MarketParams, gamma, cost: CostModel,
     return link.k * (dmean - cost.marginal_cost(e) - 0.5 * gamma.gamma * dvar)
 
 
-def _fixed_w_objective(w: float, params: MarketParams, gamma: RiskPreference,
-                       cost: CostModel, link: ScoreLink):
-    ph, pl = params.high_revenue, params.low_revenue
+def _mv_objective(e, ph, pl, gamma, c, w=None, principal=None):
+    """Mean-variance utility at success probability ``e``, vectorized.
+
+    Arguments broadcast against each other. With ``w=None`` the break-even
+    obligation ``principal / (1 - (1-e)^2)`` is substituted for ``w``.
+    """
+    if w is None:
+        w = principal / (1.0 - (1.0 - e) ** 2)
     A = ph - w
     B = ph + pl - 2.0 * w
-
-    def objective(E):
-        e = success_probability(E, link)
-        return (
-            _mean_poly(e, A, B)
-            - 0.5 * gamma.gamma * _var_poly(e, A, B)
-            - cost.effort_cost(e)
-        )
-
-    return objective
+    return _mean_poly(e, A, B) - 0.5 * gamma * _var_poly(e, A, B) - 0.5 * c * e * e
 
 
-def _endogenous_w_objective(params: MarketParams, gamma: RiskPreference,
-                            cost: CostModel, link: ScoreLink):
-    ph, pl = params.high_revenue, params.low_revenue
-    principal = params.loan * (1.0 + params.epsilon)
-
-    def objective(E):
-        e = success_probability(E, link)
-        w = principal / (1.0 - (1.0 - e) ** 2)
-        A = ph - w
-        B = ph + pl - 2.0 * w
-        return (
-            _mean_poly(e, A, B)
-            - 0.5 * gamma.gamma * _var_poly(e, A, B)
-            - cost.effort_cost(e)
-        )
-
-    return objective
+def _poly(*coefs):
+    """Stack per-cell coefficients (low order first) into one row per cell."""
+    return np.stack(np.broadcast_arrays(*coefs), axis=1)
 
 
-def optimal_ese_mv(w, params: MarketParams, gamma, cost: CostModel, link: ScoreLink,
-                   cfg: SolverConfig = _DEFAULT_CFG, *,
-                   endogenous_w: bool = False) -> Optimum:
-    """Score maximizing mean-variance utility over [0, 100].
+def _pmul(p, q):
+    """Row-wise product of polynomials stored low order first."""
+    out = np.zeros((max(len(p), len(q)), p.shape[1] + q.shape[1] - 1))
+    for j in range(q.shape[1]):
+        out[:, j:j + p.shape[1]] += p * q[:, j:j + 1]
+    return out
 
-    The risk term is quartic in ``e``, so unimodality is not guaranteed and
-    the maximizer is located by dense grid search plus golden-section
-    refinement. By default ``w`` is a fixed exogenous repayment. With
-    ``endogenous_w=True`` the break-even repayment
-    ``w(e) = L(1+eps) / (1 - (1-e)^2)`` is substituted before maximizing
-    (``w`` is then ignored and may be None); this mode needs a positive
-    success probability across the whole score range, i.e. ``b > 0``.
 
-    The returned objective value is re-validated against the cross-checked
-    scalar `mv_utility` at the optimum, and interior optima (fixed-``w``
-    mode) must leave a `mv_foc` residual below 1e-6 of the utility scale.
+def _pder(p):
+    return p[:, 1:] * np.arange(1.0, p.shape[1])
+
+
+def _fixed_w_foc(w, ph, pl, gamma, c):
+    """dU/de for a fixed ``w``: the cubic that `mv_foc` writes out."""
+    A = ph - w
+    B = ph + pl - 2.0 * w
+    return _poly(
+        B - 0.5 * gamma * B * B,
+        2.0 * (A - B) - c - gamma * (A * A - 2.0 * B * B),
+        -3.0 * gamma * B * (B - A),
+        2.0 * gamma * (A - B) ** 2,
+    )
+
+
+def _endogenous_w_foc(ph, pl, principal, gamma, c):
+    """A polynomial with the sign and the roots of dU/de on (0, 1].
+
+    With ``s = e(2-e)`` the break-even obligation is ``w = principal / s``,
+    so ``A s`` and ``B s`` are quadratics and ``N = s^2 U`` is a polynomial
+    of degree 8. Then ``dU/de = (N' s - 2 N s') / s^3`` with ``s > 0`` on
+    (0, 1]. ``N`` has a factor ``e``, so the numerator has one too; it is
+    divided out, leaving degree 8.
     """
-    gamma = _as_risk(gamma)
-    if w is None and not endogenous_w:
-        raise ConfigError("fixed-repayment mode needs an explicit w; pass "
-                          "endogenous_w=True to substitute the break-even "
-                          "obligation instead")
+    s = np.array([[0.0, 2.0, -1.0]])
+    As = _poly(-principal, 2.0 * ph, -ph)
+    Bs = _poly(-2.0 * principal, 2.0 * (ph + pl), -(ph + pl))
+    # The mean collapses to e pYh + e(1-e) pYl - principal.
+    profit = _pmul(_pmul(s, s), _poly(-principal, ph + pl, -pl - 0.5 * c))
+    var = (_pmul(np.array([[0.0, 0.0, 1.0, 0.0, -1.0]]), _pmul(As, As))
+           + _pmul(np.array([[0.0, 1.0, -2.0, 2.0, -1.0]]), _pmul(Bs, Bs))
+           - _pmul(np.array([[0.0, 0.0, 0.0, 2.0, -2.0]]), _pmul(As, Bs)))
+    N = np.pad(profit, ((0, 0), (0, 2))) - 0.5 * gamma[:, None] * var
+    numerator = _pmul(_pder(N), s) - 2.0 * _pmul(N, _pder(s))
+    return numerator[:, 1:]
+
+
+def _real_roots(coefs):
+    """Real parts of the roots of each row's polynomial, NaN-padded.
+
+    Rows hold coefficients low order first. Zero low-order coefficients
+    (roots at 0) are dropped, and so are top coefficients within ``eps`` of
+    the row's largest, which moves the polynomial by at most that much on
+    [0, 1]. Rows are grouped by the degree left and solved with batched
+    companion-matrix eigenvalues (the method behind `numpy.roots`). Real
+    parts of complex pairs are kept too: a candidate that is not a
+    stationary point never beats the true maximizer, and keeping them
+    guards against a real double root that rounding split into a pair.
+    """
+    n, m = coefs.shape
+    out = np.full((n, m - 1), np.nan)
+    mag = np.abs(coefs)
+    significant = mag > np.finfo(float).eps * mag.max(axis=1, keepdims=True)
+    hi = m - 1 - np.argmax(significant[:, ::-1], axis=1)
+    lo = np.argmax(coefs != 0.0, axis=1)
+    degree = np.where(significant.any(axis=1), hi - lo, 0)
+    for d in np.unique(degree[degree > 0]):
+        rows = np.flatnonzero(degree == d)
+        c = np.take_along_axis(coefs[rows], lo[rows, None] + np.arange(d + 1), axis=1)
+        companion = np.zeros((len(rows), d, d))
+        companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        companion[:, :, -1] = -c[:, :d] / c[:, d:]
+        out[rows, :d] = np.linalg.eigvals(companion).real
+    return out
+
+
+@contextmanager
+def _cell(i: int):
+    """Record the batch cell index on a package error raised in the block."""
+    try:
+        yield
+    except EselendError as exc:
+        exc.cell = i
+        raise
+
+
+def _check_optimum(opt: Optimum, w, params: MarketParams, gamma: RiskPreference,
+                   cost: CostModel, link: ScoreLink, endogenous_w: bool) -> None:
+    """Re-validate an optimum through the cross-checked scalar routes."""
+    w_star = w
     if endogenous_w:
-        if success_probability(0.0, link) <= 0.0:
-            raise DomainError("endogenous repayment requires b > 0 so the "
-                              "success probability is positive at every score")
-        objective = _endogenous_w_objective(params, gamma, cost, link)
-    else:
-        w = float(w)
-        _require_finite("w", w)
-        if w <= 0:
-            raise DomainError("w must be > 0")
-        objective = _fixed_w_objective(w, params, gamma, cost, link)
-
-    opt = argmax_grid(objective, 0.0, 100.0, cfg)
-
-    e_star = float(success_probability(opt.score, link))
-    w_star = (params.loan * (1.0 + params.epsilon) / (1.0 - (1.0 - e_star) ** 2)
-              if endogenous_w else w)
+        e_star = float(success_probability(opt.score, link))
+        w_star = params.loan * (1.0 + params.epsilon) / (1.0 - (1.0 - e_star) ** 2)
     check = mv_utility(opt.score, w_star, params, gamma, cost, link)
     scale = max(1.0, abs(opt.objective_value), abs(check))
     if abs(check - opt.objective_value) > 1e-9 * scale:
@@ -268,7 +316,102 @@ def optimal_ese_mv(w, params: MarketParams, gamma, cost: CostModel, link: ScoreL
                 f"interior optimum at E={opt.score!r} leaves FOC residual "
                 f"{residual!r}"
             )
-    return opt
+
+
+def optimal_ese_mv_batch(w, cells, *, endogenous_w: bool = False) -> list[Optimum]:
+    """Mean-variance optimal scores of many cells, solved together.
+
+    Each cell is a ``(params, gamma, cost, link)`` tuple; ``w`` and
+    ``endogenous_w`` are shared and mean what they mean in `optimal_ese_mv`.
+    The utility is a quartic in ``e`` for a fixed ``w`` and a polynomial over
+    ``(e(2-e))^2`` for the break-even ``w``, so its maximizer on [0, 100] is
+    an endpoint or a real root of the derivative's numerator (a cubic, or
+    degree 8). The candidates are E = 0, E = 100 and every such root inside
+    the open score range, mapped back through ``E = (e - b) / k``. They are
+    ranked by the utility, and ties go to the lower score. A root within
+    `argmax_grid`'s snap tolerance of an endpoint becomes that endpoint, and
+    ``at_boundary`` is set exactly when the optimum is an endpoint. With
+    ``k = 0`` both endpoints tie, so the optimum is E = 0 at the boundary.
+
+    Every optimum is re-validated: its utility must match the cross-checked
+    scalar `mv_utility` within 1e-9 of the utility scale, and an interior
+    fixed-``w`` optimum must leave a `mv_foc` residual below 1e-6 of that
+    scale. An error raised while handling a cell carries the cell's index
+    in its ``cell`` attribute.
+    """
+    if not endogenous_w:
+        if w is None:
+            raise ConfigError("fixed-repayment mode needs an explicit w; pass "
+                              "endogenous_w=True to substitute the break-even "
+                              "obligation instead")
+        w = float(w)
+        _require_finite("w", w)
+        if w <= 0:
+            raise DomainError("w must be > 0")
+    cells = list(cells)
+    rows = []
+    for i, (params, gamma, cost, link) in enumerate(cells):
+        with _cell(i):
+            gamma = _as_risk(gamma)
+            if endogenous_w and link.b <= 0.0:
+                raise DomainError("endogenous repayment requires b > 0 so the "
+                                  "success probability is positive at every score")
+        cells[i] = (params, gamma, cost, link)
+        rows.append((params.high_revenue, params.low_revenue,
+                     params.loan * (1.0 + params.epsilon), gamma.gamma,
+                     cost.c, link.k, link.b))
+    ph, pl, principal, gamma, c, k, b = np.array(rows, dtype=float).reshape(-1, 7).T
+    if endogenous_w:
+        roots = _real_roots(_endogenous_w_foc(ph, pl, principal, gamma, c))
+    else:
+        roots = _real_roots(_fixed_w_foc(w, ph, pl, gamma, c))
+
+    k, b = k[:, None], b[:, None]
+    inside = (roots > b) & (roots < b + 100.0 * k)
+    scores = np.divide(roots - b, k, out=np.full_like(roots, np.nan), where=inside)
+    snap = _snap_tolerance(0.0, 100.0)
+    scores[scores <= snap] = 0.0
+    scores[scores >= 100.0 - snap] = 100.0
+    edges = np.broadcast_to([0.0, 100.0], (len(cells), 2))
+    scores = np.sort(np.concatenate([edges, scores], axis=1), axis=1)
+    e = np.clip(k * scores + b, 0.0, 1.0)
+    values = _mv_objective(e, ph[:, None], pl[:, None], gamma[:, None], c[:, None],
+                           None if endogenous_w else w, principal[:, None])
+    values[np.isnan(scores)] = -np.inf
+    best = np.argmax(values, axis=1)
+
+    out = []
+    for i, (params, gamma, cost, link) in enumerate(cells):
+        score, value = float(scores[i, best[i]]), float(values[i, best[i]])
+        with _cell(i):
+            if not np.isfinite(value):
+                raise EvaluationError(f"objective is not finite at E={score!r}")
+            opt = Optimum(score, score == 0.0 or score == 100.0, value)
+            _check_optimum(opt, w, params, gamma, cost, link, endogenous_w)
+        out.append(opt)
+    return out
+
+
+def optimal_ese_mv(w, params: MarketParams, gamma, cost: CostModel, link: ScoreLink,
+                   *, endogenous_w: bool = False) -> Optimum:
+    """Score maximizing mean-variance utility over [0, 100].
+
+    By default ``w`` is a fixed exogenous repayment. With
+    ``endogenous_w=True`` the break-even repayment
+    ``w(e) = L(1+eps) / (1 - (1-e)^2)`` is substituted before maximizing
+    (``w`` is then ignored and may be None); this mode needs a positive
+    success probability across the whole score range, i.e. ``b > 0``.
+
+    The risk term is quartic in ``e``, so the utility need not be concave:
+    the maximizer is the best of the endpoints and the real roots of the
+    first-order condition, found exactly (`optimal_ese_mv_batch` on one
+    cell). The returned objective value is re-validated against the
+    cross-checked scalar `mv_utility` at the optimum, and interior optima
+    (fixed-``w`` mode) must leave a `mv_foc` residual below 1e-6 of the
+    utility scale.
+    """
+    return optimal_ese_mv_batch(w, [(params, gamma, cost, link)],
+                                endogenous_w=endogenous_w)[0]
 
 
 # ----------------------------------------------------------------------

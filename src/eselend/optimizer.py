@@ -14,8 +14,8 @@ whose stationary condition, divided through by ``k``, is
 For pairs (n = 2) the optimum is closed form. For general ``n`` the root of
 ``g`` is found by a bracket scan plus a safeguarded false-position iteration.
 `argmax_grid` provides an independent derivative-free maximizer (dense grid
-plus golden-section refinement) used both as a public utility and as the
-cross-check route for the closed forms.
+plus golden-section refinement), a public utility and the cross-check
+route in the tests for the closed forms and the mean-variance maximizer.
 
 Two historically printed variants, `optimal_ese_pair_as_printed` and
 `dE_dn_as_printed`, reproduce widely circulated but algebraically
@@ -228,6 +228,12 @@ def _richardson_polish(objective: Callable, x0: float, f0: float,
     return v, fv, True
 
 
+def _snap_tolerance(lo: float, hi: float) -> float:
+    """Distance within which a maximizer is reported at an endpoint."""
+    xtol = max(1e-12, 1e-12 * (hi - lo))
+    return max(xtol, 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0))
+
+
 def argmax_grid(objective: Callable, lo: float = 0.0, hi: float = 100.0,
                 cfg: SolverConfig = _DEFAULT_CFG) -> Optimum:
     """Global maximization of a scalar objective on [lo, hi].
@@ -263,7 +269,7 @@ def argmax_grid(objective: Callable, lo: float = 0.0, hi: float = 100.0,
     x_pol, f_pol, engaged = _richardson_polish(objective, best_x, best_f, lo, hi, spacing)
     if engaged:
         best_x, best_f = x_pol, f_pol
-    snap = max(xtol, 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0))
+    snap = _snap_tolerance(lo, hi)
     if best_x - lo <= snap:
         best_x = lo
     elif hi - best_x <= snap:

@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from eselend import cli
+from eselend import cli, mean_variance
 from eselend.cli import main
 
 
@@ -171,6 +171,25 @@ class TestSweepMv:
         assert "k=0.004" in first
         assert len(rows) == 1
 
+    def test_failing_cell_is_named(self, tmp_path, monkeypatch, capsys):
+        """A failed re-validation exits 4 and names its (b, c, gamma)
+        cell; a bad gamma exits 2 and names its cell too."""
+        real = mean_variance.mv_utility
+
+        def broken(E, w, params, gamma, cost, link):
+            off = 1.0 if (cost.c, gamma.gamma) == (1200.0, 0.5) else 0.0
+            return real(E, w, params, gamma, cost, link) + off
+
+        monkeypatch.setattr(mean_variance, "mv_utility", broken)
+        out = tmp_path / "mv.csv"
+        assert main(["sweep-mv", "--b-set", "0.5", "--c-set", "1000,1200",
+                     "--gamma-grid", "0:1:3", "--out", str(out)]) == 4
+        assert "error: b=0.5, c=1200, gamma=0.5: " in capsys.readouterr().err
+        assert main(["sweep-mv", "--b-set", "0.5", "--c-set", "1000",
+                     "--gamma-grid=0,-1", "--out", str(out)]) == 2
+        assert ("error: b=0.5, c=1000, gamma=-1: gamma must be >= 0"
+                in capsys.readouterr().err)
+
 
 # ----------------------------------------------------------------------
 # sweep-yield
@@ -207,6 +226,21 @@ class TestSweepYield:
         _, _, rows = _read_rows(out)
         assert len(rows) == 10
         assert [r[2] for r in rows[:5]] == [r[2] for r in rows[5:]]
+
+    def test_failing_cell_is_named(self, tmp_path, monkeypatch, capsys):
+        """A failed re-validation exits 4 and names its scenario and
+        gamma."""
+        real = mean_variance.mv_utility
+
+        def broken(E, w, params, gamma, cost, link):
+            off = 1.0 if params.y_high == 600.0 else 0.0
+            return real(E, w, params, gamma, cost, link) + off
+
+        monkeypatch.setattr(mean_variance, "mv_utility", broken)
+        out = tmp_path / "y.csv"
+        assert main(["sweep-yield", "--endogenous-w", "--out", str(out)]) == 4
+        assert ("error: scenario=Ybar=600,Ylow=300, gamma=0: "
+                in capsys.readouterr().err)
 
     def test_yields_spec_needs_two_pairs(self, tmp_path):
         """One pair or malformed pairs exit 2."""

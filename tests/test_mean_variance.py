@@ -10,11 +10,14 @@ probability 1/4 each, so the mean is 512.5 and the variance is
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eselend import (
     ConfigError,
     CostModel,
     DomainError,
+    InvariantViolation,
     MarketParams,
     Moments,
     RiskPreference,
@@ -25,11 +28,13 @@ from eselend import (
     mv_foc,
     mv_utility,
     optimal_ese_mv,
+    optimal_ese_mv_batch,
     profit_distribution_pair,
     profit_moments_pair,
     slope_for_baseline,
     success_probability,
 )
+from eselend import mean_variance
 
 BASE = MarketParams(p=1.0, y_high=1000.0, y_low=500.0, loan=100.0,
                     epsilon=0.05, delta=0.9)
@@ -49,6 +54,26 @@ def _random_setup(rng):
     k = rng.uniform(1e-3, 0.01)
     b = rng.uniform(0.0, 1.0 - 100.0 * k)
     return params, CostModel(c=c), ScoreLink(k=k, b=b)
+
+
+def _table_utility(E, w, params, gamma, cost, link):
+    """Mean-variance utility from the four-outcome profit table, vectorized
+    over scores, and its rounding noise (64 ulps of the largest term).
+    ``w=None`` substitutes the break-even obligation."""
+    e = success_probability(E, link)
+    if w is None:
+        w = params.loan * (1.0 + params.epsilon) / (1.0 - (1.0 - e) ** 2)
+    probs = [e * e, e * (1.0 - e), 1.0 - e]
+    profits = [params.high_revenue - w,
+               params.high_revenue + params.low_revenue - 2.0 * w, 0.0]
+    mean = sum(q * x for q, x in zip(probs, profits))
+    spread = sum(q * x * x for q, x in zip(probs, profits))
+    var = sum(q * (x - mean) ** 2 for q, x in zip(probs, profits))
+    effort = cost.effort_cost(e)
+    noise = 64.0 * np.finfo(float).eps * (
+        sum(q * abs(x) for q, x in zip(probs, profits))
+        + 0.5 * gamma * spread + effort)
+    return mean - 0.5 * gamma * var - effort, noise
 
 
 # ----------------------------------------------------------------------
@@ -202,7 +227,8 @@ class TestMvFoc:
 
 
 class TestOptimalEseMv:
-    """Grid + refinement maximiser of the risk-adjusted utility."""
+    """Exact maximiser of the risk-adjusted utility: endpoints and FOC
+    roots, ranked by utility."""
 
     def test_risk_neutral_closed_form(self):
         """gamma=0, fixed w=150: the quadratic mean-less-cost peaks at
@@ -222,6 +248,53 @@ class TestOptimalEseMv:
             blind = argmax_grid(
                 lambda E: mv_utility(E, w, params, gamma, cost, link))
             np.testing.assert_allclose(opt.score, blind.score, atol=1e-6)
+
+    @given(data=st.data(), endogenous=st.booleans())
+    @settings(max_examples=500)
+    def test_matches_blind_argmax_everywhere(self, data, endogenous):
+        """The exact maximiser agrees with argmax_grid over the whole
+        domain: fixed and break-even w, gamma in [0, 1], and every link
+        with 100k + b <= 1, k = 0 included. The grid search runs on the
+        four-outcome table, not on the moment polynomials the maximiser
+        uses.
+
+        Utilities agree within 1e-9 of max(1, |utility|), the scale of
+        the solver's own re-validation, and the maximiser's is never lower
+        beyond rounding. Scores agree within 1e-6 and boundary flags
+        exactly, unless the utility at the two scores is equal to
+        rounding: no search that compares values can place a maximizer
+        more finely than that. It happens where the link is nearly flat
+        (tiny k) and where the slope at an endpoint optimum is too small
+        for the grid's last steps to see."""
+        unit = st.floats(0.0, 1.0)
+        p = data.draw(st.floats(0.2, 3.0), "p")
+        y_low = data.draw(st.floats(50.0, 800.0), "y_low")
+        y_high = y_low + data.draw(st.floats(50.0, 1500.0), "y_gap")
+        params = MarketParams(p=p, y_high=y_high, y_low=y_low,
+                              loan=data.draw(st.floats(10.0, 400.0), "loan"),
+                              epsilon=data.draw(st.floats(0.0, 0.2), "epsilon"),
+                              delta=0.9)
+        cost = CostModel(c=data.draw(st.floats(100.0, 4000.0), "c"))
+        # Log-spread so that interior optima (small gamma) are common.
+        gamma = data.draw(st.just(0.0) | st.floats(-6.0, 0.0).map(
+            lambda x: 10.0 ** x), "gamma")
+        # The break-even w needs e bounded away from 0.
+        b = data.draw(st.floats(0.05, 1.0) if endogenous else unit, "b")
+        link = ScoreLink(k=data.draw(unit, "k_share") * (1.0 - b) / 100.0, b=b)
+        w = None if endogenous else data.draw(st.floats(10.0, 500.0), "w")
+
+        opt = optimal_ese_mv(w, params, gamma, cost, link,
+                             endogenous_w=endogenous)
+        blind = argmax_grid(
+            lambda E: _table_utility(E, w, params, gamma, cost, link)[0])
+        scale = max(1.0, abs(opt.objective_value), abs(blind.objective_value))
+        assert abs(opt.objective_value - blind.objective_value) <= 1e-9 * scale
+        at_opt, noise = _table_utility(opt.score, w, params, gamma, cost, link)
+        at_blind, _ = _table_utility(blind.score, w, params, gamma, cost, link)
+        assert at_opt >= at_blind - noise
+        if abs(at_opt - at_blind) > noise:
+            np.testing.assert_allclose(opt.score, blind.score, atol=1e-6)
+            assert opt.at_boundary == blind.at_boundary
 
     def test_risk_aversion_changes_the_optimum(self):
         """Raising gamma moves the maximiser away from its neutral spot."""
@@ -264,6 +337,71 @@ class TestOptimalEseMv:
             optimal_ese_mv(0.0, BASE, 0.0, COST, LINK)
         with pytest.raises(DomainError):
             optimal_ese_mv(150.0, BASE, -0.5, COST, LINK)
+
+    def test_utility_disagreement_is_an_invariant_violation(self, monkeypatch):
+        """If the scalar utility route ever disagreed with the vectorized
+        objective at the optimum, the solver raises instead of returning."""
+        real = mean_variance.mv_utility
+        monkeypatch.setattr(mean_variance, "mv_utility",
+                            lambda *args: real(*args) + 1e-3)
+        with pytest.raises(InvariantViolation, match="disagrees with utility"):
+            optimal_ese_mv(150.0, BASE, 0.001, COST, LINK)
+
+    def test_foc_residual_is_an_invariant_violation(self, monkeypatch):
+        """An interior fixed-w optimum whose FOC residual is not ~0 raises;
+        boundary optima never consult the FOC."""
+        monkeypatch.setattr(mean_variance, "mv_foc", lambda *args: 1.0)
+        with pytest.raises(InvariantViolation, match="FOC residual"):
+            optimal_ese_mv(150.0, BASE, 0.001, COST, LINK)
+        assert optimal_ese_mv(150.0, BASE, 0.5, COST, LINK).at_boundary
+
+
+class TestOptimalEseMvBatch:
+    """Many cells solved together, each re-validated on its own."""
+
+    def test_matches_one_cell_calls(self):
+        """A mixed batch returns exactly the per-cell optima, in order."""
+        cells = [(BASE, gamma, CostModel(c=c), ScoreLink(k=(1 - b) / 100, b=b))
+                 for b in (0.3, 0.7) for c in (800.0, 2000.0)
+                 for gamma in (0.0, 0.001, 0.3)]
+        for endogenous in (False, True):
+            batch = optimal_ese_mv_batch(140.0, cells, endogenous_w=endogenous)
+            single = [optimal_ese_mv(140.0, *cell, endogenous_w=endogenous)
+                      for cell in cells]
+            assert batch == single
+
+    def test_flat_link_reports_lower_bound(self):
+        """k = 0: every score gives the same utility, so E = 0 at the
+        boundary, in both repayment modes."""
+        flat = ScoreLink(k=0.0, b=0.4)
+        for endogenous in (False, True):
+            opt = optimal_ese_mv(150.0, BASE, 0.2, COST, flat,
+                                 endogenous_w=endogenous)
+            assert (opt.score, opt.at_boundary) == (0.0, True)
+
+    def test_empty_batch(self):
+        assert optimal_ese_mv_batch(150.0, []) == []
+
+    def test_errors_carry_the_cell_index(self, monkeypatch):
+        """Validation and re-validation failures name the cell's index;
+        errors about the shared w name none."""
+        cells = [(BASE, 0.0, COST, LINK), (BASE, 0.1, COST, LINK),
+                 (BASE, -1.0, COST, LINK)]
+        with pytest.raises(DomainError, match="gamma") as excinfo:
+            optimal_ese_mv_batch(150.0, cells)
+        assert excinfo.value.cell == 2
+        with pytest.raises(DomainError) as excinfo:
+            optimal_ese_mv_batch(0.0, cells)
+        assert excinfo.value.cell is None
+        real = mean_variance.mv_utility
+        monkeypatch.setattr(
+            mean_variance, "mv_utility",
+            lambda E, w, params, gamma, cost, link:
+                real(E, w, params, gamma, cost, link)
+                + (1.0 if gamma.gamma > 0 else 0.0))
+        with pytest.raises(InvariantViolation) as excinfo:
+            optimal_ese_mv_batch(150.0, cells[:2])
+        assert excinfo.value.cell == 1
 
 
 # ----------------------------------------------------------------------
