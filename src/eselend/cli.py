@@ -10,7 +10,9 @@ writes a whitespace-delimited twin next to the CSV (same stem, ``.dat``)
 for gnuplot.
 
 Option values resolve as: explicit flag, then the ``--config`` JSON file
-(keys are flag names with underscores), then the documented defaults.
+(keys are flag names with underscores), then the documented defaults. Each
+option is declared once, in ``_OPTIONS``; a config value is converted and
+checked exactly like its flag.
 Exit codes: 0 success, 2 usage or configuration problem, 3 data problem,
 4 solver or invariant failure.
 """
@@ -22,8 +24,10 @@ import csv
 import json
 import math
 import sys
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +40,7 @@ from .errors import (
     SolverError,
 )
 from .mean_variance import (
+    DEFAULT_SWEEP_PARAMS,
     DEFAULT_SWEEP_W,
     optimal_ese_mv_batch,
     slope_for_baseline,
@@ -59,75 +64,75 @@ from .scoring import (
 
 __all__ = ["main"]
 
-_MARKET_DEFAULTS = {
-    "p": 1.0,
-    "y_high": 1000.0,
-    "y_low": 500.0,
-    "loan": 100.0,
-    "epsilon": 0.05,
-    "delta": 0.9,
+
+class _Option(NamedTuple):
+    """One command-line option: the type its value converts to, its help
+    text and, if restricted, its allowed values."""
+
+    type: type
+    help: str
+    choices: tuple | None = None
+
+
+# Every option, declared once. ``bool`` marks the two on/off switches.
+_OPTIONS = {
+    "p": _Option(float, "unit selling price"),
+    "y_high": _Option(float, "high-production yield"),
+    "y_low": _Option(float, "low-production yield"),
+    "loan": _Option(float, "loan principal"),
+    "epsilon": _Option(float, "risk-free rate"),
+    "delta": _Option(float, "borrower discount factor"),
+    "e_grid": _Option(str, "success probabilities: start:stop:count or comma list"),
+    "n_set": _Option(str, "group sizes, comma separated"),
+    "n_min": _Option(int, "smallest group size"),
+    "n_max": _Option(int, "largest group size"),
+    "b": _Option(float, "baseline success probability"),
+    "b_set": _Option(str, "baseline probabilities to sweep"),
+    "c": _Option(float, "effort cost scale"),
+    "c_set": _Option(str, "cost scales to sweep"),
+    "k": _Option(float, "score-to-probability slope; auto is (1-b)/100 per baseline"),
+    "gamma_grid": _Option(str, "risk aversion grid: start:stop:count or comma list"),
+    "yields": _Option(str, "two high:low pairs, comma separated"),
+    "w": _Option(float, "repayment obligation; auto is the break-even value per cell"),
+    "endogenous_w": _Option(bool, "substitute the break-even repayment"),
+    "trials": _Option(int, "trials per (e, n) cell"),
+    "seed": _Option(int, "reproducibility seed"),
+    "metrics": _Option(str, "metrics CSV (farmer_id,metric_id,value)"),
+    "schema": _Option(str, "schema CSV; auto is the bundled sample"),
+    "normalization": _Option(str, "normalization method",
+                             ("MIN_MAX", "Z_SCORE_CLIPPED")),
+    "out": _Option(str, "output CSV path"),
+    "plot_data": _Option(bool, "also write a gnuplot .dat twin"),
 }
 
-# Effective defaults per subcommand; also the whitelist of config-file keys.
-_DEFAULTS: dict[str, dict] = {
-    "ceilings": {
-        **_MARKET_DEFAULTS,
-        "e_grid": "0.05:0.95:19",
-        "out": "ceilings.csv",
-        "plot_data": False,
-    },
-    "sweep-group-size": {
-        **_MARKET_DEFAULTS,
-        "k": 0.01,
-        "b": 0.0,
-        "c": 1000.0,
-        "n_min": 1,
-        "n_max": 100,
-        "out": "group_size.csv",
-        "plot_data": False,
-    },
-    "sweep-mv": {
-        **_MARKET_DEFAULTS,
-        "b_set": "0.3,0.5,0.7",
-        "c_set": "800,1000,1200,1500,2000",
-        "gamma_grid": "0:1:21",
-        "w": DEFAULT_SWEEP_W,
-        "k": None,
-        "endogenous_w": False,
-        "out": "mv_sweep.csv",
-        "plot_data": False,
-    },
-    "sweep-yield": {
-        "p": 1.0,
-        "loan": 100.0,
-        "epsilon": 0.05,
-        "delta": 0.9,
-        "yields": "1000:500,600:300",
-        "b": 0.5,
-        "c": 1000.0,
-        "gamma_grid": "0:1:21",
-        "w": DEFAULT_SWEEP_W,
-        "k": None,
-        "endogenous_w": False,
-        "out": "yield_sweep.csv",
-        "plot_data": False,
-    },
-    "simulate": {
-        **_MARKET_DEFAULTS,
-        "e_grid": "0.3,0.5,0.8",
-        "n_set": "2,3,10",
-        "trials": 1_000_000,
-        "seed": 42,
-        "w": None,
-        "out": "simulate.csv",
-        "plot_data": False,
-    },
-    "score": {
-        "metrics": None,
-        "schema": None,
-        "normalization": "MIN_MAX",
-        "out": "scores.csv",
-    },
+_MARKET = asdict(DEFAULT_SWEEP_PARAMS)
+_SWEEP = {"gamma_grid": "0:1:21", "w": DEFAULT_SWEEP_W, "k": None,
+          "endogenous_w": False}
+
+# Each subcommand's help line and effective defaults; the defaults are also
+# the whitelist of its config-file keys.
+_COMMANDS: dict[str, tuple[str, dict]] = {
+    "ceilings": ("loan ceilings over a success grid", {
+        **_MARKET, "e_grid": "0.05:0.95:19",
+        "out": "ceilings.csv", "plot_data": False}),
+    "sweep-group-size": ("optimal score by group size", {
+        **_MARKET, "k": 0.01, "b": 0.0, "c": 1000.0, "n_min": 1, "n_max": 100,
+        "out": "group_size.csv", "plot_data": False}),
+    "sweep-mv": ("risk-aversion sweep for pairs", {
+        **_MARKET, "b_set": "0.3,0.5,0.7", "c_set": "800,1000,1200,1500,2000",
+        **_SWEEP, "out": "mv_sweep.csv", "plot_data": False}),
+    "sweep-yield": ("high- vs low-yield comparison", {
+        **{name: value for name, value in _MARKET.items()
+           if name not in ("y_high", "y_low")},
+        "yields": "1000:500,600:300", "b": 0.5, "c": 1000.0,
+        **_SWEEP, "out": "yield_sweep.csv", "plot_data": False}),
+    "simulate": ("Monte Carlo check against exact moments", {
+        **_MARKET, "e_grid": "0.3,0.5,0.8", "n_set": "2,3,10",
+        "trials": 1_000_000, "seed": 42, "w": None,
+        "out": "simulate.csv", "plot_data": False}),
+    "score": ("composite scores from metric records", {
+        "metrics": None, "schema": None, "normalization": "MIN_MAX",
+        "out": "scores.csv"}),
 }
 
 
@@ -222,49 +227,67 @@ def _load_config(path: str | None) -> dict:
     return loaded
 
 
+def _config_value(name: str, value, default):
+    """Check and convert one config-file value the way its flag would be.
+
+    Switches take only JSON booleans, and options whose default is None
+    also take null. Any other value goes through the flag's type and
+    choices, so 1.5 fails for an integer option just as "--trials 1.5" does.
+    """
+    option = _OPTIONS[name]
+    if (value is None and default is None
+            or type(value) is bool and option.type is bool):
+        return value
+    if type(value) in (str, int, float) and option.type is not bool:
+        try:
+            converted = option.type(str(value))
+        except ValueError:
+            pass
+        else:
+            if option.choices is None or converted in option.choices:
+                return converted
+    raise ConfigError(f"config key {name}: invalid {option.type.__name__} "
+                      f"value {json.dumps(value)}")
+
+
 def _resolve(args: argparse.Namespace, command: str) -> dict:
     """Merge flags over config-file values over defaults."""
-    defaults = _DEFAULTS[command]
-    config = _load_config(getattr(args, "config", None))
+    defaults = _COMMANDS[command][1]
+    config = _load_config(args.config)
     unknown = sorted(set(config) - set(defaults))
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(unknown))
-    settings = {}
-    for name, fallback in defaults.items():
-        flag = getattr(args, name)
-        if flag is not None:
-            settings[name] = flag
-        elif name in config:
-            settings[name] = config[name]
-        else:
-            settings[name] = fallback
+    settings = dict(defaults)
+    for name, value in config.items():
+        settings[name] = _config_value(name, value, defaults[name])
+    for name in defaults:
+        if getattr(args, name) is not None:
+            settings[name] = getattr(args, name)
     return settings
 
 
-def _market(settings: dict, y_high=None, y_low=None) -> MarketParams:
-    return MarketParams(
-        p=float(settings["p"]),
-        y_high=float(settings["y_high"] if y_high is None else y_high),
-        y_low=float(settings["y_low"] if y_low is None else y_low),
-        loan=float(settings["loan"]),
-        epsilon=float(settings["epsilon"]),
-        delta=float(settings["delta"]),
+def _market(settings: dict) -> MarketParams:
+    return MarketParams(**{name: settings[name] for name in _MARKET})
+
+
+def _provenance(command: str, settings: dict) -> str:
+    """First line of every output: the command and its effective values."""
+    return f"# eselend {command} " + " ".join(
+        f"{key}={_fmt(value)}" for key, value in sorted(settings.items())
+        if key not in ("out", "plot_data")
     )
 
 
 def _write_output(settings: dict, command: str, columns: list[str],
                   rows: list[list]) -> None:
-    provenance = "# eselend " + command + " " + " ".join(
-        f"{key}={_fmt(value)}" for key, value in sorted(settings.items())
-        if key not in ("out", "plot_data")
-    )
+    provenance = _provenance(command, settings)
     out = Path(settings["out"])
     with open(out, "w", newline="", encoding="utf-8") as fh:
         fh.write(provenance + "\n")
         writer = csv.writer(fh)
         writer.writerow(columns)
         writer.writerows([[_fmt(cell) for cell in row] for row in rows])
-    if settings.get("plot_data"):
+    if settings["plot_data"]:
         with open(out.with_suffix(".dat"), "w", encoding="utf-8") as fh:
             fh.write(provenance + "\n")
             fh.write("# " + " ".join(columns) + "\n")
@@ -280,12 +303,12 @@ def _write_output(settings: dict, command: str, columns: list[str],
 def cmd_ceilings(args: argparse.Namespace) -> int:
     settings = _resolve(args, "ceilings")
     params = _market(settings)
-    e_grid = _parse_grid(str(settings["e_grid"]), "e-grid")
+    e_grid = _parse_grid(settings["e_grid"], "e-grid")
     rows = []
     for e in e_grid:
         l1 = float(loan_ceiling_affordability(e, params))
         l2 = float(loan_ceiling_incentive(e, params))
-        rows.append([float(e), l1, l2, "L2"])
+        rows.append([e, l1, l2, "L2"])
     _write_output(settings, "ceilings", ["e", "L1", "L2", "binding"], rows)
     offenders = [row[0] for row in rows if not row[1] > row[2]]
     if offenders:
@@ -299,10 +322,9 @@ def cmd_ceilings(args: argparse.Namespace) -> int:
 def cmd_sweep_group_size(args: argparse.Namespace) -> int:
     settings = _resolve(args, "sweep-group-size")
     params = _market(settings)
-    link = ScoreLink(k=float(settings["k"]), b=float(settings["b"]))
-    cost = CostModel(c=float(settings["c"]))
-    n_min = int(settings["n_min"])
-    n_max = int(settings["n_max"])
+    link = ScoreLink(k=settings["k"], b=settings["b"])
+    cost = CostModel(c=settings["c"])
+    n_min, n_max = settings["n_min"], settings["n_max"]
     if n_min < 1:
         raise ConfigError("n-min must be >= 1")
     if n_max < n_min:
@@ -320,36 +342,46 @@ def cmd_sweep_group_size(args: argparse.Namespace) -> int:
     return 0
 
 
-def _solve_mv_cells(w, cells: list, labels: list[str], endogenous: bool) -> list:
-    """Solve every sweep cell at once; errors name the cell they came from."""
+def _solve_sweep(settings: dict, scenarios: list, gammas: list[float]) -> list:
+    """Solve every (scenario, gamma) cell of a mean-variance sweep at once.
+
+    ``scenarios`` holds (label, params, b, c) tuples. ``k`` defaults to
+    `slope_for_baseline` of each scenario's ``b``, and ``endogenous_w``
+    replaces the fixed ``w`` by the break-even repayment. Returns each
+    scenario's optima in gamma order; an error names the cell it came from.
+    """
+    endogenous = settings["endogenous_w"]
+    cells, labels = [], []
+    for label, params, b, c in scenarios:
+        k = slope_for_baseline(b) if settings["k"] is None else settings["k"]
+        link = ScoreLink(k=k, b=b)
+        cost = CostModel(c=c)
+        for gamma in gammas:
+            cells.append((params, gamma, cost, link))
+            labels.append(f"{label}, gamma={_fmt(gamma)}")
     try:
-        return optimal_ese_mv_batch(w, cells, endogenous_w=endogenous)
+        optima = optimal_ese_mv_batch(None if endogenous else settings["w"],
+                                      cells, endogenous_w=endogenous)
     except (DomainError, EvaluationError, InvariantViolation) as exc:
         if exc.cell is None:
             raise
         raise type(exc)(f"{labels[exc.cell]}: {exc}") from None
+    n = len(gammas)
+    return [optima[i:i + n] for i in range(0, len(optima), n)]
 
 
 def cmd_sweep_mv(args: argparse.Namespace) -> int:
     settings = _resolve(args, "sweep-mv")
     params = _market(settings)
-    b_set = _parse_grid(str(settings["b_set"]), "b-set")
-    c_set = _parse_grid(str(settings["c_set"]), "c-set")
-    gammas = _parse_grid(str(settings["gamma_grid"]), "gamma-grid")
-    endogenous = bool(settings["endogenous_w"])
-    w = None if endogenous else float(settings["w"])
-    cells, labels, keys = [], [], []
-    for b in b_set:
-        k = float(settings["k"]) if settings["k"] is not None else slope_for_baseline(b)
-        link = ScoreLink(k=k, b=float(b))
-        for c in c_set:
-            cost = CostModel(c=float(c))
-            for gamma in gammas:
-                cells.append((params, gamma, cost, link))
-                labels.append(f"b={_fmt(b)}, c={_fmt(c)}, gamma={_fmt(gamma)}")
-                keys.append([float(b), float(c), float(gamma)])
-    optima = _solve_mv_cells(w, cells, labels, endogenous)
-    rows = [key + [opt.score, opt.at_boundary] for key, opt in zip(keys, optima)]
+    b_set = _parse_grid(settings["b_set"], "b-set")
+    c_set = _parse_grid(settings["c_set"], "c-set")
+    gammas = _parse_grid(settings["gamma_grid"], "gamma-grid")
+    scenarios = [(f"b={_fmt(b)}, c={_fmt(c)}", params, b, c)
+                 for b in b_set for c in c_set]
+    solved = _solve_sweep(settings, scenarios, gammas)
+    rows = [[b, c, gamma, opt.score, opt.at_boundary]
+            for (_, _, b, c), optima in zip(scenarios, solved)
+            for gamma, opt in zip(gammas, optima)]
     _write_output(settings, "sweep-mv",
                   ["b", "c", "gamma", "optimal_E", "at_boundary"], rows)
     return 0
@@ -357,24 +389,17 @@ def cmd_sweep_mv(args: argparse.Namespace) -> int:
 
 def cmd_sweep_yield(args: argparse.Namespace) -> int:
     settings = _resolve(args, "sweep-yield")
-    pairs = _parse_yield_pairs(str(settings["yields"]))
-    gammas = _parse_grid(str(settings["gamma_grid"]), "gamma-grid")
-    b = float(settings["b"])
-    k = float(settings["k"]) if settings["k"] is not None else slope_for_baseline(b)
-    link = ScoreLink(k=k, b=b)
-    cost = CostModel(c=float(settings["c"]))
-    endogenous = bool(settings["endogenous_w"])
-    w = None if endogenous else float(settings["w"])
-    cells, labels, keys = [], [], []
-    for y_high, y_low in pairs:
-        params = _market({**settings, "y_high": y_high, "y_low": y_low})
-        scenario = f"Ybar={_fmt(y_high)},Ylow={_fmt(y_low)}"
-        for gamma in gammas:
-            cells.append((params, gamma, cost, link))
-            labels.append(f"scenario={scenario}, gamma={_fmt(gamma)}")
-            keys.append([scenario, float(gamma)])
-    optima = _solve_mv_cells(w, cells, labels, endogenous)
-    rows = [key + [opt.score] for key, opt in zip(keys, optima)]
+    pairs = _parse_yield_pairs(settings["yields"])
+    gammas = _parse_grid(settings["gamma_grid"], "gamma-grid")
+    names = [f"Ybar={_fmt(y_high)},Ylow={_fmt(y_low)}" for y_high, y_low in pairs]
+    scenarios = [(f"scenario={name}",
+                  _market({**settings, "y_high": y_high, "y_low": y_low}),
+                  settings["b"], settings["c"])
+                 for name, (y_high, y_low) in zip(names, pairs)]
+    solved = _solve_sweep(settings, scenarios, gammas)
+    rows = [[name, gamma, opt.score]
+            for name, optima in zip(names, solved)
+            for gamma, opt in zip(gammas, optima)]
     _write_output(settings, "sweep-yield", ["scenario", "gamma", "optimal_E"], rows)
     return 0
 
@@ -382,20 +407,20 @@ def cmd_sweep_yield(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     settings = _resolve(args, "simulate")
     params = _market(settings)
-    e_grid = _parse_grid(str(settings["e_grid"]), "e-grid")
-    n_set = _parse_int_set(str(settings["n_set"]), "n-set")
-    sim_cfg_probe = SimConfig(trials=int(settings["trials"]), seed=int(settings["seed"]))
+    e_grid = _parse_grid(settings["e_grid"], "e-grid")
+    n_set = _parse_int_set(settings["n_set"], "n-set")
+    sim_cfg_probe = SimConfig(trials=settings["trials"], seed=settings["seed"])
     rows = []
     for e in e_grid:
         for n in n_set:
             if settings["w"] is not None:
-                w = float(settings["w"])
+                w = settings["w"]
             else:
                 try:
                     w = float(binding_repayment(e, n, params).w)
                 except DomainError:
                     raise ConfigError(
-                        f"break-even repayment is undefined at e={_fmt(float(e))}; "
+                        f"break-even repayment is undefined at e={_fmt(e)}; "
                         "pass an explicit --w"
                     ) from None
             exact = enumerate_member_profit(e, n, w, params)
@@ -407,7 +432,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 z = math.inf
             else:
                 z = diff / result.std_error_mean
-            rows.append([float(e), n, result.trials, result.seed,
+            rows.append([e, n, result.trials, result.seed,
                          result.empirical_mean, exact.mean,
                          result.empirical_variance, exact.variance, z])
     _write_output(settings, "simulate",
@@ -427,7 +452,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     if settings["metrics"] is None:
         raise ConfigError("a metrics CSV is required (--metrics)")
     records = read_metrics_csv(settings["metrics"])
-    normalization = str(settings["normalization"])
+    normalization = settings["normalization"]
     if settings["schema"] is None:
         bundled = resources.files("eselend").joinpath("data/sample_schema.csv")
         with resources.as_file(bundled) as schema_path:
@@ -435,11 +460,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     else:
         scheme = read_schema_csv(settings["schema"], normalization)
     scores = composite_score(records, scheme)
-    provenance = "# eselend score " + " ".join(
-        f"{key}={_fmt(value)}" for key, value in sorted(settings.items())
-        if key != "out"
-    )
-    write_scores_csv(settings["out"], scores, header_comment=provenance)
+    write_scores_csv(settings["out"], scores,
+                     header_comment=_provenance("score", settings))
     return 0
 
 
@@ -448,87 +470,24 @@ def cmd_score(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 
-def _add_market_flags(sub: argparse.ArgumentParser, include_yields: bool = True):
-    sub.add_argument("--p", type=float, help="unit selling price")
-    if include_yields:
-        sub.add_argument("--y-high", dest="y_high", type=float,
-                         help="high-production yield")
-        sub.add_argument("--y-low", dest="y_low", type=float,
-                         help="low-production yield")
-    sub.add_argument("--loan", type=float, help="loan principal")
-    sub.add_argument("--epsilon", type=float, help="risk-free rate")
-    sub.add_argument("--delta", type=float, help="borrower discount factor")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eselend",
         description="Joint-liability lending contracts driven by ESE scores",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    ceilings = sub.add_parser("ceilings", help="loan ceilings over a success grid")
-    _add_market_flags(ceilings)
-    ceilings.add_argument("--e-grid", dest="e_grid",
-                          help="success probabilities: start:stop:count or comma list")
-
-    group = sub.add_parser("sweep-group-size", help="optimal score by group size")
-    _add_market_flags(group)
-    group.add_argument("--k", type=float, help="score-to-probability slope")
-    group.add_argument("--b", type=float, help="baseline success probability")
-    group.add_argument("--c", type=float, help="effort cost scale")
-    group.add_argument("--n-min", dest="n_min", type=int, help="smallest group size")
-    group.add_argument("--n-max", dest="n_max", type=int, help="largest group size")
-
-    mv = sub.add_parser("sweep-mv", help="risk-aversion sweep for pairs")
-    _add_market_flags(mv)
-    mv.add_argument("--b-set", dest="b_set", help="baseline probabilities to sweep")
-    mv.add_argument("--c-set", dest="c_set", help="cost scales to sweep")
-    mv.add_argument("--gamma-grid", dest="gamma_grid",
-                    help="risk aversion grid: start:stop:count or comma list")
-    mv.add_argument("--w", type=float, help="fixed repayment obligation")
-    mv.add_argument("--k", type=float,
-                    help="score slope (default (1-b)/100 per baseline)")
-    mv.add_argument("--endogenous-w", dest="endogenous_w", action="store_const",
-                    const=True, help="substitute the break-even repayment")
-
-    yld = sub.add_parser("sweep-yield", help="high- vs low-yield comparison")
-    _add_market_flags(yld, include_yields=False)
-    yld.add_argument("--yields", help="two high:low pairs, comma separated")
-    yld.add_argument("--b", type=float, help="baseline success probability")
-    yld.add_argument("--c", type=float, help="effort cost scale")
-    yld.add_argument("--gamma-grid", dest="gamma_grid", help="risk aversion grid")
-    yld.add_argument("--w", type=float, help="fixed repayment obligation")
-    yld.add_argument("--k", type=float, help="score slope (default (1-b)/100)")
-    yld.add_argument("--endogenous-w", dest="endogenous_w", action="store_const",
-                     const=True, help="substitute the break-even repayment")
-
-    sim = sub.add_parser("simulate", help="Monte Carlo check against exact moments")
-    _add_market_flags(sim)
-    sim.add_argument("--e-grid", dest="e_grid", help="success probabilities")
-    sim.add_argument("--n-set", dest="n_set", help="group sizes, comma separated")
-    sim.add_argument("--trials", type=int, help="trials per (e, n) cell")
-    sim.add_argument("--seed", type=int, help="reproducibility seed")
-    sim.add_argument("--w", type=float,
-                     help="repayment obligation (default: break-even per cell)")
-
-    score = sub.add_parser("score", help="composite scores from metric records")
-    score.add_argument("--metrics", help="metrics CSV (farmer_id,metric_id,value)")
-    score.add_argument("--schema", help="schema CSV (default: bundled sample)")
-    score.add_argument("--normalization", choices=["MIN_MAX", "Z_SCORE_CLIPPED"],
-                       help="normalization method (default MIN_MAX)")
-
-    for name, command in (("ceilings", ceilings), ("sweep-group-size", group),
-                          ("sweep-mv", mv), ("sweep-yield", yld),
-                          ("simulate", sim), ("score", score)):
-        command.add_argument("--out", help=f"output CSV path "
-                             f"(default {_DEFAULTS[name]['out']})")
-        command.add_argument("--config", help="JSON file with option defaults")
-        if name != "score":
-            command.add_argument("--plot-data", dest="plot_data",
-                                 action="store_const", const=True,
-                                 help="also write a gnuplot .dat twin")
-
+    for command, (summary, defaults) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=summary)
+        for name, default in defaults.items():
+            option = _OPTIONS[name]
+            flag = "--" + name.replace("_", "-")
+            if option.type is bool:
+                cmd.add_argument(flag, action="store_const", const=True,
+                                 help=option.help)
+            else:
+                cmd.add_argument(flag, type=option.type, choices=option.choices,
+                                 help=f"{option.help} (default {_fmt(default)})")
+        cmd.add_argument("--config", help="JSON file with option defaults")
     return parser
 
 

@@ -3,7 +3,7 @@
 `enumerate_member_profit` turns the exact outcome distribution into moments
 and is the gold standard. `simulate_member_profit` draws group outcomes
 with an explicitly specified counter-based generator so that results are
-reproducible bit for bit across runs, machines, and trial partitionings.
+reproducible bit for bit across runs and machines.
 
 Random source
 -------------
@@ -15,10 +15,9 @@ to [0, 1) via the top 53 bits, where ``mix64`` is the splitmix64 finalizer:
     z ^= z >> 27;  z *= 0x94D049BB133111EB
     z ^= z >> 31
 
-Because every draw is a pure function of (seed, counter), trials can be
-partitioned across workers at fixed 65,536-trial chunk boundaries and
-recombined deterministically: per-chunk sums are collected in chunk order
-and reduced the same way single-threaded execution reduces them.
+Every draw is a pure function of (seed, counter). The simulator runs in
+one process and walks the trials in fixed 65,536-trial chunks; it keeps
+each chunk's sum and sum of squares and reduces them in chunk order.
 """
 
 from __future__ import annotations

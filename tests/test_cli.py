@@ -9,6 +9,7 @@ data or filesystem problems, 4 violated internal invariants.
 """
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -190,6 +191,19 @@ class TestSweepMv:
         assert ("error: b=0.5, c=1000, gamma=-1: gamma must be >= 0"
                 in capsys.readouterr().err)
 
+    def test_moment_route_failure_is_named(self, tmp_path, monkeypatch,
+                                           capsys):
+        """A disagreement between the two moment routes exits 4 and names
+        the first cell it reached."""
+        real = mean_variance._var_poly
+        monkeypatch.setattr(mean_variance, "_var_poly",
+                            lambda e, A, B: real(e, A, B) + 1.0)
+        out = tmp_path / "mv.csv"
+        assert main(["sweep-mv", "--b-set", "0.5", "--c-set", "1000",
+                     "--gamma-grid", "0:1:3", "--out", str(out)]) == 4
+        assert ("error: b=0.5, c=1000, gamma=0: moment routes disagree"
+                in capsys.readouterr().err)
+
 
 # ----------------------------------------------------------------------
 # sweep-yield
@@ -293,6 +307,26 @@ class TestSimulate:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_biased_simulation_writes_then_exits_four(self, tmp_path,
+                                                      monkeypatch, capsys):
+        """A simulated mean 10 standard errors off the exact mean still
+        writes its table, then exits 4."""
+        real = cli.simulate_member_profit
+
+        def biased(*args):
+            result = real(*args)
+            return dataclasses.replace(
+                result, empirical_mean=result.empirical_mean
+                + 10.0 * result.std_error_mean)
+
+        monkeypatch.setattr(cli, "simulate_member_profit", biased)
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--e-grid", "0.5", "--n-set", "2",
+                     "--trials", "20000", "--out", str(out)]) == 4
+        _, _, rows = _read_rows(out)
+        assert abs(float(rows[0][8])) > 4.0
+        assert "standard errors (limit 4)" in capsys.readouterr().err
 
     def test_zero_trials_exits_two(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -454,6 +488,67 @@ class TestConfigResolution:
         assert "e_grid=0.5" in first
         keys = [tok.split("=")[0] for tok in first.split()[3:]]
         assert keys == sorted(keys)
+
+
+    @pytest.mark.parametrize("command, config", [
+        ("sweep-mv", {"p": "abc"}),
+        ("sweep-mv", {"p": None}),
+        ("sweep-group-size", {"n_max": "ten"}),
+        ("simulate", {"trials": 1.5}),
+        ("ceilings", {"plot_data": "no"}),
+        ("sweep-mv", {"endogenous_w": "false"}),
+    ])
+    def test_bad_config_value_exits_two(self, command, config, tmp_path,
+                                        capsys):
+        """A config value its flag would reject exits 2, names the key and
+        writes nothing. Only the switches take JSON booleans, and null
+        only stands for a default of None."""
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        rc = main([command, "--config", str(path),
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        (key,) = config
+        assert f"error: config key {key}: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_config_switch_matches_flag(self, tmp_path):
+        """``endogenous_w: true`` runs exactly what --endogenous-w runs;
+        ``k: null`` is the default automatic slope."""
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"endogenous_w": True, "k": None}),
+                          encoding="utf-8")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["sweep-mv", "--endogenous-w", "--out", str(a)]) == 0
+        assert main(["sweep-mv", "--config", str(config),
+                     "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+
+class TestSweepDefaults:
+    """The shipped sweep defaults are the constants the acceptance tests
+    assert on."""
+
+    def test_defaults_parse_to_the_shared_constants(self):
+        parser = cli.build_parser()
+        mv = cli._resolve(parser.parse_args(["sweep-mv"]), "sweep-mv")
+        yld = cli._resolve(parser.parse_args(["sweep-yield"]), "sweep-yield")
+        assert cli._market(mv) == mean_variance.DEFAULT_SWEEP_PARAMS
+        assert (tuple(cli._parse_grid(mv["b_set"], "b-set"))
+                == mean_variance.DEFAULT_BASELINES)
+        assert (tuple(cli._parse_grid(mv["c_set"], "c-set"))
+                == mean_variance.DEFAULT_COSTS)
+        for settings in (mv, yld):
+            assert (tuple(cli._parse_grid(settings["gamma_grid"], "gamma"))
+                    == mean_variance.DEFAULT_GAMMA_GRID)
+            assert settings["w"] == mean_variance.DEFAULT_SWEEP_W
+            assert settings["k"] is None
+        pairs = cli._parse_yield_pairs(yld["yields"])
+        assert tuple(pairs) == mean_variance.DEFAULT_YIELD_SCENARIOS
+        assert (cli._market({**yld, "y_high": 1000.0, "y_low": 500.0})
+                == mean_variance.DEFAULT_SWEEP_PARAMS)
+        # test_criterion_08d_yield_scenarios runs at b = 0.5, c = 1000.
+        assert (yld["b"], yld["c"]) == (0.5, 1000.0)
 
 
 class TestExitCodes:

@@ -125,6 +125,15 @@ class TestProfitMomentsPair:
         with pytest.raises(DomainError):
             Moments(mean=1.0, variance=-1e-6)
 
+    def test_route_disagreement_is_an_invariant_violation(self, monkeypatch):
+        """If the polynomial variance ever drifted from the outcome table,
+        the moments raise instead of returning either value."""
+        real = mean_variance._var_poly
+        monkeypatch.setattr(mean_variance, "_var_poly",
+                            lambda e, A, B: real(e, A, B) + 1.0)
+        with pytest.raises(InvariantViolation, match="moment routes disagree"):
+            profit_moments_pair(0.5, 150.0, BASE)
+
 
 # ----------------------------------------------------------------------
 # risk-adjusted utility
