@@ -147,6 +147,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# Largest count of a start:stop:count grid. It is checked before the grid is
+# built, so a count such as 10**9 exits 2 instead of exhausting memory.
+_MAX_GRID_COUNT = 1_000_000
+
+
 def _parse_grid(spec: str, what: str) -> list[float]:
     """Parse 'start:stop:count' or a comma-separated list of numbers."""
     spec = spec.strip()
@@ -163,6 +168,8 @@ def _parse_grid(spec: str, what: str) -> list[float]:
             raise ConfigError(f"{what} has a non-numeric part in {spec!r}") from None
         if count < 1:
             raise ConfigError(f"{what} count must be >= 1")
+        if count > _MAX_GRID_COUNT:
+            raise ConfigError(f"{what} count must be <= {_MAX_GRID_COUNT}")
         values = [float(v) for v in np.linspace(start, stop, count)]
     else:
         try:
@@ -409,20 +416,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     params = _market(settings)
     e_grid = _parse_grid(settings["e_grid"], "e-grid")
     n_set = _parse_int_set(settings["n_set"], "n-set")
+    if min(n_set) < 1:
+        raise ConfigError(f"n-set entry {min(n_set)} must be >= 1")
     sim_cfg_probe = SimConfig(trials=settings["trials"], seed=settings["seed"])
     rows = []
     for e in e_grid:
         for n in n_set:
             if settings["w"] is not None:
                 w = settings["w"]
+            elif e == 0.0:
+                raise ConfigError(
+                    f"break-even repayment is undefined at e={_fmt(e)}; "
+                    "pass an explicit --w"
+                )
             else:
-                try:
-                    w = float(binding_repayment(e, n, params).w)
-                except DomainError:
-                    raise ConfigError(
-                        f"break-even repayment is undefined at e={_fmt(e)}; "
-                        "pass an explicit --w"
-                    ) from None
+                w = float(binding_repayment(e, n, params).w)
             exact = enumerate_member_profit(e, n, w, params)
             result = simulate_member_profit(e, n, w, params, sim_cfg_probe)
             diff = result.empirical_mean - exact.mean

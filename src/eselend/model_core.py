@@ -19,6 +19,7 @@ numpy arrays wherever a formula is closed-form in ``e`` or ``E``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -282,7 +283,8 @@ def binding_repayment(e: float, group, params: MarketParams) -> RepaymentContrac
     _require_in("e", e, 0.0, 1.0)
     if e == 0.0:
         raise DomainError("binding repayment is undefined at e = 0")
-    coverage = 1.0 - (1.0 - e) ** group.n
+    # 1 - (1-e)^n without its cancellation at tiny e; log1p(-1) is a math error
+    coverage = 1.0 if e == 1.0 else -math.expm1(group.n * math.log1p(-e))
     w = params.loan * (1.0 + params.epsilon) / coverage
     return RepaymentContract(w=w, n=group.n)
 
@@ -295,7 +297,8 @@ def loan_ceiling_affordability(e, params: MarketParams):
     _require_in("e", e, 0.0, 1.0)
     e = np.asarray(e, dtype=float)
     pooled = params.high_revenue + params.low_revenue
-    out = pooled / (2.0 * (1.0 + params.epsilon)) * (1.0 - (1.0 - e) ** 2)
+    # e*(2-e) is 1-(1-e)^2 without the cancellation that zeroes it at tiny e
+    out = pooled / (2.0 * (1.0 + params.epsilon)) * (e * (2.0 - e))
     return float(out) if out.ndim == 0 else out
 
 
@@ -311,7 +314,7 @@ def loan_ceiling_incentive(e, params: MarketParams):
     e = np.asarray(e, dtype=float)
     if np.any(e == 0):
         raise DomainError("incentive ceiling is undefined at e = 0")
-    coverage = 1.0 - (1.0 - e) ** 2
+    coverage = e * (2.0 - e)  # 1-(1-e)^2, as in loan_ceiling_affordability
     out = params.low_revenue / (2.0 * (1.0 + params.epsilon) / coverage - params.delta)
     return float(out) if out.ndim == 0 else out
 

@@ -13,6 +13,13 @@ a reference population; pinned bounds apply to min-max normalization, and
 values outside them clip to the ends of [0, 1]. The z-score variant always
 uses cohort statistics.
 
+Records are held as columns, not one object each: `read_metrics_csv`
+returns a `MetricTable` of farmer ids, metric ids and a float64 value
+array, validated a whole column at a time, and `composite_score` codes
+farmers and metrics as the rows and columns of one farmers x metrics
+matrix, from whose counts it reports duplicate, unknown and missing pairs.
+A list of `MetricRecord`s is converted to a table and scored the same way.
+
 File formats: metric records arrive as CSV with header
 ``farmer_id,metric_id,value``; the schema is CSV with header
 ``metric_id,pillar,direction,kind,weight,min,max`` (the last three columns
@@ -26,6 +33,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -40,6 +48,7 @@ __all__ = [
     "NORMALIZATIONS",
     "MetricDef",
     "MetricRecord",
+    "MetricTable",
     "ScoringScheme",
     "normalize",
     "category_weights",
@@ -96,6 +105,18 @@ class MetricDef:
                 )
 
 
+def _record_problem(farmer_id, metric_id, value) -> str | None:
+    """What is wrong with one metric record, or None if nothing is."""
+    if not isinstance(farmer_id, str) or not farmer_id.strip():
+        return "farmer_id must be a non-empty string"
+    if not isinstance(metric_id, str) or not metric_id.strip():
+        return "metric_id must be a non-empty string"
+    if not (isinstance(value, (int, float)) and math.isfinite(value)):
+        return (f"non-finite value {value!r} for farmer {farmer_id!r}, "
+                f"metric {metric_id!r}")
+    return None
+
+
 @dataclass(frozen=True)
 class MetricRecord:
     """One observed value of one metric for one farmer."""
@@ -105,15 +126,35 @@ class MetricRecord:
     value: float
 
     def __post_init__(self):
-        if not isinstance(self.farmer_id, str) or not self.farmer_id.strip():
-            raise DataError("farmer_id must be a non-empty string")
-        if not isinstance(self.metric_id, str) or not self.metric_id.strip():
-            raise DataError("metric_id must be a non-empty string")
-        if not (isinstance(self.value, (int, float)) and math.isfinite(self.value)):
-            raise DataError(
-                f"non-finite value {self.value!r} for farmer {self.farmer_id!r}, "
-                f"metric {self.metric_id!r}"
-            )
+        problem = _record_problem(self.farmer_id, self.metric_id, self.value)
+        if problem is not None:
+            raise DataError(problem)
+
+
+@dataclass(frozen=True, eq=False)
+class MetricTable:
+    """Metric records as three columns of equal length, in record order.
+
+    Every id is a non-empty string and every value is finite: the table
+    comes from `read_metrics_csv`, which checks whole columns, or from
+    `from_records`, whose records checked themselves. ``len()`` is the
+    record count.
+    """
+
+    farmer_ids: list[str]
+    metric_ids: list[str]
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.farmer_ids)
+
+    @classmethod
+    def from_records(cls, records: Iterable[MetricRecord]) -> MetricTable:
+        """The columns of ``records``, in their order."""
+        records = list(records)
+        return cls([rec.farmer_id for rec in records],
+                   [rec.metric_id for rec in records],
+                   np.array([float(rec.value) for rec in records], dtype=float))
 
 
 @dataclass(frozen=True)
@@ -230,49 +271,63 @@ def category_weights(scheme: ScoringScheme) -> dict[str, float]:
     return {pillar: counts[pillar] / total for pillar in PILLARS}
 
 
-def composite_score(records: Iterable[MetricRecord],
+def composite_score(records: MetricTable | Iterable[MetricRecord],
                     scheme: ScoringScheme) -> dict[str, float]:
     """Composite score in [0, 100] per farmer, keyed and ordered by id.
 
-    Every farmer must have exactly one value for every schema metric; the
-    error for missing pairs lists all gaps, and duplicated or unknown
-    metric ids are rejected the same way. No imputation happens here: a
-    fabricated value would silently change a credit decision.
+    ``records`` is a `MetricTable` or any iterable of `MetricRecord`s, which
+    is turned into one. Every farmer must have exactly one value for every
+    schema metric; the error for missing pairs lists all gaps, and
+    duplicated or unknown metric ids are rejected the same way. No
+    imputation happens here: a fabricated value would silently change a
+    credit decision.
+
+    Farmers (sorted) and metrics (schema order) are coded as the rows and
+    columns of one farmers x metrics matrix. Each metric's column is
+    contiguous, so `normalize` sees the same array a per-metric list of the
+    cohort's values would give it, and the totals add up in schema order.
     """
-    records = list(records)
-    by_id = {m.id: m for m in scheme.schema}
-    values: dict[tuple[str, str], float] = {}
-    problems: list[str] = []
-    for rec in records:
-        if rec.metric_id not in by_id:
-            problems.append(f"unknown metric {rec.metric_id!r} for farmer {rec.farmer_id!r}")
-            continue
-        key = (rec.farmer_id, rec.metric_id)
-        if key in values:
-            problems.append(f"duplicate value for farmer {rec.farmer_id!r}, "
-                            f"metric {rec.metric_id!r}")
-            continue
-        values[key] = float(rec.value)
+    table = (records if isinstance(records, MetricTable)
+             else MetricTable.from_records(records))
+    schema = scheme.schema
+    n_metrics = len(schema)
+    metric_index = {metric.id: j for j, metric in enumerate(schema)}
+    columns = np.fromiter(map(metric_index.get, table.metric_ids, repeat(-1)),
+                          dtype=np.intp, count=len(table))
+    farmers = sorted(set(table.farmer_ids))
+    farmer_index = {farmer: i for i, farmer in enumerate(farmers)}
+    rows = np.fromiter(map(farmer_index.__getitem__, table.farmer_ids),
+                       dtype=np.intp, count=len(table))
+
+    problems = [f"unknown metric {table.metric_ids[i]!r} for farmer {table.farmer_ids[i]!r}"
+                for i in np.flatnonzero(columns < 0).tolist()]
+    known = columns >= 0
+    counts = np.bincount(rows[known] * n_metrics + columns[known],
+                         minlength=len(farmers) * n_metrics)
+    for cell in np.flatnonzero(counts > 1).tolist():
+        farmer, j = divmod(cell, n_metrics)
+        problems += [f"duplicate value for farmer {farmers[farmer]!r}, "
+                     f"metric {schema[j].id!r}"] * (int(counts[cell]) - 1)
     if problems:
         raise DataError("invalid metric records", details=sorted(problems))
 
-    farmers = sorted({farmer for farmer, _ in values})
     if not farmers:
         return {}
-    gaps = [f"farmer {farmer!r} missing metric {metric.id!r}"
-            for farmer in farmers for metric in scheme.schema
-            if (farmer, metric.id) not in values]
+    gaps = [f"farmer {farmers[cell // n_metrics]!r} missing metric "
+            f"{schema[cell % n_metrics].id!r}"
+            for cell in np.flatnonzero(counts == 0).tolist()]
     if gaps:
         raise DataError(f"{len(gaps)} missing (farmer, metric) pairs",
                         details=gaps)
 
+    matrix = np.empty((len(farmers), n_metrics), order="F")
+    matrix[rows, columns] = table.values
     weights = scheme.metric_weights()
     totals = np.zeros(len(farmers))
-    for metric in scheme.schema:
-        cohort = np.array([values[(farmer, metric.id)] for farmer in farmers])
-        totals += weights[metric.id] * normalize(cohort, metric, scheme.normalization)
+    for j, metric in enumerate(schema):
+        totals += weights[metric.id] * normalize(matrix[:, j], metric, scheme.normalization)
     scores = np.clip(totals * 100.0, 0.0, 100.0)
-    return {farmer: float(score) for farmer, score in zip(farmers, scores)}
+    return dict(zip(farmers, scores.tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -283,10 +338,14 @@ _METRICS_HEADER = ["farmer_id", "metric_id", "value"]
 _SCHEMA_HEADER = ["metric_id", "pillar", "direction", "kind", "weight", "min", "max"]
 
 
-def read_metrics_csv(path) -> list[MetricRecord]:
-    """Load metric records, reporting problems with file and line context."""
+def read_metrics_csv(path) -> MetricTable:
+    """Load metric records, reporting problems with file and line context.
+
+    Blank rows are skipped and cells are stripped. The records are checked
+    a whole column at a time; only a file that fails a check (or holds a
+    blank row) is walked again row by row, to report its first bad line.
+    """
     path = Path(path)
-    rows: list[MetricRecord] = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -296,23 +355,55 @@ def read_metrics_csv(path) -> list[MetricRecord]:
             raise DataError(
                 f"{path}:1: expected header {','.join(_METRICS_HEADER)}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            farmer_id, metric_id, raw = (cell.strip() for cell in row)
-            try:
-                value = float(raw)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: value {raw!r} is not a number") from None
-            try:
-                rows.append(MetricRecord(farmer_id, metric_id, value))
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-    if not rows:
+        rows = list(reader)
+    table = _parse_columns(rows)
+    if table is None:
+        table = _parse_rows(rows, path)
+    if not len(table):
         raise ConfigError(f"{path}: metrics file contains no records")
-    return rows
+    return table
+
+
+def _parse_columns(rows: list[list[str]]) -> MetricTable | None:
+    """The table of ``rows``, or None unless every row is a valid record."""
+    if set(map(len, rows)) - {3}:
+        return None
+    farmer_ids = [row[0].strip() for row in rows]
+    metric_ids = [row[1].strip() for row in rows]
+    if "" in farmer_ids or "" in metric_ids:
+        return None
+    try:
+        # float() ignores the same surrounding whitespace that strip() removes
+        values = np.fromiter(map(float, [row[2] for row in rows]),
+                             dtype=float, count=len(rows))
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return MetricTable(farmer_ids, metric_ids, values)
+
+
+def _parse_rows(rows: list[list[str]], path: Path) -> MetricTable:
+    """The table of ``rows`` read one at a time in file order, skipping
+    blank rows and raising at the first bad one with its line number."""
+    farmer_ids, metric_ids, values = [], [], []
+    for lineno, row in enumerate(rows, start=2):
+        if not any(cell.strip() for cell in row):
+            continue
+        if len(row) != 3:
+            raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+        farmer_id, metric_id, raw = (cell.strip() for cell in row)
+        try:
+            value = float(raw)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: value {raw!r} is not a number") from None
+        problem = _record_problem(farmer_id, metric_id, value)
+        if problem is not None:
+            raise DataError(f"{path}:{lineno}: {problem}")
+        farmer_ids.append(farmer_id)
+        metric_ids.append(metric_id)
+        values.append(value)
+    return MetricTable(farmer_ids, metric_ids, np.array(values, dtype=float))
 
 
 def _parse_optional_float(raw: str, path: Path, lineno: int, column: str) -> float | None:

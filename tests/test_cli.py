@@ -11,6 +11,7 @@ data or filesystem problems, 4 violated internal invariants.
 import csv
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +84,25 @@ class TestCeilings:
         out = tmp_path / "c.csv"
         rc = main(["ceilings", "--e-grid", "0.0,0.5", "--out", str(out)])
         assert rc == 2
+
+    def test_tiny_success_keeps_ordering(self, tmp_path):
+        """At e=1e-300 the pair coverage 1-(1-e)^2 is 2e-300, not 0: both
+        ceilings stay positive with L1 > L2, and no warning is raised."""
+        out = tmp_path / "c.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["ceilings", "--e-grid", "1e-300", "--out", str(out)]) == 0
+        _, _, rows = _read_rows(out)
+        assert float(rows[0][1]) > float(rows[0][2]) > 0.0
+
+    def test_oversized_grid_count_exits_two(self, tmp_path, capsys):
+        """A start:stop:count grid above a million points is refused before
+        it is built."""
+        out = tmp_path / "c.csv"
+        assert main(["sweep-mv", "--gamma-grid", "0:1:1000000000",
+                     "--out", str(out)]) == 2
+        assert "gamma-grid count must be <= 1000000" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # ----------------------------------------------------------------------
@@ -339,6 +359,26 @@ class TestSimulate:
                    "--trials", "1000", "--out", str(out)])
         assert rc == 2
         assert "--w" in capsys.readouterr().err
+
+    def test_group_size_below_one_exits_two(self, tmp_path, capsys):
+        """A group size of 0 is reported as a bad n-set entry, not as a
+        missing --w."""
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--n-set", "2,0", "--trials", "1000",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "n-set entry 0 must be >= 1" in err
+        assert "--w" not in err
+        assert not out.exists()
+
+    def test_success_above_one_is_not_a_missing_w(self, tmp_path, capsys):
+        """An e outside [0, 1] is reported as such, not as a missing --w."""
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--e-grid", "1.5", "--n-set", "2",
+                     "--trials", "1000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "e must lie in [0.0, 1.0]" in err
+        assert "--w" not in err
 
     def test_explicit_w_accepted_at_zero_success(self, tmp_path):
         """With --w given, the e=0 cell simulates the all-zero profit."""

@@ -6,6 +6,8 @@ Expected values quoted in docstrings are hand computations from the model
 formulas; each test states the arithmetic it pins down.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -295,6 +297,34 @@ class TestLoanCeilings:
         assert l1.shape == grid.shape
         assert l2.shape == grid.shape
         assert np.all(l1 > l2)
+
+
+class TestTinySuccessCoverage:
+    """The coverage 1-(1-e)^n is computed as -expm1(n*log1p(-e)) in
+    binding_repayment and as e*(2-e) in the pair ceilings. The direct form
+    loses digits as e shrinks: at e=1e-12, n=2 its relative error is
+    2.2e-5, and below e=1.1e-16 it is 0."""
+
+    E = 1e-12
+
+    def _exact_coverage(self, n):
+        return 1 - (1 - Fraction(self.E)) ** n
+
+    def test_binding_repayment(self):
+        """w = L(1+eps)/coverage to 1e-15 relative at e=1e-12, n=2."""
+        exact = (Fraction(BASE.loan) * (1 + Fraction(BASE.epsilon))
+                 / self._exact_coverage(2))
+        w = binding_repayment(self.E, 2, BASE).w
+        assert abs(Fraction(w) / exact - 1) <= 1e-15
+
+    def test_ceilings(self):
+        """Both ceilings to 1e-15 relative at e=1e-12."""
+        s = self._exact_coverage(2)
+        two_r = 2 * (1 + Fraction(BASE.epsilon))
+        l1 = (Fraction(BASE.high_revenue) + Fraction(BASE.low_revenue)) / two_r * s
+        l2 = Fraction(BASE.low_revenue) / (two_r / s - Fraction(BASE.delta))
+        assert abs(Fraction(loan_ceiling_affordability(self.E, BASE)) / l1 - 1) <= 1e-15
+        assert abs(Fraction(loan_ceiling_incentive(self.E, BASE)) / l2 - 1) <= 1e-15
 
 
 # ----------------------------------------------------------------------

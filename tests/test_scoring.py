@@ -5,16 +5,22 @@ The bundled sample schema (36 metrics: 11 environmental, 6 social,
 19 economic) anchors the category-weight numbers 11/36, 6/36, 19/36.
 """
 
+import csv
+import dataclasses
 import importlib.resources as resources
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from eselend import (
     ConfigError,
     DataError,
     MetricDef,
     MetricRecord,
+    MetricTable,
     ScoringScheme,
     category_weights,
     composite_score,
@@ -29,6 +35,11 @@ def _metric(id="m1", pillar="ENVIRONMENTAL", direction="HIGHER_BETTER",
             kind="CONTINUOUS", weight=None, bounds=None):
     return MetricDef(id=id, pillar=pillar, direction=direction, kind=kind,
                      weight=weight, bounds=bounds)
+
+
+def _columns(table):
+    """A metric table's three columns as plain lists."""
+    return table.farmer_ids, table.metric_ids, table.values.tolist()
 
 
 def _bundled_scheme():
@@ -311,9 +322,10 @@ class TestCsvCodecs:
         path = tmp_path / "metrics.csv"
         path.write_text("farmer_id,metric_id,value\nF1,m,10\nF2,m,30\n",
                         encoding="utf-8")
-        records = read_metrics_csv(path)
-        assert records == [MetricRecord("F1", "m", 10.0),
-                           MetricRecord("F2", "m", 30.0)]
+        table = read_metrics_csv(path)
+        assert _columns(table) == _columns(MetricTable.from_records(
+            [MetricRecord("F1", "m", 10.0), MetricRecord("F2", "m", 30.0)]))
+        assert len(table) == 2
 
     def test_metrics_header_checked(self, tmp_path):
         path = tmp_path / "metrics.csv"
@@ -339,7 +351,7 @@ class TestCsvCodecs:
         """A UTF-8 byte-order mark before the header is accepted."""
         path = tmp_path / "metrics.csv"
         path.write_bytes(b"\xef\xbb\xbffarmer_id,metric_id,value\nF1,m,1\n")
-        assert read_metrics_csv(path) == [MetricRecord("F1", "m", 1.0)]
+        assert _columns(read_metrics_csv(path)) == (["F1"], ["m"], [1.0])
 
     def test_schema_short_form(self, tmp_path):
         """The four-column schema form omits weight and bounds."""
@@ -386,3 +398,177 @@ class TestCsvCodecs:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "# run context"
         assert lines[1] == "farmer_id,score"
+
+
+# ----------------------------------------------------------------------
+# columnar pipeline vs the record-by-record reference
+# ----------------------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class _RefRecord:
+    """The reference's metric record: validated one at a time."""
+
+    farmer_id: str
+    metric_id: str
+    value: float
+
+    def __post_init__(self):
+        if not isinstance(self.farmer_id, str) or not self.farmer_id.strip():
+            raise DataError("farmer_id must be a non-empty string")
+        if not isinstance(self.metric_id, str) or not self.metric_id.strip():
+            raise DataError("metric_id must be a non-empty string")
+        if not (isinstance(self.value, (int, float)) and math.isfinite(self.value)):
+            raise DataError(
+                f"non-finite value {self.value!r} for farmer {self.farmer_id!r}, "
+                f"metric {self.metric_id!r}"
+            )
+
+
+def _reference_read(path):
+    """Record-by-record reader: the oracle for `read_metrics_csv`."""
+    rows = []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ConfigError(f"{path}: empty metrics file")
+        if [h.strip() for h in header] != ["farmer_id", "metric_id", "value"]:
+            raise DataError(f"{path}:1: expected header farmer_id,metric_id,value")
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != 3:
+                raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+            farmer_id, metric_id, raw = (cell.strip() for cell in row)
+            try:
+                value = float(raw)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: value {raw!r} is not a number") from None
+            try:
+                rows.append(_RefRecord(farmer_id, metric_id, value))
+            except DataError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
+    if not rows:
+        raise ConfigError(f"{path}: metrics file contains no records")
+    return rows
+
+
+def _reference_score(records, scheme):
+    """Dict-keyed scorer with one list per metric: the oracle for
+    `composite_score`."""
+    by_id = {m.id: m for m in scheme.schema}
+    values = {}
+    problems = []
+    for rec in records:
+        if rec.metric_id not in by_id:
+            problems.append(f"unknown metric {rec.metric_id!r} for farmer {rec.farmer_id!r}")
+            continue
+        key = (rec.farmer_id, rec.metric_id)
+        if key in values:
+            problems.append(f"duplicate value for farmer {rec.farmer_id!r}, "
+                            f"metric {rec.metric_id!r}")
+            continue
+        values[key] = float(rec.value)
+    if problems:
+        raise DataError("invalid metric records", details=sorted(problems))
+    farmers = sorted({farmer for farmer, _ in values})
+    if not farmers:
+        return {}
+    gaps = [f"farmer {farmer!r} missing metric {metric.id!r}"
+            for farmer in farmers for metric in scheme.schema
+            if (farmer, metric.id) not in values]
+    if gaps:
+        raise DataError(f"{len(gaps)} missing (farmer, metric) pairs", details=gaps)
+    weights = scheme.metric_weights()
+    totals = np.zeros(len(farmers))
+    for metric in scheme.schema:
+        cohort = np.array([values[(farmer, metric.id)] for farmer in farmers])
+        totals += weights[metric.id] * normalize(cohort, metric, scheme.normalization)
+    scores = np.clip(totals * 100.0, 0.0, 100.0)
+    return {farmer: float(score) for farmer, score in zip(farmers, scores)}
+
+
+def _outcome(run):
+    """Scores as (farmer, score) pairs in key order, or the error raised."""
+    try:
+        return list(run().items())
+    except (ConfigError, DataError) as exc:
+        return type(exc), str(exc), getattr(exc, "details", None)
+
+
+_PROPERTY_SCHEMA = (
+    _metric(id="soil"),
+    _metric(id="water", pillar="SOCIAL", direction="LOWER_BETTER"),
+    _metric(id="trained", pillar="ECONOMIC", kind="BINARY"),
+    _metric(id="margin", pillar="ECONOMIC", bounds=(0.0, 50.0)),
+)
+_PAD = st.sampled_from(["", " ", "  ", "\t", "\xa0", "\u2003"])
+_BLANK_ROWS = st.sampled_from(["", "   ", ",,", " , , ", "\t,,\xa0"])
+_BAD_ROWS = st.sampled_from([
+    "F1,soil", "F1,soil,1,2", "F1",                # wrong field counts
+    ",soil,1", "F1, ,1",                           # empty ids
+    "F1,soil,nan", "F1,soil,-inf", "F1,soil,1e999",  # non-finite values
+    "F1,soil,abc", "F1,soil,", "F1,soil,1 2",      # not numbers
+])
+
+
+@st.composite
+def _metrics_files(draw):
+    """Metrics CSV text for a cohort of up to four farmers: every (farmer,
+    metric) pair in a random order, then a few drops, duplicates, unknown
+    metrics and blank or malformed rows, with cells padded and an optional
+    BOM."""
+    farmers = [f"F{i}" for i in range(draw(st.integers(0, 4)))]
+    rows = []
+    for farmer in farmers:
+        for metric in _PROPERTY_SCHEMA:
+            if metric.kind == "BINARY":
+                value = draw(st.sampled_from(["0", "1", "1.0", "0", "1", "0.5"]))
+            else:
+                value = repr(draw(st.floats(-100.0, 100.0, width=32)))
+            rows.append([farmer, metric.id, value])
+    rows = draw(st.permutations(rows))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["blank", "blank", "drop", "duplicate",
+                                     "unknown", "bad"]))
+        at = draw(st.integers(0, len(rows)))
+        if kind == "drop" and rows:
+            del rows[at % len(rows)]
+        elif kind == "duplicate" and rows:
+            rows.insert(at, list(rows[at % len(rows)]))
+        elif kind == "unknown":
+            rows.insert(at, [draw(st.sampled_from(farmers or ["F0"])), "ghost", "1"])
+        elif kind in ("blank", "bad"):
+            rows.insert(at, draw(_BLANK_ROWS if kind == "blank" else _BAD_ROWS))
+    lines = [row if isinstance(row, str)
+             else ",".join(draw(_PAD) + cell + draw(_PAD) for cell in row)
+             for row in rows]
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + "\n".join(["farmer_id,metric_id,value"] + lines) + "\n"
+
+
+class TestColumnarMatchesReference:
+    """The columnar reader and scorer give the record-by-record
+    reference's scores, key order included, or raise its exact error."""
+
+    @given(text=_metrics_files(),
+           normalization=st.sampled_from(["MIN_MAX", "Z_SCORE_CLIPPED"]))
+    @example(text="farmer_id,metric_id,value\nF0,soil,1\nF0,water, nan \n",
+             normalization="MIN_MAX")
+    @example(text="farmer_id,metric_id,value\nF0,soil,abc\nF0,water,inf\n",
+             normalization="MIN_MAX")
+    @settings(max_examples=600,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_scores_or_same_error(self, tmp_path, text, normalization):
+        path = tmp_path / "metrics.csv"
+        path.write_text(text, encoding="utf-8")
+        scheme = ScoringScheme(schema=_PROPERTY_SCHEMA, normalization=normalization)
+        want = _outcome(lambda: _reference_score(_reference_read(path), scheme))
+        assert _outcome(lambda: composite_score(read_metrics_csv(path), scheme)) == want
+        try:
+            records = [MetricRecord(r.farmer_id, r.metric_id, r.value)
+                       for r in _reference_read(path)]
+        except (ConfigError, DataError):
+            return
+        assert _outcome(lambda: composite_score(records, scheme)) == want
