@@ -53,7 +53,7 @@ from .model_core import (
     loan_ceiling_affordability,
     loan_ceiling_incentive,
 )
-from .optimizer import ese_limit, optimal_ese_group
+from .optimizer import ese_limit, optimal_ese_group_batch
 from .oracle_sim import SimConfig, enumerate_member_profit, simulate_member_profit
 from .scoring import (
     composite_score,
@@ -311,11 +311,10 @@ def cmd_ceilings(args: argparse.Namespace) -> int:
     settings = _resolve(args, "ceilings")
     params = _market(settings)
     e_grid = _parse_grid(settings["e_grid"], "e-grid")
-    rows = []
-    for e in e_grid:
-        l1 = float(loan_ceiling_affordability(e, params))
-        l2 = float(loan_ceiling_incentive(e, params))
-        rows.append([e, l1, l2, "L2"])
+    e = np.array(e_grid)
+    l1 = loan_ceiling_affordability(e, params).tolist()
+    l2 = loan_ceiling_incentive(e, params).tolist()
+    rows = [[*cells, "L2"] for cells in zip(e_grid, l1, l2)]
     _write_output(settings, "ceilings", ["e", "L1", "L2", "binding"], rows)
     offenders = [row[0] for row in rows if not row[1] > row[2]]
     if offenders:
@@ -336,14 +335,16 @@ def cmd_sweep_group_size(args: argparse.Namespace) -> int:
         raise ConfigError("n-min must be >= 1")
     if n_max < n_min:
         raise ConfigError("n-max must be >= n-min")
+    if n_max - n_min + 1 > _MAX_GRID_COUNT:
+        raise ConfigError(f"group-size count n-max - n-min + 1 must be "
+                          f"<= {_MAX_GRID_COUNT}")
     limit = ese_limit(params, cost, link).score
-    rows = []
-    for n in range(n_min, n_max + 1):
-        try:
-            opt = optimal_ese_group(n, params, cost, link)
-        except SolverError as exc:
-            raise SolverError(f"group size n={n}: {exc}", bracket=exc.bracket) from None
-        rows.append([n, opt.score, opt.at_boundary, limit])
+    sizes = range(n_min, n_max + 1)
+    try:
+        optima = optimal_ese_group_batch(sizes, params, cost, link)
+    except EvaluationError as exc:
+        raise EvaluationError(f"group size n={sizes[exc.cell]}: {exc}") from None
+    rows = [[n, opt.score, opt.at_boundary, limit] for n, opt in zip(sizes, optima)]
     _write_output(settings, "sweep-group-size",
                   ["n", "optimal_E", "at_boundary", "limit_E"], rows)
     return 0

@@ -9,6 +9,8 @@ internal invariants.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class EselendError(Exception):
     """Base class for all package errors.
@@ -58,3 +60,13 @@ class EvaluationError(EselendError, ArithmeticError):
 
 class InvariantViolation(EselendError, RuntimeError):
     """Two internal computation routes disagreed beyond tolerance."""
+
+
+@contextmanager
+def _cell(i: int):
+    """Record the batch cell index on a package error raised in the block."""
+    try:
+        yield
+    except EselendError as exc:
+        exc.cell = i
+        raise

@@ -25,7 +25,6 @@ sets shared by the CLI sweeps and the tests.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +32,9 @@ import numpy as np
 from .errors import (
     ConfigError,
     DomainError,
-    EselendError,
     EvaluationError,
     InvariantViolation,
+    _cell,
 )
 from .model_core import (
     CostModel,
@@ -283,16 +282,6 @@ def _real_roots(coefs):
         companion[:, :, -1] = -c[:, :d] / c[:, d:]
         out[rows, :d] = np.linalg.eigvals(companion).real
     return out
-
-
-@contextmanager
-def _cell(i: int):
-    """Record the batch cell index on a package error raised in the block."""
-    try:
-        yield
-    except EselendError as exc:
-        exc.cell = i
-        raise
 
 
 def _check_optimum(opt: Optimum, w, params: MarketParams, gamma: RiskPreference,

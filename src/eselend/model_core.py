@@ -308,14 +308,17 @@ def loan_ceiling_incentive(e, params: MarketParams):
     A member tempted to default weighs keeping ``p*y_low`` today against the
     discounted value of future credit access, which yields
     ``L2 = p*y_low / (2*(1+epsilon)/(1-(1-e)^2) - delta)``.
-    The denominator is positive for every ``delta < 1``.
+    The denominator is positive for every ``delta < 1``. It is evaluated
+    cleared of the fraction, ``p*y_low*s / (2*(1+epsilon) - delta*s)`` with
+    ``s = 1-(1-e)^2``, which does not overflow at e below about 1e-308.
     """
     _require_in("e", e, 0.0, 1.0)
     e = np.asarray(e, dtype=float)
     if np.any(e == 0):
         raise DomainError("incentive ceiling is undefined at e = 0")
     coverage = e * (2.0 - e)  # 1-(1-e)^2, as in loan_ceiling_affordability
-    out = params.low_revenue / (2.0 * (1.0 + params.epsilon) / coverage - params.delta)
+    out = (params.low_revenue * coverage
+           / (2.0 * (1.0 + params.epsilon) - params.delta * coverage))
     return float(out) if out.ndim == 0 else out
 
 

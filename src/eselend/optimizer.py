@@ -11,8 +11,9 @@ whose stationary condition, divided through by ``k``, is
 
 ``g(E) = pYh + pYl*(n (1-e)^{n-1} - 1) - c e = 0``.
 
-For pairs (n = 2) the optimum is closed form. For general ``n`` the root of
-``g`` is found by a bracket scan plus a safeguarded false-position iteration.
+For pairs (n = 2) the optimum is closed form. For general ``n``, ``g`` is
+strictly decreasing in ``e``, so the optimum is its one root or an endpoint;
+`optimal_ese_group_batch` bisects the roots of many group sizes in lockstep.
 `argmax_grid` provides an independent derivative-free maximizer (dense grid
 plus golden-section refinement), a public utility and the cross-check
 route in the tests for the closed forms and the mean-variance maximizer.
@@ -30,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, SolverError
+from .errors import DomainError, EvaluationError, _cell
 from .model_core import (
     CostModel,
     GroupSpec,
@@ -51,24 +52,23 @@ __all__ = [
     "optimal_ese_pair_as_printed",
     "solve_group_foc",
     "optimal_ese_group",
+    "optimal_ese_group_batch",
     "dE_dn",
     "dE_dn_as_printed",
     "ese_limit",
 ]
-
-# Number of equally spaced points used to bracket FOC roots on [0, 100].
-FOC_SCAN_POINTS = 64
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances shared by the scalar solvers.
+    """Tolerances of `argmax_grid`.
 
-    abs_tol: absolute residual tolerance on the FOC value at a root.
+    abs_tol: validated but read by no solver; the group FOC roots are
+        bisected to exhaustion and use `FOC_ROOT_TOL` at the endpoints.
     grid_points: dense-grid resolution for `argmax_grid`.
-    max_iter: iteration cap for both root finding and refinement.
+    max_iter: iteration cap for the golden-section refinement.
     """
 
     abs_tol: float = 1e-10
@@ -134,7 +134,11 @@ def group_foc(E, n, params: MarketParams, cost: CostModel, link: ScoreLink):
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    e = success_probability(E, link)
+    return _foc(success_probability(E, link), n, params, cost)
+
+
+def _foc(e, n, params: MarketParams, cost: CostModel):
+    """`group_foc` at success probability ``e``, without range checks."""
     ph, pl = params.high_revenue, params.low_revenue
     return ph + pl * (n * (1.0 - e) ** (n - 1.0) - 1.0) - cost.marginal_cost(e)
 
@@ -327,96 +331,81 @@ def optimal_ese_pair_as_printed(params: MarketParams, cost: CostModel, link: Sco
 # group optimum via FOC root
 # ----------------------------------------------------------------------
 
-
-def _false_position(f: Callable, a: float, b: float, fa: float, fb: float,
-                    abs_tol: float, max_iter: int) -> float:
-    """Safeguarded false position (Illinois) on a sign-change bracket."""
-    side = 0
-    for _ in range(max_iter):
-        denom = fb - fa
-        x = (a * fb - b * fa) / denom if denom != 0.0 else 0.5 * (a + b)
-        if not np.isfinite(x) or not (min(a, b) < x < max(a, b)):
-            x = 0.5 * (a + b)
-        fx = float(f(x))
-        if abs(fx) <= abs_tol:
-            return x
-        if fx * fa < 0.0:
-            b, fb = x, fx
-            if side == -1:
-                fa *= 0.5
-            side = -1
-        else:
-            a, fa = x, fx
-            if side == 1:
-                fb *= 0.5
-            side = 1
-        if abs(b - a) <= 4.0 * np.finfo(float).eps * max(1.0, abs(a), abs(b)):
-            x = a if abs(float(f(a))) <= abs(float(f(b))) else b
-            fx = float(f(x))
-            if abs(fx) <= abs_tol:
-                return x
-            raise SolverError(
-                f"FOC residual {fx!r} above tolerance on exhausted bracket",
-                bracket=(a, b),
-            )
-    raise SolverError("root solve exceeded max_iter", bracket=(a, b))
+# |g| at or below this at an endpoint makes the endpoint a root of the FOC.
+FOC_ROOT_TOL = 1e-10
 
 
-def solve_group_foc(n: float, params: MarketParams, cost: CostModel, link: ScoreLink,
-                    cfg: SolverConfig = _DEFAULT_CFG) -> Optimum:
-    """Maximize the substituted n-member objective over scores in [0, 100].
+def optimal_ese_group_batch(ns, params: MarketParams, cost: CostModel,
+                            link: ScoreLink) -> list[Optimum]:
+    """Optimal scores of many group sizes, solved together.
 
-    ``g`` is scanned on FOC_SCAN_POINTS equally spaced scores to bracket sign
-    changes, each bracket is solved to ``|g| <= cfg.abs_tol``, and the root
-    with the highest objective wins. When no root exists (or a bound beats
-    every root) the better bound is returned with the boundary flag set.
-    ``n`` may be fractional; the FOC is analytic in ``n``.
+    The slope of ``g`` in ``e``, ``-pYl n (n-1) (1-e)^{n-2} - c``, is
+    negative for every ``n >= 1``, so the substituted objective is strictly
+    concave and its maximizer on [0, 100] is the one root of ``g`` or an
+    endpoint. ``g`` is evaluated at both endpoints for every ``n``. An
+    endpoint with ``|g| <= FOC_ROOT_TOL`` is a root (E = 0 first), with
+    ``at_boundary`` False; otherwise ``g(0) < 0`` gives E = 0 and
+    ``g(100) > 0`` gives E = 100, both at the boundary. Every other size
+    has a sign-change bracket, and all brackets are bisected in lockstep
+    until no midpoint lies strictly inside its bracket; the end with the
+    smaller ``|g|`` is the root. ``n`` may be fractional; the FOC is
+    analytic in ``n``. An error raised while handling a size carries the
+    size's index in its ``cell`` attribute.
     """
     if link.k <= 0.0:
         raise DomainError("group optimum requires k > 0")
-    if not np.isfinite(n) or n < 1:
-        raise DomainError("n must be >= 1")
+    n = np.array(ns, dtype=float).reshape(-1)
+    bad = np.flatnonzero(~(np.isfinite(n) & (n >= 1.0)))
+    if bad.size:
+        with _cell(int(bad[0])):
+            raise DomainError("n must be >= 1")
 
-    def g(E):
-        return group_foc(E, n, params, cost, link)
+    def g(E, n):
+        return _foc(np.clip(link.k * E + link.b, 0.0, 1.0), n, params, cost)
 
-    def obj(E):
-        return group_objective(E, n, params, cost, link)
+    # g is monotone, so finite endpoint values bound it everywhere between.
+    g0, g100 = g(0.0, n), g(100.0, n)
+    bad = np.flatnonzero(~(np.isfinite(g0) & np.isfinite(g100)))
+    if bad.size:
+        i = int(bad[0])
+        with _cell(i):
+            E = 0.0 if not np.isfinite(g0[i]) else 100.0
+            raise EvaluationError(f"FOC is not finite at E={E!r}")
+    lower = g0 <= FOC_ROOT_TOL
+    scores = np.where(lower, 0.0, 100.0)
+    at_boundary = np.where(lower, g0 < -FOC_ROOT_TOL, g100 > FOC_ROOT_TOL)
 
-    scan = np.linspace(0.0, 100.0, FOC_SCAN_POINTS)
-    gv = np.asarray(g(scan), dtype=float)
-    if not np.all(np.isfinite(gv)):
-        bad = scan[int(np.flatnonzero(~np.isfinite(gv))[0])]
-        raise EvaluationError(f"FOC is not finite at E={bad!r}")
+    inner = np.flatnonzero(~lower & (g100 < -FOC_ROOT_TOL))
+    lo, hi = np.zeros(inner.size), np.full(inner.size, 100.0)
+    g_lo, g_hi, n_in = g0[inner], g100[inner], n[inner]
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = (lo < mid) & (mid < hi)
+        if not live.any():
+            break
+        g_mid = g(mid, n_in)
+        up = live & (g_mid > 0.0)
+        down = live & ~up
+        lo, g_lo = np.where(up, mid, lo), np.where(up, g_mid, g_lo)
+        hi, g_hi = np.where(down, mid, hi), np.where(down, g_mid, g_hi)
+    scores[inner] = np.where(np.abs(g_lo) <= np.abs(g_hi), lo, hi)
 
-    roots: list[float] = []
-    for idx in range(FOC_SCAN_POINTS):
-        if abs(gv[idx]) <= cfg.abs_tol:
-            roots.append(float(scan[idx]))
-    for idx in range(FOC_SCAN_POINTS - 1):
-        ga, gb = gv[idx], gv[idx + 1]
-        if abs(ga) <= cfg.abs_tol or abs(gb) <= cfg.abs_tol:
-            continue
-        if ga * gb < 0.0:
-            roots.append(
-                _false_position(g, float(scan[idx]), float(scan[idx + 1]),
-                                float(ga), float(gb), cfg.abs_tol, cfg.max_iter)
-            )
-
-    # Candidates ranked by objective value; interior roots beat bounds on
-    # ties so a root sitting exactly on a bound keeps at_boundary False.
-    candidates = [(float(obj(E)), True, E) for E in (0.0, 100.0)]
-    candidates.extend((float(obj(E)), False, E) for E in roots)
-    candidates.sort(key=lambda t: (-t[0], t[1], t[2]))
-    value, at_boundary, score = candidates[0]
-    return Optimum(score=score, at_boundary=at_boundary, objective_value=value)
+    values = group_objective(scores, n, params, cost, link)
+    return [Optimum(score, boundary, value) for score, boundary, value
+            in zip(scores.tolist(), at_boundary.tolist(), values.tolist())]
 
 
-def optimal_ese_group(group, params: MarketParams, cost: CostModel, link: ScoreLink,
-                      cfg: SolverConfig = _DEFAULT_CFG) -> Optimum:
+def solve_group_foc(n: float, params: MarketParams, cost: CostModel,
+                    link: ScoreLink) -> Optimum:
+    """Maximize the substituted n-member objective over scores in [0, 100]
+    (`optimal_ese_group_batch` on one size; ``n`` may be fractional)."""
+    return optimal_ese_group_batch([n], params, cost, link)[0]
+
+
+def optimal_ese_group(group, params: MarketParams, cost: CostModel,
+                      link: ScoreLink) -> Optimum:
     """Optimal score for an integer group size (see `solve_group_foc`)."""
-    group = _as_group(group)
-    return solve_group_foc(float(group.n), params, cost, link, cfg)
+    return solve_group_foc(float(_as_group(group).n), params, cost, link)
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from eselend import cli, mean_variance
+from eselend import cli, mean_variance, optimizer
 from eselend.cli import main
 
 
@@ -95,6 +95,17 @@ class TestCeilings:
         _, _, rows = _read_rows(out)
         assert float(rows[0][1]) > float(rows[0][2]) > 0.0
 
+    def test_ceiling_below_overflow_stays_positive(self, tmp_path):
+        """At e=1e-310 the incentive ceiling is 4.76e-308, not an overflowed
+        0, and no warning is raised."""
+        out = tmp_path / "c.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["ceilings", "--e-grid", "1e-310", "--out", str(out)]) == 0
+        _, _, rows = _read_rows(out)
+        assert rows[0][2] == "4.761904762e-308"
+        assert float(rows[0][1]) > float(rows[0][2])
+
     def test_oversized_grid_count_exits_two(self, tmp_path, capsys):
         """A start:stop:count grid above a million points is refused before
         it is built."""
@@ -147,6 +158,32 @@ class TestSweepGroupSize:
         out = tmp_path / "g.csv"
         assert main(["sweep-group-size", "--n-min", "5", "--n-max", "3",
                      "--out", str(out)]) == 2
+
+    def test_oversized_window_exits_two(self, tmp_path, capsys):
+        """More than a million group sizes are refused before any size is
+        solved, as an oversized grid count is."""
+        out = tmp_path / "g.csv"
+        for n_max in ("1000001", "1000000000"):
+            assert main(["sweep-group-size", "--n-max", n_max,
+                         "--out", str(out)]) == 2
+            assert ("group-size count n-max - n-min + 1 must be <= 1000000"
+                    in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_failing_size_is_named(self, tmp_path, monkeypatch, capsys):
+        """A non-finite FOC exits 4, names its group size and writes
+        nothing."""
+        real = optimizer._foc
+        monkeypatch.setattr(
+            optimizer, "_foc",
+            lambda e, n, params, cost: np.where(n == 3, np.nan,
+                                                real(e, n, params, cost)))
+        out = tmp_path / "g.csv"
+        assert main(["sweep-group-size", "--n-max", "5",
+                     "--out", str(out)]) == 4
+        assert (capsys.readouterr().err
+                == "error: group size n=3: FOC is not finite at E=0.0\n")
+        assert not out.exists()
 
 
 # ----------------------------------------------------------------------
@@ -608,12 +645,23 @@ class TestExitCodes:
     def test_invariant_violation_exits_four(self, tmp_path, monkeypatch,
                                             capsys):
         """If the ceiling ordering ever broke, the run would still write
-        its table, then exit 4. Forced here by stubbing the incentive
-        ceiling above the affordability ceiling."""
-        monkeypatch.setattr(cli, "loan_ceiling_incentive",
-                            lambda e, params: 1e9)
+        its table, then exit 4 naming every offending e. Forced here by
+        stubbing the incentive ceiling above the affordability ceiling at
+        e > 0.5 and equal to it at e = 0.5."""
+        real_l1 = cli.loan_ceiling_affordability
+        real_l2 = cli.loan_ceiling_incentive
+
+        def broken(e, params):
+            return np.where(e > 0.5, 1e9, np.where(
+                e == 0.5, real_l1(e, params), real_l2(e, params)))
+
+        monkeypatch.setattr(cli, "loan_ceiling_incentive", broken)
         out = tmp_path / "c.csv"
-        rc = main(["ceilings", "--e-grid", "0.5", "--out", str(out)])
+        rc = main(["ceilings", "--e-grid", "0.25,0.5,0.75,1",
+                   "--out", str(out)])
         assert rc == 4
-        assert out.exists()
-        assert "error:" in capsys.readouterr().err
+        assert ("error: affordability ceiling does not exceed incentive "
+                "ceiling at e=0.5, 0.75, 1\n") == capsys.readouterr().err
+        _, _, rows = _read_rows(out)
+        assert [row[0] for row in rows] == ["0.25", "0.5", "0.75", "1"]
+        assert float(rows[2][2]) == 1e9

@@ -6,6 +6,7 @@ Expected values quoted in docstrings are hand computations from the model
 formulas; each test states the arithmetic it pins down.
 """
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -325,6 +326,20 @@ class TestTinySuccessCoverage:
         l2 = Fraction(BASE.low_revenue) / (two_r / s - Fraction(BASE.delta))
         assert abs(Fraction(loan_ceiling_affordability(self.E, BASE)) / l1 - 1) <= 1e-15
         assert abs(Fraction(loan_ceiling_incentive(self.E, BASE)) / l2 - 1) <= 1e-15
+
+    def test_incentive_ceiling_below_overflow(self):
+        """At e=1e-310, 2(1+eps)/coverage overflows, so the ceiling is
+        evaluated cleared of that fraction: 4.76e-308 to 1e-15 relative,
+        with no floating-point warning."""
+        e = 1e-310
+        s = 1 - (1 - Fraction(e)) ** 2
+        exact = (Fraction(BASE.low_revenue) * s
+                 / (2 * (1 + Fraction(BASE.epsilon)) - Fraction(BASE.delta) * s))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            l2 = loan_ceiling_incentive(e, BASE)
+        assert abs(Fraction(l2) / exact - 1) <= 1e-15
+        np.testing.assert_allclose(l2, 4.761904761904762e-308, rtol=1e-12)
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,8 @@ eps=0.05, delta=0.9, c=1000, k=0.01, b=0.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eselend import (
     CostModel,
@@ -25,6 +27,7 @@ from eselend import (
     group_foc,
     group_objective,
     optimal_ese_group,
+    optimal_ese_group_batch,
     optimal_ese_pair,
     optimal_ese_pair_as_printed,
     pair_objective,
@@ -268,6 +271,102 @@ class TestSolveGroupFoc:
         """Group sizes below one member are domain errors."""
         with pytest.raises(DomainError):
             solve_group_foc(0, BASE, COST, LINK)
+
+
+class TestOptimalEseGroupBatch:
+    """Many group sizes solved together by lockstep bisection."""
+
+    def test_matches_one_cell_calls(self):
+        """A mixed batch returns exactly the per-size optima, in order."""
+        sizes = [1, 2, 3, 2.5, 7, 40.25, 1000]
+        for link in (LINK, ScoreLink(k=0.004, b=0.3)):
+            batch = optimal_ese_group_batch(sizes, BASE, COST, link)
+            single = [solve_group_foc(n, BASE, COST, link) for n in sizes]
+            assert batch == single
+
+    def test_empty_batch(self):
+        assert optimal_ese_group_batch([], BASE, COST, LINK) == []
+
+    def test_endpoint_rule(self):
+        """|g| <= 1e-10 at an endpoint makes it a root, not a boundary:
+        n=1 has g = 0 at E = 100 exactly. Beyond that tolerance the
+        optimum is a boundary: a cheap effort technology (c=100) keeps g > 0
+        up to E = 100, and a baseline b = 0.9 with c = 4000 puts g < 0 from
+        E = 0 on."""
+        lone = optimal_ese_group_batch([1], BASE, COST, LINK)[0]
+        assert (lone.score, lone.at_boundary) == (100.0, False)
+        # n=1 with c = 1000 -+ 1e-6 puts g(100) at +-1e-6, beyond the
+        # tolerance: a boundary optimum, then a root just inside E = 100.
+        for c, at_boundary in ((1000.0 - 1e-6, True), (1000.0 + 1e-6, False)):
+            opt = optimal_ese_group_batch([1], BASE, CostModel(c=c), LINK)[0]
+            np.testing.assert_allclose(opt.score, min(1e5 / c, 100.0), rtol=1e-15)
+            assert opt.at_boundary == at_boundary
+        top = optimal_ese_group_batch([3], BASE, CostModel(c=100.0), LINK)[0]
+        assert (top.score, top.at_boundary) == (100.0, True)
+        bottom = optimal_ese_group_batch([3], BASE, CostModel(c=4000.0),
+                                         ScoreLink(k=0.001, b=0.9))[0]
+        assert (bottom.score, bottom.at_boundary) == (0.0, True)
+
+    def test_errors_carry_the_cell_index(self):
+        """A bad size or a non-finite FOC names the size's index; a flat
+        link, shared by every size, names none. At n = 1e308 the FOC term
+        p*y_low*n overflows at E = 0."""
+        with pytest.raises(DomainError, match="n must be >= 1") as excinfo:
+            optimal_ese_group_batch([2, 3, 0.5], BASE, COST, LINK)
+        assert excinfo.value.cell == 2
+        with pytest.raises(DomainError) as excinfo:
+            optimal_ese_group_batch([2, np.inf], BASE, COST, LINK)
+        assert excinfo.value.cell == 1
+        with pytest.raises(DomainError) as excinfo:
+            optimal_ese_group_batch([2], BASE, COST, ScoreLink(k=0.0, b=0.5))
+        assert excinfo.value.cell is None
+        with np.errstate(over="ignore"):
+            with pytest.raises(EvaluationError,
+                               match=r"FOC is not finite at E=0\.0") as excinfo:
+                optimal_ese_group_batch([2, 1e308, 3], BASE, COST, LINK)
+        assert excinfo.value.cell == 1
+
+    @given(data=st.data())
+    @settings(max_examples=300)
+    def test_matches_blind_argmax_everywhere(self, data):
+        """Each optimum agrees with argmax_grid on `group_objective` over
+        the whole domain: group sizes up to 1000, fractional ones included,
+        and every link with k > 0 and 100k + b <= 1.
+
+        Objective values agree within 1e-9 of max(1, |value|) and the
+        engine's is never lower beyond rounding. Scores agree within 1e-6,
+        and boundary flags exactly, unless the objective at the two scores
+        is equal to rounding (a grid search cannot place the maximizer
+        more finely than that) or the engine found a root at an endpoint,
+        which it reports as interior."""
+        p = data.draw(st.floats(0.2, 3.0), "p")
+        y_low = data.draw(st.floats(50.0, 800.0), "y_low")
+        y_high = y_low + data.draw(st.floats(50.0, 1500.0), "y_gap")
+        params = MarketParams(p=p, y_high=y_high, y_low=y_low,
+                              loan=data.draw(st.floats(10.0, 400.0), "loan"),
+                              epsilon=data.draw(st.floats(0.0, 0.2), "epsilon"),
+                              delta=0.9)
+        cost = CostModel(c=data.draw(st.floats(100.0, 4000.0), "c"))
+        b = data.draw(st.floats(0.0, 1.0, exclude_max=True), "b")
+        k = data.draw(st.floats(0.0, (1.0 - b) / 100.0, exclude_min=True), "k")
+        link = ScoreLink(k=k, b=b)
+        size = st.integers(1, 1000) | st.floats(1.0, 1000.0)
+        sizes = data.draw(st.lists(size, min_size=1, max_size=4), "sizes")
+
+        noise = 64.0 * np.finfo(float).eps * (
+            params.high_revenue + params.low_revenue
+            + params.loan * (1.0 + params.epsilon) + cost.c)
+        for n, opt in zip(sizes, optimal_ese_group_batch(sizes, params, cost, link)):
+            blind = argmax_grid(
+                lambda E: group_objective(E, n, params, cost, link))
+            scale = max(1.0, abs(opt.objective_value), abs(blind.objective_value))
+            assert abs(opt.objective_value - blind.objective_value) <= 1e-9 * scale
+            assert opt.objective_value >= blind.objective_value - noise
+            endpoint_root = (opt.score in (0.0, 100.0)) and not opt.at_boundary
+            if abs(opt.objective_value - blind.objective_value) > noise:
+                np.testing.assert_allclose(opt.score, blind.score, atol=1e-6)
+                if not endpoint_root:
+                    assert opt.at_boundary == blind.at_boundary
 
 
 # ----------------------------------------------------------------------
