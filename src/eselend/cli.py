@@ -37,7 +37,6 @@ from .errors import (
     DomainError,
     EvaluationError,
     InvariantViolation,
-    SolverError,
 )
 from .mean_variance import (
     DEFAULT_SWEEP_PARAMS,
@@ -338,6 +337,8 @@ def cmd_sweep_group_size(args: argparse.Namespace) -> int:
     if n_max - n_min + 1 > _MAX_GRID_COUNT:
         raise ConfigError(f"group-size count n-max - n-min + 1 must be "
                           f"<= {_MAX_GRID_COUNT}")
+    if n_max > sys.float_info.max:
+        raise ConfigError("n-max must not exceed the float range")
     limit = ese_limit(params, cost, link).score
     sizes = range(n_min, n_max + 1)
     try:
@@ -523,7 +524,7 @@ def main(argv=None) -> int:
         for line in getattr(exc, "details", None) or []:
             print(f"  {line}", file=sys.stderr)
         return 3
-    except (SolverError, EvaluationError, InvariantViolation) as exc:
+    except (EvaluationError, InvariantViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:

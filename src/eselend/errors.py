@@ -3,7 +3,7 @@
 Every error raised by this package derives from :class:`EselendError`, so
 callers can catch one base class. The subclasses separate the failure kinds
 that need different handling at the CLI boundary: bad numeric inputs, bad
-input data files, bad configuration, solver breakdowns, and violated
+input data files, bad configuration, non-finite evaluations, and violated
 internal invariants.
 """
 
@@ -40,18 +40,6 @@ class DataError(EselendError, ValueError):
 
 class ConfigError(EselendError, ValueError):
     """A configuration value (scheme, CLI config file) is invalid."""
-
-
-class SolverError(EselendError, RuntimeError):
-    """A numerical solver failed to converge.
-
-    ``bracket`` carries the last bracketing interval examined, when one
-    exists, to make failures reproducible.
-    """
-
-    def __init__(self, message: str, bracket: tuple[float, float] | None = None):
-        super().__init__(message)
-        self.bracket = bracket
 
 
 class EvaluationError(EselendError, ArithmeticError):

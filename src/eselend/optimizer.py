@@ -65,19 +65,14 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 class SolverConfig:
     """Tolerances of `argmax_grid`.
 
-    abs_tol: validated but read by no solver; the group FOC roots are
-        bisected to exhaustion and use `FOC_ROOT_TOL` at the endpoints.
     grid_points: dense-grid resolution for `argmax_grid`.
     max_iter: iteration cap for the golden-section refinement.
     """
 
-    abs_tol: float = 1e-10
     grid_points: int = 2001
     max_iter: int = 200
 
     def __post_init__(self):
-        if not (np.isfinite(self.abs_tol) and self.abs_tol > 0):
-            raise DomainError("abs_tol must be > 0")
         if self.grid_points < 2:
             raise DomainError("grid_points must be >= 2")
         if self.max_iter < 1:
@@ -92,8 +87,11 @@ class Optimum:
     """A maximizer on the score scale.
 
     at_boundary is True when the reported score is a clamped interval
-    endpoint rather than an interior stationary point; when it is False the
-    FOC residual at ``score`` is below the solver tolerance.
+    endpoint rather than an interior stationary point. When it is False the
+    score is the solver's approximation of a stationary point: for the group
+    FOC, an endpoint with ``|g| <= FOC_ROOT_TOL`` or the end of an
+    exhausted float bracket with the smaller ``|g|``, whose residual can
+    exceed that tolerance where ``g`` is steep.
     """
 
     score: float
@@ -361,7 +359,7 @@ def optimal_ese_group_batch(ns, params: MarketParams, cost: CostModel,
             raise DomainError("n must be >= 1")
 
     def g(E, n):
-        return _foc(np.clip(link.k * E + link.b, 0.0, 1.0), n, params, cost)
+        return _foc(success_probability(E, link), n, params, cost)
 
     # g is monotone, so finite endpoint values bound it everywhere between.
     g0, g100 = g(0.0, n), g(100.0, n)

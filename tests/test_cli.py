@@ -170,6 +170,16 @@ class TestSweepGroupSize:
                     in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_size_beyond_float_range_exits_two(self, tmp_path, capsys):
+        """A group size no float can hold is a usage error, not a crash."""
+        out = tmp_path / "g.csv"
+        n = str(10**309)
+        assert main(["sweep-group-size", "--n-min", n, "--n-max", n,
+                     "--out", str(out)]) == 2
+        assert ("n-max must not exceed the float range"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_failing_size_is_named(self, tmp_path, monkeypatch, capsys):
         """A non-finite FOC exits 4, names its group size and writes
         nothing."""

@@ -104,8 +104,6 @@ class TestArgmaxGrid:
         with pytest.raises(DomainError):
             SolverConfig(grid_points=1)
         with pytest.raises(DomainError):
-            SolverConfig(abs_tol=0.0)
-        with pytest.raises(DomainError):
             SolverConfig(max_iter=0)
 
     def test_non_finite_objective_is_reported(self):
