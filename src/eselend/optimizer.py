@@ -362,7 +362,9 @@ def optimal_ese_group_batch(ns, params: MarketParams, cost: CostModel,
         return _foc(success_probability(E, link), n, params, cost)
 
     # g is monotone, so finite endpoint values bound it everywhere between.
-    g0, g100 = g(0.0, n), g(100.0, n)
+    # A size too large for them overflows; the check below names it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        g0, g100 = g(0.0, n), g(100.0, n)
     bad = np.flatnonzero(~(np.isfinite(g0) & np.isfinite(g100)))
     if bad.size:
         i = int(bad[0])

@@ -16,8 +16,9 @@ import warnings
 import numpy as np
 import pytest
 
-from eselend import cli, mean_variance, optimizer
+from eselend import DomainError, cli, mean_variance, optimizer
 from eselend.cli import main
+from eselend.errors import _cell
 
 
 def _read_rows(path):
@@ -178,6 +179,20 @@ class TestSweepGroupSize:
                      "--out", str(out)]) == 2
         assert ("n-max must not exceed the float range"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_overflowing_size_exits_four_without_warning(self, tmp_path,
+                                                         capsys):
+        """A size whose FOC overflows the float range is named, exit 4,
+        without a numpy overflow warning on the way."""
+        out = tmp_path / "g.csv"
+        n = str(10**306)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep-group-size", "--n-min", n, "--n-max", n,
+                         "--out", str(out)]) == 4
+        assert (capsys.readouterr().err
+                == f"error: group size n={n}: FOC is not finite at E=0.0\n")
         assert not out.exists()
 
     def test_failing_size_is_named(self, tmp_path, monkeypatch, capsys):
@@ -378,22 +393,52 @@ class TestSimulate:
     def test_biased_simulation_writes_then_exits_four(self, tmp_path,
                                                       monkeypatch, capsys):
         """A simulated mean 10 standard errors off the exact mean still
-        writes its table, then exits 4."""
-        real = cli.simulate_member_profit
+        writes its table, then exits 4 naming the worst cell."""
+        real = cli.simulate_member_profit_batch
 
-        def biased(*args):
-            result = real(*args)
-            return dataclasses.replace(
+        def biased(es, n, ws, params, cfg):
+            results = real(es, n, ws, params, cfg)
+            return [dataclasses.replace(
                 result, empirical_mean=result.empirical_mean
-                + 10.0 * result.std_error_mean)
+                + (10.0 if (e, n) == (0.5, 2) else 0.0) * result.std_error_mean)
+                for e, result in zip(es, results)]
 
-        monkeypatch.setattr(cli, "simulate_member_profit", biased)
+        monkeypatch.setattr(cli, "simulate_member_profit_batch", biased)
         out = tmp_path / "s.csv"
-        assert main(["simulate", "--e-grid", "0.5", "--n-set", "2",
+        assert main(["simulate", "--e-grid", "0.3,0.5", "--n-set", "3,2",
                      "--trials", "20000", "--out", str(out)]) == 4
         _, _, rows = _read_rows(out)
-        assert abs(float(rows[0][8])) > 4.0
-        assert "standard errors (limit 4)" in capsys.readouterr().err
+        assert [row[:2] for row in rows] == [["0.3", "3"], ["0.3", "2"],
+                                             ["0.5", "3"], ["0.5", "2"]]
+        assert abs(float(rows[3][8])) > 4.0
+        assert max(abs(float(row[8])) for row in rows[:3]) <= 4.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: e=0.5, n=2: simulated mean deviates")
+        assert "standard errors (limit 4)" in err
+
+    def test_failing_cell_is_named(self, tmp_path, monkeypatch, capsys):
+        """An error the simulator raises for one e is prefixed with its
+        (e, n) cell and exits 2 before anything is written."""
+        def failing(es, n, ws, params, cfg):
+            with _cell(1):
+                raise DomainError("empirical_mean must be finite")
+
+        monkeypatch.setattr(cli, "simulate_member_profit_batch", failing)
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--e-grid", "0.3,0.5", "--n-set", "3",
+                     "--trials", "1000", "--out", str(out)]) == 2
+        assert (capsys.readouterr().err
+                == "error: e=0.5, n=3: empirical_mean must be finite\n")
+        assert not out.exists()
+
+    def test_counter_space_error_names_the_size(self, tmp_path, capsys):
+        """trials * n beyond the counter space names the group size."""
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--e-grid", "0.5", "--n-set", "2",
+                     "--trials", str(2 ** 61), "--out", str(out)]) == 2
+        assert (capsys.readouterr().err == "error: n=2: trials * n too large "
+                "for the 64-bit counter space\n")
+        assert not out.exists()
 
     def test_zero_trials_exits_two(self, tmp_path):
         out = tmp_path / "s.csv"
