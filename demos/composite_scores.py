@@ -56,7 +56,7 @@ print(f"{'farmer':>8} {'score':>7} {'success e':>10} {'w (n=2)':>9}")
 for farmer in farmers:
     E = scores[farmer]
     e = float(success_probability(E, link))
-    w = binding_repayment(e, 2, params).w
+    w = binding_repayment(e, 2, params)
     print(f"{farmer:>8} {E:7.2f} {e:10.3f} {w:9.2f}")
 
 print()

@@ -25,7 +25,7 @@ print()
 print("Break-even repayment w and loan ceilings by success probability")
 print(f"{'e':>5} {'w (n=2)':>10} {'L1 afford':>11} {'L2 incentive':>13}")
 for e in np.arange(0.2, 1.01, 0.2):
-    w = binding_repayment(float(e), 2, params).w
+    w = binding_repayment(float(e), 2, params)
     l1 = loan_ceiling_affordability(float(e), params)
     l2 = loan_ceiling_incentive(float(e), params)
     print(f"{e:5.1f} {w:10.2f} {l1:11.2f} {l2:13.2f}")
@@ -36,7 +36,7 @@ print("no more than L2 without inviting strategic default.")
 
 print()
 e = 0.5
-w = binding_repayment(e, 2, params).w
+w = binding_repayment(e, 2, params)
 dist = profit_distribution_pair(e, w, params)
 print(f"Member profit distribution at e={e}, w={w:.2f}:")
 for prob, profit in zip(dist.probabilities, dist.profits):

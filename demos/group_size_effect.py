@@ -14,7 +14,7 @@ from eselend import (
     ScoreLink,
     dE_dn,
     ese_limit,
-    solve_group_foc,
+    optimal_ese_group,
 )
 
 params = MarketParams(p=1.0, y_high=1000.0, y_low=500.0, loan=100.0,
@@ -26,7 +26,7 @@ limit = ese_limit(params, cost, link)
 print("Optimal ESE score by group size (reference calibration)")
 print(f"{'n':>4} {'optimal E':>10} {'dE/dn':>12}")
 for n in (1, 2, 3, 4, 5, 8, 12, 20, 30):
-    opt = solve_group_foc(n, params, cost, link)
+    opt = optimal_ese_group(n, params, cost, link)
     try:
         slope = f"{dE_dn(n, opt.score, params, cost, link):12.4f}"
     except DomainError:

@@ -25,7 +25,7 @@ print(f"{'e':>5} {'n':>3} {'exact mean':>11} {'simulated':>11} "
       f"{'std err':>9} {'z':>7}")
 for e in (0.3, 0.5, 0.8):
     for n in (2, 5):
-        w = binding_repayment(e, n, params).w
+        w = binding_repayment(e, n, params)
         exact = enumerate_member_profit(e, n, w, params)
         sim = simulate_member_profit(e, n, w, params, cfg)
         z = ((sim.empirical_mean - exact.mean) / sim.std_error_mean

@@ -19,10 +19,8 @@ from .errors import (
 )
 from .model_core import (
     CostModel,
-    GroupSpec,
     MarketParams,
     ProfitDistribution,
-    RepaymentContract,
     ScoreLink,
     binding_repayment,
     expected_profit_group,
@@ -48,11 +46,9 @@ from .optimizer import (
     optimal_ese_pair,
     optimal_ese_pair_as_printed,
     pair_objective,
-    solve_group_foc,
 )
 from .mean_variance import (
     Moments,
-    RiskPreference,
     mv_foc,
     mv_utility,
     optimal_ese_mv,
@@ -72,7 +68,6 @@ from .scoring import (
     MetricRecord,
     MetricTable,
     ScoringScheme,
-    category_weights,
     composite_score,
     normalize,
 )
@@ -89,9 +84,7 @@ __all__ = [
     "MarketParams",
     "ScoreLink",
     "CostModel",
-    "GroupSpec",
     "ProfitDistribution",
-    "RepaymentContract",
     "success_probability",
     "binding_repayment",
     "loan_ceiling_affordability",
@@ -109,13 +102,11 @@ __all__ = [
     "group_foc",
     "optimal_ese_pair",
     "optimal_ese_pair_as_printed",
-    "solve_group_foc",
     "optimal_ese_group",
     "optimal_ese_group_batch",
     "dE_dn",
     "dE_dn_as_printed",
     "ese_limit",
-    "RiskPreference",
     "Moments",
     "profit_moments_pair",
     "mv_utility",
@@ -133,7 +124,6 @@ __all__ = [
     "MetricTable",
     "ScoringScheme",
     "normalize",
-    "category_weights",
     "composite_score",
     "__version__",
 ]

@@ -424,17 +424,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cells = [(e, n) for e in e_grid for n in n_set]
     ws, exact = [], []
     for e, n in cells:
-        if settings["w"] is not None:
-            w = settings["w"]
-        elif e == 0.0:
+        w = settings["w"]
+        if w is None and e == 0.0:
             raise ConfigError(
                 f"break-even repayment is undefined at e={_fmt(e)}; "
                 "pass an explicit --w"
             )
-        else:
-            w = float(binding_repayment(e, n, params).w)
+        try:
+            if w is None:
+                w = binding_repayment(e, n, params)
+            exact.append(enumerate_member_profit(e, n, w, params))
+        except DomainError as exc:
+            raise DomainError(f"e={_fmt(e)}, n={n}: {exc}") from None
         ws.append(w)
-        exact.append(enumerate_member_profit(e, n, w, params))
     # Cells run e-major, so the cells of group size n_set[j] are [j::stride].
     stride = len(n_set)
     simulated = [None] * len(cells)

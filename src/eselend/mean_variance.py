@@ -48,7 +48,6 @@ from .model_core import (
 from .optimizer import Optimum, _snap_tolerance
 
 __all__ = [
-    "RiskPreference",
     "Moments",
     "profit_moments_pair",
     "mv_utility",
@@ -66,18 +65,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class RiskPreference:
-    """Risk-aversion coefficient; gamma = 0 recovers risk neutrality."""
-
-    gamma: float
-
-    def __post_init__(self):
-        _require_finite("gamma", self.gamma)
-        if self.gamma < 0:
-            raise DomainError("gamma must be >= 0")
-
-
-@dataclass(frozen=True)
 class Moments:
     """Mean and variance of a member's repayment-stage profit."""
 
@@ -91,9 +78,13 @@ class Moments:
             raise DomainError("variance must be >= 0")
 
 
-def _as_risk(gamma) -> RiskPreference:
-    """Accept a RiskPreference or a bare coefficient."""
-    return gamma if isinstance(gamma, RiskPreference) else RiskPreference(float(gamma))
+def _risk_aversion(gamma) -> float:
+    """Check a risk-aversion coefficient: finite and >= 0 (0 is risk
+    neutrality)."""
+    gamma = _require_finite("gamma", gamma)
+    if gamma < 0:
+        raise DomainError("gamma must be >= 0")
+    return gamma
 
 
 def _mean_poly(e, A, B):
@@ -156,10 +147,10 @@ def mv_utility(E: float, w: float, params: MarketParams, gamma, cost: CostModel,
     `profit_moments_pair`); the sweep optimizer uses an equivalent
     vectorized path and re-validates its optimum through this function.
     """
-    gamma = _as_risk(gamma)
+    gamma = _risk_aversion(gamma)
     e = float(success_probability(E, link))
     m = profit_moments_pair(e, w, params)
-    return m.mean - 0.5 * gamma.gamma * m.variance - float(cost.effort_cost(e))
+    return m.mean - 0.5 * gamma * m.variance - float(cost.effort_cost(e))
 
 
 def mv_foc(E, w: float, params: MarketParams, gamma, cost: CostModel,
@@ -176,7 +167,7 @@ def mv_foc(E, w: float, params: MarketParams, gamma, cost: CostModel,
     the variance polynomial (a plus sign here fails every finite-difference
     check against the utility). Identically zero when ``k = 0``.
     """
-    gamma = _as_risk(gamma)
+    gamma = _risk_aversion(gamma)
     e = success_probability(E, link)
     A = params.high_revenue - w
     B = params.high_revenue + params.low_revenue - 2.0 * w
@@ -188,7 +179,7 @@ def mv_foc(E, w: float, params: MarketParams, gamma, cost: CostModel,
         + (1.0 - 4.0 * e + 6.0 * e2 - 4.0 * e3) * B * B
         - 2.0 * (3.0 * e2 - 4.0 * e3) * A * B
     )
-    return link.k * (dmean - cost.marginal_cost(e) - 0.5 * gamma.gamma * dvar)
+    return link.k * (dmean - cost.marginal_cost(e) - 0.5 * gamma * dvar)
 
 
 def _mv_objective(e, ph, pl, gamma, c, w=None, principal=None):
@@ -284,13 +275,13 @@ def _real_roots(coefs):
     return out
 
 
-def _check_optimum(opt: Optimum, w, params: MarketParams, gamma: RiskPreference,
+def _check_optimum(opt: Optimum, w, params: MarketParams, gamma: float,
                    cost: CostModel, link: ScoreLink, endogenous_w: bool) -> None:
     """Re-validate an optimum through the cross-checked scalar routes."""
     w_star = w
     if endogenous_w:
         e_star = float(success_probability(opt.score, link))
-        w_star = params.loan * (1.0 + params.epsilon) / (1.0 - (1.0 - e_star) ** 2)
+        w_star = binding_repayment(e_star, 2, params)
     check = mv_utility(opt.score, w_star, params, gamma, cost, link)
     scale = max(1.0, abs(opt.objective_value), abs(check))
     if abs(check - opt.objective_value) > 1e-9 * scale:
@@ -333,21 +324,19 @@ def optimal_ese_mv_batch(w, cells, *, endogenous_w: bool = False) -> list[Optimu
             raise ConfigError("fixed-repayment mode needs an explicit w; pass "
                               "endogenous_w=True to substitute the break-even "
                               "obligation instead")
-        w = float(w)
-        _require_finite("w", w)
+        w = _require_finite("w", w)
         if w <= 0:
             raise DomainError("w must be > 0")
     cells = list(cells)
     rows = []
     for i, (params, gamma, cost, link) in enumerate(cells):
         with _cell(i):
-            gamma = _as_risk(gamma)
+            gamma = _risk_aversion(gamma)
             if endogenous_w and link.b <= 0.0:
                 raise DomainError("endogenous repayment requires b > 0 so the "
                                   "success probability is positive at every score")
-        cells[i] = (params, gamma, cost, link)
         rows.append((params.high_revenue, params.low_revenue,
-                     params.loan * (1.0 + params.epsilon), gamma.gamma,
+                     params.loan * (1.0 + params.epsilon), gamma,
                      cost.c, link.k, link.b))
     ph, pl, principal, gamma, c, k, b = np.array(rows, dtype=float).reshape(-1, 7).T
     if endogenous_w:
@@ -413,7 +402,7 @@ DEFAULT_SWEEP_PARAMS = MarketParams(
 )
 
 #: Break-even repayment for a pair at e = 0.5, held fixed across sweeps.
-DEFAULT_SWEEP_W = float(binding_repayment(0.5, 2, DEFAULT_SWEEP_PARAMS).w)
+DEFAULT_SWEEP_W = binding_repayment(0.5, 2, DEFAULT_SWEEP_PARAMS)
 
 #: Effort-cost scales swept in the risk-aversion studies.
 DEFAULT_COSTS = (800.0, 1000.0, 1200.0, 1500.0, 2000.0)

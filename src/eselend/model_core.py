@@ -13,6 +13,11 @@ expected profits in closed form and as an explicit outcome enumeration, the
 repayment level that makes the financier whole, and the two loan ceilings
 (affordability and incentive-compatibility).
 
+Group sizes and repayments are plain numbers; `_group_size` is the one
+check of ``n``. A pair is the ``n = 2`` case of the group formulas. Only
+`profit_distribution_pair` stays pair-specific: its four-outcome table is
+the enumeration route that the pair moment polynomials are checked against.
+
 All monetary quantities share one currency unit. Functions broadcast over
 numpy arrays wherever a formula is closed-form in ``e`` or ``E``.
 """
@@ -30,8 +35,6 @@ __all__ = [
     "MarketParams",
     "ScoreLink",
     "CostModel",
-    "GroupSpec",
-    "RepaymentContract",
     "ProfitDistribution",
     "success_probability",
     "binding_repayment",
@@ -57,16 +60,20 @@ MAX_ENUM_GROUP = 1000
 
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return value
 
 
-def _require_in(name: str, value, lo: float, hi: float) -> None:
-    """Range check that works for scalars and arrays (NaN fails it)."""
-    ok = np.all((np.asarray(value) >= lo) & (np.asarray(value) <= hi))
+def _require_in(name: str, value, lo: float, hi: float):
+    """Range check for scalars and arrays (NaN fails it); returns ``value``."""
+    if isinstance(value, float):
+        ok = lo <= value <= hi
+    else:
+        ok = np.all((np.asarray(value) >= lo) & (np.asarray(value) <= hi))
     if not ok:
         raise DomainError(f"{name} must lie in [{lo}, {hi}]")
+    return value
 
 
 @dataclass(frozen=True)
@@ -163,76 +170,59 @@ class CostModel:
         return self.c * e
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """Joint-liability group of ``n >= 1`` identical members."""
+def _group_size(n, *, real: bool = False):
+    """Check a group size ``n >= 1`` and return it.
 
-    n: int
-
-    def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
-            raise DomainError("group size n must be an integer")
-        if self.n < 1:
+    The enumeration and break-even routes need a whole number of members:
+    an int or numpy integer, never a bool. With ``real=True`` any finite
+    ``n >= 1`` is accepted and returned as a float, for the first-order
+    condition routes, which are analytic in ``n``.
+    """
+    if real:
+        n = float(n)
+        if not (math.isfinite(n) and n >= 1.0):
             raise DomainError("group size n must be >= 1")
-
-
-def _as_group(group) -> GroupSpec:
-    """Accept a GroupSpec or a bare integer group size."""
-    return group if isinstance(group, GroupSpec) else GroupSpec(group)
-
-
-@dataclass(frozen=True)
-class RepaymentContract:
-    """Per-member repayment ``w`` owed under joint liability in a group of ``n``."""
-
-    w: float
-    n: int
-
-    def __post_init__(self):
-        _require_finite("w", self.w)
-        if self.w <= 0:
-            raise DomainError("repayment w must be > 0")
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
-            raise DomainError("group size n must be an integer")
-        if self.n < 1:
-            raise DomainError("group size n must be >= 1")
+        return n
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise DomainError("group size n must be an integer")
+    if n < 1:
+        raise DomainError("group size n must be >= 1")
+    return int(n)
 
 
 class ProfitDistribution:
     """Discrete per-member profit distribution.
 
-    Holds (probability, profit) outcome pairs. Probabilities must be
-    non-negative (up to float dust) and sum to 1 within ``PROB_SUM_TOL``;
+    Outcome ``i`` has probability ``probabilities[i]`` and profit
+    ``profits[i]``; both are read-only 1-d float arrays of one length, with
+    at least one outcome. Probabilities must be non-negative up to float
+    dust (which is clipped to 0) and sum to 1 within ``PROB_SUM_TOL``;
     profits must be finite.
     """
 
-    __slots__ = ("outcomes",)
+    __slots__ = ("probabilities", "profits")
 
-    def __init__(self, outcomes):
-        pairs = []
-        total = 0.0
-        for prob, profit in outcomes:
-            prob = float(prob)
-            profit = float(profit)
-            if not np.isfinite(prob) or prob < -1e-15:
-                raise DomainError(f"invalid outcome probability {prob!r}")
-            if not np.isfinite(profit):
-                raise DomainError(f"invalid outcome profit {profit!r}")
-            pairs.append((max(prob, 0.0), profit))
-            total += max(prob, 0.0)
-        if not pairs:
+    def __init__(self, probabilities, profits):
+        p = np.asarray(probabilities, dtype=float)
+        x = np.array(profits, dtype=float)
+        if p.ndim != 1 or p.shape != x.shape:
+            raise DomainError("probabilities and profits must be 1-d arrays "
+                              "of the same length")
+        if not p.size:
             raise DomainError("a profit distribution needs at least one outcome")
+        ok = np.isfinite(p) & (p >= -1e-15)
+        if not ok.all():
+            raise DomainError(f"invalid outcome probability {float(p[~ok][0])!r}")
+        ok = np.isfinite(x)
+        if not ok.all():
+            raise DomainError(f"invalid outcome profit {float(x[~ok][0])!r}")
+        p = np.maximum(p, 0.0)
+        total = float(p.sum())
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise DomainError(f"outcome probabilities sum to {total!r}, expected 1")
-        self.outcomes = tuple(pairs)
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return np.array([p for p, _ in self.outcomes])
-
-    @property
-    def profits(self) -> np.ndarray:
-        return np.array([x for _, x in self.outcomes])
+        p.flags.writeable = x.flags.writeable = False
+        self.probabilities = p
+        self.profits = x
 
     def mean(self) -> float:
         return float(self.probabilities @ self.profits)
@@ -245,10 +235,7 @@ class ProfitDistribution:
         return float(p @ (x - m) ** 2)
 
     def __len__(self) -> int:
-        return len(self.outcomes)
-
-    def __repr__(self) -> str:
-        return f"ProfitDistribution({list(self.outcomes)!r})"
+        return len(self.probabilities)
 
 
 # ----------------------------------------------------------------------
@@ -268,7 +255,7 @@ def success_probability(E, link: ScoreLink):
     return float(e) if np.ndim(E) == 0 else e
 
 
-def binding_repayment(e: float, group, params: MarketParams) -> RepaymentContract:
+def binding_repayment(e: float, n: int, params: MarketParams) -> float:
     """Smallest repayment making the financier whole in expectation.
 
     Joint liability means the financier collects ``n*w`` unless every member
@@ -276,17 +263,17 @@ def binding_repayment(e: float, group, params: MarketParams) -> RepaymentContrac
     ``w * (1 - (1-e)^n) = L * (1 + epsilon)``. Expected borrower profit falls
     in ``w``, hence the binding value is the one a competitive contract uses.
 
-    Raises DomainError at ``e = 0`` (no repayment level can break even).
+    Raises DomainError at ``e = 0`` (no repayment level can break even) and
+    where ``w`` is not finite (``e`` so small that the coverage is
+    subnormal).
     """
-    group = _as_group(group)
-    e = _require_finite("e", e)
-    _require_in("e", e, 0.0, 1.0)
+    n = _group_size(n)
+    e = _require_in("e", float(e), 0.0, 1.0)
     if e == 0.0:
         raise DomainError("binding repayment is undefined at e = 0")
     # 1 - (1-e)^n without its cancellation at tiny e; log1p(-1) is a math error
-    coverage = 1.0 if e == 1.0 else -math.expm1(group.n * math.log1p(-e))
-    w = params.loan * (1.0 + params.epsilon) / coverage
-    return RepaymentContract(w=w, n=group.n)
+    coverage = 1.0 if e == 1.0 else -math.expm1(n * math.log1p(-e))
+    return _require_finite("w", params.loan * (1.0 + params.epsilon) / coverage)
 
 
 def loan_ceiling_affordability(e, params: MarketParams):
@@ -328,23 +315,15 @@ def loan_ceiling_incentive(e, params: MarketParams):
 
 
 def expected_profit_pair(E, w: float, params: MarketParams, cost: CostModel, link: ScoreLink):
-    """Expected profit of one member of a two-member group at score ``E``.
-
-    Enumerates the four joint outcomes: both succeed (keep high revenue minus
-    own repayment), self succeeds and covers the failing peer, self fails
-    (limited liability, profit 0) regardless of the peer.
+    """Expected profit of one member of a two-member group at score ``E``
+    (`expected_profit_group` at ``n = 2``).
 
     ``pi = e^2 (pYh - w) + e(1-e) (pYh + pYl - 2w) - c e^2 / 2``
     """
-    if w <= 0:
-        raise DomainError("w must be > 0")
-    e = success_probability(E, link)
-    a = params.high_revenue - w
-    both = params.high_revenue + params.low_revenue - 2.0 * w
-    return e * e * a + e * (1.0 - e) * both - cost.effort_cost(e)
+    return expected_profit_group(E, 2, w, params, cost, link)
 
 
-def expected_profit_group(E, group, w: float, params: MarketParams, cost: CostModel, link: ScoreLink):
+def expected_profit_group(E, n: int, w: float, params: MarketParams, cost: CostModel, link: ScoreLink):
     """Expected profit of one member of an ``n``-member group, closed form.
 
     The binomial enumeration over peer failures collapses to
@@ -353,11 +332,11 @@ def expected_profit_group(E, group, w: float, params: MarketParams, cost: CostMo
 
     (`expected_profit_group_sum` keeps the explicit sum as a cross-check).
     """
-    group = _as_group(group)
+    n = _group_size(n)
     if w <= 0:
         raise DomainError("w must be > 0")
     e = success_probability(E, link)
-    fail_all = (1.0 - e) ** group.n
+    fail_all = (1.0 - e) ** n
     gross = (
         e * params.high_revenue
         - w * (1.0 - fail_all)
@@ -396,7 +375,7 @@ def _member_success_pmf(e_values: np.ndarray, n: int) -> np.ndarray:
     return coeff[:, None] * np.exp(log_pow)
 
 
-def expected_profit_group_sum(E, group, w: float, params: MarketParams, cost: CostModel, link: ScoreLink):
+def expected_profit_group_sum(E, n: int, w: float, params: MarketParams, cost: CostModel, link: ScoreLink):
     """Expected profit of one member, as the explicit outcome enumeration.
 
     Sums ``C(n-1,k) e^{n-k} (1-e)^k * [pYh - w - k(w - pYl)/(n-k)]`` over
@@ -404,19 +383,19 @@ def expected_profit_group_sum(E, group, w: float, params: MarketParams, cost: Co
     up to 1000. Agrees with `expected_profit_group` to float accuracy; kept
     separate so the closed form has an independent check.
     """
-    group = _as_group(group)
-    if group.n > MAX_ENUM_GROUP:
+    n = _group_size(n)
+    if n > MAX_ENUM_GROUP:
         raise DomainError(f"enumeration supports n <= {MAX_ENUM_GROUP}")
     if w <= 0:
         raise DomainError("w must be > 0")
     e = success_probability(E, link)
     scalar = np.ndim(e) == 0
     ev = np.atleast_1d(np.asarray(e, dtype=float))
-    profits = _success_profits(group.n, w, params)
+    profits = _success_profits(n, w, params)
     gross = np.empty_like(ev)
     interior = (ev > 0.0) & (ev < 1.0)
     if np.any(interior):
-        gross[interior] = profits @ _member_success_pmf(ev[interior], group.n)
+        gross[interior] = profits @ _member_success_pmf(ev[interior], n)
     gross[ev == 0.0] = 0.0
     gross[ev == 1.0] = profits[0]
     out = gross - cost.effort_cost(ev)
@@ -434,43 +413,38 @@ def profit_distribution_pair(e: float, w: float, params: MarketParams) -> Profit
     Outcomes in order: both succeed; self succeeds, peer fails; self fails,
     peer succeeds; both fail. Limited liability zeroes the last two.
     """
-    e = _require_finite("e", e)
-    _require_in("e", e, 0.0, 1.0)
+    e = _require_in("e", float(e), 0.0, 1.0)
     if w <= 0:
         raise DomainError("w must be > 0")
     a = params.high_revenue - w
     both = params.high_revenue + params.low_revenue - 2.0 * w
     return ProfitDistribution(
-        [
-            (e * e, a),
-            (e * (1.0 - e), both),
-            ((1.0 - e) * e, 0.0),
-            ((1.0 - e) * (1.0 - e), 0.0),
-        ]
+        [e * e, e * (1.0 - e), (1.0 - e) * e, (1.0 - e) * (1.0 - e)],
+        [a, both, 0.0, 0.0],
     )
 
 
-def profit_distribution_group(e: float, group, w: float, params: MarketParams) -> ProfitDistribution:
+def profit_distribution_group(e: float, n: int, w: float, params: MarketParams) -> ProfitDistribution:
     """Per-member profit distribution in an ``n``-member group.
 
     ``n`` outcomes for "self succeeds with k = 0..n-1 failing peers" plus a
     single mass ``1 - e`` on profit 0 for own failure.
     """
-    group = _as_group(group)
-    if group.n > MAX_ENUM_GROUP:
+    n = _group_size(n)
+    if n > MAX_ENUM_GROUP:
         raise DomainError(f"enumeration supports n <= {MAX_ENUM_GROUP}")
-    e = _require_finite("e", e)
-    _require_in("e", e, 0.0, 1.0)
+    e = _require_in("e", float(e), 0.0, 1.0)
     if w <= 0:
         raise DomainError("w must be > 0")
-    profits = _success_profits(group.n, w, params)
+    # A w near the float maximum overflows to a -inf profit, which
+    # `ProfitDistribution` rejects.
+    with np.errstate(over="ignore"):
+        profits = _success_profits(n, w, params)
     if e == 0.0:
-        pmf = np.zeros(group.n)
+        pmf = np.zeros(n)
     elif e == 1.0:
-        pmf = np.zeros(group.n)
+        pmf = np.zeros(n)
         pmf[0] = 1.0
     else:
-        pmf = _member_success_pmf(np.array([e]), group.n)[:, 0]
-    outcomes = list(zip(pmf, profits))
-    outcomes.append((1.0 - e, 0.0))
-    return ProfitDistribution(outcomes)
+        pmf = _member_success_pmf(np.array([e]), n)[:, 0]
+    return ProfitDistribution(np.append(pmf, 1.0 - e), np.append(profits, 0.0))

@@ -11,9 +11,12 @@ whose stationary condition, divided through by ``k``, is
 
 ``g(E) = pYh + pYl*(n (1-e)^{n-1} - 1) - c e = 0``.
 
-For pairs (n = 2) the optimum is closed form. For general ``n``, ``g`` is
-strictly decreasing in ``e``, so the optimum is its one root or an endpoint;
-`optimal_ese_group_batch` bisects the roots of many group sizes in lockstep.
+For pairs (n = 2) the optimum is closed form, and `pair_objective` is
+`group_objective` at ``n = 2``. For general ``n``, ``g`` is strictly
+decreasing in ``e``, so the optimum is its one root or an endpoint;
+`optimal_ese_group_batch` bisects the roots of many group sizes in lockstep
+and `optimal_ese_group` solves one. The FOC routes take any real
+``n >= 1``.
 `argmax_grid` provides an independent derivative-free maximizer (dense grid
 plus golden-section refinement), a public utility and the cross-check
 route in the tests for the closed forms and the mean-variance maximizer.
@@ -34,10 +37,9 @@ import numpy as np
 from .errors import DomainError, EvaluationError, _cell
 from .model_core import (
     CostModel,
-    GroupSpec,
     MarketParams,
     ScoreLink,
-    _as_group,
+    _group_size,
     success_probability,
 )
 
@@ -50,7 +52,6 @@ __all__ = [
     "argmax_grid",
     "optimal_ese_pair",
     "optimal_ese_pair_as_printed",
-    "solve_group_foc",
     "optimal_ese_group",
     "optimal_ese_group_batch",
     "dE_dn",
@@ -105,14 +106,12 @@ class Optimum:
 
 
 def pair_objective(E, params: MarketParams, cost: CostModel, link: ScoreLink):
-    """Two-member expected profit with the binding repayment substituted in.
+    """Two-member expected profit with the binding repayment substituted in
+    (`group_objective` at ``n = 2``).
 
     ``e^2 pYh + e(1-e)(pYh + pYl) - L(1+eps) - c e^2/2``
     """
-    e = success_probability(E, link)
-    ph, pl = params.high_revenue, params.low_revenue
-    principal = params.loan * (1.0 + params.epsilon)
-    return e * e * ph + e * (1.0 - e) * (ph + pl) - principal - cost.effort_cost(e)
+    return group_objective(E, 2, params, cost, link)
 
 
 def group_objective(E, n, params: MarketParams, cost: CostModel, link: ScoreLink):
@@ -130,9 +129,7 @@ def group_foc(E, n, params: MarketParams, cost: CostModel, link: ScoreLink):
     Analytic in ``n``, so fractional group sizes are allowed here (used for
     finite-difference validation of the group-size sensitivity).
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    return _foc(success_probability(E, link), n, params, cost)
+    return _foc(success_probability(E, link), _group_size(n, real=True), params, cost)
 
 
 def _foc(e, n, params: MarketParams, cost: CostModel):
@@ -356,7 +353,7 @@ def optimal_ese_group_batch(ns, params: MarketParams, cost: CostModel,
     bad = np.flatnonzero(~(np.isfinite(n) & (n >= 1.0)))
     if bad.size:
         with _cell(int(bad[0])):
-            raise DomainError("n must be >= 1")
+            raise DomainError("group size n must be >= 1")
 
     def g(E, n):
         return _foc(success_probability(E, link), n, params, cost)
@@ -395,17 +392,11 @@ def optimal_ese_group_batch(ns, params: MarketParams, cost: CostModel,
             in zip(scores.tolist(), at_boundary.tolist(), values.tolist())]
 
 
-def solve_group_foc(n: float, params: MarketParams, cost: CostModel,
-                    link: ScoreLink) -> Optimum:
+def optimal_ese_group(n: float, params: MarketParams, cost: CostModel,
+                      link: ScoreLink) -> Optimum:
     """Maximize the substituted n-member objective over scores in [0, 100]
     (`optimal_ese_group_batch` on one size; ``n`` may be fractional)."""
     return optimal_ese_group_batch([n], params, cost, link)[0]
-
-
-def optimal_ese_group(group, params: MarketParams, cost: CostModel,
-                      link: ScoreLink) -> Optimum:
-    """Optimal score for an integer group size (see `solve_group_foc`)."""
-    return solve_group_foc(float(_as_group(group).n), params, cost, link)
 
 
 # ----------------------------------------------------------------------
@@ -413,16 +404,7 @@ def optimal_ese_group(group, params: MarketParams, cost: CostModel,
 # ----------------------------------------------------------------------
 
 
-def _group_size(group) -> float:
-    if isinstance(group, GroupSpec):
-        return float(group.n)
-    n = float(group)
-    if not np.isfinite(n) or n < 1:
-        raise DomainError("n must be >= 1")
-    return n
-
-
-def dE_dn(group, E: float, params: MarketParams, cost: CostModel, link: ScoreLink) -> float:
+def dE_dn(n: float, E: float, params: MarketParams, cost: CostModel, link: ScoreLink) -> float:
     """Sensitivity of the FOC-optimal score to group size.
 
     Implicit differentiation of ``g(E(n), n) = 0``:
@@ -434,7 +416,7 @@ def dE_dn(group, E: float, params: MarketParams, cost: CostModel, link: ScoreLin
     group grows since the numerator carries ``(1-e)^{n-1}``. Requires
     ``0 < e < 1`` and ``k > 0``.
     """
-    n = _group_size(group)
+    n = _group_size(n, real=True)
     if link.k <= 0.0:
         raise DomainError("sensitivity requires k > 0")
     e = success_probability(E, link)
@@ -447,7 +429,7 @@ def dE_dn(group, E: float, params: MarketParams, cost: CostModel, link: ScoreLin
     return numerator / denominator
 
 
-def dE_dn_as_printed(group, E: float, params: MarketParams, cost: CostModel,
+def dE_dn_as_printed(n: float, E: float, params: MarketParams, cost: CostModel,
                      link: ScoreLink) -> float:
     """Widely circulated variant of `dE_dn`, kept verbatim for comparison.
 
@@ -457,7 +439,7 @@ def dE_dn_as_printed(group, E: float, params: MarketParams, cost: CostModel,
     magnitudes disagree except where ``e`` happens to equal ``k``. Nothing
     in this package consumes it.
     """
-    n = _group_size(group)
+    n = _group_size(n, real=True)
     if link.k <= 0.0:
         raise DomainError("sensitivity requires k > 0")
     e = success_probability(E, link)

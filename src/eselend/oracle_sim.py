@@ -39,7 +39,7 @@ from .errors import DomainError, _cell
 from .mean_variance import Moments
 from .model_core import (
     MarketParams,
-    _as_group,
+    _group_size,
     _require_finite,
     _require_in,
     profit_distribution_group,
@@ -135,8 +135,9 @@ def simulate_member_profit_batch(es, group, ws, params: MarketParams,
                                  cfg: SimConfig = SimConfig()) -> list[SimResult]:
     """Monte Carlo moments of the tracked member's profit at many ``(e, w)``.
 
-    Each trial draws n independent success indicators (member 0 is the
-    tracked borrower, counters run member-major as ``trial * n + member``).
+    ``group`` is the integer group size n. Each trial draws n independent
+    success indicators (member 0 is the tracked borrower, counters run
+    member-major as ``trial * n + member``).
     With ``k`` peer failures and own success the profit is
     ``p y_high - w - k (w - p y_low) / (n - k)``; own failure pays 0.
     The variance is the population variance over trials and
@@ -146,8 +147,7 @@ def simulate_member_profit_batch(es, group, ws, params: MarketParams,
     ``_SHARED_CELLS`` cells. An error raised for a cell carries its index
     in ``cell``.
     """
-    group = _as_group(group)
-    n = int(group.n)
+    n = _group_size(group)
     es, ws = list(es), list(ws)
     if len(es) != len(ws):
         raise DomainError("es and ws must have the same length")
@@ -238,5 +238,5 @@ def simulate_member_profit(e: float, group, w: float, params: MarketParams,
 
 def enumerate_member_profit(e: float, group, w: float, params: MarketParams) -> Moments:
     """Exact profit moments from the full outcome distribution."""
-    dist = profit_distribution_group(e, _as_group(group), w, params)
+    dist = profit_distribution_group(e, group, w, params)
     return Moments(mean=float(dist.mean()), variance=float(dist.variance()))

@@ -1,11 +1,10 @@
 """Composite ESE scores from per-farmer metric records.
 
 Pipeline: each metric's cohort values are normalized to [0, 1] with the
-better direction mapped high, metrics are weighted (category weights follow
-the metric count per pillar, split uniformly inside the pillar, which makes
-every metric worth 1/total unless explicit overrides are given), and the
-weighted sum is scaled to [0, 100]. The result feeds `success_probability`
-directly.
+better direction mapped high, metrics are weighted (every metric is worth
+1/total unless explicit overrides are given, so each pillar weighs its
+share of the metric count), and the weighted sum is scaled to [0, 100].
+The result feeds `success_probability` directly.
 
 Normalization statistics come from the scored cohort itself. A metric
 definition may pin explicit (min, max) bounds instead, for scoring against
@@ -51,7 +50,6 @@ __all__ = [
     "MetricTable",
     "ScoringScheme",
     "normalize",
-    "category_weights",
     "composite_score",
     "read_metrics_csv",
     "read_schema_csv",
@@ -159,15 +157,10 @@ class MetricTable:
 
 @dataclass(frozen=True)
 class ScoringScheme:
-    """Schema plus normalization choice.
-
-    category_weighting only supports COUNT_BASED: each pillar's weight is
-    its share of the metric count.
-    """
+    """Schema plus normalization choice."""
 
     schema: tuple[MetricDef, ...]
     normalization: str = "MIN_MAX"
-    category_weighting: str = "COUNT_BASED"
 
     def __post_init__(self):
         object.__setattr__(self, "schema", tuple(self.schema))
@@ -175,10 +168,6 @@ class ScoringScheme:
             raise ConfigError("schema must contain at least one metric")
         if self.normalization not in NORMALIZATIONS:
             raise ConfigError(f"unknown normalization {self.normalization!r}")
-        if self.category_weighting != "COUNT_BASED":
-            raise ConfigError(
-                f"unknown category weighting {self.category_weighting!r}"
-            )
         seen: set[str] = set()
         for metric in self.schema:
             if metric.id in seen:
@@ -260,15 +249,6 @@ def normalize(values: Sequence[float], metric: MetricDef,
     if metric.direction == "LOWER_BETTER":
         scaled = 1.0 - scaled
     return np.clip(scaled, 0.0, 1.0)
-
-
-def category_weights(scheme: ScoringScheme) -> dict[str, float]:
-    """Count-based pillar weights: count(pillar) / total, zero if absent."""
-    total = len(scheme.schema)
-    counts = {pillar: 0 for pillar in PILLARS}
-    for metric in scheme.schema:
-        counts[metric.pillar] += 1
-    return {pillar: counts[pillar] / total for pillar in PILLARS}
 
 
 def composite_score(records: MetricTable | Iterable[MetricRecord],

@@ -54,7 +54,6 @@ from eselend import (
     profit_distribution_pair,
     profit_moments_pair,
     simulate_member_profit,
-    solve_group_foc,
     success_probability,
 )
 from eselend.cli import main as cli_main
@@ -237,7 +236,7 @@ def test_criterion_05_group_size_sweep():
     non-increasing across n = 1..100, and within 0.5 of the limiting
     score 50 at n=100, all in under 2 seconds."""
     started = time.perf_counter()
-    scores = [solve_group_foc(n, BASE, COST, LINK).score
+    scores = [optimal_ese_group(n, BASE, COST, LINK).score
               for n in range(1, 101)]
     elapsed = time.perf_counter() - started
     limit = ese_limit(BASE, COST, LINK).score
@@ -263,13 +262,13 @@ def test_criterion_06_group_size_derivative():
     h = 0.05
     worst_rel = 0.0
     for n in (3, 5, 10, 30):
-        at_n = solve_group_foc(n, BASE, COST, LINK).score
+        at_n = optimal_ese_group(n, BASE, COST, LINK).score
         analytic = dE_dn(n, at_n, BASE, COST, LINK)
-        up = solve_group_foc(n + h, BASE, COST, LINK).score
-        down = solve_group_foc(n - h, BASE, COST, LINK).score
+        up = optimal_ese_group(n + h, BASE, COST, LINK).score
+        down = optimal_ese_group(n - h, BASE, COST, LINK).score
         fd = (up - down) / (2.0 * h)
         worst_rel = max(worst_rel, abs(fd - analytic) / abs(analytic))
-    tail = solve_group_foc(100, BASE, COST, LINK).score
+    tail = optimal_ese_group(100, BASE, COST, LINK).score
     tail_slope = abs(dE_dn(100, tail, BASE, COST, LINK))
     ok = worst_rel <= 0.05 and tail_slope < 1e-6
     _report("group size derivative", ok,
@@ -725,7 +724,7 @@ def test_criterion_09_monte_carlo():
     worst_var = 0.0
     for e in (0.3, 0.5, 0.8):
         for n in (2, 3, 10):
-            w = binding_repayment(e, n, BASE).w
+            w = binding_repayment(e, n, BASE)
             exact = enumerate_member_profit(e, n, w, BASE)
             sim = simulate_member_profit(e, n, w, BASE, cfg)
             z = abs(sim.empirical_mean - exact.mean) / sim.std_error_mean

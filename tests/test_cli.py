@@ -260,7 +260,7 @@ class TestSweepMv:
         real = mean_variance.mv_utility
 
         def broken(E, w, params, gamma, cost, link):
-            off = 1.0 if (cost.c, gamma.gamma) == (1200.0, 0.5) else 0.0
+            off = 1.0 if (cost.c, gamma) == (1200.0, 0.5) else 0.0
             return real(E, w, params, gamma, cost, link) + off
 
         monkeypatch.setattr(mean_variance, "mv_utility", broken)
@@ -429,6 +429,17 @@ class TestSimulate:
                      "--trials", "1000", "--out", str(out)]) == 2
         assert (capsys.readouterr().err
                 == "error: e=0.5, n=3: empirical_mean must be finite\n")
+        assert not out.exists()
+
+    def test_overflowing_w_is_named(self, tmp_path, capsys):
+        """A --w so large that a member's share of two failed peers'
+        shortfall overflows exits 2 with no floating-point warning, and
+        the error names its (e, n) cell."""
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--w", "1e308", "--n-set", "3", "--e-grid",
+                     "0.5", "--trials", "1000", "--out", str(out)]) == 2
+        assert (capsys.readouterr().err
+                == "error: e=0.5, n=3: invalid outcome profit -inf\n")
         assert not out.exists()
 
     def test_counter_space_error_names_the_size(self, tmp_path, capsys):

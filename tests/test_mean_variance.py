@@ -20,7 +20,6 @@ from eselend import (
     InvariantViolation,
     MarketParams,
     Moments,
-    RiskPreference,
     ScoreLink,
     argmax_grid,
     binding_repayment,
@@ -175,17 +174,12 @@ class TestMvUtility:
                   for g in (0.0, 0.01, 0.1, 1.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
-    def test_accepts_risk_preference_object(self):
-        """A RiskPreference wrapper works in place of the bare float."""
-        np.testing.assert_allclose(
-            mv_utility(50.0, 150.0, BASE, RiskPreference(gamma=0.001), COST,
-                       LINK),
-            248.515625, atol=1e-10)
-
     def test_risk_preference_validation(self):
-        """Negative gamma is rejected."""
-        with pytest.raises(DomainError):
-            RiskPreference(gamma=-0.1)
+        """gamma must be finite and >= 0: -0.1 and nan are rejected."""
+        with pytest.raises(DomainError, match="gamma must be >= 0"):
+            mv_utility(50.0, 150.0, BASE, -0.1, COST, LINK)
+        with pytest.raises(DomainError, match="gamma must be finite"):
+            mv_utility(50.0, 150.0, BASE, float("nan"), COST, LINK)
 
 
 class TestMvFoc:
@@ -317,7 +311,7 @@ class TestOptimalEseMv:
         link = ScoreLink(k=0.007, b=0.3)
         opt = optimal_ese_mv(None, BASE, 0.2, COST, link, endogenous_w=True)
         e_star = float(success_probability(opt.score, link))
-        w_star = binding_repayment(e_star, 2, BASE).w
+        w_star = binding_repayment(e_star, 2, BASE)
         np.testing.assert_allclose(
             opt.objective_value,
             mv_utility(opt.score, w_star, BASE, 0.2, COST, link),
@@ -407,7 +401,7 @@ class TestOptimalEseMvBatch:
             mean_variance, "mv_utility",
             lambda E, w, params, gamma, cost, link:
                 real(E, w, params, gamma, cost, link)
-                + (1.0 if gamma.gamma > 0 else 0.0))
+                + (1.0 if gamma > 0 else 0.0))
         with pytest.raises(InvariantViolation) as excinfo:
             optimal_ese_mv_batch(150.0, cells[:2])
         assert excinfo.value.cell == 1

@@ -11,11 +11,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eselend import (
     CostModel,
     DomainError,
-    GroupSpec,
     MarketParams,
     ProfitDistribution,
     ScoreLink,
@@ -25,6 +26,7 @@ from eselend import (
     expected_profit_pair,
     loan_ceiling_affordability,
     loan_ceiling_incentive,
+    pair_objective,
     profit_distribution_group,
     profit_distribution_pair,
     success_probability,
@@ -96,12 +98,18 @@ class TestParameterValidation:
             CostModel(c=-5.0)
 
     def test_group_spec_requires_integer_members(self):
-        """Group size must be a whole number of at least one member."""
-        assert GroupSpec(n=3).n == 3
-        with pytest.raises(DomainError):
-            GroupSpec(n=0)
-        with pytest.raises(DomainError):
-            GroupSpec(n=2.5)
+        """The enumeration routes take a whole number of at least one
+        member: n = 2.5, n = True and n = 0 are rejected, while a numpy
+        integer is accepted."""
+        cost = CostModel(c=1000.0)
+        link = ScoreLink(k=0.01, b=0.0)
+        for n in (2.5, True, 0):
+            with pytest.raises(DomainError, match="group size n must be"):
+                profit_distribution_group(0.5, n, 150.0, BASE)
+            with pytest.raises(DomainError, match="group size n must be"):
+                expected_profit_group_sum(50.0, n, 150.0, BASE, cost, link)
+        assert (profit_distribution_group(0.5, np.int64(3), 150.0, BASE).mean()
+                == profit_distribution_group(0.5, 3, 150.0, BASE).mean())
 
     def test_cost_model_quadratic(self):
         """effort_cost(e) = c/2 * e^2 and marginal_cost(e) = c*e."""
@@ -169,24 +177,24 @@ class TestBindingRepayment:
     def test_certain_success_pair(self):
         """e=1, n=2, L=100, eps=0.05: repayment is certain, so
         w = 100 * 1.05 = 105."""
-        contract = binding_repayment(1.0, 2, BASE)
-        np.testing.assert_allclose(contract.w, 105.0, atol=1e-12)
-        assert contract.n == 2
+        w = binding_repayment(1.0, 2, BASE)
+        assert type(w) is float
+        np.testing.assert_allclose(w, 105.0, atol=1e-12)
 
     def test_half_success_pair(self):
         """e=0.5, n=2, eps=0: the group repays with probability 0.75, so
         w = 100 / 0.75 = 133.333..."""
         params = MarketParams(p=1.0, y_high=1000.0, y_low=500.0, loan=100.0,
                               epsilon=0.0, delta=0.9)
-        contract = binding_repayment(0.5, 2, params)
-        np.testing.assert_allclose(contract.w, 400.0 / 3.0, atol=1e-10)
+        np.testing.assert_allclose(binding_repayment(0.5, 2, params),
+                                   400.0 / 3.0, atol=1e-10)
 
     def test_single_borrower(self):
         """e=0.5, n=1, eps=0: no partner to fall back on, w = 100/0.5 = 200."""
         params = MarketParams(p=1.0, y_high=1000.0, y_low=500.0, loan=100.0,
                               epsilon=0.0, delta=0.9)
-        contract = binding_repayment(0.5, 1, params)
-        np.testing.assert_allclose(contract.w, 200.0, atol=1e-12)
+        np.testing.assert_allclose(binding_repayment(0.5, 1, params), 200.0,
+                                   atol=1e-12)
 
     def test_break_even_identity(self):
         """w * (1 - (1-e)^n) recovers L*(1+eps) for random draws."""
@@ -195,25 +203,24 @@ class TestBindingRepayment:
             params = _random_params(rng)
             e = rng.uniform(0.05, 1.0)
             n = int(rng.integers(1, 30))
-            contract = binding_repayment(e, n, params)
-            lhs = contract.w * (1.0 - (1.0 - e) ** n)
+            lhs = binding_repayment(e, n, params) * (1.0 - (1.0 - e) ** n)
             rhs = params.loan * (1.0 + params.epsilon)
             np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
-
-    def test_group_spec_and_int_agree(self):
-        """Passing GroupSpec(3) and the bare int 3 give the same contract."""
-        a = binding_repayment(0.4, GroupSpec(n=3), BASE)
-        b = binding_repayment(0.4, 3, BASE)
-        assert a.w == b.w
 
     def test_undefined_at_zero_success(self):
         """e=0 means nobody ever repays; no finite w breaks even."""
         with pytest.raises(DomainError):
             binding_repayment(0.0, 2, BASE)
 
+    def test_overflowing_repayment_rejected(self):
+        """e=1e-320 leaves a subnormal coverage of 2e-320, and
+        105 / 2e-320 overflows: w is not finite, a domain error."""
+        with pytest.raises(DomainError, match="w must be finite"):
+            binding_repayment(1e-320, 2, BASE)
+
     def test_larger_groups_lower_w(self):
         """More co-signers raise the repayment probability, so w falls."""
-        w_values = [binding_repayment(0.3, n, BASE).w for n in (1, 2, 5, 20)]
+        w_values = [binding_repayment(0.3, n, BASE) for n in (1, 2, 5, 20)]
         assert all(a > b for a, b in zip(w_values, w_values[1:]))
 
 
@@ -315,7 +322,7 @@ class TestTinySuccessCoverage:
         """w = L(1+eps)/coverage to 1e-15 relative at e=1e-12, n=2."""
         exact = (Fraction(BASE.loan) * (1 + Fraction(BASE.epsilon))
                  / self._exact_coverage(2))
-        w = binding_repayment(self.E, 2, BASE).w
+        w = binding_repayment(self.E, 2, BASE)
         assert abs(Fraction(w) / exact - 1) <= 1e-15
 
     def test_ceilings(self):
@@ -376,7 +383,8 @@ class TestExpectedProfitPair:
             1000.0 - 150.0 - 500.0, atol=1e-10)
 
     def test_matches_group_of_two(self):
-        """The pair formula is the n=2 case of the group formula."""
+        """The pair profit equals the explicit binomial sum over the
+        partner's outcome at n=2."""
         rng = np.random.default_rng(42)
         cost = CostModel(c=1200.0)
         link = ScoreLink(k=0.008, b=0.1)
@@ -386,8 +394,33 @@ class TestExpectedProfitPair:
             w = rng.uniform(10.0, 500.0)
             np.testing.assert_allclose(
                 expected_profit_pair(E, w, params, cost, link),
-                expected_profit_group(E, 2, w, params, cost, link),
+                expected_profit_group_sum(E, 2, w, params, cost, link),
                 rtol=1e-12, atol=1e-12)
+
+    @given(data=st.data())
+    @settings(max_examples=300)
+    def test_matches_four_outcome_table(self, data):
+        """Over e log-uniform on [1e-12, 1], `expected_profit_pair` is the
+        mean of the four-outcome table less the effort cost, and
+        `pair_objective` is the same quantity at the break-even w, each
+        within 1e-12 of max(1, |value|)."""
+        p = data.draw(st.floats(0.2, 3.0), "p")
+        y_low = data.draw(st.floats(50.0, 800.0), "y_low")
+        y_high = y_low + data.draw(st.floats(50.0, 1500.0), "y_gap")
+        params = MarketParams(p=p, y_high=y_high, y_low=y_low,
+                              loan=data.draw(st.floats(10.0, 400.0), "loan"),
+                              epsilon=data.draw(st.floats(0.0, 0.2), "epsilon"),
+                              delta=0.9)
+        cost = CostModel(c=data.draw(st.floats(100.0, 4000.0), "c"))
+        link = ScoreLink(k=0.01, b=0.0)
+        E = min(100.0 * 10.0 ** data.draw(st.floats(-12.0, 0.0), "log10_e"), 100.0)
+        e = success_probability(E, link)
+        w = data.draw(st.floats(10.0, 500.0), "w")
+        w_star = binding_repayment(e, 2, params)
+        for value, w_at in ((expected_profit_pair(E, w, params, cost, link), w),
+                            (pair_objective(E, params, cost, link), w_star)):
+            table = profit_distribution_pair(e, w_at, params).mean() - cost.effort_cost(e)
+            assert abs(value - table) <= 1e-12 * max(1.0, abs(table))
 
     def test_decreasing_in_w(self):
         """A heavier obligation can only lower expected profit."""
@@ -564,8 +597,17 @@ class TestProfitDistributionGroup:
                                        atol=1e-12)
 
     def test_distribution_validates_probabilities(self):
-        """Outcome lists with negative or non-unit mass are rejected."""
-        with pytest.raises(DomainError):
-            ProfitDistribution(outcomes=((0.6, 10.0), (0.3, 0.0)))
-        with pytest.raises(DomainError):
-            ProfitDistribution(outcomes=((1.2, 10.0), (-0.2, 0.0)))
+        """The two arrays are checked whole: negative mass, mass that does
+        not sum to 1, a non-finite profit, arrays of unequal length and an
+        empty distribution are rejected. Float dust below zero is clipped."""
+        for probabilities, profits, match in (
+                ([1.2, -0.2], [10.0, 0.0], "invalid outcome probability -0.2"),
+                ([0.5, 0.25], [10.0, 0.0], "sum to 0.75,"),
+                ([0.5, 0.5], [10.0, np.inf], "invalid outcome profit inf"),
+                ([0.5, 0.5], [10.0, 0.0, 0.0], "same length"),
+                ([], [], "at least one outcome")):
+            with pytest.raises(DomainError, match=match):
+                ProfitDistribution(probabilities, profits)
+        dist = ProfitDistribution([1.0, -1e-16], [10.0, 0.0])
+        assert dist.probabilities.tolist() == [1.0, 0.0]
+        assert len(dist) == 2 and dist.mean() == 10.0

@@ -16,7 +16,6 @@ from eselend import (
     CostModel,
     DomainError,
     EvaluationError,
-    GroupSpec,
     MarketParams,
     ScoreLink,
     SolverConfig,
@@ -31,7 +30,6 @@ from eselend import (
     optimal_ese_pair,
     optimal_ese_pair_as_printed,
     pair_objective,
-    solve_group_foc,
 )
 
 BASE = MarketParams(p=1.0, y_high=1000.0, y_low=500.0, loan=100.0,
@@ -213,62 +211,56 @@ class TestSolveGroupFoc:
     def test_single_member(self):
         """n=1: the condition 1000 - 1000*e = 0 puts the root at e=1,
         so E = 100 with the condition satisfied (not a clamped boundary)."""
-        opt = solve_group_foc(1, BASE, COST, LINK)
+        opt = optimal_ese_group(1, BASE, COST, LINK)
         np.testing.assert_allclose(opt.score, 100.0, atol=1e-9)
         assert not opt.at_boundary
 
     def test_pair_matches_closed_form(self):
         """n=2 reproduces the closed-form pair optimum E = 75."""
-        opt = solve_group_foc(2, BASE, COST, LINK)
+        opt = optimal_ese_group(2, BASE, COST, LINK)
         np.testing.assert_allclose(opt.score, 75.0, atol=1e-8)
 
     def test_three_members(self):
         """n=3: 500 + 1500*(1-e)^2 - 1000*e = 0 holds at e = 2/3,
         so E = 66.666..."""
-        opt = solve_group_foc(3, BASE, COST, LINK)
+        opt = optimal_ese_group(3, BASE, COST, LINK)
         np.testing.assert_allclose(opt.score, 200.0 / 3.0, atol=1e-8)
 
     def test_large_group_near_limit(self):
         """n=100: the joint-liability term is negligible and the root sits
         within 1e-3 of the limiting score 50."""
-        opt = solve_group_foc(100, BASE, COST, LINK)
+        opt = optimal_ese_group(100, BASE, COST, LINK)
         np.testing.assert_allclose(opt.score, 50.0, atol=1e-3)
 
     def test_residual_at_solution(self):
         """Interior solutions satisfy the first-order condition to 1e-8."""
         for n in (2, 3, 5, 10, 40):
-            opt = solve_group_foc(n, BASE, COST, LINK)
+            opt = optimal_ese_group(n, BASE, COST, LINK)
             assert not opt.at_boundary
             assert abs(group_foc(opt.score, n, BASE, COST, LINK)) < 1e-8
 
     def test_scores_non_increasing_in_n(self):
         """Adding members weakens the incentive, so the score never rises."""
-        scores = [solve_group_foc(n, BASE, COST, LINK).score
+        scores = [optimal_ese_group(n, BASE, COST, LINK).score
                   for n in range(1, 21)]
         assert all(a >= b - 1e-9 for a, b in zip(scores, scores[1:]))
 
     def test_objective_value_consistency(self):
         """The reported value is the substituted objective at the root."""
-        opt = solve_group_foc(3, BASE, COST, LINK)
+        opt = optimal_ese_group(3, BASE, COST, LINK)
         np.testing.assert_allclose(
             opt.objective_value, group_objective(opt.score, 3, BASE, COST, LINK),
             rtol=1e-12)
 
-    def test_group_wrapper_accepts_spec(self):
-        """optimal_ese_group takes GroupSpec or a bare int."""
-        a = optimal_ese_group(GroupSpec(n=4), BASE, COST, LINK)
-        b = optimal_ese_group(4, BASE, COST, LINK)
-        assert a.score == b.score
-
     def test_flat_link_rejected(self):
         """k=0 leaves no way to move e through the score."""
         with pytest.raises(DomainError):
-            solve_group_foc(2, BASE, COST, ScoreLink(k=0.0, b=0.5))
+            optimal_ese_group(2, BASE, COST, ScoreLink(k=0.0, b=0.5))
 
     def test_bad_group_size_rejected(self):
         """Group sizes below one member are domain errors."""
         with pytest.raises(DomainError):
-            solve_group_foc(0, BASE, COST, LINK)
+            optimal_ese_group(0, BASE, COST, LINK)
 
 
 class TestOptimalEseGroupBatch:
@@ -279,7 +271,7 @@ class TestOptimalEseGroupBatch:
         sizes = [1, 2, 3, 2.5, 7, 40.25, 1000]
         for link in (LINK, ScoreLink(k=0.004, b=0.3)):
             batch = optimal_ese_group_batch(sizes, BASE, COST, link)
-            single = [solve_group_foc(n, BASE, COST, link) for n in sizes]
+            single = [optimal_ese_group(n, BASE, COST, link) for n in sizes]
             assert batch == single
 
     def test_empty_batch(self):
@@ -401,7 +393,7 @@ class TestGroupSizeDerivative:
 
     def test_vanishes_for_large_groups(self):
         """The geometric factor kills the derivative as n grows."""
-        opt = solve_group_foc(100, BASE, COST, LINK)
+        opt = optimal_ese_group(100, BASE, COST, LINK)
         assert abs(dE_dn(100, opt.score, BASE, COST, LINK)) < 1e-6
 
     def test_as_printed_variant_differs(self):
@@ -458,9 +450,9 @@ class TestEseLimit:
         assert opt.at_boundary
 
     def test_group_solver_converges_to_limit(self):
-        """solve_group_foc approaches the limit from above as n grows."""
+        """optimal_ese_group approaches the limit from above as n grows."""
         limit = ese_limit(BASE, COST, LINK).score
-        gaps = [solve_group_foc(n, BASE, COST, LINK).score - limit
+        gaps = [optimal_ese_group(n, BASE, COST, LINK).score - limit
                 for n in (10, 30, 100)]
         assert all(gap >= -1e-9 for gap in gaps)
         assert all(a >= b - 1e-9 for a, b in zip(gaps, gaps[1:]))

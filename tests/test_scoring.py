@@ -1,5 +1,5 @@
 """Tests for the composite scoring pipeline: metric normalization,
-count-based category weights, the 0-100 composite, and the CSV codecs.
+count-based pillar weights, the 0-100 composite, and the CSV codecs.
 
 The bundled sample schema (36 metrics: 11 environmental, 6 social,
 19 economic) anchors the category-weight numbers 11/36, 6/36, 19/36.
@@ -22,13 +22,17 @@ from eselend import (
     MetricRecord,
     MetricTable,
     ScoringScheme,
-    category_weights,
     composite_score,
     normalize,
     success_probability,
 )
 from eselend.model_core import ScoreLink
-from eselend.scoring import read_metrics_csv, read_schema_csv, write_scores_csv
+from eselend.scoring import (
+    PILLARS,
+    read_metrics_csv,
+    read_schema_csv,
+    write_scores_csv,
+)
 
 
 def _metric(id="m1", pillar="ENVIRONMENTAL", direction="HIGHER_BETTER",
@@ -162,8 +166,17 @@ class TestScoringScheme:
             _metric(bounds=(5.0, 5.0))
 
 
+def category_weights(scheme):
+    """Each pillar's total metric weight."""
+    weights = scheme.metric_weights()
+    return {pillar: math.fsum(weights[m.id] for m in scheme.schema
+                              if m.pillar == pillar)
+            for pillar in PILLARS}
+
+
 class TestCategoryWeights:
-    """Count-based pillar weights: pillar share = metric count / total."""
+    """Count-based pillar weights: pillar share = metric count / total,
+    as the sum of the uniform per-metric weights."""
 
     def test_bundled_schema_counts(self):
         """The bundled 36-metric sample yields 11/36, 6/36, 19/36."""
