@@ -25,6 +25,7 @@ sets shared by the CLI sweeps and the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,21 @@ def _risk_aversion(gamma) -> float:
     if gamma < 0:
         raise DomainError("gamma must be >= 0")
     return gamma
+
+
+def _check_float_range(w: float, params: MarketParams, gamma: float,
+                       cost: CostModel) -> None:
+    """Reject a cell whose mean-variance utility overflows the float range.
+
+    ``M = max(pYh + pYl, 2w, 1)`` bounds the profit spreads ``A`` and
+    ``B``. The moment routes stay within a few times ``(1 + gamma) M^2 + c``
+    and the FOC coefficients within about 50 times it (the degree-8
+    break-even polynomial has the largest), so 1024 times it must be finite.
+    """
+    m = max(params.high_revenue + params.low_revenue, 2.0 * w, 1.0)
+    if not math.isfinite(1024.0 * ((1.0 + gamma) * m * m + cost.c)):
+        raise DomainError("the mean-variance utility overflows the float "
+                          f"range at w={w!r}")
 
 
 def _mean_poly(e, A, B):
@@ -332,9 +348,15 @@ def optimal_ese_mv_batch(w, cells, *, endogenous_w: bool = False) -> list[Optimu
     for i, (params, gamma, cost, link) in enumerate(cells):
         with _cell(i):
             gamma = _risk_aversion(gamma)
-            if endogenous_w and link.b <= 0.0:
-                raise DomainError("endogenous repayment requires b > 0 so the "
-                                  "success probability is positive at every score")
+            if endogenous_w:
+                if link.b <= 0.0:
+                    raise DomainError("endogenous repayment requires b > 0 so the "
+                                      "success probability is positive at every score")
+                # the break-even w is largest at the lowest score, e = b
+                top_w = params.loan * (1.0 + params.epsilon) / (link.b * (2.0 - link.b))
+                _check_float_range(top_w, params, gamma, cost)
+            else:
+                _check_float_range(w, params, gamma, cost)
         rows.append((params.high_revenue, params.low_revenue,
                      params.loan * (1.0 + params.epsilon), gamma,
                      cost.c, link.k, link.b))

@@ -213,9 +213,7 @@ class ProfitDistribution:
         ok = np.isfinite(p) & (p >= -1e-15)
         if not ok.all():
             raise DomainError(f"invalid outcome probability {float(p[~ok][0])!r}")
-        ok = np.isfinite(x)
-        if not ok.all():
-            raise DomainError(f"invalid outcome profit {float(x[~ok][0])!r}")
+        _require_finite_profits(x)
         p = np.maximum(p, 0.0)
         total = float(p.sum())
         if abs(total - 1.0) > PROB_SUM_TOL:
@@ -345,15 +343,26 @@ def expected_profit_group(E, n: int, w: float, params: MarketParams, cost: CostM
     return gross - cost.effort_cost(e)
 
 
+def _require_finite_profits(profits: np.ndarray) -> np.ndarray:
+    """``profits``, unless one of them is not finite."""
+    bad = ~np.isfinite(profits)
+    if bad.any():
+        raise DomainError(f"invalid outcome profit {float(profits[bad][0])!r}")
+    return profits
+
+
 def _success_profits(n: int, w: float, params: MarketParams) -> np.ndarray:
     """Member profit when she succeeds and exactly k of n-1 peers fail, k = 0..n-1.
 
     The k failing peers each contribute ``p*y_low`` toward their repayment
     ``w``; the ``n - k`` successful members split the shortfall equally.
+    A ``w`` whose profits overflow the float range raises DomainError.
     """
     k = np.arange(n, dtype=float)
-    shortfall_share = k * (w - params.low_revenue) / (n - k)
-    return params.high_revenue - w - shortfall_share
+    with np.errstate(over="ignore", invalid="ignore"):
+        shortfall_share = k * (w - params.low_revenue) / (n - k)
+        profits = params.high_revenue - w - shortfall_share
+    return _require_finite_profits(profits)
 
 
 def _member_success_pmf(e_values: np.ndarray, n: int) -> np.ndarray:
@@ -436,10 +445,7 @@ def profit_distribution_group(e: float, n: int, w: float, params: MarketParams) 
     e = _require_in("e", float(e), 0.0, 1.0)
     if w <= 0:
         raise DomainError("w must be > 0")
-    # A w near the float maximum overflows to a -inf profit, which
-    # `ProfitDistribution` rejects.
-    with np.errstate(over="ignore"):
-        profits = _success_profits(n, w, params)
+    profits = _success_profits(n, w, params)
     if e == 0.0:
         pmf = np.zeros(n)
     elif e == 1.0:

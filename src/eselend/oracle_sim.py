@@ -42,6 +42,7 @@ from .model_core import (
     _group_size,
     _require_finite,
     _require_in,
+    _success_profits,
     profit_distribution_group,
 )
 
@@ -151,37 +152,34 @@ def simulate_member_profit_batch(es, group, ws, params: MarketParams,
     es, ws = list(es), list(ws)
     if len(es) != len(ws):
         raise DomainError("es and ws must have the same length")
+    tables = []
     for i, (e, w) in enumerate(zip(es, ws)):
         with _cell(i):
             _require_in("e", e, 0.0, 1.0)
             _require_finite("w", w)
             if w <= 0:
                 raise DomainError("w must be > 0")
+            # Entry c is the profit of code own * (peer successes + 1).
+            tables.append(np.concatenate(([0.0], _success_profits(n, w, params)[::-1])))
     if cfg.trials * n >= 2 ** 62:
         raise DomainError("trials * n too large for the 64-bit counter space")
 
     results = []
     for first in range(0, len(es), _SHARED_CELLS):
         cells = slice(first, first + _SHARED_CELLS)
-        sums = _stream_sums(es[cells], n, ws[cells], params, cfg)
+        sums = _stream_sums(es[cells], n, tables[cells], cfg)
         for i, cell_sums in enumerate(sums, first):
             with _cell(i):
                 results.append(_sim_result(*cell_sums, cfg))
     return results
 
 
-def _stream_sums(es: list, n: int, ws: list, params: MarketParams,
-                 cfg: SimConfig) -> list[tuple]:
+def _stream_sums(es: list, n: int, tables: list, cfg: SimConfig) -> list[tuple]:
     """Per-chunk sums and sums of squares, and the min and max, of each
-    cell's profit, all from one pass over the shared draw stream."""
-    ph, pl = params.high_revenue, params.low_revenue
-    peer_ok = np.arange(n)
-    k_fail = (n - 1) - peer_ok
+    cell's profit, all from one pass over the shared draw stream.
+    ``tables[i]`` maps cell i's outcome codes to profits."""
     # x * 2^-53 < e holds exactly when x < ceil(e * 2^53).
     thresholds = [np.uint64(math.ceil(e * 2.0 ** 53)) for e in es]
-    # Entry c is the profit of code own * (peer successes + 1).
-    tables = [np.concatenate(([0.0], ph - w - k_fail * (w - pl) / (peer_ok + 1)))
-              for w in ws]
 
     rows = max(1, _BLOCK_DRAWS // n)
     offsets = np.arange(rows, dtype=np.uint64) * np.uint64(n)

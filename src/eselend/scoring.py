@@ -19,17 +19,26 @@ farmers and metrics as the rows and columns of one farmers x metrics
 matrix, from whose counts it reports duplicate, unknown and missing pairs.
 A list of `MetricRecord`s is converted to a table and scored the same way.
 
+The metrics reader splits a plain file as text: when the file holds no
+quote, NUL or lone carriage return and every line has exactly two commas
+(one pass over the bytes checks this), its cells are one
+``str.split(",")`` of the text with newlines turned into commas. Other
+files go through `csv.reader`. Both feed the same column check, and a file
+that fails it is walked line by line to name its first bad line.
+
 File formats: metric records arrive as CSV with header
 ``farmer_id,metric_id,value``; the schema is CSV with header
 ``metric_id,pillar,direction,kind,weight,min,max`` (the last three columns
 may be blank); scores leave as CSV with header ``farmer_id,score`` and four
-decimal places. Malformed metric data raises DataError, malformed schema
-raises ConfigError, both with file and line context.
+decimal places. Input files are UTF-8, with an optional byte-order mark.
+Malformed metric data raises DataError, malformed schema raises
+ConfigError, both with file and line context.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from itertools import repeat
@@ -316,46 +325,106 @@ def composite_score(records: MetricTable | Iterable[MetricRecord],
 
 _METRICS_HEADER = ["farmer_id", "metric_id", "value"]
 _SCHEMA_HEADER = ["metric_id", "pillar", "direction", "kind", "weight", "min", "max"]
+_UTF8_BOM = b"\xef\xbb\xbf"
+# Every byte but the comma and the newline, for bytes.translate to delete.
+_NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b",\n")))
+# The ASCII characters str.strip() removes, other than LF and CR; any
+# non-ASCII character may be Unicode whitespace as well. A text-split file
+# holds CR only in CRLF, where it ends a line's last cell, which float()
+# reads past.
+_ASCII_SPACE = "\t\x0b\x0c\x1c\x1d\x1e\x1f "
+
+
+def _decode(data: bytes, path: Path, error: type[Exception]) -> str:
+    """The text of a UTF-8 file's bytes, less one leading byte-order mark;
+    invalid UTF-8 raises ``error`` with the offending byte and line."""
+    start = len(_UTF8_BOM) if data.startswith(_UTF8_BOM) else 0
+    try:
+        return str(memoryview(data)[start:], "utf-8")
+    except UnicodeDecodeError as exc:
+        offset = start + exc.start
+        line = data.count(b"\n", 0, offset) + 1
+        raise error(f"{path}: not valid UTF-8: byte 0x{data[offset]:02x} "
+                    f"on line {line}") from None
+
+
+def _two_commas_a_line(data: bytes) -> bool:
+    """Whether every line of ``data`` holds exactly two commas: its commas
+    and newlines, in order, must read ``,,\\n`` repeated."""
+    seps = data.translate(None, _NOT_SEPARATOR)
+    if not data.endswith(b"\n"):
+        seps += b"\n"  # the last line's end is implied
+    return seps == b",,\n" * (len(seps) // 3)
 
 
 def read_metrics_csv(path) -> MetricTable:
     """Load metric records, reporting problems with file and line context.
 
-    Blank rows are skipped and cells are stripped. The records are checked
-    a whole column at a time; only a file that fails a check (or holds a
-    blank row) is walked again row by row, to report its first bad line.
+    Blank rows are skipped and cells are stripped. The cells come from one
+    text split, or from `csv.reader` for a file that quoting rules apply to
+    (see the module docstring). The records are checked a whole column at
+    a time; only a file that fails a check (or holds a blank row) is walked
+    again row by row, to report its first bad line.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ConfigError(f"{path}: empty metrics file")
-        if [h.strip() for h in header] != _METRICS_HEADER:
-            raise DataError(
-                f"{path}:1: expected header {','.join(_METRICS_HEADER)}"
-            )
-        rows = list(reader)
-    table = _parse_columns(rows)
+    data = path.read_bytes()
+    quoted = (b'"' in data or b"\0" in data
+              or b"\r" in data and data.count(b"\r") != data.count(b"\r\n"))
+    aligned = not quoted and _two_commas_a_line(data)
+    text = _decode(data, path, DataError)
+    del data
+    if not text:
+        raise ConfigError(f"{path}: empty metrics file")
+    if quoted:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        del text
+        header = rows.pop(0)
+        cells = (None if any(len(row) != 3 for row in rows)
+                 else [cell for row in rows for cell in row])
+        strip = True  # a quoted cell may hold a newline
+    elif aligned:
+        strip = not text.isascii() or any(ch in text for ch in _ASCII_SPACE)
+        final_newline = text.endswith("\n")
+        text = text.replace("\n", ",")
+        cells = text.split(",")
+        del text
+        if final_newline:
+            cells.pop()
+        header = cells[:3]
+        del cells[:3]
+        rows = None
+    else:
+        # a final newline leaves one empty line, a blank row
+        rows = [line.split(",") for line in text.split("\n")]
+        header = rows.pop(0)
+        cells = None
+    if [h.strip() for h in header] != _METRICS_HEADER:
+        raise DataError(f"{path}:1: expected header {','.join(_METRICS_HEADER)}")
+    table = None if cells is None else _parse_columns(cells, strip)
     if table is None:
+        if rows is None:
+            rows = [cells[i:i + 3] for i in range(0, len(cells), 3)]
         table = _parse_rows(rows, path)
     if not len(table):
         raise ConfigError(f"{path}: metrics file contains no records")
     return table
 
 
-def _parse_columns(rows: list[list[str]]) -> MetricTable | None:
-    """The table of ``rows``, or None unless every row is a valid record."""
-    if set(map(len, rows)) - {3}:
-        return None
-    farmer_ids = [row[0].strip() for row in rows]
-    metric_ids = [row[1].strip() for row in rows]
-    if "" in farmer_ids or "" in metric_ids:
+def _parse_columns(cells: list[str], strip: bool) -> MetricTable | None:
+    """The table of ``cells``, three to a record, or None unless every
+    record is valid. ``strip`` is False only when no id can hold
+    whitespace."""
+    farmer_ids, metric_ids = cells[0::3], cells[1::3]
+    if strip:
+        farmer_ids = [cell.strip() for cell in farmer_ids]
+        metric_ids = [cell.strip() for cell in metric_ids]
+    if not (all(farmer_ids) and all(metric_ids)):
         return None
     try:
-        # float() ignores the same surrounding whitespace that strip() removes
-        values = np.fromiter(map(float, [row[2] for row in rows]),
-                             dtype=float, count=len(rows))
+        # float() ignores the whitespace that strip() removes, but for
+        # \x1c-\x1f: a value padded with those is read by _parse_rows
+        values = np.fromiter(map(float, cells[2::3]), dtype=float,
+                             count=len(farmer_ids))
     except ValueError:
         return None
     if not np.isfinite(values).all():
@@ -400,39 +469,39 @@ def read_schema_csv(path, normalization: str = "MIN_MAX") -> ScoringScheme:
     """Load a scoring schema; see the module docstring for the format."""
     path = Path(path)
     metrics: list[MetricDef] = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ConfigError(f"{path}: empty schema file")
-        names = [h.strip() for h in header]
-        if names != _SCHEMA_HEADER and names != _SCHEMA_HEADER[:4]:
+    text = _decode(path.read_bytes(), path, ConfigError)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise ConfigError(f"{path}: empty schema file")
+    names = [h.strip() for h in header]
+    if names != _SCHEMA_HEADER and names != _SCHEMA_HEADER[:4]:
+        raise ConfigError(
+            f"{path}:1: expected header {','.join(_SCHEMA_HEADER)} "
+            "(weight, min, and max may be omitted)"
+        )
+    width = len(names)
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != width:
             raise ConfigError(
-                f"{path}:1: expected header {','.join(_SCHEMA_HEADER)} "
-                "(weight, min, and max may be omitted)"
+                f"{path}:{lineno}: expected {width} fields, got {len(row)}"
             )
-        width = len(names)
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != width:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected {width} fields, got {len(row)}"
-                )
-            metric_id, pillar, direction, kind = (cell.strip() for cell in row[:4])
-            weight = bound_lo = bound_hi = None
-            if width == 7:
-                weight = _parse_optional_float(row[4], path, lineno, "weight")
-                bound_lo = _parse_optional_float(row[5], path, lineno, "min")
-                bound_hi = _parse_optional_float(row[6], path, lineno, "max")
-            if (bound_lo is None) != (bound_hi is None):
-                raise ConfigError(f"{path}:{lineno}: min and max must be given together")
-            bounds = None if bound_lo is None else (bound_lo, bound_hi)
-            try:
-                metrics.append(MetricDef(metric_id, pillar, direction, kind,
-                                         weight=weight, bounds=bounds))
-            except ConfigError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        metric_id, pillar, direction, kind = (cell.strip() for cell in row[:4])
+        weight = bound_lo = bound_hi = None
+        if width == 7:
+            weight = _parse_optional_float(row[4], path, lineno, "weight")
+            bound_lo = _parse_optional_float(row[5], path, lineno, "min")
+            bound_hi = _parse_optional_float(row[6], path, lineno, "max")
+        if (bound_lo is None) != (bound_hi is None):
+            raise ConfigError(f"{path}:{lineno}: min and max must be given together")
+        bounds = None if bound_lo is None else (bound_lo, bound_hi)
+        try:
+            metrics.append(MetricDef(metric_id, pillar, direction, kind,
+                                     weight=weight, bounds=bounds))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     if not metrics:
         raise ConfigError(f"{path}: schema file contains no metrics")
     return ScoringScheme(schema=tuple(metrics), normalization=normalization)

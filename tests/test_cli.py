@@ -273,6 +273,17 @@ class TestSweepMv:
         assert ("error: b=0.5, c=1000, gamma=-1: gamma must be >= 0"
                 in capsys.readouterr().err)
 
+    def test_overflowing_w_is_named(self, tmp_path, capsys):
+        """A --w whose utility overflows the float range is an input
+        problem: exit 2 naming the first cell, with no floating-point
+        warning, where it used to exit 4 as a non-finite objective."""
+        out = tmp_path / "mv.csv"
+        assert main(["sweep-mv", "--w", "1e308", "--out", str(out)]) == 2
+        assert (capsys.readouterr().err
+                == "error: b=0.3, c=800, gamma=0: the mean-variance utility "
+                   "overflows the float range at w=1e+308\n")
+        assert not out.exists()
+
     def test_moment_route_failure_is_named(self, tmp_path, monkeypatch,
                                            capsys):
         """A disagreement between the two moment routes exits 4 and names
@@ -337,6 +348,17 @@ class TestSweepYield:
         assert main(["sweep-yield", "--endogenous-w", "--out", str(out)]) == 4
         assert ("error: scenario=Ybar=600,Ylow=300, gamma=0: "
                 in capsys.readouterr().err)
+
+    def test_overflowing_w_is_named(self, tmp_path, capsys):
+        """A --w whose utility overflows exits 2 naming its scenario and
+        gamma, with no floating-point warning."""
+        out = tmp_path / "y.csv"
+        assert main(["sweep-yield", "--w", "1e308", "--out", str(out)]) == 2
+        assert (capsys.readouterr().err
+                == "error: scenario=Ybar=1000,Ylow=500, gamma=0: the "
+                   "mean-variance utility overflows the float range at "
+                   "w=1e+308\n")
+        assert not out.exists()
 
     def test_yields_spec_needs_two_pairs(self, tmp_path):
         """One pair or malformed pairs exit 2."""
@@ -561,6 +583,30 @@ class TestScore:
         assert rc == 3
         err = capsys.readouterr().err
         assert "F2" in err and "q" in err
+
+    def test_invalid_utf8_exits_with_its_file_named(self, tmp_path, capsys):
+        """A metrics file that is not UTF-8 is a data error (exit 3), a
+        schema that is not UTF-8 a configuration error (exit 2); each
+        names its file, byte and line."""
+        schema = tmp_path / "schema.csv"
+        schema.write_text("metric_id,pillar,direction,kind\n"
+                          "m,ENVIRONMENTAL,HIGHER_BETTER,CONTINUOUS\n",
+                          encoding="utf-8")
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_bytes(b"farmer_id,metric_id,value\nF1,m\xff,1\n")
+        out = tmp_path / "scores.csv"
+        argv = ["score", "--metrics", str(metrics), "--schema", str(schema),
+                "--out", str(out)]
+        assert main(argv) == 3
+        assert (capsys.readouterr().err
+                == f"error: {metrics}: not valid UTF-8: byte 0xff on line 2\n")
+        metrics.write_text("farmer_id,metric_id,value\nF1,m,1\n", encoding="utf-8")
+        schema.write_bytes(b"metric_id,pillar,direction,kind\n"
+                           b"m,ENVIRONMENTAL,HIGHER_BETTER,CONTINUOUS\x80\n")
+        assert main(argv) == 2
+        assert (capsys.readouterr().err
+                == f"error: {schema}: not valid UTF-8: byte 0x80 on line 2\n")
+        assert not out.exists()
 
     def test_requires_metrics(self, tmp_path):
         """score without --metrics (or a config value) exits 2."""

@@ -406,6 +406,23 @@ class TestOptimalEseMvBatch:
             optimal_ese_mv_batch(150.0, cells[:2])
         assert excinfo.value.cell == 1
 
+    def test_overflow_is_rejected_per_cell(self):
+        """A cell whose utility would overflow the float range is a domain
+        error naming its index, raised before any numpy overflow: a huge
+        fixed w, a huge effort cost, or a loan whose break-even w is huge."""
+        huge_loan = MarketParams(p=1.0, y_high=1000.0, y_low=500.0,
+                                 loan=1e160, epsilon=0.05, delta=0.9)
+        for w, cells, endogenous in (
+                (1e308, [(BASE, 0.0, COST, LINK)], False),
+                (150.0, [(BASE, 0.0, COST, LINK),
+                         (BASE, 0.0, CostModel(c=1.7e308), LINK)], False),
+                (None, [(BASE, 0.5, COST, ScoreLink(k=0.007, b=0.3)),
+                        (huge_loan, 0.5, COST, ScoreLink(k=0.007, b=0.3))],
+                 True)):
+            with pytest.raises(DomainError, match="overflows the float range") as excinfo:
+                optimal_ese_mv_batch(w, cells, endogenous_w=endogenous)
+            assert excinfo.value.cell == len(cells) - 1
+
 
 # ----------------------------------------------------------------------
 # sweep helper

@@ -481,6 +481,15 @@ class TestExpectedProfitGroup:
             b = expected_profit_group_sum(E, n, w, params, cost, link)
             np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-10)
 
+    def test_binomial_sum_rejects_overflowing_w(self):
+        """w = 1e308 overflows the profit of a member who covers two failed
+        peers: a domain error with no floating-point warning, where the
+        sum used to return -inf."""
+        cost = CostModel(c=1000.0)
+        link = ScoreLink(k=0.01, b=0.0)
+        with pytest.raises(DomainError, match="invalid outcome profit -inf"):
+            expected_profit_group_sum(50.0, 3, 1e308, BASE, cost, link)
+
     def test_distribution_mean_consistency(self):
         """expected_profit_group + effort cost equals the exact
         distribution mean for random draws."""

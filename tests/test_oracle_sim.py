@@ -221,6 +221,15 @@ class TestSimulateContract:
         with pytest.raises(DomainError):
             simulate_member_profit(0.5, 2, 0.0, BASE, cfg)
 
+    def test_overflowing_w_rejected_before_drawing(self):
+        """A w whose outcome profits overflow is rejected by the same check
+        as the enumeration's, with no floating-point warning on the way."""
+        cfg = SimConfig(trials=1000, seed=1)
+        with pytest.raises(DomainError, match="invalid outcome profit -inf"):
+            simulate_member_profit(0.5, 3, 1e308, BASE, cfg)
+        with pytest.raises(DomainError, match="invalid outcome profit -inf"):
+            enumerate_member_profit(0.5, 3, 1e308, BASE)
+
 
 # ----------------------------------------------------------------------
 # shared-stream batch
@@ -308,8 +317,8 @@ class TestSimulateBatch:
                                          + [math.inf], BASE, cfg)
         assert excinfo.value.cell == _SHARED_CELLS + 2
         # w = 1e308 overflows the profit of a failing peer to -inf.
-        with np.errstate(over="ignore"), pytest.raises(
-                DomainError, match="empirical_mean must be finite") as excinfo:
+        with pytest.raises(DomainError,
+                           match="invalid outcome profit -inf") as excinfo:
             simulate_member_profit_batch(es, 3, [150.0] * (_SHARED_CELLS + 1)
                                          + [1e308, 150.0], BASE, cfg)
         assert excinfo.value.cell == _SHARED_CELLS + 1

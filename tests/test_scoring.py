@@ -26,6 +26,7 @@ from eselend import (
     normalize,
     success_probability,
 )
+from eselend import scoring
 from eselend.model_core import ScoreLink
 from eselend.scoring import (
     PILLARS,
@@ -366,6 +367,42 @@ class TestCsvCodecs:
         path.write_bytes(b"\xef\xbb\xbffarmer_id,metric_id,value\nF1,m,1\n")
         assert _columns(read_metrics_csv(path)) == (["F1"], ["m"], [1.0])
 
+    def test_plain_files_skip_csv_reader(self, tmp_path, monkeypatch):
+        """A file without quotes, NULs or lone CRs is split as text: with LF
+        or CRLF line ends, with or without a final newline, and with any
+        whitespace around its ids, it never reaches csv.reader, and unless
+        it holds a blank row it never reaches the row-by-row walk."""
+        def fail(*args, **kwargs):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(scoring.csv, "reader", fail)
+        path = tmp_path / "metrics.csv"
+        want = (["F1", "F2"], ["m", "q"], [10.0, 0.5])
+        for pad in ("", "\t", "\x0b", "\x0c", "\x1c", "\x1f", " ", "\xa0", "\u3000"):
+            for end in ("\n", "\r\n"):
+                for last, blank in ((end, ""), ("", ""), (end, end)):
+                    path.write_bytes(
+                        f"farmer_id,metric_id,value{end}F1{pad},{pad}m,10{end}"
+                        f"{blank}F2,q{pad},0.5{last}".encode("utf-8"))
+                    with monkeypatch.context() as patch:
+                        if not blank:
+                            patch.setattr(scoring, "_parse_rows", fail)
+                        assert _columns(read_metrics_csv(path)) == want
+
+    def test_invalid_utf8_is_a_located_error(self, tmp_path):
+        """A byte that is not UTF-8 names the file, the byte and its line:
+        a data error in a metrics file, a configuration error in a schema."""
+        path = tmp_path / "metrics.csv"
+        path.write_bytes(b"\xef\xbb\xbffarmer_id,metric_id,value\nF1,m\xff,1\n")
+        with pytest.raises(DataError) as excinfo:
+            read_metrics_csv(path)
+        assert str(excinfo.value) == f"{path}: not valid UTF-8: byte 0xff on line 2"
+        path = tmp_path / "schema.csv"
+        path.write_bytes(b"metric_id,pillar,direction,kind\n\n\xe9,SOCIAL,,\n")
+        with pytest.raises(ConfigError) as excinfo:
+            read_schema_csv(path)
+        assert str(excinfo.value) == f"{path}: not valid UTF-8: byte 0xe9 on line 3"
+
     def test_schema_short_form(self, tmp_path):
         """The four-column schema form omits weight and bounds."""
         path = tmp_path / "schema.csv"
@@ -439,7 +476,9 @@ class _RefRecord:
 
 
 def _reference_read(path):
-    """Record-by-record reader: the oracle for `read_metrics_csv`."""
+    """Record-by-record reader: the oracle for `read_metrics_csv`. The
+    whole file is parsed before any record is checked, so a csv.Error
+    anywhere (Python 3.10's for a NUL) comes before a record's error."""
     rows = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -448,20 +487,21 @@ def _reference_read(path):
             raise ConfigError(f"{path}: empty metrics file")
         if [h.strip() for h in header] != ["farmer_id", "metric_id", "value"]:
             raise DataError(f"{path}:1: expected header farmer_id,metric_id,value")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            farmer_id, metric_id, raw = (cell.strip() for cell in row)
-            try:
-                value = float(raw)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: value {raw!r} is not a number") from None
-            try:
-                rows.append(_RefRecord(farmer_id, metric_id, value))
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
+        parsed = list(reader)
+    for lineno, row in enumerate(parsed, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != 3:
+            raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+        farmer_id, metric_id, raw = (cell.strip() for cell in row)
+        try:
+            value = float(raw)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: value {raw!r} is not a number") from None
+        try:
+            rows.append(_RefRecord(farmer_id, metric_id, value))
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
     if not rows:
         raise ConfigError(f"{path}: metrics file contains no records")
     return rows
@@ -503,11 +543,24 @@ def _reference_score(records, scheme):
 
 
 def _outcome(run):
-    """Scores as (farmer, score) pairs in key order, or the error raised."""
+    """Scores as (farmer, score) pairs in key order, or the error raised.
+
+    csv.Error counts as an outcome: Python 3.10's csv.reader rejects a NUL.
+    """
     try:
         return list(run().items())
-    except (ConfigError, DataError) as exc:
+    except (ConfigError, DataError, csv.Error) as exc:
         return type(exc), str(exc), getattr(exc, "details", None)
+
+
+def _table_outcome(run):
+    """A metric table's ids and the bits of its values, or the error."""
+    try:
+        farmer_ids, metric_ids, values = run()
+    except (ConfigError, DataError, csv.Error) as exc:
+        return type(exc), str(exc)
+    return (list(farmer_ids), list(metric_ids),
+            np.asarray(values, dtype=float).tobytes())
 
 
 _PROPERTY_SCHEMA = (
@@ -520,18 +573,24 @@ _PAD = st.sampled_from(["", " ", "  ", "\t", "\xa0", "\u2003"])
 _BLANK_ROWS = st.sampled_from(["", "   ", ",,", " , , ", "\t,,\xa0"])
 _BAD_ROWS = st.sampled_from([
     "F1,soil", "F1,soil,1,2", "F1",                # wrong field counts
+    "F1,soil,1,2\nF1,water",                       # ... with the right total
     ",soil,1", "F1, ,1",                           # empty ids
     "F1,soil,nan", "F1,soil,-inf", "F1,soil,1e999",  # non-finite values
     "F1,soil,abc", "F1,soil,", "F1,soil,1 2",      # not numbers
+    "F1,so\x00il,1",                               # a NUL
+    '"F1,soil",1', '"F1",soil,"1"',                # quoted cells
+    '"F1\nF2",soil,1',                              # a quoted newline
 ])
+_LINE_ENDS = st.sampled_from(["\n", "\n", "\r\n", "\r"])
 
 
 @st.composite
 def _metrics_files(draw):
     """Metrics CSV text for a cohort of up to four farmers: every (farmer,
     metric) pair in a random order, then a few drops, duplicates, unknown
-    metrics and blank or malformed rows, with cells padded and an optional
-    BOM."""
+    metrics and blank or malformed rows, with cells padded or quoted, an
+    optional BOM and final newline, and LF, CRLF or lone-CR line ends.
+    Half the files pad no cell, so the text splitter sees them too."""
     farmers = [f"F{i}" for i in range(draw(st.integers(0, 4)))]
     rows = []
     for farmer in farmers:
@@ -554,11 +613,20 @@ def _metrics_files(draw):
             rows.insert(at, [draw(st.sampled_from(farmers or ["F0"])), "ghost", "1"])
         elif kind in ("blank", "bad"):
             rows.insert(at, draw(_BLANK_ROWS if kind == "blank" else _BAD_ROWS))
-    lines = [row if isinstance(row, str)
-             else ",".join(draw(_PAD) + cell + draw(_PAD) for cell in row)
+    pad = _PAD if draw(st.booleans()) else st.just("")
+    quote = draw(st.sampled_from([False, False, False, True]))
+
+    def cell(text):
+        if quote and draw(st.booleans()):
+            text = '"' + text + '"'
+        return draw(pad) + text + draw(pad)
+
+    lines = [row if isinstance(row, str) else ",".join(map(cell, row))
              for row in rows]
+    end = draw(_LINE_ENDS)
     bom = "\ufeff" if draw(st.booleans()) else ""
-    return bom + "\n".join(["farmer_id,metric_id,value"] + lines) + "\n"
+    last = end if draw(st.integers(0, 3)) else ""
+    return bom + end.join(["farmer_id,metric_id,value"] + lines) + last
 
 
 class TestColumnarMatchesReference:
@@ -575,13 +643,17 @@ class TestColumnarMatchesReference:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_same_scores_or_same_error(self, tmp_path, text, normalization):
         path = tmp_path / "metrics.csv"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text.encode("utf-8"))
+        assert (_table_outcome(lambda: _columns(read_metrics_csv(path)))
+                == _table_outcome(lambda: zip(*[
+                    (r.farmer_id, r.metric_id, r.value)
+                    for r in _reference_read(path)])))
         scheme = ScoringScheme(schema=_PROPERTY_SCHEMA, normalization=normalization)
         want = _outcome(lambda: _reference_score(_reference_read(path), scheme))
         assert _outcome(lambda: composite_score(read_metrics_csv(path), scheme)) == want
         try:
             records = [MetricRecord(r.farmer_id, r.metric_id, r.value)
                        for r in _reference_read(path)]
-        except (ConfigError, DataError):
+        except (ConfigError, DataError, csv.Error):
             return
         assert _outcome(lambda: composite_score(records, scheme)) == want
