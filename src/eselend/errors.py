@@ -11,6 +11,15 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
+__all__ = [
+    "EselendError",
+    "DomainError",
+    "DataError",
+    "ConfigError",
+    "EvaluationError",
+    "InvariantViolation",
+]
+
 
 class EselendError(Exception):
     """Base class for all package errors.

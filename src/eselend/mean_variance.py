@@ -41,6 +41,7 @@ from .model_core import (
     CostModel,
     MarketParams,
     ScoreLink,
+    _repayment,
     _require_finite,
     binding_repayment,
     profit_distribution_pair,
@@ -89,16 +90,20 @@ def _risk_aversion(gamma) -> float:
 
 
 def _check_float_range(w: float, params: MarketParams, gamma: float,
-                       cost: CostModel) -> None:
-    """Reject a cell whose mean-variance utility overflows the float range.
+                       c: float) -> None:
+    """Reject a ``w`` whose mean-variance utility overflows the float range.
 
     ``M = max(pYh + pYl, 2w, 1)`` bounds the profit spreads ``A`` and
     ``B``. The moment routes stay within a few times ``(1 + gamma) M^2 + c``
     and the FOC coefficients within about 50 times it (the degree-8
     break-even polynomial has the largest), so 1024 times it must be finite.
+    ``gamma = c = 0`` checks the moments alone. Python floats, which
+    overflow to inf without a warning, keep it cheap enough for every
+    scalar utility call.
     """
+    w = float(w)
     m = max(params.high_revenue + params.low_revenue, 2.0 * w, 1.0)
-    if not math.isfinite(1024.0 * ((1.0 + gamma) * m * m + cost.c)):
+    if not math.isfinite(1024.0 * ((1.0 + gamma) * m * m + float(c))):
         raise DomainError("the mean-variance utility overflows the float "
                           f"range at w={w!r}")
 
@@ -136,9 +141,11 @@ def profit_moments_pair(e: float, w: float, params: MarketParams) -> Moments:
     the polynomial expansions in ``e``. The routes must agree within
     floating-point tolerance or InvariantViolation is raised (that signals
     an implementation bug, never bad input). The enumeration values are
-    returned.
+    returned. A ``w`` whose variance overflows the float range raises
+    DomainError.
     """
     dist = profit_distribution_pair(e, w, params)
+    _check_float_range(w, params, 0.0, 0.0)
     mean_enum = dist.mean()
     var_enum = dist.variance()
     A = params.high_revenue - w
@@ -166,6 +173,7 @@ def mv_utility(E: float, w: float, params: MarketParams, gamma, cost: CostModel,
     gamma = _risk_aversion(gamma)
     e = float(success_probability(E, link))
     m = profit_moments_pair(e, w, params)
+    _check_float_range(w, params, gamma, cost.c)
     return m.mean - 0.5 * gamma * m.variance - float(cost.effort_cost(e))
 
 
@@ -340,9 +348,7 @@ def optimal_ese_mv_batch(w, cells, *, endogenous_w: bool = False) -> list[Optimu
             raise ConfigError("fixed-repayment mode needs an explicit w; pass "
                               "endogenous_w=True to substitute the break-even "
                               "obligation instead")
-        w = _require_finite("w", w)
-        if w <= 0:
-            raise DomainError("w must be > 0")
+        w = _repayment(w)
     cells = list(cells)
     rows = []
     for i, (params, gamma, cost, link) in enumerate(cells):
@@ -354,9 +360,9 @@ def optimal_ese_mv_batch(w, cells, *, endogenous_w: bool = False) -> list[Optimu
                                       "success probability is positive at every score")
                 # the break-even w is largest at the lowest score, e = b
                 top_w = params.loan * (1.0 + params.epsilon) / (link.b * (2.0 - link.b))
-                _check_float_range(top_w, params, gamma, cost)
+                _check_float_range(top_w, params, gamma, cost.c)
             else:
-                _check_float_range(w, params, gamma, cost)
+                _check_float_range(w, params, gamma, cost.c)
         rows.append((params.high_revenue, params.low_revenue,
                      params.loan * (1.0 + params.epsilon), gamma,
                      cost.c, link.k, link.b))

@@ -14,9 +14,10 @@ repayment level that makes the financier whole, and the two loan ceilings
 (affordability and incentive-compatibility).
 
 Group sizes and repayments are plain numbers; `_group_size` is the one
-check of ``n``. A pair is the ``n = 2`` case of the group formulas. Only
-`profit_distribution_pair` stays pair-specific: its four-outcome table is
-the enumeration route that the pair moment polynomials are checked against.
+check of ``n`` and `_repayment` the one check of ``w``. A pair is the
+``n = 2`` case of the group formulas. Only `profit_distribution_pair`
+stays pair-specific: its four-outcome table is the enumeration route that
+the pair moment polynomials are checked against.
 
 All monetary quantities share one currency unit. Functions broadcast over
 numpy arrays wherever a formula is closed-form in ``e`` or ``E``.
@@ -190,6 +191,14 @@ def _group_size(n, *, real: bool = False):
     return int(n)
 
 
+def _repayment(w) -> float:
+    """Check a repayment ``w``: finite and > 0; returns it as a float."""
+    w = _require_finite("w", w)
+    if w <= 0:
+        raise DomainError("w must be > 0")
+    return w
+
+
 class ProfitDistribution:
     """Discrete per-member profit distribution.
 
@@ -331,8 +340,7 @@ def expected_profit_group(E, n: int, w: float, params: MarketParams, cost: CostM
     (`expected_profit_group_sum` keeps the explicit sum as a cross-check).
     """
     n = _group_size(n)
-    if w <= 0:
-        raise DomainError("w must be > 0")
+    w = _repayment(w)
     e = success_probability(E, link)
     fail_all = (1.0 - e) ** n
     gross = (
@@ -395,8 +403,7 @@ def expected_profit_group_sum(E, n: int, w: float, params: MarketParams, cost: C
     n = _group_size(n)
     if n > MAX_ENUM_GROUP:
         raise DomainError(f"enumeration supports n <= {MAX_ENUM_GROUP}")
-    if w <= 0:
-        raise DomainError("w must be > 0")
+    w = _repayment(w)
     e = success_probability(E, link)
     scalar = np.ndim(e) == 0
     ev = np.atleast_1d(np.asarray(e, dtype=float))
@@ -423,8 +430,7 @@ def profit_distribution_pair(e: float, w: float, params: MarketParams) -> Profit
     peer succeeds; both fail. Limited liability zeroes the last two.
     """
     e = _require_in("e", float(e), 0.0, 1.0)
-    if w <= 0:
-        raise DomainError("w must be > 0")
+    w = _repayment(w)
     a = params.high_revenue - w
     both = params.high_revenue + params.low_revenue - 2.0 * w
     return ProfitDistribution(
@@ -443,8 +449,7 @@ def profit_distribution_group(e: float, n: int, w: float, params: MarketParams) 
     if n > MAX_ENUM_GROUP:
         raise DomainError(f"enumeration supports n <= {MAX_ENUM_GROUP}")
     e = _require_in("e", float(e), 0.0, 1.0)
-    if w <= 0:
-        raise DomainError("w must be > 0")
+    w = _repayment(w)
     profits = _success_profits(n, w, params)
     if e == 0.0:
         pmf = np.zeros(n)

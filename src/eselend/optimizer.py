@@ -17,9 +17,10 @@ decreasing in ``e``, so the optimum is its one root or an endpoint;
 `optimal_ese_group_batch` bisects the roots of many group sizes in lockstep
 and `optimal_ese_group` solves one. The FOC routes take any real
 ``n >= 1``.
-`argmax_grid` provides an independent derivative-free maximizer (dense grid
-plus golden-section refinement), a public utility and the cross-check
-route in the tests for the closed forms and the mean-variance maximizer.
+`argmax_grid` provides an independent derivative-free maximizer (a fixed
+2,001-point grid plus golden-section refinement capped at 200 iterations),
+a public utility and the cross-check route in the tests for the closed
+forms and the mean-variance maximizer.
 
 Two historically printed variants, `optimal_ese_pair_as_printed` and
 `dE_dn_as_printed`, reproduce widely circulated but algebraically
@@ -44,7 +45,6 @@ from .model_core import (
 )
 
 __all__ = [
-    "SolverConfig",
     "Optimum",
     "pair_objective",
     "group_objective",
@@ -61,26 +61,9 @@ __all__ = [
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Tolerances of `argmax_grid`.
-
-    grid_points: dense-grid resolution for `argmax_grid`.
-    max_iter: iteration cap for the golden-section refinement.
-    """
-
-    grid_points: int = 2001
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if self.grid_points < 2:
-            raise DomainError("grid_points must be >= 2")
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be >= 1")
-
-
-_DEFAULT_CFG = SolverConfig()
+# `argmax_grid`'s dense-grid resolution and golden-section iteration cap.
+_GRID_POINTS = 2001
+_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -233,38 +216,37 @@ def _snap_tolerance(lo: float, hi: float) -> float:
     return max(xtol, 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0))
 
 
-def argmax_grid(objective: Callable, lo: float = 0.0, hi: float = 100.0,
-                cfg: SolverConfig = _DEFAULT_CFG) -> Optimum:
+def argmax_grid(objective: Callable, lo: float = 0.0, hi: float = 100.0) -> Optimum:
     """Global maximization of a scalar objective on [lo, hi].
 
-    Dense evaluation on ``cfg.grid_points`` equally spaced points picks the
-    best neighborhood, golden-section refinement localizes the maximizer
-    inside that neighborhood, and Richardson-extrapolated parabolic
-    interpolation polishes smooth peaks through the rounding plateau (see
-    `_richardson_polish`). A constant objective
-    resolves to ``lo`` with the boundary flag set. Any non-finite objective
+    Dense evaluation on 2,001 equally spaced points picks the best
+    neighborhood, golden-section refinement (at most 200 iterations)
+    localizes the maximizer inside that neighborhood, and
+    Richardson-extrapolated parabolic interpolation polishes smooth peaks
+    through the rounding plateau (see `_richardson_polish`). A constant
+    objective resolves to ``lo`` with the boundary flag set. Any non-finite objective
     value raises EvaluationError naming the offending point.
     """
     lo, hi = float(lo), float(hi)
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise DomainError("need finite bounds with lo < hi")
-    grid = np.linspace(lo, hi, cfg.grid_points)
+    grid = np.linspace(lo, hi, _GRID_POINTS)
     vals = _eval_objective(objective, grid)
     if not np.all(np.isfinite(vals)):
         bad = grid[int(np.flatnonzero(~np.isfinite(vals))[0])]
         raise EvaluationError(f"objective is not finite at E={bad!r}")
     i = int(np.argmax(vals))
     a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, cfg.grid_points - 1)]
+    b = grid[min(i + 1, _GRID_POINTS - 1)]
     xtol = max(1e-12, 1e-12 * (hi - lo))
-    x_ref, f_ref = _golden_max(objective, float(a), float(b), xtol, cfg.max_iter)
+    x_ref, f_ref = _golden_max(objective, float(a), float(b), xtol, _MAX_ITER)
     # Best of the coarse and refined candidates; ties resolve to the lower
     # score so flat objectives report the lower bound.
     if f_ref > vals[i] or (f_ref == vals[i] and x_ref < grid[i]):
         best_x, best_f = x_ref, f_ref
     else:
         best_x, best_f = float(grid[i]), float(vals[i])
-    spacing = (hi - lo) / (cfg.grid_points - 1)
+    spacing = (hi - lo) / (_GRID_POINTS - 1)
     x_pol, f_pol, engaged = _richardson_polish(objective, best_x, best_f, lo, hi, spacing)
     if engaged:
         best_x, best_f = x_pol, f_pol
@@ -282,8 +264,7 @@ def argmax_grid(objective: Callable, lo: float = 0.0, hi: float = 100.0,
 # ----------------------------------------------------------------------
 
 
-def optimal_ese_pair(params: MarketParams, cost: CostModel, link: ScoreLink,
-                     cfg: SolverConfig = _DEFAULT_CFG) -> Optimum:
+def optimal_ese_pair(params: MarketParams, cost: CostModel, link: ScoreLink) -> Optimum:
     """Score maximizing the substituted two-member objective.
 
     Interior solution ``e* = (pYh + pYl) / (2 pYl + c)``, mapped back through
@@ -404,6 +385,21 @@ def optimal_ese_group(n: float, params: MarketParams, cost: CostModel,
 # ----------------------------------------------------------------------
 
 
+def _sensitivity_numerator(n, E, params: MarketParams, link: ScoreLink):
+    """Checked ``n`` and ``e``, ``1-e`` and the numerator
+    ``pYl (1-e)^{n-1} (1 + n ln(1-e))`` shared by `dE_dn` and
+    `dE_dn_as_printed`."""
+    n = _group_size(n, real=True)
+    if link.k <= 0.0:
+        raise DomainError("sensitivity requires k > 0")
+    e = success_probability(E, link)
+    if not 0.0 < e < 1.0:
+        raise DomainError("sensitivity requires 0 < e < 1")
+    one_m = 1.0 - e
+    numerator = params.low_revenue * one_m ** (n - 1.0) * (1.0 + n * math.log(one_m))
+    return n, e, one_m, numerator
+
+
 def dE_dn(n: float, E: float, params: MarketParams, cost: CostModel, link: ScoreLink) -> float:
     """Sensitivity of the FOC-optimal score to group size.
 
@@ -416,15 +412,8 @@ def dE_dn(n: float, E: float, params: MarketParams, cost: CostModel, link: Score
     group grows since the numerator carries ``(1-e)^{n-1}``. Requires
     ``0 < e < 1`` and ``k > 0``.
     """
-    n = _group_size(n, real=True)
-    if link.k <= 0.0:
-        raise DomainError("sensitivity requires k > 0")
-    e = success_probability(E, link)
-    if not 0.0 < e < 1.0:
-        raise DomainError("sensitivity requires 0 < e < 1")
+    n, _, one_m, numerator = _sensitivity_numerator(n, E, params, link)
     pl = params.low_revenue
-    one_m = 1.0 - e
-    numerator = pl * one_m ** (n - 1.0) * (1.0 + n * math.log(one_m))
     denominator = link.k * (pl * n * (n - 1.0) * one_m ** (n - 2.0) + cost.c)
     return numerator / denominator
 
@@ -439,15 +428,8 @@ def dE_dn_as_printed(n: float, E: float, params: MarketParams, cost: CostModel,
     magnitudes disagree except where ``e`` happens to equal ``k``. Nothing
     in this package consumes it.
     """
-    n = _group_size(n, real=True)
-    if link.k <= 0.0:
-        raise DomainError("sensitivity requires k > 0")
-    e = success_probability(E, link)
-    if not 0.0 < e < 1.0:
-        raise DomainError("sensitivity requires 0 < e < 1")
+    n, e, one_m, numerator = _sensitivity_numerator(n, E, params, link)
     pl = params.low_revenue
-    one_m = 1.0 - e
-    numerator = pl * one_m ** (n - 1.0) * (1.0 + n * math.log(one_m))
     denominator = link.k * pl * n * (n - 1.0) * one_m ** (n - 2.0) + cost.c * e
     return numerator / denominator
 

@@ -40,6 +40,7 @@ from .mean_variance import Moments
 from .model_core import (
     MarketParams,
     _group_size,
+    _repayment,
     _require_finite,
     _require_in,
     _success_profits,
@@ -156,9 +157,7 @@ def simulate_member_profit_batch(es, group, ws, params: MarketParams,
     for i, (e, w) in enumerate(zip(es, ws)):
         with _cell(i):
             _require_in("e", e, 0.0, 1.0)
-            _require_finite("w", w)
-            if w <= 0:
-                raise DomainError("w must be > 0")
+            w = _repayment(w)
             # Entry c is the profit of code own * (peer successes + 1).
             tables.append(np.concatenate(([0.0], _success_profits(n, w, params)[::-1])))
     if cfg.trials * n >= 2 ** 62:

@@ -22,9 +22,10 @@ A list of `MetricRecord`s is converted to a table and scored the same way.
 The metrics reader splits a plain file as text: when the file holds no
 quote, NUL or lone carriage return and every line has exactly two commas
 (one pass over the bytes checks this), its cells are one
-``str.split(",")`` of the text with newlines turned into commas. Other
-files go through `csv.reader`. Both feed the same column check, and a file
-that fails it is walked line by line to name its first bad line.
+``str.split(",")`` of the text with newlines turned into commas. Every
+other file goes through `csv.reader`. Both feed the same column check,
+and a file that fails it is walked row by row to name the line its first
+bad record starts on.
 
 File formats: metric records arrive as CSV with header
 ``farmer_id,metric_id,value``; the schema is CSV with header
@@ -357,32 +358,38 @@ def _two_commas_a_line(data: bytes) -> bool:
     return seps == b",,\n" * (len(seps) // 3)
 
 
+def _csv_rows(text: str, path: Path, error: type[Exception]):
+    """Yield `csv.reader`'s rows of ``text`` as ``(line it starts on, row)``.
+    A `csv.Error` raises ``error`` at the line of the row it stopped in."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    start = 1
+    try:
+        for row in reader:
+            yield start, row
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise error(f"{path}:{start}: {exc}") from None
+
+
 def read_metrics_csv(path) -> MetricTable:
     """Load metric records, reporting problems with file and line context.
 
     Blank rows are skipped and cells are stripped. The cells come from one
-    text split, or from `csv.reader` for a file that quoting rules apply to
-    (see the module docstring). The records are checked a whole column at
-    a time; only a file that fails a check (or holds a blank row) is walked
-    again row by row, to report its first bad line.
+    text split, or from `csv.reader` for any other file (see the module
+    docstring). The records are checked a whole column at a time; only a
+    file that fails a check (or holds a blank row) is walked again row by
+    row, to report the line its first bad record starts on.
     """
     path = Path(path)
     data = path.read_bytes()
-    quoted = (b'"' in data or b"\0" in data
-              or b"\r" in data and data.count(b"\r") != data.count(b"\r\n"))
-    aligned = not quoted and _two_commas_a_line(data)
+    lone_cr = b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
+    aligned = (b'"' not in data and b"\0" not in data and not lone_cr
+               and _two_commas_a_line(data))
     text = _decode(data, path, DataError)
     del data
     if not text:
         raise ConfigError(f"{path}: empty metrics file")
-    if quoted:
-        rows = list(csv.reader(io.StringIO(text, newline="")))
-        del text
-        header = rows.pop(0)
-        cells = (None if any(len(row) != 3 for row in rows)
-                 else [cell for row in rows for cell in row])
-        strip = True  # a quoted cell may hold a newline
-    elif aligned:
+    if aligned:
         strip = not text.isascii() or any(ch in text for ch in _ASCII_SPACE)
         final_newline = text.endswith("\n")
         text = text.replace("\n", ",")
@@ -394,16 +401,17 @@ def read_metrics_csv(path) -> MetricTable:
         del cells[:3]
         rows = None
     else:
-        # a final newline leaves one empty line, a blank row
-        rows = [line.split(",") for line in text.split("\n")]
-        header = rows.pop(0)
-        cells = None
+        (_, header), *rows = _csv_rows(text, path, DataError)
+        del text
+        cells = (None if any(len(row) != 3 for _, row in rows)
+                 else [cell for _, row in rows for cell in row])
+        strip = True  # a quoted cell may hold a newline
     if [h.strip() for h in header] != _METRICS_HEADER:
         raise DataError(f"{path}:1: expected header {','.join(_METRICS_HEADER)}")
     table = None if cells is None else _parse_columns(cells, strip)
     if table is None:
-        if rows is None:
-            rows = [cells[i:i + 3] for i in range(0, len(cells), 3)]
+        if rows is None:  # a line of an aligned file is one record
+            rows = [(i // 3 + 2, cells[i:i + 3]) for i in range(0, len(cells), 3)]
         table = _parse_rows(rows, path)
     if not len(table):
         raise ConfigError(f"{path}: metrics file contains no records")
@@ -432,11 +440,11 @@ def _parse_columns(cells: list[str], strip: bool) -> MetricTable | None:
     return MetricTable(farmer_ids, metric_ids, values)
 
 
-def _parse_rows(rows: list[list[str]], path: Path) -> MetricTable:
-    """The table of ``rows`` read one at a time in file order, skipping
-    blank rows and raising at the first bad one with its line number."""
+def _parse_rows(rows: list[tuple], path: Path) -> MetricTable:
+    """The table of ``(line, row)`` pairs read one at a time in file order,
+    skipping blank rows and raising at the first bad one with its line."""
     farmer_ids, metric_ids, values = [], [], []
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in rows:
         if not any(cell.strip() for cell in row):
             continue
         if len(row) != 3:
@@ -469,9 +477,9 @@ def read_schema_csv(path, normalization: str = "MIN_MAX") -> ScoringScheme:
     """Load a scoring schema; see the module docstring for the format."""
     path = Path(path)
     metrics: list[MetricDef] = []
-    text = _decode(path.read_bytes(), path, ConfigError)
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
+    rows = _csv_rows(_decode(path.read_bytes(), path, ConfigError), path,
+                     ConfigError)
+    _, header = next(rows, (1, None))
     if header is None:
         raise ConfigError(f"{path}: empty schema file")
     names = [h.strip() for h in header]
@@ -481,7 +489,7 @@ def read_schema_csv(path, normalization: str = "MIN_MAX") -> ScoringScheme:
             "(weight, min, and max may be omitted)"
         )
     width = len(names)
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in rows:
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != width:

@@ -608,6 +608,32 @@ class TestScore:
                 == f"error: {schema}: not valid UTF-8: byte 0x80 on line 2\n")
         assert not out.exists()
 
+    def test_csv_error_exits_with_its_line_named(self, tmp_path, capsys):
+        """A quoted cell over csv's field size limit is a data error in a
+        metrics file (exit 3) and a configuration error in a schema (exit
+        2); each names its file and the line the record starts on."""
+        big = '"' + "x" * 200_000 + '"'
+        limit = "field larger than field limit (131072)"
+        schema = tmp_path / "schema.csv"
+        schema.write_text("metric_id,pillar,direction,kind\n"
+                          "m,ENVIRONMENTAL,HIGHER_BETTER,CONTINUOUS\n",
+                          encoding="utf-8")
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text(f"farmer_id,metric_id,value\nF1,m,1\n{big},m,1\n",
+                           encoding="utf-8")
+        out = tmp_path / "scores.csv"
+        argv = ["score", "--metrics", str(metrics), "--schema", str(schema),
+                "--out", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: {metrics}:3: {limit}\n"
+        metrics.write_text("farmer_id,metric_id,value\nF1,m,1\n", encoding="utf-8")
+        schema.write_text("metric_id,pillar,direction,kind\n"
+                          f"{big},ENVIRONMENTAL,HIGHER_BETTER,CONTINUOUS\n",
+                          encoding="utf-8")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {schema}:2: {limit}\n"
+        assert not out.exists()
+
     def test_requires_metrics(self, tmp_path):
         """score without --metrics (or a config value) exits 2."""
         assert main(["score", "--out", str(tmp_path / "s.csv")]) == 2

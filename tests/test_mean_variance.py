@@ -174,6 +174,14 @@ class TestMvUtility:
                   for g in (0.0, 0.01, 0.1, 1.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    def test_overflowing_w_is_rejected_without_warning(self):
+        """w = 1e160 overflows the variance's squares: the moments and the
+        utility are domain errors naming w, raised before numpy warns."""
+        with pytest.raises(DomainError, match=r"float range at w=1e\+160"):
+            profit_moments_pair(0.5, 1e160, BASE)
+        with pytest.raises(DomainError, match=r"float range at w=1e\+160"):
+            mv_utility(50.0, 1e160, BASE, 0.5, COST, LINK)
+
     def test_risk_preference_validation(self):
         """gamma must be finite and >= 0: -0.1 and nan are rejected."""
         with pytest.raises(DomainError, match="gamma must be >= 0"):

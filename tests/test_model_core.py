@@ -20,15 +20,19 @@ from eselend import (
     MarketParams,
     ProfitDistribution,
     ScoreLink,
+    SimConfig,
     binding_repayment,
     expected_profit_group,
     expected_profit_group_sum,
     expected_profit_pair,
     loan_ceiling_affordability,
     loan_ceiling_incentive,
+    mv_utility,
+    optimal_ese_mv_batch,
     pair_objective,
     profit_distribution_group,
     profit_distribution_pair,
+    simulate_member_profit_batch,
     success_probability,
 )
 
@@ -436,6 +440,38 @@ class TestExpectedProfitPair:
         link = ScoreLink(k=0.01, b=0.0)
         with pytest.raises(DomainError):
             expected_profit_pair(50.0, 0.0, BASE, cost, link)
+
+
+_COST = CostModel(c=1000.0)
+_LINK = ScoreLink(k=0.01, b=0.0)
+
+# Every route that takes a repayment w, as a function of w alone.
+_W_ROUTES = {
+    "expected_profit_pair":
+        lambda w: expected_profit_pair(50.0, w, BASE, _COST, _LINK),
+    "expected_profit_group":
+        lambda w: expected_profit_group(50.0, 3, w, BASE, _COST, _LINK),
+    "expected_profit_group_sum":
+        lambda w: expected_profit_group_sum(50.0, 3, w, BASE, _COST, _LINK),
+    "profit_distribution_pair": lambda w: profit_distribution_pair(0.5, w, BASE),
+    "profit_distribution_group":
+        lambda w: profit_distribution_group(0.5, 3, w, BASE),
+    "simulate_member_profit_batch": lambda w: simulate_member_profit_batch(
+        [0.5], 3, [w], BASE, SimConfig(trials=1000)),
+    "optimal_ese_mv_batch":
+        lambda w: optimal_ese_mv_batch(w, [(BASE, 0.5, _COST, _LINK)]),
+    "mv_utility": lambda w: mv_utility(50.0, w, BASE, 0.5, _COST, _LINK),
+}
+
+
+@pytest.mark.parametrize("w", [float("nan"), float("inf")])
+@pytest.mark.parametrize("route", sorted(_W_ROUTES))
+def test_non_finite_w_is_rejected(route, w):
+    """Every route rejects a NaN or infinite w with one message, and with
+    no floating-point warning; the closed forms used to return nan or
+    -inf."""
+    with pytest.raises(DomainError, match=f"w must be finite, got {w!r}"):
+        _W_ROUTES[route](w)
 
 
 class TestExpectedProfitGroup:

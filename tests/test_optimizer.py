@@ -18,7 +18,6 @@ from eselend import (
     EvaluationError,
     MarketParams,
     ScoreLink,
-    SolverConfig,
     argmax_grid,
     dE_dn,
     dE_dn_as_printed,
@@ -96,13 +95,9 @@ class TestArgmaxGrid:
         assert opt.at_boundary
 
     def test_rejects_bad_bounds_and_config(self):
-        """lo >= hi and degenerate solver settings are domain errors."""
+        """lo >= hi is a domain error."""
         with pytest.raises(DomainError):
             argmax_grid(lambda E: 0.0, lo=5.0, hi=5.0)
-        with pytest.raises(DomainError):
-            SolverConfig(grid_points=1)
-        with pytest.raises(DomainError):
-            SolverConfig(max_iter=0)
 
     def test_non_finite_objective_is_reported(self):
         """An objective returning NaN raises EvaluationError at the point."""

@@ -368,14 +368,14 @@ class TestCsvCodecs:
         assert _columns(read_metrics_csv(path)) == (["F1"], ["m"], [1.0])
 
     def test_plain_files_skip_csv_reader(self, tmp_path, monkeypatch):
-        """A file without quotes, NULs or lone CRs is split as text: with LF
-        or CRLF line ends, with or without a final newline, and with any
-        whitespace around its ids, it never reaches csv.reader, and unless
-        it holds a blank row it never reaches the row-by-row walk."""
+        """A file without quotes, NULs, lone CRs or blank rows is split as
+        text: with LF or CRLF line ends, with or without a final newline,
+        and with any whitespace around its ids, it reaches neither
+        csv.reader nor the row-by-row walk. A blank row sends the file to
+        csv.reader, which reads the same table."""
         def fail(*args, **kwargs):
             raise AssertionError("called")
 
-        monkeypatch.setattr(scoring.csv, "reader", fail)
         path = tmp_path / "metrics.csv"
         want = (["F1", "F2"], ["m", "q"], [10.0, 0.5])
         for pad in ("", "\t", "\x0b", "\x0c", "\x1c", "\x1f", " ", "\xa0", "\u3000"):
@@ -386,6 +386,7 @@ class TestCsvCodecs:
                         f"{blank}F2,q{pad},0.5{last}".encode("utf-8"))
                     with monkeypatch.context() as patch:
                         if not blank:
+                            patch.setattr(scoring.csv, "reader", fail)
                             patch.setattr(scoring, "_parse_rows", fail)
                         assert _columns(read_metrics_csv(path)) == want
 
@@ -402,6 +403,23 @@ class TestCsvCodecs:
         with pytest.raises(ConfigError) as excinfo:
             read_schema_csv(path)
         assert str(excinfo.value) == f"{path}: not valid UTF-8: byte 0xe9 on line 3"
+
+    def test_errors_name_the_line_a_record_starts_on(self, tmp_path):
+        """After a quoted cell that spans two lines, a bad record is named
+        by the line it starts on, not by its record number."""
+        path = tmp_path / "metrics.csv"
+        path.write_text('farmer_id,metric_id,value\n"F\n1",m1,1\nF2,m1,abc\n',
+                        encoding="utf-8")
+        with pytest.raises(DataError) as excinfo:
+            read_metrics_csv(path)
+        assert str(excinfo.value) == f"{path}:4: value 'abc' is not a number"
+        path = tmp_path / "schema.csv"
+        path.write_text('metric_id,pillar,direction,kind\n'
+                        '"a\nb",SOCIAL,HIGHER_BETTER,CONTINUOUS\n'
+                        "c,SOCIAL,HIGHER_BETTER,CONTINUOUS,1\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as excinfo:
+            read_schema_csv(path)
+        assert str(excinfo.value) == f"{path}:4: expected 4 fields, got 5"
 
     def test_schema_short_form(self, tmp_path):
         """The four-column schema form omits weight and bounds."""
@@ -478,17 +496,25 @@ class _RefRecord:
 def _reference_read(path):
     """Record-by-record reader: the oracle for `read_metrics_csv`. The
     whole file is parsed before any record is checked, so a csv.Error
-    anywhere (Python 3.10's for a NUL) comes before a record's error."""
-    rows = []
+    anywhere (Python 3.10's for a NUL) comes before a record's error, and
+    errors name the line their record starts on."""
+    parsed = []
+    start = 1
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ConfigError(f"{path}: empty metrics file")
-        if [h.strip() for h in header] != ["farmer_id", "metric_id", "value"]:
-            raise DataError(f"{path}:1: expected header farmer_id,metric_id,value")
-        parsed = list(reader)
-    for lineno, row in enumerate(parsed, start=2):
+        try:
+            for row in reader:
+                parsed.append((start, row))
+                start = reader.line_num + 1
+        except csv.Error as exc:
+            raise DataError(f"{path}:{start}: {exc}") from None
+    if not parsed:
+        raise ConfigError(f"{path}: empty metrics file")
+    (_, header), *parsed = parsed
+    if [h.strip() for h in header] != ["farmer_id", "metric_id", "value"]:
+        raise DataError(f"{path}:1: expected header farmer_id,metric_id,value")
+    rows = []
+    for lineno, row in parsed:
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != 3:
@@ -543,13 +569,10 @@ def _reference_score(records, scheme):
 
 
 def _outcome(run):
-    """Scores as (farmer, score) pairs in key order, or the error raised.
-
-    csv.Error counts as an outcome: Python 3.10's csv.reader rejects a NUL.
-    """
+    """Scores as (farmer, score) pairs in key order, or the error raised."""
     try:
         return list(run().items())
-    except (ConfigError, DataError, csv.Error) as exc:
+    except (ConfigError, DataError) as exc:
         return type(exc), str(exc), getattr(exc, "details", None)
 
 
@@ -557,7 +580,7 @@ def _table_outcome(run):
     """A metric table's ids and the bits of its values, or the error."""
     try:
         farmer_ids, metric_ids, values = run()
-    except (ConfigError, DataError, csv.Error) as exc:
+    except (ConfigError, DataError) as exc:
         return type(exc), str(exc)
     return (list(farmer_ids), list(metric_ids),
             np.asarray(values, dtype=float).tobytes())
@@ -639,6 +662,8 @@ class TestColumnarMatchesReference:
              normalization="MIN_MAX")
     @example(text="farmer_id,metric_id,value\nF0,soil,abc\nF0,water,inf\n",
              normalization="MIN_MAX")
+    @example(text='farmer_id,metric_id,value\n"F\n0",soil,1\nF0,water,abc\n',
+             normalization="MIN_MAX")
     @settings(max_examples=600,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_same_scores_or_same_error(self, tmp_path, text, normalization):
@@ -654,6 +679,6 @@ class TestColumnarMatchesReference:
         try:
             records = [MetricRecord(r.farmer_id, r.metric_id, r.value)
                        for r in _reference_read(path)]
-        except (ConfigError, DataError, csv.Error):
+        except (ConfigError, DataError):
             return
         assert _outcome(lambda: composite_score(records, scheme)) == want
