@@ -8,19 +8,19 @@ polynomial forms in ``e`` with ``A = pYh - w`` and ``B = pYh + pYl - 2w``:
 ``mean = e^2 A + e(1-e) B``
 ``var  = (e^2-e^4) A^2 + (e-2e^2+2e^3-e^4) B^2 - 2(e^3-e^4) A B``
 
-`profit_moments_pair` evaluates the enumeration route and the polynomial
-route and raises InvariantViolation if they disagree beyond floating-point
-noise, so an algebra bug here cannot produce a silently wrong number.
+`profit_moments_pair` checks both against the enumeration and raises
+InvariantViolation if they disagree beyond floating-point noise.
 
-The quartic variance term can destroy concavity in ``e``, so a stationary
-point need not be the maximizer. The utility is a polynomial in ``e`` for a
-fixed ``w``, and a polynomial over ``(e(2-e))^2`` for the break-even ``w``,
-so the maximizer is an endpoint of the score range or a real root of the
-derivative's polynomial numerator. `optimal_ese_mv_batch` finds every such
-root for a whole sweep at once (companion-matrix eigenvalues) and ranks the
-candidates by utility; `argmax_grid` stays as the independent test oracle.
-Module-level constants at the bottom are the documented default parameter
-sets shared by the CLI sweeps and the tests.
+The optimizer reads the pair outcome table instead: the member earns
+``A s`` with probability ``e^2`` and ``B s`` with probability ``e(1-e)``,
+with ``s = 1`` for a fixed ``w`` and ``s = e(2-e)`` for the break-even
+``w = L(1+eps)/s``. One builder turns the table into the polynomial
+``N = s^2 U``, so the maximizer on the score range is an endpoint or a real
+root of ``N' s - 2 N s'``. `optimal_ese_mv_batch` finds the roots of a
+whole sweep at once (companion-matrix eigenvalues), ranks the candidates by
+``N / s^2`` and re-validates the winner through `mv_utility`; `argmax_grid`
+stays the independent test oracle. The constants at the bottom are the
+sweeps' default parameter sets.
 """
 
 from __future__ import annotations
@@ -30,14 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DomainError,
-    EvaluationError,
-    InvariantViolation,
-    _cell,
-)
+from .errors import ConfigError, DomainError, EvaluationError, InvariantViolation, _cell
 from .model_core import (
+    PROFIT_BOUND,
     CostModel,
     MarketParams,
     ScoreLink,
@@ -81,8 +76,7 @@ class Moments:
 
 
 def _risk_aversion(gamma) -> float:
-    """Check a risk-aversion coefficient: finite and >= 0 (0 is risk
-    neutrality)."""
+    """Check a risk-aversion coefficient: finite and >= 0 (0 is neutrality)."""
     gamma = _require_finite("gamma", gamma)
     if gamma < 0:
         raise DomainError("gamma must be >= 0")
@@ -91,21 +85,31 @@ def _risk_aversion(gamma) -> float:
 
 def _check_float_range(w: float, params: MarketParams, gamma: float,
                        c: float) -> None:
-    """Reject a ``w`` whose mean-variance utility overflows the float range.
+    """Reject arguments whose mean-variance utility overflows the float
+    range, naming the first at fault: ``w``, the revenue, gamma, then c.
 
-    ``M = max(pYh + pYl, 2w, 1)`` bounds the profit spreads ``A`` and
-    ``B``. The moment routes stay within a few times ``(1 + gamma) M^2 + c``
-    and the FOC coefficients within about 50 times it (the degree-8
-    break-even polynomial has the largest), so 1024 times it must be finite.
-    ``gamma = c = 0`` checks the moments alone. Python floats, which
-    overflow to inf without a warning, keep it cheap enough for every
-    scalar utility call.
+    ``M = max(pYh + pYl, 2w, 1)`` bounds ``A`` and ``B``, and ``2w`` and the
+    revenue must stay within `PROFIT_BOUND`. The moments stay within a few
+    times ``(1 + gamma) M^2 + c`` and the FOC coefficients within about 50
+    times it, so 1024 times it must be finite. ``gamma = c = 0`` checks the
+    moments alone. Python floats overflow to inf without a warning.
     """
     w = float(w)
-    m = max(params.high_revenue + params.low_revenue, 2.0 * w, 1.0)
-    if not math.isfinite(1024.0 * ((1.0 + gamma) * m * m + float(c))):
-        raise DomainError("the mean-variance utility overflows the float "
-                          f"range at w={w!r}")
+    revenue = params.high_revenue + params.low_revenue
+    m = max(revenue, 2.0 * w, 1.0)
+    spread = 1024.0 * (1.0 + gamma) * m * m
+    if 2.0 * w > PROFIT_BOUND:
+        name, value = "w", w
+    elif revenue > PROFIT_BOUND:
+        name, value = "revenue p*y_high + p*y_low", revenue
+    elif not math.isfinite(spread):
+        name, value = "gamma", gamma
+    elif not math.isfinite(spread + 1024.0 * float(c)):
+        name, value = "c", float(c)
+    else:
+        return
+    raise DomainError("the mean-variance utility overflows the float range "
+                      f"at {name}={value!r}")
 
 
 def _mean_poly(e, A, B):
@@ -189,9 +193,12 @@ def mv_foc(E, w: float, params: MarketParams, gamma, cost: CostModel,
 
     The ``A B`` term enters with a minus sign, matching the derivative of
     the variance polynomial (a plus sign here fails every finite-difference
-    check against the utility). Identically zero when ``k = 0``.
+    check against the utility). Identically zero when ``k = 0``; the
+    arguments are checked as in `mv_utility`.
     """
     gamma = _risk_aversion(gamma)
+    w = _repayment(w)
+    _check_float_range(w, params, gamma, cost.c)
     e = success_probability(E, link)
     A = params.high_revenue - w
     B = params.high_revenue + params.low_revenue - 2.0 * w
@@ -206,68 +213,75 @@ def mv_foc(E, w: float, params: MarketParams, gamma, cost: CostModel,
     return link.k * (dmean - cost.marginal_cost(e) - 0.5 * gamma * dvar)
 
 
-def _mv_objective(e, ph, pl, gamma, c, w=None, principal=None):
-    """Mean-variance utility at success probability ``e``, vectorized.
-
-    Arguments broadcast against each other. With ``w=None`` the break-even
-    obligation ``principal / (1 - (1-e)^2)`` is substituted for ``w``.
-    """
-    if w is None:
-        w = principal / (1.0 - (1.0 - e) ** 2)
-    A = ph - w
-    B = ph + pl - 2.0 * w
-    return _mean_poly(e, A, B) - 0.5 * gamma * _var_poly(e, A, B) - 0.5 * c * e * e
+#: Coefficients per engine polynomial; the break-even root numerator has degree 9.
+_WIDTH = 10
 
 
 def _poly(*coefs):
-    """Stack per-cell coefficients (low order first) into one row per cell."""
-    return np.stack(np.broadcast_arrays(*coefs), axis=1)
+    """A polynomial in ``e``: row j holds each cell's ``e^j`` coefficient."""
+    out = np.zeros((_WIDTH, max(np.size(coef) for coef in coefs)))
+    for j, coef in enumerate(coefs):
+        out[j] = coef
+    return out
+
+
+def _terms(p):
+    """Indices of the coefficients of ``p`` that are nonzero in some cell."""
+    return np.flatnonzero(p.any(axis=1))
 
 
 def _pmul(p, q):
-    """Row-wise product of polynomials stored low order first."""
-    out = np.zeros((max(len(p), len(q)), p.shape[1] + q.shape[1] - 1))
-    for j in range(q.shape[1]):
-        out[:, j:j + p.shape[1]] += p * q[:, j:j + 1]
+    """Product of polynomials, truncated to `_WIDTH` coefficients (no
+    product of the engine reaches beyond them), one pass per term of ``q``."""
+    out = np.zeros(np.broadcast_shapes(p.shape, q.shape))
+    for j in _terms(q):
+        out[j:] += p[:_WIDTH - j] * q[j]
     return out
 
 
 def _pder(p):
-    return p[:, 1:] * np.arange(1.0, p.shape[1])
+    return np.concatenate([p[1:] * np.arange(1.0, _WIDTH)[:, None],
+                           np.zeros_like(p[:1])])
 
 
-def _fixed_w_foc(w, ph, pl, gamma, c):
-    """dU/de for a fixed ``w``: the cubic that `mv_foc` writes out."""
-    A = ph - w
-    B = ph + pl - 2.0 * w
-    return _poly(
-        B - 0.5 * gamma * B * B,
-        2.0 * (A - B) - c - gamma * (A * A - 2.0 * B * B),
-        -3.0 * gamma * B * (B - A),
-        2.0 * gamma * (A - B) ** 2,
-    )
+def _peval(p, e):
+    """The polynomial at points ``e``, a column per cell (Horner)."""
+    out = 0.0
+    for j in range(max(_terms(p), default=0), -1, -1):
+        out = out * e + p[j]
+    return out
 
 
-def _endogenous_w_foc(ph, pl, principal, gamma, c):
-    """A polynomial with the sign and the roots of dU/de on (0, 1].
+def _outcome_table(ph, pl, principal, w):
+    """The pair outcome table (module docstring) as polynomials in ``e``:
+    ``s`` and rows ``(P, X)``, an outcome's probability and its profit times
+    ``s``. ``w=None`` is the break-even ``w = principal / s``."""
+    if w is None:
+        s = _poly(0.0, 2.0, -1.0)
+        a_s = _poly(-principal, 2.0 * ph, -ph)
+        b_s = _poly(-2.0 * principal, 2.0 * (ph + pl), -(ph + pl))
+    else:
+        s = _poly(1.0)
+        a_s, b_s = _poly(ph - w), _poly(ph + pl - 2.0 * w)
+    return s, ((_poly(0.0, 0.0, 1.0), a_s), (_poly(0.0, 1.0, -1.0), b_s))
 
-    With ``s = e(2-e)`` the break-even obligation is ``w = principal / s``,
-    so ``A s`` and ``B s`` are quadratics and ``N = s^2 U`` is a polynomial
-    of degree 8. Then ``dU/de = (N' s - 2 N s') / s^3`` with ``s > 0`` on
-    (0, 1]. ``N`` has a factor ``e``, so the numerator has one too; it is
-    divided out, leaving degree 8.
-    """
-    s = np.array([[0.0, 2.0, -1.0]])
-    As = _poly(-principal, 2.0 * ph, -ph)
-    Bs = _poly(-2.0 * principal, 2.0 * (ph + pl), -(ph + pl))
-    # The mean collapses to e pYh + e(1-e) pYl - principal.
-    profit = _pmul(_pmul(s, s), _poly(-principal, ph + pl, -pl - 0.5 * c))
-    var = (_pmul(np.array([[0.0, 0.0, 1.0, 0.0, -1.0]]), _pmul(As, As))
-           + _pmul(np.array([[0.0, 1.0, -2.0, 2.0, -1.0]]), _pmul(Bs, Bs))
-           - _pmul(np.array([[0.0, 0.0, 0.0, 2.0, -2.0]]), _pmul(As, Bs)))
-    N = np.pad(profit, ((0, 0), (0, 2))) - 0.5 * gamma[:, None] * var
-    numerator = _pmul(_pder(N), s) - 2.0 * _pmul(N, _pder(s))
-    return numerator[:, 1:]
+
+def _scaled_utility(e, s, rows, gamma, c, mul):
+    """``N = s M - (gamma/2)(S - M^2) - (c/2) e^2 s^2 = s^2 U``, with
+    ``M = sum P X`` and ``S = sum P X^2`` over the outcome table's rows;
+    ``mul`` is `_pmul` on polynomials or `numpy.multiply` on values."""
+    M = sum(mul(X, P) for P, X in rows)
+    S = sum(mul(mul(X, X), P) for P, X in rows)
+    es = mul(s, e)
+    return mul(M, s) - 0.5 * gamma * (S - mul(M, M)) - 0.5 * c * mul(es, es)
+
+
+def _utility_at(e, s, rows, gamma, c):
+    """``U = N / s^2`` at points ``e``: the builder on the rows' values there,
+    each profit ``X / s`` and ``s = 1``, so no ``s^2`` underflows."""
+    s = _peval(s, e)
+    rows = [(_peval(P, e), _peval(X, e) / s) for P, X in rows]
+    return _scaled_utility(e, 1.0, rows, gamma, c, np.multiply)
 
 
 def _real_roots(coefs):
@@ -278,17 +292,15 @@ def _real_roots(coefs):
     the row's largest, which moves the polynomial by at most that much on
     [0, 1]. Rows are grouped by the degree left and solved with batched
     companion-matrix eigenvalues (the method behind `numpy.roots`). Real
-    parts of complex pairs are kept too: a candidate that is not a
-    stationary point never beats the true maximizer, and keeping them
-    guards against a real double root that rounding split into a pair.
+    parts of complex pairs are kept: a non-stationary candidate never beats
+    the maximizer, and a real double root may round into a complex pair.
     """
-    n, m = coefs.shape
-    out = np.full((n, m - 1), np.nan)
     mag = np.abs(coefs)
     significant = mag > np.finfo(float).eps * mag.max(axis=1, keepdims=True)
-    hi = m - 1 - np.argmax(significant[:, ::-1], axis=1)
+    hi = coefs.shape[1] - 1 - np.argmax(significant[:, ::-1], axis=1)
     lo = np.argmax(coefs != 0.0, axis=1)
     degree = np.where(significant.any(axis=1), hi - lo, 0)
+    out = np.full((len(coefs), degree.max(initial=0)), np.nan)
     for d in np.unique(degree[degree > 0]):
         rows = np.flatnonzero(degree == d)
         c = np.take_along_axis(coefs[rows], lo[rows, None] + np.arange(d + 1), axis=1)
@@ -302,10 +314,8 @@ def _real_roots(coefs):
 def _check_optimum(opt: Optimum, w, params: MarketParams, gamma: float,
                    cost: CostModel, link: ScoreLink, endogenous_w: bool) -> None:
     """Re-validate an optimum through the cross-checked scalar routes."""
-    w_star = w
-    if endogenous_w:
-        e_star = float(success_probability(opt.score, link))
-        w_star = binding_repayment(e_star, 2, params)
+    w_star = (binding_repayment(success_probability(opt.score, link), 2, params)
+              if endogenous_w else w)
     check = mv_utility(opt.score, w_star, params, gamma, cost, link)
     scale = max(1.0, abs(opt.objective_value), abs(check))
     if abs(check - opt.objective_value) > 1e-9 * scale:
@@ -327,12 +337,12 @@ def optimal_ese_mv_batch(w, cells, *, endogenous_w: bool = False) -> list[Optimu
 
     Each cell is a ``(params, gamma, cost, link)`` tuple; ``w`` and
     ``endogenous_w`` are shared and mean what they mean in `optimal_ese_mv`.
-    The utility is a quartic in ``e`` for a fixed ``w`` and a polynomial over
-    ``(e(2-e))^2`` for the break-even ``w``, so its maximizer on [0, 100] is
-    an endpoint or a real root of the derivative's numerator (a cubic, or
-    degree 8). The candidates are E = 0, E = 100 and every such root inside
-    the open score range, mapped back through ``E = (e - b) / k``. They are
-    ranked by the utility, and ties go to the lower score. A root within
+    Both modes build ``N = s^2 U`` from the pair outcome table (the module
+    docstring), a quartic for a fixed ``w`` and of degree 8 for the
+    break-even ``w``. The candidates are E = 0, E = 100 and every real root
+    of ``N' s - 2 N s'`` inside the open score range, mapped back through
+    ``E = (e - b) / k``. They are ranked by ``N / s^2`` from the table's
+    rows at each candidate, and ties go to the lower score. A root within
     `argmax_grid`'s snap tolerance of an endpoint becomes that endpoint, and
     ``at_boundary`` is set exactly when the optimum is an endpoint. With
     ``k = 0`` both endpoints tie, so the optimum is E = 0 at the boundary.
@@ -354,23 +364,20 @@ def optimal_ese_mv_batch(w, cells, *, endogenous_w: bool = False) -> list[Optimu
     for i, (params, gamma, cost, link) in enumerate(cells):
         with _cell(i):
             gamma = _risk_aversion(gamma)
-            if endogenous_w:
-                if link.b <= 0.0:
-                    raise DomainError("endogenous repayment requires b > 0 so the "
-                                      "success probability is positive at every score")
-                # the break-even w is largest at the lowest score, e = b
-                top_w = params.loan * (1.0 + params.epsilon) / (link.b * (2.0 - link.b))
-                _check_float_range(top_w, params, gamma, cost.c)
-            else:
-                _check_float_range(w, params, gamma, cost.c)
+            if endogenous_w and link.b <= 0.0:
+                raise DomainError("endogenous repayment requires b > 0 so the "
+                                  "success probability is positive at every score")
+            # the break-even w is largest at the lowest score, e = b
+            top_w = binding_repayment(link.b, 2, params) if endogenous_w else w
+            _check_float_range(top_w, params, gamma, cost.c)
         rows.append((params.high_revenue, params.low_revenue,
                      params.loan * (1.0 + params.epsilon), gamma,
                      cost.c, link.k, link.b))
     ph, pl, principal, gamma, c, k, b = np.array(rows, dtype=float).reshape(-1, 7).T
-    if endogenous_w:
-        roots = _real_roots(_endogenous_w_foc(ph, pl, principal, gamma, c))
-    else:
-        roots = _real_roots(_fixed_w_foc(w, ph, pl, gamma, c))
+    s, table = _outcome_table(ph, pl, principal, None if endogenous_w else w)
+    # dU/de = (N' s - 2 N s') / s^3 with s > 0 on (0, 1]
+    N = _scaled_utility(_poly(0.0, 1.0), s, table, gamma, c, _pmul)
+    roots = _real_roots((_pmul(_pder(N), s) - 2.0 * _pmul(N, _pder(s))).T)
 
     k, b = k[:, None], b[:, None]
     inside = (roots > b) & (roots < b + 100.0 * k)
@@ -380,9 +387,7 @@ def optimal_ese_mv_batch(w, cells, *, endogenous_w: bool = False) -> list[Optimu
     scores[scores >= 100.0 - snap] = 100.0
     edges = np.broadcast_to([0.0, 100.0], (len(cells), 2))
     scores = np.sort(np.concatenate([edges, scores], axis=1), axis=1)
-    e = np.clip(k * scores + b, 0.0, 1.0)
-    values = _mv_objective(e, ph[:, None], pl[:, None], gamma[:, None], c[:, None],
-                           None if endogenous_w else w, principal[:, None])
+    values = _utility_at(np.clip(k * scores + b, 0.0, 1.0).T, s, table, gamma, c).T
     values[np.isnan(scores)] = -np.inf
     best = np.argmax(values, axis=1)
 
@@ -400,21 +405,15 @@ def optimal_ese_mv_batch(w, cells, *, endogenous_w: bool = False) -> list[Optimu
 
 def optimal_ese_mv(w, params: MarketParams, gamma, cost: CostModel, link: ScoreLink,
                    *, endogenous_w: bool = False) -> Optimum:
-    """Score maximizing mean-variance utility over [0, 100].
+    """Score maximizing mean-variance utility over [0, 100]
+    (`optimal_ese_mv_batch` on one cell, re-validated the same way).
 
     By default ``w`` is a fixed exogenous repayment. With
     ``endogenous_w=True`` the break-even repayment
     ``w(e) = L(1+eps) / (1 - (1-e)^2)`` is substituted before maximizing
     (``w`` is then ignored and may be None); this mode needs a positive
-    success probability across the whole score range, i.e. ``b > 0``.
-
-    The risk term is quartic in ``e``, so the utility need not be concave:
-    the maximizer is the best of the endpoints and the real roots of the
-    first-order condition, found exactly (`optimal_ese_mv_batch` on one
-    cell). The returned objective value is re-validated against the
-    cross-checked scalar `mv_utility` at the optimum, and interior optima
-    (fixed-``w`` mode) must leave a `mv_foc` residual below 1e-6 of the
-    utility scale.
+    success probability across the whole score range, i.e. ``b > 0``. The
+    risk term is quartic in ``e``, so the utility need not be concave.
     """
     return optimal_ese_mv_batch(w, [(params, gamma, cost, link)],
                                 endogenous_w=endogenous_w)[0]

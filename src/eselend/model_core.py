@@ -58,6 +58,10 @@ PROB_SUM_TOL = 1e-12
 # Largest group size for which outcome enumeration is supported.
 MAX_ENUM_GROUP = 1000
 
+# Largest outcome profit magnitude, 2**480. Its square times 2**62 draws
+# stays finite, so every sum of squared profits does.
+PROFIT_BOUND = 2.0 ** 480
+
 
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
@@ -222,7 +226,8 @@ class ProfitDistribution:
         ok = np.isfinite(p) & (p >= -1e-15)
         if not ok.all():
             raise DomainError(f"invalid outcome probability {float(p[~ok][0])!r}")
-        _require_finite_profits(x)
+        if not np.isfinite(x).all():
+            raise DomainError(f"invalid outcome profit {float(x[~np.isfinite(x)][0])!r}")
         p = np.maximum(p, 0.0)
         total = float(p.sum())
         if abs(total - 1.0) > PROB_SUM_TOL:
@@ -262,6 +267,19 @@ def success_probability(E, link: ScoreLink):
     return float(e) if np.ndim(E) == 0 else e
 
 
+def _coverage(e, n):
+    """``1 - (1-e)^n``, the chance that not every member fails.
+
+    Computed as ``-expm1(n log1p(-e))``, without the cancellation that the
+    direct form suffers at tiny ``e``; ``e = 1`` gives 1. A float takes the
+    `math` route, several times faster than numpy's on one value.
+    """
+    if isinstance(e, float):
+        return 1.0 if e == 1.0 else -math.expm1(n * math.log1p(-e))
+    with np.errstate(divide="ignore"):
+        return -np.expm1(n * np.log1p(-e))
+
+
 def binding_repayment(e: float, n: int, params: MarketParams) -> float:
     """Smallest repayment making the financier whole in expectation.
 
@@ -278,9 +296,7 @@ def binding_repayment(e: float, n: int, params: MarketParams) -> float:
     e = _require_in("e", float(e), 0.0, 1.0)
     if e == 0.0:
         raise DomainError("binding repayment is undefined at e = 0")
-    # 1 - (1-e)^n without its cancellation at tiny e; log1p(-1) is a math error
-    coverage = 1.0 if e == 1.0 else -math.expm1(n * math.log1p(-e))
-    return _require_finite("w", params.loan * (1.0 + params.epsilon) / coverage)
+    return _require_finite("w", params.loan * (1.0 + params.epsilon) / _coverage(e, n))
 
 
 def loan_ceiling_affordability(e, params: MarketParams):
@@ -291,8 +307,7 @@ def loan_ceiling_affordability(e, params: MarketParams):
     _require_in("e", e, 0.0, 1.0)
     e = np.asarray(e, dtype=float)
     pooled = params.high_revenue + params.low_revenue
-    # e*(2-e) is 1-(1-e)^2 without the cancellation that zeroes it at tiny e
-    out = pooled / (2.0 * (1.0 + params.epsilon)) * (e * (2.0 - e))
+    out = pooled / (2.0 * (1.0 + params.epsilon)) * _coverage(e, 2)
     return float(out) if out.ndim == 0 else out
 
 
@@ -310,7 +325,7 @@ def loan_ceiling_incentive(e, params: MarketParams):
     e = np.asarray(e, dtype=float)
     if np.any(e == 0):
         raise DomainError("incentive ceiling is undefined at e = 0")
-    coverage = e * (2.0 - e)  # 1-(1-e)^2, as in loan_ceiling_affordability
+    coverage = _coverage(e, 2)
     out = (params.low_revenue * coverage
            / (2.0 * (1.0 + params.epsilon) - params.delta * coverage))
     return float(out) if out.ndim == 0 else out
@@ -337,26 +352,19 @@ def expected_profit_group(E, n: int, w: float, params: MarketParams, cost: CostM
 
     ``pi = e*pYh - w*(1-(1-e)^n) + pYl*((1-e) - (1-e)^n) - c e^2 / 2``
 
+    where ``(1-e) - (1-e)^n`` is the coverage `_coverage` less ``e``
     (`expected_profit_group_sum` keeps the explicit sum as a cross-check).
     """
     n = _group_size(n)
     w = _repayment(w)
     e = success_probability(E, link)
-    fail_all = (1.0 - e) ** n
+    coverage = _coverage(e, n)
     gross = (
         e * params.high_revenue
-        - w * (1.0 - fail_all)
-        + params.low_revenue * ((1.0 - e) - fail_all)
+        - w * coverage
+        + params.low_revenue * (coverage - e)
     )
     return gross - cost.effort_cost(e)
-
-
-def _require_finite_profits(profits: np.ndarray) -> np.ndarray:
-    """``profits``, unless one of them is not finite."""
-    bad = ~np.isfinite(profits)
-    if bad.any():
-        raise DomainError(f"invalid outcome profit {float(profits[bad][0])!r}")
-    return profits
 
 
 def _success_profits(n: int, w: float, params: MarketParams) -> np.ndarray:
@@ -364,13 +372,18 @@ def _success_profits(n: int, w: float, params: MarketParams) -> np.ndarray:
 
     The k failing peers each contribute ``p*y_low`` toward their repayment
     ``w``; the ``n - k`` successful members split the shortfall equally.
-    A ``w`` whose profits overflow the float range raises DomainError.
+    A ``w`` that puts a profit beyond ``PROFIT_BOUND`` in magnitude raises
+    DomainError, so the moments and the simulator's sums of squares stay
+    finite.
     """
     k = np.arange(n, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         shortfall_share = k * (w - params.low_revenue) / (n - k)
         profits = params.high_revenue - w - shortfall_share
-    return _require_finite_profits(profits)
+        in_range = np.abs(profits).max() <= PROFIT_BOUND
+    if not in_range:
+        raise DomainError(f"the outcome profits overflow the float range at w={w!r}")
+    return profits
 
 
 def _member_success_pmf(e_values: np.ndarray, n: int) -> np.ndarray:

@@ -456,13 +456,16 @@ class TestSimulate:
     def test_overflowing_w_is_named(self, tmp_path, capsys):
         """A --w so large that a member's share of two failed peers'
         shortfall overflows exits 2 with no floating-point warning, and
-        the error names its (e, n) cell."""
+        the error names its (e, n) cell and w. So does w = 1e160, whose
+        profits are finite but whose squares overflow the variance."""
         out = tmp_path / "s.csv"
-        assert main(["simulate", "--w", "1e308", "--n-set", "3", "--e-grid",
-                     "0.5", "--trials", "1000", "--out", str(out)]) == 2
-        assert (capsys.readouterr().err
-                == "error: e=0.5, n=3: invalid outcome profit -inf\n")
-        assert not out.exists()
+        for w in ("1e+308", "1e+160"):
+            assert main(["simulate", "--w", w, "--n-set", "3", "--e-grid",
+                         "0.5", "--trials", "1000", "--out", str(out)]) == 2
+            assert (capsys.readouterr().err
+                    == "error: e=0.5, n=3: the outcome profits overflow the "
+                       f"float range at w={w}\n")
+            assert not out.exists()
 
     def test_counter_space_error_names_the_size(self, tmp_path, capsys):
         """trials * n beyond the counter space names the group size."""

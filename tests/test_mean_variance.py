@@ -75,6 +75,29 @@ def _table_utility(E, w, params, gamma, cost, link):
     return mean - 0.5 * gamma * var - effort, noise
 
 
+def _draw_cell(data, endogenous):
+    """A random sweep cell ``(w, params, gamma, cost, link)`` over the whole
+    domain: gamma in [0, 1], every link with 100k + b <= 1, k = 0 included,
+    and ``w = None`` for the break-even repayment."""
+    unit = st.floats(0.0, 1.0)
+    p = data.draw(st.floats(0.2, 3.0), "p")
+    y_low = data.draw(st.floats(50.0, 800.0), "y_low")
+    y_high = y_low + data.draw(st.floats(50.0, 1500.0), "y_gap")
+    params = MarketParams(p=p, y_high=y_high, y_low=y_low,
+                          loan=data.draw(st.floats(10.0, 400.0), "loan"),
+                          epsilon=data.draw(st.floats(0.0, 0.2), "epsilon"),
+                          delta=0.9)
+    cost = CostModel(c=data.draw(st.floats(100.0, 4000.0), "c"))
+    # Log-spread so that interior optima (small gamma) are common.
+    gamma = data.draw(st.just(0.0) | st.floats(-6.0, 0.0).map(
+        lambda x: 10.0 ** x), "gamma")
+    # The break-even w needs e bounded away from 0.
+    b = data.draw(st.floats(0.05, 1.0) if endogenous else unit, "b")
+    link = ScoreLink(k=data.draw(unit, "k_share") * (1.0 - b) / 100.0, b=b)
+    w = None if endogenous else data.draw(st.floats(10.0, 500.0), "w")
+    return w, params, gamma, cost, link
+
+
 # ----------------------------------------------------------------------
 # exact profit moments
 # ----------------------------------------------------------------------
@@ -182,6 +205,19 @@ class TestMvUtility:
         with pytest.raises(DomainError, match=r"float range at w=1e\+160"):
             mv_utility(50.0, 1e160, BASE, 0.5, COST, LINK)
 
+    def test_overflow_names_the_argument_at_fault(self):
+        """An ordinary w = 140 is never blamed: a huge gamma, effort cost
+        or revenue is named instead, with no floating-point warning."""
+        rich = MarketParams(p=1.0, y_high=1e200, y_low=500.0, loan=100.0,
+                            epsilon=0.05, delta=0.9)
+        for args, name in (((BASE, 1e300, COST), r"gamma=1e\+300"),
+                           ((BASE, 0.5, CostModel(c=1e307)), r"c=1e\+307"),
+                           ((rich, 0.5, COST),
+                            r"revenue p\*y_high \+ p\*y_low=1e\+200")):
+            params, gamma, cost = args
+            with pytest.raises(DomainError, match=f"float range at {name}$"):
+                mv_utility(50.0, 140.0, params, gamma, cost, LINK)
+
     def test_risk_preference_validation(self):
         """gamma must be finite and >= 0: -0.1 and nan are rejected."""
         with pytest.raises(DomainError, match="gamma must be >= 0"):
@@ -216,6 +252,18 @@ class TestMvFoc:
         assert not opt.at_boundary
         residual = mv_foc(opt.score, 150.0, BASE, 0.001, COST, LINK)
         assert abs(residual) < 1e-4
+
+    def test_repayment_is_checked(self):
+        """w is checked as mv_utility checks it: an overflowing, NaN or
+        negative w is a domain error, where the derivative used to return
+        nan, nan and 639.46."""
+        for w, message in ((1e160, r"float range at w=1e\+160"),
+                           (float("nan"), "w must be finite"),
+                           (-5.0, "w must be > 0")):
+            with pytest.raises(DomainError, match=message):
+                mv_foc(50.0, w, BASE, 0.5, COST, LINK)
+            with pytest.raises(DomainError, match=message):
+                mv_utility(50.0, w, BASE, 0.5, COST, LINK)
 
     def test_flat_link_gives_zero(self):
         """k=0 means the score cannot move anything: derivative 0."""
@@ -265,9 +313,9 @@ class TestOptimalEseMv:
     def test_matches_blind_argmax_everywhere(self, data, endogenous):
         """The exact maximiser agrees with argmax_grid over the whole
         domain: fixed and break-even w, gamma in [0, 1], and every link
-        with 100k + b <= 1, k = 0 included. The grid search runs on the
-        four-outcome table, not on the moment polynomials the maximiser
-        uses.
+        with 100k + b <= 1, k = 0 included. The grid search evaluates the
+        four-outcome table at each score, with the variance taken around
+        the mean, not the polynomials in e that the maximiser builds.
 
         Utilities agree within 1e-9 of max(1, |utility|), the scale of
         the solver's own re-validation, and the maximiser's is never lower
@@ -277,23 +325,7 @@ class TestOptimalEseMv:
         more finely than that. It happens where the link is nearly flat
         (tiny k) and where the slope at an endpoint optimum is too small
         for the grid's last steps to see."""
-        unit = st.floats(0.0, 1.0)
-        p = data.draw(st.floats(0.2, 3.0), "p")
-        y_low = data.draw(st.floats(50.0, 800.0), "y_low")
-        y_high = y_low + data.draw(st.floats(50.0, 1500.0), "y_gap")
-        params = MarketParams(p=p, y_high=y_high, y_low=y_low,
-                              loan=data.draw(st.floats(10.0, 400.0), "loan"),
-                              epsilon=data.draw(st.floats(0.0, 0.2), "epsilon"),
-                              delta=0.9)
-        cost = CostModel(c=data.draw(st.floats(100.0, 4000.0), "c"))
-        # Log-spread so that interior optima (small gamma) are common.
-        gamma = data.draw(st.just(0.0) | st.floats(-6.0, 0.0).map(
-            lambda x: 10.0 ** x), "gamma")
-        # The break-even w needs e bounded away from 0.
-        b = data.draw(st.floats(0.05, 1.0) if endogenous else unit, "b")
-        link = ScoreLink(k=data.draw(unit, "k_share") * (1.0 - b) / 100.0, b=b)
-        w = None if endogenous else data.draw(st.floats(10.0, 500.0), "w")
-
+        w, params, gamma, cost, link = _draw_cell(data, endogenous)
         opt = optimal_ese_mv(w, params, gamma, cost, link,
                              endogenous_w=endogenous)
         blind = argmax_grid(
@@ -390,6 +422,18 @@ class TestOptimalEseMvBatch:
                                  endogenous_w=endogenous)
             assert (opt.score, opt.at_boundary) == (0.0, True)
 
+    def test_tiny_baseline_break_even(self):
+        """Baselines down to b = 1e-100, where 1 - (1-e)^2 rounds to 0 and
+        e^2 s^2 underflows, still give re-validated break-even optima with
+        no floating-point warning: E = 100 at a moderate effort cost, and
+        E = 0 at a cost so large that it dominates even at e = b."""
+        for b in (1e-20, 1e-100):
+            link = ScoreLink(k=(1.0 - b) / 100.0, b=b)
+            for c, score in ((1000.0, 100.0), (1.5e305, 0.0)):
+                opt = optimal_ese_mv(None, BASE, 0.5, CostModel(c=c), link,
+                                     endogenous_w=True)
+                assert (opt.score, opt.at_boundary) == (score, True)
+
     def test_empty_batch(self):
         assert optimal_ese_mv_batch(150.0, []) == []
 
@@ -430,6 +474,34 @@ class TestOptimalEseMvBatch:
             with pytest.raises(DomainError, match="overflows the float range") as excinfo:
                 optimal_ese_mv_batch(w, cells, endogenous_w=endogenous)
             assert excinfo.value.cell == len(cells) - 1
+
+
+class TestUtilityBuilder:
+    """The engine's utility ``N / s^2``, built from the pair outcome table,
+    away from the optima as well as at them."""
+
+    @given(data=st.data(), endogenous=st.booleans(),
+           scores=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=8))
+    @settings(max_examples=300)
+    def test_matches_mv_utility_at_any_score(self, data, endogenous, scores):
+        """At random scores of a random cell, in both repayment modes, the
+        value the engine ranks candidates by, and the polynomial ``N`` its
+        roots come from, match the cross-checked scalar `mv_utility` within
+        1e-9 of max(1, |utility|)."""
+        mv = mean_variance
+        w, params, gamma, cost, link = _draw_cell(data, endogenous)
+        s, table = mv._outcome_table(
+            np.array([params.high_revenue]), np.array([params.low_revenue]),
+            np.array([params.loan * (1.0 + params.epsilon)]), w)
+        N = mv._scaled_utility(mv._poly(0.0, 1.0), s, table, gamma, cost.c, mv._pmul)
+        e = success_probability(np.array(scores), link)[:, None]
+        ranked = mv._utility_at(e, s, table, gamma, cost.c)[:, 0]
+        from_poly = (mv._peval(N, e) / mv._peval(s, e) ** 2)[:, 0]
+        for E, e_i, *values in zip(scores, e[:, 0], ranked, from_poly):
+            w_i = binding_repayment(float(e_i), 2, params) if endogenous else w
+            utility = mv_utility(E, w_i, params, gamma, cost, link)
+            for value in values:
+                assert abs(value - utility) <= 1e-9 * max(1.0, abs(utility))
 
 
 # ----------------------------------------------------------------------

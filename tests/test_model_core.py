@@ -312,10 +312,10 @@ class TestLoanCeilings:
 
 
 class TestTinySuccessCoverage:
-    """The coverage 1-(1-e)^n is computed as -expm1(n*log1p(-e)) in
-    binding_repayment and as e*(2-e) in the pair ceilings. The direct form
-    loses digits as e shrinks: at e=1e-12, n=2 its relative error is
-    2.2e-5, and below e=1.1e-16 it is 0."""
+    """The coverage 1-(1-e)^n is computed once, as -expm1(n*log1p(-e)), for
+    binding_repayment, the pair ceilings and the closed-form group profit.
+    The direct form loses digits as e shrinks: at e=1e-12, n=2 its
+    relative error is 2.2e-5, and below e=1.1e-16 it is 0."""
 
     E = 1e-12
 
@@ -328,6 +328,17 @@ class TestTinySuccessCoverage:
                  / self._exact_coverage(2))
         w = binding_repayment(self.E, 2, BASE)
         assert abs(Fraction(w) / exact - 1) <= 1e-15
+
+    def test_group_profit_matches_enumeration(self):
+        """The closed-form group profit equals the binomial sum within
+        1e-12 relative for e down to 1e-12; the direct coverage left a
+        gap of 2.2e-5 there."""
+        for e in (1e-12, 1e-9, 1e-6, 1e-3, 0.5, 1.0):
+            link = ScoreLink(k=0.0, b=e)
+            for n in (2, 3, 10):
+                closed = expected_profit_group(0.0, n, 150.0, BASE, _COST, link)
+                summed = expected_profit_group_sum(0.0, n, 150.0, BASE, _COST, link)
+                assert abs(closed - summed) <= 1e-12 * abs(summed)
 
     def test_ceilings(self):
         """Both ceilings to 1e-15 relative at e=1e-12."""
@@ -523,7 +534,7 @@ class TestExpectedProfitGroup:
         sum used to return -inf."""
         cost = CostModel(c=1000.0)
         link = ScoreLink(k=0.01, b=0.0)
-        with pytest.raises(DomainError, match="invalid outcome profit -inf"):
+        with pytest.raises(DomainError, match=r"float range at w=1e\+308"):
             expected_profit_group_sum(50.0, 3, 1e308, BASE, cost, link)
 
     def test_distribution_mean_consistency(self):

@@ -223,12 +223,15 @@ class TestSimulateContract:
 
     def test_overflowing_w_rejected_before_drawing(self):
         """A w whose outcome profits overflow is rejected by the same check
-        as the enumeration's, with no floating-point warning on the way."""
+        as the enumeration's, naming w, with no floating-point warning on
+        the way. w = 1e160 leaves every profit finite, but their squares
+        would overflow the variance and the simulator's sums of squares."""
         cfg = SimConfig(trials=1000, seed=1)
-        with pytest.raises(DomainError, match="invalid outcome profit -inf"):
-            simulate_member_profit(0.5, 3, 1e308, BASE, cfg)
-        with pytest.raises(DomainError, match="invalid outcome profit -inf"):
-            enumerate_member_profit(0.5, 3, 1e308, BASE)
+        for w, shown in ((1e308, r"1e\+308"), (1e160, r"1e\+160")):
+            with pytest.raises(DomainError, match=f"float range at w={shown}"):
+                simulate_member_profit(0.5, 3, w, BASE, cfg)
+            with pytest.raises(DomainError, match=f"float range at w={shown}"):
+                enumerate_member_profit(0.5, 3, w, BASE)
 
 
 # ----------------------------------------------------------------------
@@ -318,7 +321,7 @@ class TestSimulateBatch:
         assert excinfo.value.cell == _SHARED_CELLS + 2
         # w = 1e308 overflows the profit of a failing peer to -inf.
         with pytest.raises(DomainError,
-                           match="invalid outcome profit -inf") as excinfo:
+                           match=r"float range at w=1e\+308") as excinfo:
             simulate_member_profit_batch(es, 3, [150.0] * (_SHARED_CELLS + 1)
                                          + [1e308, 150.0], BASE, cfg)
         assert excinfo.value.cell == _SHARED_CELLS + 1
