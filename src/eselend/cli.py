@@ -11,8 +11,8 @@ for gnuplot.
 
 Option values resolve as: explicit flag, then the ``--config`` JSON file
 (keys are flag names with underscores), then the documented defaults. Each
-option is declared once, in ``_OPTIONS``; a config value is converted and
-checked exactly like its flag.
+option is declared once, in ``_OPTIONS``, and each subcommand once, in
+``_COMMANDS``; a config value is converted and checked exactly like its flag.
 Exit codes: 0 success, 2 usage or configuration problem, 3 data problem,
 4 solver or invariant failure.
 """
@@ -82,7 +82,7 @@ _OPTIONS = {
     "epsilon": _Option(float, "risk-free rate"),
     "delta": _Option(float, "borrower discount factor"),
     "e_grid": _Option(str, "success probabilities: start:stop:count or comma list"),
-    "n_set": _Option(str, "group sizes, comma separated"),
+    "n_set": _Option(str, "whole group sizes: start:stop:count or comma list"),
     "n_min": _Option(int, "smallest group size"),
     "n_max": _Option(int, "largest group size"),
     "b": _Option(float, "baseline success probability"),
@@ -105,36 +105,6 @@ _OPTIONS = {
 }
 
 _MARKET = asdict(DEFAULT_SWEEP_PARAMS)
-_SWEEP = {"gamma_grid": "0:1:21", "w": DEFAULT_SWEEP_W, "k": None,
-          "endogenous_w": False}
-
-# Each subcommand's help line and effective defaults; the defaults are also
-# the whitelist of its config-file keys.
-_COMMANDS: dict[str, tuple[str, dict]] = {
-    "ceilings": ("loan ceilings over a success grid", {
-        **_MARKET, "e_grid": "0.05:0.95:19",
-        "out": "ceilings.csv", "plot_data": False}),
-    "sweep-group-size": ("optimal score by group size", {
-        **_MARKET, "k": 0.01, "b": 0.0, "c": 1000.0, "n_min": 1, "n_max": 100,
-        "out": "group_size.csv", "plot_data": False}),
-    "sweep-mv": ("risk-aversion sweep for pairs", {
-        **_MARKET, "b_set": "0.3,0.5,0.7", "c_set": "800,1000,1200,1500,2000",
-        **_SWEEP, "out": "mv_sweep.csv", "plot_data": False}),
-    "sweep-yield": ("high- vs low-yield comparison", {
-        **{name: value for name, value in _MARKET.items()
-           if name not in ("y_high", "y_low")},
-        "yields": "1000:500,600:300", "b": 0.5, "c": 1000.0,
-        **_SWEEP, "out": "yield_sweep.csv", "plot_data": False}),
-    "simulate": ("Monte Carlo check against exact moments", {
-        **_MARKET, "e_grid": "0.3,0.5,0.8", "n_set": "2,3,10",
-        "trials": 1_000_000, "seed": 42, "w": None,
-        "out": "simulate.csv", "plot_data": False}),
-    "score": ("composite scores from metric records", {
-        "metrics": None, "schema": None, "normalization": "MIN_MAX",
-        "out": "scores.csv"}),
-}
-
-
 def _fmt(value) -> str:
     """Deterministic cell formatting: 10 significant digits for floats."""
     if value is None:
@@ -180,24 +150,6 @@ def _parse_grid(spec: str, what: str) -> list[float]:
     if not all(math.isfinite(v) for v in values):
         raise ConfigError(f"{what} contains a non-finite value")
     return values
-
-
-def _parse_int_set(spec: str, what: str) -> list[int]:
-    spec = spec.strip()
-    if not spec:
-        raise ConfigError(f"{what} is empty")
-    out = []
-    for tok in spec.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            out.append(int(tok))
-        except ValueError:
-            raise ConfigError(f"{what} entry {tok!r} is not an integer") from None
-    if not out:
-        raise ConfigError(f"{what} is empty")
-    return out
 
 
 def _parse_yield_pairs(spec: str) -> list[tuple[float, float]]:
@@ -258,7 +210,7 @@ def _config_value(name: str, value, default):
 
 def _resolve(args: argparse.Namespace, command: str) -> dict:
     """Merge flags over config-file values over defaults."""
-    defaults = _COMMANDS[command][1]
+    defaults = _COMMANDS[command][2]
     config = _load_config(args.config)
     unknown = sorted(set(config) - set(defaults))
     if unknown:
@@ -306,8 +258,7 @@ def _write_output(settings: dict, command: str, columns: list[str],
 # ----------------------------------------------------------------------
 
 
-def cmd_ceilings(args: argparse.Namespace) -> int:
-    settings = _resolve(args, "ceilings")
+def cmd_ceilings(settings: dict) -> int:
     params = _market(settings)
     e_grid = _parse_grid(settings["e_grid"], "e-grid")
     e = np.array(e_grid)
@@ -324,8 +275,7 @@ def cmd_ceilings(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep_group_size(args: argparse.Namespace) -> int:
-    settings = _resolve(args, "sweep-group-size")
+def cmd_sweep_group_size(settings: dict) -> int:
     params = _market(settings)
     link = ScoreLink(k=settings["k"], b=settings["b"])
     cost = CostModel(c=settings["c"])
@@ -359,7 +309,6 @@ def _solve_sweep(settings: dict, scenarios: list, gammas: list[float]) -> list:
     replaces the fixed ``w`` by the break-even repayment. Returns each
     scenario's optima in gamma order; an error names the cell it came from.
     """
-    endogenous = settings["endogenous_w"]
     cells, labels = [], []
     for label, params, b, c in scenarios:
         k = slope_for_baseline(b) if settings["k"] is None else settings["k"]
@@ -369,8 +318,8 @@ def _solve_sweep(settings: dict, scenarios: list, gammas: list[float]) -> list:
             cells.append((params, gamma, cost, link))
             labels.append(f"{label}, gamma={_fmt(gamma)}")
     try:
-        optima = optimal_ese_mv_batch(None if endogenous else settings["w"],
-                                      cells, endogenous_w=endogenous)
+        optima = optimal_ese_mv_batch(
+            None if settings["endogenous_w"] else settings["w"], cells)
     except (DomainError, EvaluationError, InvariantViolation) as exc:
         if exc.cell is None:
             raise
@@ -379,8 +328,7 @@ def _solve_sweep(settings: dict, scenarios: list, gammas: list[float]) -> list:
     return [optima[i:i + n] for i in range(0, len(optima), n)]
 
 
-def cmd_sweep_mv(args: argparse.Namespace) -> int:
-    settings = _resolve(args, "sweep-mv")
+def cmd_sweep_mv(settings: dict) -> int:
     params = _market(settings)
     b_set = _parse_grid(settings["b_set"], "b-set")
     c_set = _parse_grid(settings["c_set"], "c-set")
@@ -396,8 +344,7 @@ def cmd_sweep_mv(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep_yield(args: argparse.Namespace) -> int:
-    settings = _resolve(args, "sweep-yield")
+def cmd_sweep_yield(settings: dict) -> int:
     pairs = _parse_yield_pairs(settings["yields"])
     gammas = _parse_grid(settings["gamma_grid"], "gamma-grid")
     names = [f"Ybar={_fmt(y_high)},Ylow={_fmt(y_low)}" for y_high, y_low in pairs]
@@ -413,13 +360,16 @@ def cmd_sweep_yield(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    settings = _resolve(args, "simulate")
+def cmd_simulate(settings: dict) -> int:
     params = _market(settings)
     e_grid = _parse_grid(settings["e_grid"], "e-grid")
-    n_set = _parse_int_set(settings["n_set"], "n-set")
+    n_set = _parse_grid(settings["n_set"], "n-set")
     if min(n_set) < 1:
-        raise ConfigError(f"n-set entry {min(n_set)} must be >= 1")
+        raise ConfigError(f"n-set entry {_fmt(min(n_set))} must be >= 1")
+    for n in n_set:
+        if not n.is_integer():
+            raise ConfigError(f"n-set entry {_fmt(n)} is not a whole number")
+    n_set = [int(n) for n in n_set]
     sim_cfg = SimConfig(trials=settings["trials"], seed=settings["seed"])
     cells = [(e, n) for e in e_grid for n in n_set]
     ws, exact = [], []
@@ -471,8 +421,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_score(args: argparse.Namespace) -> int:
-    settings = _resolve(args, "score")
+def cmd_score(settings: dict) -> int:
     if settings["metrics"] is None:
         raise ConfigError("a metrics CSV is required (--metrics)")
     records = read_metrics_csv(settings["metrics"])
@@ -489,6 +438,36 @@ def cmd_score(args: argparse.Namespace) -> int:
     return 0
 
 
+_SWEEP = {"gamma_grid": "0:1:21", "w": DEFAULT_SWEEP_W, "k": None,
+          "endogenous_w": False}
+
+# Each subcommand's function, help line and effective defaults; the
+# defaults are also the whitelist of its config-file keys.
+_COMMANDS: dict[str, tuple] = {
+    "ceilings": (cmd_ceilings, "loan ceilings over a success grid", {
+        **_MARKET, "e_grid": "0.05:0.95:19",
+        "out": "ceilings.csv", "plot_data": False}),
+    "sweep-group-size": (cmd_sweep_group_size, "optimal score by group size", {
+        **_MARKET, "k": 0.01, "b": 0.0, "c": 1000.0, "n_min": 1, "n_max": 100,
+        "out": "group_size.csv", "plot_data": False}),
+    "sweep-mv": (cmd_sweep_mv, "risk-aversion sweep for pairs", {
+        **_MARKET, "b_set": "0.3,0.5,0.7", "c_set": "800,1000,1200,1500,2000",
+        **_SWEEP, "out": "mv_sweep.csv", "plot_data": False}),
+    "sweep-yield": (cmd_sweep_yield, "high- vs low-yield comparison", {
+        **{name: value for name, value in _MARKET.items()
+           if name not in ("y_high", "y_low")},
+        "yields": "1000:500,600:300", "b": 0.5, "c": 1000.0,
+        **_SWEEP, "out": "yield_sweep.csv", "plot_data": False}),
+    "simulate": (cmd_simulate, "Monte Carlo check against exact moments", {
+        **_MARKET, "e_grid": "0.3,0.5,0.8", "n_set": "2,3,10",
+        "trials": 1_000_000, "seed": 42, "w": None,
+        "out": "simulate.csv", "plot_data": False}),
+    "score": (cmd_score, "composite scores from metric records", {
+        "metrics": None, "schema": None, "normalization": "MIN_MAX",
+        "out": "scores.csv"}),
+}
+
+
 # ----------------------------------------------------------------------
 # parser
 # ----------------------------------------------------------------------
@@ -500,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Joint-liability lending contracts driven by ESE scores",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (summary, defaults) in _COMMANDS.items():
+    for command, (_, summary, defaults) in _COMMANDS.items():
         cmd = sub.add_parser(command, help=summary)
         for name, default in defaults.items():
             option = _OPTIONS[name]
@@ -515,21 +494,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH = {
-    "ceilings": cmd_ceilings,
-    "sweep-group-size": cmd_sweep_group_size,
-    "sweep-mv": cmd_sweep_mv,
-    "sweep-yield": cmd_sweep_yield,
-    "simulate": cmd_simulate,
-    "score": cmd_score,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        return _COMMANDS[args.command][0](_resolve(args, args.command))
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,9 +14,9 @@ InvariantViolation if they disagree beyond floating-point noise.
 The optimizer reads the pair outcome table instead: the member earns
 ``A s`` with probability ``e^2`` and ``B s`` with probability ``e(1-e)``,
 with ``s = 1`` for a fixed ``w`` and ``s = e(2-e)`` for the break-even
-``w = L(1+eps)/s``. One builder turns the table into the polynomial
-``N = s^2 U``, so the maximizer on the score range is an endpoint or a real
-root of ``N' s - 2 N s'``. `optimal_ese_mv_batch` finds the roots of a
+``w = L(1+eps)/s``, which every solver here takes as ``w=None``. One
+builder turns the table into the polynomial ``N = s^2 U``, so the maximizer
+on the score range is an endpoint or a real root of ``N' s - 2 N s'``. `optimal_ese_mv_batch` finds the roots of a
 whole sweep at once (companion-matrix eigenvalues), ranks the candidates by
 ``N / s^2`` and re-validates the winner through `mv_utility`; `argmax_grid`
 stays the independent test oracle. The constants at the bottom are the
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, EvaluationError, InvariantViolation, _cell
+from .errors import DomainError, EvaluationError, InvariantViolation, _cell
 from .model_core import (
     PROFIT_BOUND,
     CostModel,
@@ -148,8 +148,8 @@ def profit_moments_pair(e: float, w: float, params: MarketParams) -> Moments:
     returned. A ``w`` whose variance overflows the float range raises
     DomainError.
     """
+    _check_float_range(_repayment(w), params, 0.0, 0.0)
     dist = profit_distribution_pair(e, w, params)
-    _check_float_range(w, params, 0.0, 0.0)
     mean_enum = dist.mean()
     var_enum = dist.variance()
     A = params.high_revenue - w
@@ -312,10 +312,10 @@ def _real_roots(coefs):
 
 
 def _check_optimum(opt: Optimum, w, params: MarketParams, gamma: float,
-                   cost: CostModel, link: ScoreLink, endogenous_w: bool) -> None:
+                   cost: CostModel, link: ScoreLink) -> None:
     """Re-validate an optimum through the cross-checked scalar routes."""
     w_star = (binding_repayment(success_probability(opt.score, link), 2, params)
-              if endogenous_w else w)
+              if w is None else w)
     check = mv_utility(opt.score, w_star, params, gamma, cost, link)
     scale = max(1.0, abs(opt.objective_value), abs(check))
     if abs(check - opt.objective_value) > 1e-9 * scale:
@@ -323,7 +323,7 @@ def _check_optimum(opt: Optimum, w, params: MarketParams, gamma: float,
             f"optimizer objective {opt.objective_value!r} disagrees with "
             f"utility {check!r} at E={opt.score!r}"
         )
-    if not endogenous_w and not opt.at_boundary:
+    if w is not None and not opt.at_boundary:
         residual = float(mv_foc(opt.score, w, params, gamma, cost, link))
         if abs(residual) > 1e-6 * scale:
             raise InvariantViolation(
@@ -332,12 +332,12 @@ def _check_optimum(opt: Optimum, w, params: MarketParams, gamma: float,
             )
 
 
-def optimal_ese_mv_batch(w, cells, *, endogenous_w: bool = False) -> list[Optimum]:
+def optimal_ese_mv_batch(w, cells) -> list[Optimum]:
     """Mean-variance optimal scores of many cells, solved together.
 
-    Each cell is a ``(params, gamma, cost, link)`` tuple; ``w`` and
-    ``endogenous_w`` are shared and mean what they mean in `optimal_ese_mv`.
-    Both modes build ``N = s^2 U`` from the pair outcome table (the module
+    Each cell is a ``(params, gamma, cost, link)`` tuple. ``w`` is shared:
+    a number is a fixed repayment and ``None`` the break-even one, as in
+    `optimal_ese_mv`. Both modes build ``N = s^2 U`` from the pair outcome table (the module
     docstring), a quartic for a fixed ``w`` and of degree 8 for the
     break-even ``w``. The candidates are E = 0, E = 100 and every real root
     of ``N' s - 2 N s'`` inside the open score range, mapped back through
@@ -353,28 +353,23 @@ def optimal_ese_mv_batch(w, cells, *, endogenous_w: bool = False) -> list[Optimu
     scale. An error raised while handling a cell carries the cell's index
     in its ``cell`` attribute.
     """
-    if not endogenous_w:
-        if w is None:
-            raise ConfigError("fixed-repayment mode needs an explicit w; pass "
-                              "endogenous_w=True to substitute the break-even "
-                              "obligation instead")
-        w = _repayment(w)
+    w = None if w is None else _repayment(w)
     cells = list(cells)
     rows = []
     for i, (params, gamma, cost, link) in enumerate(cells):
         with _cell(i):
             gamma = _risk_aversion(gamma)
-            if endogenous_w and link.b <= 0.0:
+            if w is None and link.b <= 0.0:
                 raise DomainError("endogenous repayment requires b > 0 so the "
                                   "success probability is positive at every score")
             # the break-even w is largest at the lowest score, e = b
-            top_w = binding_repayment(link.b, 2, params) if endogenous_w else w
+            top_w = binding_repayment(link.b, 2, params) if w is None else w
             _check_float_range(top_w, params, gamma, cost.c)
         rows.append((params.high_revenue, params.low_revenue,
                      params.loan * (1.0 + params.epsilon), gamma,
                      cost.c, link.k, link.b))
     ph, pl, principal, gamma, c, k, b = np.array(rows, dtype=float).reshape(-1, 7).T
-    s, table = _outcome_table(ph, pl, principal, None if endogenous_w else w)
+    s, table = _outcome_table(ph, pl, principal, w)
     # dU/de = (N' s - 2 N s') / s^3 with s > 0 on (0, 1]
     N = _scaled_utility(_poly(0.0, 1.0), s, table, gamma, c, _pmul)
     roots = _real_roots((_pmul(_pder(N), s) - 2.0 * _pmul(N, _pder(s))).T)
@@ -398,25 +393,23 @@ def optimal_ese_mv_batch(w, cells, *, endogenous_w: bool = False) -> list[Optimu
             if not np.isfinite(value):
                 raise EvaluationError(f"objective is not finite at E={score!r}")
             opt = Optimum(score, score == 0.0 or score == 100.0, value)
-            _check_optimum(opt, w, params, gamma, cost, link, endogenous_w)
+            _check_optimum(opt, w, params, gamma, cost, link)
         out.append(opt)
     return out
 
 
-def optimal_ese_mv(w, params: MarketParams, gamma, cost: CostModel, link: ScoreLink,
-                   *, endogenous_w: bool = False) -> Optimum:
+def optimal_ese_mv(w, params: MarketParams, gamma, cost: CostModel,
+                   link: ScoreLink) -> Optimum:
     """Score maximizing mean-variance utility over [0, 100]
     (`optimal_ese_mv_batch` on one cell, re-validated the same way).
 
-    By default ``w`` is a fixed exogenous repayment. With
-    ``endogenous_w=True`` the break-even repayment
-    ``w(e) = L(1+eps) / (1 - (1-e)^2)`` is substituted before maximizing
-    (``w`` is then ignored and may be None); this mode needs a positive
-    success probability across the whole score range, i.e. ``b > 0``. The
-    risk term is quartic in ``e``, so the utility need not be concave.
+    A number ``w`` is a fixed exogenous repayment. ``w=None`` substitutes
+    the break-even repayment ``w(e) = L(1+eps) / (1 - (1-e)^2)`` before
+    maximizing; it needs a positive success probability across the whole
+    score range, i.e. ``b > 0``. The risk term is quartic in ``e``, so the
+    utility need not be concave.
     """
-    return optimal_ese_mv_batch(w, [(params, gamma, cost, link)],
-                                endogenous_w=endogenous_w)[0]
+    return optimal_ese_mv_batch(w, [(params, gamma, cost, link)])[0]
 
 
 # ----------------------------------------------------------------------

@@ -41,7 +41,6 @@ __all__ = [
     "binding_repayment",
     "loan_ceiling_affordability",
     "loan_ceiling_incentive",
-    "expected_profit_pair",
     "expected_profit_group",
     "expected_profit_group_sum",
     "profit_distribution_pair",
@@ -210,7 +209,7 @@ class ProfitDistribution:
     ``profits[i]``; both are read-only 1-d float arrays of one length, with
     at least one outcome. Probabilities must be non-negative up to float
     dust (which is clipped to 0) and sum to 1 within ``PROB_SUM_TOL``;
-    profits must be finite.
+    profits must lie within ``PROFIT_BOUND`` in magnitude.
     """
 
     __slots__ = ("probabilities", "profits")
@@ -226,8 +225,9 @@ class ProfitDistribution:
         ok = np.isfinite(p) & (p >= -1e-15)
         if not ok.all():
             raise DomainError(f"invalid outcome probability {float(p[~ok][0])!r}")
-        if not np.isfinite(x).all():
-            raise DomainError(f"invalid outcome profit {float(x[~np.isfinite(x)][0])!r}")
+        ok = np.abs(x) <= PROFIT_BOUND
+        if not ok.all():
+            raise DomainError(f"invalid outcome profit {float(x[~ok][0])!r}")
         p = np.maximum(p, 0.0)
         total = float(p.sum())
         if abs(total - 1.0) > PROB_SUM_TOL:
@@ -336,15 +336,6 @@ def loan_ceiling_incentive(e, params: MarketParams):
 # ----------------------------------------------------------------------
 
 
-def expected_profit_pair(E, w: float, params: MarketParams, cost: CostModel, link: ScoreLink):
-    """Expected profit of one member of a two-member group at score ``E``
-    (`expected_profit_group` at ``n = 2``).
-
-    ``pi = e^2 (pYh - w) + e(1-e) (pYh + pYl - 2w) - c e^2 / 2``
-    """
-    return expected_profit_group(E, 2, w, params, cost, link)
-
-
 def expected_profit_group(E, n: int, w: float, params: MarketParams, cost: CostModel, link: ScoreLink):
     """Expected profit of one member of an ``n``-member group, closed form.
 
@@ -354,6 +345,7 @@ def expected_profit_group(E, n: int, w: float, params: MarketParams, cost: CostM
 
     where ``(1-e) - (1-e)^n`` is the coverage `_coverage` less ``e``
     (`expected_profit_group_sum` keeps the explicit sum as a cross-check).
+    A pair is ``n = 2``: ``e^2 (pYh - w) + e(1-e) (pYh + pYl - 2w) - c e^2/2``.
     """
     n = _group_size(n)
     w = _repayment(w)
@@ -380,10 +372,14 @@ def _success_profits(n: int, w: float, params: MarketParams) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         shortfall_share = k * (w - params.low_revenue) / (n - k)
         profits = params.high_revenue - w - shortfall_share
-        in_range = np.abs(profits).max() <= PROFIT_BOUND
-    if not in_range:
-        raise DomainError(f"the outcome profits overflow the float range at w={w!r}")
+        _check_profit_bound(np.abs(profits).max(), w)
     return profits
+
+
+def _check_profit_bound(largest: float, w: float) -> None:
+    """Raise DomainError naming ``w`` unless ``largest <= PROFIT_BOUND``."""
+    if not largest <= PROFIT_BOUND:
+        raise DomainError(f"the outcome profits overflow the float range at w={w!r}")
 
 
 def _member_success_pmf(e_values: np.ndarray, n: int) -> np.ndarray:
@@ -440,12 +436,14 @@ def profit_distribution_pair(e: float, w: float, params: MarketParams) -> Profit
     """Four-outcome profit distribution for a member of a two-member group.
 
     Outcomes in order: both succeed; self succeeds, peer fails; self fails,
-    peer succeeds; both fail. Limited liability zeroes the last two.
+    peer succeeds; both fail. Limited liability zeroes the last two; a ``w``
+    that puts a profit beyond ``PROFIT_BOUND`` raises DomainError.
     """
     e = _require_in("e", float(e), 0.0, 1.0)
     w = _repayment(w)
     a = params.high_revenue - w
     both = params.high_revenue + params.low_revenue - 2.0 * w
+    _check_profit_bound(max(abs(a), abs(both)), w)
     return ProfitDistribution(
         [e * e, e * (1.0 - e), (1.0 - e) * e, (1.0 - e) * (1.0 - e)],
         [a, both, 0.0, 0.0],

@@ -11,12 +11,11 @@ whose stationary condition, divided through by ``k``, is
 
 ``g(E) = pYh + pYl*(n (1-e)^{n-1} - 1) - c e = 0``.
 
-For pairs (n = 2) the optimum is closed form, and `pair_objective` is
-`group_objective` at ``n = 2``. For general ``n``, ``g`` is strictly
-decreasing in ``e``, so the optimum is its one root or an endpoint;
-`optimal_ese_group_batch` bisects the roots of many group sizes in lockstep
-and `optimal_ese_group` solves one. The FOC routes take any real
-``n >= 1``.
+A pair is ``n = 2``, where `optimal_ese_pair` gives the optimum in closed
+form. For general ``n``, ``g`` is strictly decreasing in ``e``, so the
+optimum is its one root or an endpoint; `optimal_ese_group_batch` bisects
+the roots of many group sizes in lockstep and `optimal_ese_group` solves
+one. The objective and FOC routes take any real ``n >= 1``.
 `argmax_grid` provides an independent derivative-free maximizer (a fixed
 2,001-point grid plus golden-section refinement capped at 200 iterations),
 a public utility and the cross-check route in the tests for the closed
@@ -40,13 +39,13 @@ from .model_core import (
     CostModel,
     MarketParams,
     ScoreLink,
+    _coverage,
     _group_size,
     success_probability,
 )
 
 __all__ = [
     "Optimum",
-    "pair_objective",
     "group_objective",
     "group_foc",
     "argmax_grid",
@@ -88,22 +87,19 @@ class Optimum:
 # ----------------------------------------------------------------------
 
 
-def pair_objective(E, params: MarketParams, cost: CostModel, link: ScoreLink):
-    """Two-member expected profit with the binding repayment substituted in
-    (`group_objective` at ``n = 2``).
-
-    ``e^2 pYh + e(1-e)(pYh + pYl) - L(1+eps) - c e^2/2``
-    """
-    return group_objective(E, 2, params, cost, link)
-
-
 def group_objective(E, n, params: MarketParams, cost: CostModel, link: ScoreLink):
-    """n-member expected profit with the binding repayment substituted in."""
-    e = success_probability(E, link)
-    ph, pl = params.high_revenue, params.low_revenue
+    """n-member expected profit with the binding repayment substituted in;
+    any real ``n >= 1``, as in `group_foc` (a pair is ``n = 2``)."""
+    return _objective(success_probability(E, link), _group_size(n, real=True),
+                      params, cost)
+
+
+def _objective(e, n, params: MarketParams, cost: CostModel):
+    """`group_objective` at success probability ``e``, without range checks;
+    ``(1-e) - (1-e)^n`` is the coverage `_coverage` less ``e``."""
     principal = params.loan * (1.0 + params.epsilon)
-    fail_all = (1.0 - e) ** n
-    return e * ph - principal + pl * ((1.0 - e) - fail_all) - cost.effort_cost(e)
+    return (e * params.high_revenue - principal
+            + params.low_revenue * (_coverage(e, n) - e) - cost.effort_cost(e))
 
 
 def group_foc(E, n, params: MarketParams, cost: CostModel, link: ScoreLink):
@@ -274,12 +270,12 @@ def optimal_ese_pair(params: MarketParams, cost: CostModel, link: ScoreLink) -> 
     result is reported at E = 0 with the boundary flag set.
     """
     if link.k == 0.0:
-        return Optimum(0.0, True, float(pair_objective(0.0, params, cost, link)))
+        return Optimum(0.0, True, float(group_objective(0.0, 2, params, cost, link)))
     e_star = (params.high_revenue + params.low_revenue) / (2.0 * params.low_revenue + cost.c)
     raw = (e_star - link.b) / link.k
     score = min(max(raw, 0.0), 100.0)
     at_boundary = score != raw
-    return Optimum(score, at_boundary, float(pair_objective(score, params, cost, link)))
+    return Optimum(score, at_boundary, float(group_objective(score, 2, params, cost, link)))
 
 
 def optimal_ese_pair_as_printed(params: MarketParams, cost: CostModel, link: ScoreLink) -> float:
@@ -368,7 +364,7 @@ def optimal_ese_group_batch(ns, params: MarketParams, cost: CostModel,
         hi, g_hi = np.where(down, mid, hi), np.where(down, g_mid, g_hi)
     scores[inner] = np.where(np.abs(g_lo) <= np.abs(g_hi), lo, hi)
 
-    values = group_objective(scores, n, params, cost, link)
+    values = _objective(success_probability(scores, link), n, params, cost)
     return [Optimum(score, boundary, value) for score, boundary, value
             in zip(scores.tolist(), at_boundary.tolist(), values.tolist())]
 
@@ -385,10 +381,11 @@ def optimal_ese_group(n: float, params: MarketParams, cost: CostModel,
 # ----------------------------------------------------------------------
 
 
-def _sensitivity_numerator(n, E, params: MarketParams, link: ScoreLink):
-    """Checked ``n`` and ``e``, ``1-e`` and the numerator
-    ``pYl (1-e)^{n-1} (1 + n ln(1-e))`` shared by `dE_dn` and
-    `dE_dn_as_printed`."""
+def _sensitivity_terms(n, E, params: MarketParams, link: ScoreLink):
+    """Checked ``e``, the numerator ``pYl (1-e)^{n-1} (1 + n ln(1-e))`` and
+    the curvature ``pYl n (n-1) (1-e)^{n-2}`` of `dE_dn` and
+    `dE_dn_as_printed`; each takes its power of ``1-e`` first, so an
+    underflow there gives 0, not ``inf * 0``."""
     n = _group_size(n, real=True)
     if link.k <= 0.0:
         raise DomainError("sensitivity requires k > 0")
@@ -396,8 +393,10 @@ def _sensitivity_numerator(n, E, params: MarketParams, link: ScoreLink):
     if not 0.0 < e < 1.0:
         raise DomainError("sensitivity requires 0 < e < 1")
     one_m = 1.0 - e
-    numerator = params.low_revenue * one_m ** (n - 1.0) * (1.0 + n * math.log(one_m))
-    return n, e, one_m, numerator
+    pl = params.low_revenue
+    numerator = pl * one_m ** (n - 1.0) * (1.0 + n * math.log(one_m))
+    curvature = pl * (n * ((n - 1.0) * one_m ** (n - 2.0)))
+    return e, numerator, curvature
 
 
 def dE_dn(n: float, E: float, params: MarketParams, cost: CostModel, link: ScoreLink) -> float:
@@ -412,10 +411,8 @@ def dE_dn(n: float, E: float, params: MarketParams, cost: CostModel, link: Score
     group grows since the numerator carries ``(1-e)^{n-1}``. Requires
     ``0 < e < 1`` and ``k > 0``.
     """
-    n, _, one_m, numerator = _sensitivity_numerator(n, E, params, link)
-    pl = params.low_revenue
-    denominator = link.k * (pl * n * (n - 1.0) * one_m ** (n - 2.0) + cost.c)
-    return numerator / denominator
+    _, numerator, curvature = _sensitivity_terms(n, E, params, link)
+    return numerator / (link.k * (curvature + cost.c))
 
 
 def dE_dn_as_printed(n: float, E: float, params: MarketParams, cost: CostModel,
@@ -428,10 +425,8 @@ def dE_dn_as_printed(n: float, E: float, params: MarketParams, cost: CostModel,
     magnitudes disagree except where ``e`` happens to equal ``k``. Nothing
     in this package consumes it.
     """
-    n, e, one_m, numerator = _sensitivity_numerator(n, E, params, link)
-    pl = params.low_revenue
-    denominator = link.k * pl * n * (n - 1.0) * one_m ** (n - 2.0) + cost.c * e
-    return numerator / denominator
+    e, numerator, curvature = _sensitivity_terms(n, E, params, link)
+    return numerator / (link.k * curvature + cost.c * e)
 
 
 def ese_limit(params: MarketParams, cost: CostModel, link: ScoreLink) -> Optimum:

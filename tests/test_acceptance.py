@@ -41,6 +41,7 @@ from eselend import (
     ese_limit,
     expected_profit_group,
     expected_profit_group_sum,
+    group_objective,
     loan_ceiling_affordability,
     loan_ceiling_incentive,
     mv_foc,
@@ -50,7 +51,6 @@ from eselend import (
     optimal_ese_mv_batch,
     optimal_ese_pair,
     optimal_ese_pair_as_printed,
-    pair_objective,
     profit_distribution_pair,
     profit_moments_pair,
     simulate_member_profit,
@@ -203,7 +203,7 @@ def test_criterion_04_pair_routes_agree():
         k = rng.uniform(1e-3, 0.01)
         link = ScoreLink(k=k, b=rng.uniform(0.0, 1.0 - 100.0 * k))
         closed = optimal_ese_pair(params, cost, link)
-        blind = argmax_grid(lambda E: pair_objective(E, params, cost, link))
+        blind = argmax_grid(lambda E: group_objective(E, 2, params, cost, link))
         grp = optimal_ese_group(2, params, cost, link)
         worst_argmax = max(worst_argmax, abs(closed.score - blind.score))
         worst_group = max(worst_group, abs(closed.score - grp.score))
@@ -524,7 +524,7 @@ def test_criterion_08a_score_vs_risk_aversion(mv_sweep):
         break_even.setdefault(gamma, dense)
         assert abs(dense - break_even[gamma]) <= 1e-3
         break_even_opt[gamma] = optimal_ese_mv(
-            None, params, gamma, CostModel(c=c), link, endogenous_w=True).score
+            None, params, gamma, CostModel(c=c), link).score
 
     ok = (not violations and not threshold_misses and largest_step < 1.0
           and elapsed < 10.0)

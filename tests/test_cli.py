@@ -743,6 +743,44 @@ class TestConfigResolution:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestSpecErrors:
+    """Malformed list, grid and config specs exit 2 with one message."""
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (["ceilings", "--e-grid", " "], None, "e-grid is empty"),
+        (["ceilings", "--e-grid", ","], None, "e-grid is empty"),
+        (["ceilings", "--e-grid", "0:1"], None,
+         "e-grid must be start:stop:count, got '0:1'"),
+        (["ceilings", "--e-grid", "0:x:3"], None,
+         "e-grid has a non-numeric part in '0:x:3'"),
+        (["ceilings", "--e-grid", "0:1:0"], None, "e-grid count must be >= 1"),
+        (["ceilings", "--e-grid", "0:1:1000001"], None,
+         "e-grid count must be <= 1000000"),
+        (["ceilings", "--e-grid", "0.1,abc"], None,
+         "e-grid has a non-numeric entry in '0.1,abc'"),
+        (["ceilings", "--e-grid", "0.1,inf"], None,
+         "e-grid contains a non-finite value"),
+        (["sweep-yield", "--yields", "1000:abc,600:300"], None,
+         "yield pair '1000:abc' is not numeric"),
+        (["ceilings"], "[1, 2]", "config file must hold a JSON object"),
+        (["simulate", "--n-set", "2,0"], None, "n-set entry 0 must be >= 1"),
+        (["simulate", "--n-set", "2,x"], None,
+         "n-set has a non-numeric entry in '2,x'"),
+        (["simulate", "--n-set", "2:3:3"], None,
+         "n-set entry 2.5 is not a whole number"),
+    ])
+    def test_bad_spec_exits_two(self, argv, config, message, tmp_path, capsys):
+        """Each case prints exactly its message and writes no output."""
+        out = tmp_path / "o.csv"
+        if config is not None:
+            path = tmp_path / "run.json"
+            path.write_text(config, encoding="utf-8")
+            argv = [*argv, "--config", str(path)]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 class TestSweepDefaults:
     """The shipped sweep defaults are the constants the acceptance tests
     assert on."""

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eselend import (
-    ConfigError,
     CostModel,
     DomainError,
     InvariantViolation,
@@ -23,7 +22,7 @@ from eselend import (
     ScoreLink,
     argmax_grid,
     binding_repayment,
-    expected_profit_pair,
+    expected_profit_group,
     mv_foc,
     mv_utility,
     optimal_ese_mv,
@@ -180,7 +179,7 @@ class TestMvUtility:
             w = rng.uniform(10.0, 500.0)
             np.testing.assert_allclose(
                 mv_utility(E, w, params, 0.0, cost, link),
-                expected_profit_pair(E, w, params, cost, link),
+                expected_profit_group(E, 2, w, params, cost, link),
                 rtol=1e-12, atol=1e-12)
 
     def test_certain_outcome_has_no_risk_penalty(self):
@@ -275,8 +274,8 @@ class TestMvFoc:
         h = 1e-4
         for E in (10.0, 40.0, 80.0):
             analytic = mv_foc(E, 150.0, BASE, 0.0, COST, LINK)
-            fd = (expected_profit_pair(E + h, 150.0, BASE, COST, LINK)
-                  - expected_profit_pair(E - h, 150.0, BASE, COST, LINK)) / (2 * h)
+            fd = (expected_profit_group(E + h, 2, 150.0, BASE, COST, LINK)
+                  - expected_profit_group(E - h, 2, 150.0, BASE, COST, LINK)) / (2 * h)
             np.testing.assert_allclose(analytic, fd, rtol=1e-7, atol=1e-7)
 
 
@@ -326,8 +325,7 @@ class TestOptimalEseMv:
         (tiny k) and where the slope at an endpoint optimum is too small
         for the grid's last steps to see."""
         w, params, gamma, cost, link = _draw_cell(data, endogenous)
-        opt = optimal_ese_mv(w, params, gamma, cost, link,
-                             endogenous_w=endogenous)
+        opt = optimal_ese_mv(w, params, gamma, cost, link)
         blind = argmax_grid(
             lambda E: _table_utility(E, w, params, gamma, cost, link)[0])
         scale = max(1.0, abs(opt.objective_value), abs(blind.objective_value))
@@ -349,7 +347,7 @@ class TestOptimalEseMv:
         """With endogenous w the reported value matches the utility at the
         break-even obligation for the optimal score."""
         link = ScoreLink(k=0.007, b=0.3)
-        opt = optimal_ese_mv(None, BASE, 0.2, COST, link, endogenous_w=True)
+        opt = optimal_ese_mv(None, BASE, 0.2, COST, link)
         e_star = float(success_probability(opt.score, link))
         w_star = binding_repayment(e_star, 2, BASE)
         np.testing.assert_allclose(
@@ -357,22 +355,10 @@ class TestOptimalEseMv:
             mv_utility(opt.score, w_star, BASE, 0.2, COST, link),
             rtol=1e-9)
 
-    def test_endogenous_mode_ignores_explicit_w(self):
-        """Any supplied w is irrelevant once endogenous_w is set."""
-        link = ScoreLink(k=0.007, b=0.3)
-        a = optimal_ese_mv(None, BASE, 0.2, COST, link, endogenous_w=True)
-        b = optimal_ese_mv(999.0, BASE, 0.2, COST, link, endogenous_w=True)
-        assert a.score == b.score
-
     def test_endogenous_mode_needs_positive_baseline(self):
         """b=0 makes the break-even w undefined at the bottom score."""
         with pytest.raises(DomainError):
-            optimal_ese_mv(None, BASE, 0.2, COST, LINK, endogenous_w=True)
-
-    def test_fixed_mode_needs_w(self):
-        """Omitting w without endogenous_w is a configuration error."""
-        with pytest.raises(ConfigError):
-            optimal_ese_mv(None, BASE, 0.0, COST, LINK)
+            optimal_ese_mv(None, BASE, 0.2, COST, LINK)
 
     def test_input_validation(self):
         """Nonpositive w and negative gamma are rejected."""
@@ -407,19 +393,17 @@ class TestOptimalEseMvBatch:
         cells = [(BASE, gamma, CostModel(c=c), ScoreLink(k=(1 - b) / 100, b=b))
                  for b in (0.3, 0.7) for c in (800.0, 2000.0)
                  for gamma in (0.0, 0.001, 0.3)]
-        for endogenous in (False, True):
-            batch = optimal_ese_mv_batch(140.0, cells, endogenous_w=endogenous)
-            single = [optimal_ese_mv(140.0, *cell, endogenous_w=endogenous)
-                      for cell in cells]
+        for w in (140.0, None):
+            batch = optimal_ese_mv_batch(w, cells)
+            single = [optimal_ese_mv(w, *cell) for cell in cells]
             assert batch == single
 
     def test_flat_link_reports_lower_bound(self):
         """k = 0: every score gives the same utility, so E = 0 at the
         boundary, in both repayment modes."""
         flat = ScoreLink(k=0.0, b=0.4)
-        for endogenous in (False, True):
-            opt = optimal_ese_mv(150.0, BASE, 0.2, COST, flat,
-                                 endogenous_w=endogenous)
+        for w in (150.0, None):
+            opt = optimal_ese_mv(w, BASE, 0.2, COST, flat)
             assert (opt.score, opt.at_boundary) == (0.0, True)
 
     def test_tiny_baseline_break_even(self):
@@ -430,8 +414,7 @@ class TestOptimalEseMvBatch:
         for b in (1e-20, 1e-100):
             link = ScoreLink(k=(1.0 - b) / 100.0, b=b)
             for c, score in ((1000.0, 100.0), (1.5e305, 0.0)):
-                opt = optimal_ese_mv(None, BASE, 0.5, CostModel(c=c), link,
-                                     endogenous_w=True)
+                opt = optimal_ese_mv(None, BASE, 0.5, CostModel(c=c), link)
                 assert (opt.score, opt.at_boundary) == (score, True)
 
     def test_empty_batch(self):
@@ -464,15 +447,14 @@ class TestOptimalEseMvBatch:
         fixed w, a huge effort cost, or a loan whose break-even w is huge."""
         huge_loan = MarketParams(p=1.0, y_high=1000.0, y_low=500.0,
                                  loan=1e160, epsilon=0.05, delta=0.9)
-        for w, cells, endogenous in (
-                (1e308, [(BASE, 0.0, COST, LINK)], False),
+        for w, cells in (
+                (1e308, [(BASE, 0.0, COST, LINK)]),
                 (150.0, [(BASE, 0.0, COST, LINK),
-                         (BASE, 0.0, CostModel(c=1.7e308), LINK)], False),
+                         (BASE, 0.0, CostModel(c=1.7e308), LINK)]),
                 (None, [(BASE, 0.5, COST, ScoreLink(k=0.007, b=0.3)),
-                        (huge_loan, 0.5, COST, ScoreLink(k=0.007, b=0.3))],
-                 True)):
+                        (huge_loan, 0.5, COST, ScoreLink(k=0.007, b=0.3))])):
             with pytest.raises(DomainError, match="overflows the float range") as excinfo:
-                optimal_ese_mv_batch(w, cells, endogenous_w=endogenous)
+                optimal_ese_mv_batch(w, cells)
             assert excinfo.value.cell == len(cells) - 1
 
 

@@ -24,17 +24,17 @@ from eselend import (
     binding_repayment,
     expected_profit_group,
     expected_profit_group_sum,
-    expected_profit_pair,
+    group_objective,
     loan_ceiling_affordability,
     loan_ceiling_incentive,
     mv_utility,
     optimal_ese_mv_batch,
-    pair_objective,
     profit_distribution_group,
     profit_distribution_pair,
     simulate_member_profit_batch,
     success_probability,
 )
+from eselend.model_core import PROFIT_BOUND
 
 BASE = MarketParams(p=1.0, y_high=1000.0, y_low=500.0, loan=100.0,
                     epsilon=0.05, delta=0.9)
@@ -378,7 +378,7 @@ class TestExpectedProfitPair:
         cost = CostModel(c=1000.0)
         link = ScoreLink(k=0.01, b=0.0)
         np.testing.assert_allclose(
-            expected_profit_pair(50.0, 150.0, BASE, cost, link),
+            expected_profit_group(50.0, 2, 150.0, BASE, cost, link),
             387.5, atol=1e-10)
 
     def test_zero_score_zero_baseline(self):
@@ -386,7 +386,7 @@ class TestExpectedProfitPair:
         cost = CostModel(c=1000.0)
         link = ScoreLink(k=0.01, b=0.0)
         np.testing.assert_allclose(
-            expected_profit_pair(0.0, 150.0, BASE, cost, link),
+            expected_profit_group(0.0, 2, 150.0, BASE, cost, link),
             0.0, atol=1e-12)
 
     def test_certain_success_net_of_cost(self):
@@ -394,7 +394,7 @@ class TestExpectedProfitPair:
         cost = CostModel(c=1000.0)
         link = ScoreLink(k=0.01, b=0.0)
         np.testing.assert_allclose(
-            expected_profit_pair(100.0, 150.0, BASE, cost, link),
+            expected_profit_group(100.0, 2, 150.0, BASE, cost, link),
             1000.0 - 150.0 - 500.0, atol=1e-10)
 
     def test_matches_group_of_two(self):
@@ -408,17 +408,17 @@ class TestExpectedProfitPair:
             E = rng.uniform(0.0, 100.0)
             w = rng.uniform(10.0, 500.0)
             np.testing.assert_allclose(
-                expected_profit_pair(E, w, params, cost, link),
+                expected_profit_group(E, 2, w, params, cost, link),
                 expected_profit_group_sum(E, 2, w, params, cost, link),
                 rtol=1e-12, atol=1e-12)
 
     @given(data=st.data())
     @settings(max_examples=300)
     def test_matches_four_outcome_table(self, data):
-        """Over e log-uniform on [1e-12, 1], `expected_profit_pair` is the
-        mean of the four-outcome table less the effort cost, and
-        `pair_objective` is the same quantity at the break-even w, each
-        within 1e-12 of max(1, |value|)."""
+        """Over e log-uniform on [1e-12, 1], `expected_profit_group` at
+        n = 2 is the mean of the four-outcome table less the effort cost,
+        and `group_objective` at n = 2 is the same quantity at the
+        break-even w, each within 1e-12 of max(1, |value|)."""
         p = data.draw(st.floats(0.2, 3.0), "p")
         y_low = data.draw(st.floats(50.0, 800.0), "y_low")
         y_high = y_low + data.draw(st.floats(50.0, 1500.0), "y_gap")
@@ -432,8 +432,8 @@ class TestExpectedProfitPair:
         e = success_probability(E, link)
         w = data.draw(st.floats(10.0, 500.0), "w")
         w_star = binding_repayment(e, 2, params)
-        for value, w_at in ((expected_profit_pair(E, w, params, cost, link), w),
-                            (pair_objective(E, params, cost, link), w_star)):
+        for value, w_at in ((expected_profit_group(E, 2, w, params, cost, link), w),
+                            (group_objective(E, 2, params, cost, link), w_star)):
             table = profit_distribution_pair(e, w_at, params).mean() - cost.effort_cost(e)
             assert abs(value - table) <= 1e-12 * max(1.0, abs(table))
 
@@ -441,7 +441,7 @@ class TestExpectedProfitPair:
         """A heavier obligation can only lower expected profit."""
         cost = CostModel(c=1000.0)
         link = ScoreLink(k=0.01, b=0.0)
-        values = [expected_profit_pair(60.0, w, BASE, cost, link)
+        values = [expected_profit_group(60.0, 2, w, BASE, cost, link)
                   for w in (50.0, 150.0, 300.0, 600.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -450,7 +450,7 @@ class TestExpectedProfitPair:
         cost = CostModel(c=1000.0)
         link = ScoreLink(k=0.01, b=0.0)
         with pytest.raises(DomainError):
-            expected_profit_pair(50.0, 0.0, BASE, cost, link)
+            expected_profit_group(50.0, 2, 0.0, BASE, cost, link)
 
 
 _COST = CostModel(c=1000.0)
@@ -458,8 +458,8 @@ _LINK = ScoreLink(k=0.01, b=0.0)
 
 # Every route that takes a repayment w, as a function of w alone.
 _W_ROUTES = {
-    "expected_profit_pair":
-        lambda w: expected_profit_pair(50.0, w, BASE, _COST, _LINK),
+    "expected_profit_group_n2":
+        lambda w: expected_profit_group(50.0, 2, w, BASE, _COST, _LINK),
     "expected_profit_group":
         lambda w: expected_profit_group(50.0, 3, w, BASE, _COST, _LINK),
     "expected_profit_group_sum":
@@ -611,6 +611,23 @@ class TestProfitDistributionPair:
         dist = profit_distribution_pair(0.5, 150.0, BASE)
         np.testing.assert_allclose(dist.mean(), 512.5, atol=1e-10)
         np.testing.assert_allclose(dist.variance(), 277968.75, atol=1e-8)
+
+    def test_profits_beyond_the_bound_rejected(self):
+        """w = 1e160 puts a profit near -2e160, beyond PROFIT_BOUND = 2**480
+        (about 3.1e144). The pair table raises the DomainError naming w that
+        the group enumeration raises, and a distribution holding such a
+        profit is rejected, so no variance squares it into an overflow
+        warning. Profits at the bound itself are accepted."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for route in (profit_distribution_pair,
+                          lambda e, w, params: profit_distribution_group(e, 2, w, params)):
+                with pytest.raises(DomainError, match=r"float range at w=1e\+160$"):
+                    route(0.5, 1e160, BASE)
+            with pytest.raises(DomainError, match=r"invalid outcome profit 1e\+160"):
+                ProfitDistribution([0.5, 0.5], [1e160, -1e160])
+            edge = ProfitDistribution([0.5, 0.5], [PROFIT_BOUND, -PROFIT_BOUND])
+            assert edge.variance() == PROFIT_BOUND ** 2
 
 
 class TestProfitDistributionGroup:

@@ -7,6 +7,9 @@ reference calibration used throughout is p=1, yields 1000/500, L=100,
 eps=0.05, delta=0.9, c=1000, k=0.01, b=0.
 """
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +31,6 @@ from eselend import (
     optimal_ese_group_batch,
     optimal_ese_pair,
     optimal_ese_pair_as_printed,
-    pair_objective,
 )
 
 BASE = MarketParams(p=1.0, y_high=1000.0, y_low=500.0, loan=100.0,
@@ -155,14 +157,14 @@ class TestOptimalEsePair:
         for _ in range(25):
             params, cost, link = _random_setup(rng)
             closed = optimal_ese_pair(params, cost, link)
-            blind = argmax_grid(lambda E: pair_objective(E, params, cost, link))
+            blind = argmax_grid(lambda E: group_objective(E, 2, params, cost, link))
             np.testing.assert_allclose(closed.score, blind.score, atol=1e-6)
 
     def test_objective_value_is_objective_at_score(self):
         """The reported objective value evaluates the objective itself."""
         opt = optimal_ese_pair(BASE, COST, LINK)
         np.testing.assert_allclose(
-            opt.objective_value, pair_objective(opt.score, BASE, COST, LINK),
+            opt.objective_value, group_objective(opt.score, 2, BASE, COST, LINK),
             rtol=1e-12)
 
 
@@ -256,6 +258,18 @@ class TestSolveGroupFoc:
         """Group sizes below one member are domain errors."""
         with pytest.raises(DomainError):
             optimal_ese_group(0, BASE, COST, LINK)
+
+    def test_objective_checks_group_size_as_the_foc_does(self):
+        """`group_objective` rejects n = NaN, -5 and 0.5 as `group_foc`
+        does, where it used to return nan, -511511.25 and 238.75, and it
+        takes a fractional n >= 1 as the FOC does."""
+        for n in (float("nan"), -5.0, 0.5):
+            for route in (group_objective, group_foc):
+                with pytest.raises(DomainError, match="group size n must be >= 1"):
+                    route(50.0, n, BASE, COST, LINK)
+        # e = 0.5, n = 2.5: 500 - 105 + 500*((1 - 0.5**2.5) - 0.5) - 125
+        np.testing.assert_allclose(group_objective(50.0, 2.5, BASE, COST, LINK),
+                                   520.0 - 500.0 * 0.5 ** 2.5, rtol=1e-14)
 
 
 class TestOptimalEseGroupBatch:
@@ -399,6 +413,17 @@ class TestGroupSizeDerivative:
         np.testing.assert_allclose(printed, -0.18849235353073307, atol=1e-9)
         assert np.sign(printed) == np.sign(canonical)
         assert abs(canonical / printed) > 30.0
+
+    def test_finite_for_huge_groups(self):
+        """At n = 1e154 and 1e300, where n (n-1) pYl overflows and
+        (1-e)^(n-2) underflows, both variants return the limit -0.0 with
+        no floating-point warning (they used to return nan)."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (1e154, 1e300):
+                for route in (dE_dn, dE_dn_as_printed):
+                    value = route(n, 50.0, BASE, COST, LINK)
+                    assert value == 0.0 and math.copysign(1.0, value) == -1.0
 
     def test_domain_errors(self):
         """e in {0, 1} and k = 0 leave the derivative undefined."""
