@@ -16,11 +16,12 @@ The optimizer reads the pair outcome table instead: the member earns
 with ``s = 1`` for a fixed ``w`` and ``s = e(2-e)`` for the break-even
 ``w = L(1+eps)/s``, which every solver here takes as ``w=None``. One
 builder turns the table into the polynomial ``N = s^2 U``, so the maximizer
-on the score range is an endpoint or a real root of ``N' s - 2 N s'``. `optimal_ese_mv_batch` finds the roots of a
-whole sweep at once (companion-matrix eigenvalues), ranks the candidates by
-``N / s^2`` and re-validates the winner through `mv_utility`; `argmax_grid`
-stays the independent test oracle. The constants at the bottom are the
-sweeps' default parameter sets.
+on the score range is an endpoint or a real root of ``N' s - 2 N s'``.
+`optimal_ese_mv_batch` finds the roots of a whole sweep at once
+(companion-matrix eigenvalues), ranks the candidates by ``N / s^2`` and
+re-validates every winner in one array pass through the moments and
+first-order condition that `mv_utility` and `mv_foc` take one cell at a
+time. The constants at the bottom are the sweeps' default parameter sets.
 """
 
 from __future__ import annotations
@@ -36,10 +37,11 @@ from .model_core import (
     CostModel,
     MarketParams,
     ScoreLink,
+    _coverage,
     _repayment,
     _require_finite,
+    _require_in,
     binding_repayment,
-    profit_distribution_pair,
     success_probability,
 )
 from .optimizer import Optimum, _snap_tolerance
@@ -86,22 +88,18 @@ def _risk_aversion(gamma) -> float:
 def _check_float_range(w: float, params: MarketParams, gamma: float,
                        c: float) -> None:
     """Reject arguments whose mean-variance utility overflows the float
-    range, naming the first at fault: ``w``, the revenue, gamma, then c.
+    range, naming the first at fault: ``w``, gamma, then c.
 
-    ``M = max(pYh + pYl, 2w, 1)`` bounds ``A`` and ``B``, and ``2w`` and the
-    revenue must stay within `PROFIT_BOUND`. The moments stay within a few
-    times ``(1 + gamma) M^2 + c`` and the FOC coefficients within about 50
-    times it, so 1024 times it must be finite. ``gamma = c = 0`` checks the
-    moments alone. Python floats overflow to inf without a warning.
+    ``M = max(pYh + pYl, 2w, 1)`` bounds ``A`` and ``B``; ``2w``, like the
+    revenue in `MarketParams`, must stay within `PROFIT_BOUND`. The moments
+    stay within a few times ``(1 + gamma) M^2 + c`` and the FOC coefficients
+    within about 50 times it, so 1024 times it must be finite. ``gamma = c
+    = 0`` checks the moments alone. Python floats overflow without warning.
     """
-    w = float(w)
-    revenue = params.high_revenue + params.low_revenue
-    m = max(revenue, 2.0 * w, 1.0)
+    m = max(params.high_revenue + params.low_revenue, 2.0 * w, 1.0)
     spread = 1024.0 * (1.0 + gamma) * m * m
     if 2.0 * w > PROFIT_BOUND:
         name, value = "w", w
-    elif revenue > PROFIT_BOUND:
-        name, value = "revenue p*y_high + p*y_low", revenue
     elif not math.isfinite(spread):
         name, value = "gamma", gamma
     elif not math.isfinite(spread + 1024.0 * float(c)):
@@ -110,10 +108,6 @@ def _check_float_range(w: float, params: MarketParams, gamma: float,
         return
     raise DomainError("the mean-variance utility overflows the float range "
                       f"at {name}={value!r}")
-
-
-def _mean_poly(e, A, B):
-    return e * e * A + e * (1.0 - e) * B
 
 
 def _var_poly(e, A, B):
@@ -127,15 +121,52 @@ def _var_poly(e, A, B):
     )
 
 
-def _moment_tolerance(A: float, B: float, value_scale: float) -> float:
-    """Agreement tolerance between the two moment routes.
+def _raise_first(bad, error, message, *values):
+    """Raise ``error(message)`` for the first cell flagged in ``bad``, formatted
+    with the cell's entries of ``values`` as floats; an array names the cell."""
+    for i in np.flatnonzero(bad)[:1]:
+        exc = error(message.format(*(float(np.broadcast_to(v, np.shape(bad)).flat[i])
+                                     for v in values)))
+        exc.cell = int(i) if np.ndim(bad) else None
+        raise exc
 
-    Relative 1e-10 on the values themselves plus an absolute floor scaled to
-    the squared profit spreads, since degenerate points (e near 0 or 1)
-    cancel catastrophically and leave only rounding dust.
+
+def _moments(e, w, ph, pl):
+    """Mean and variance of a pair member's profit, cell by cell: the
+    four-outcome table of `profit_distribution_pair`, variance taken around
+    the mean, checked against the polynomials within 1e-10 of the moments
+    plus 256 eps of the squared spreads (degenerate e near 0 or 1 leaves
+    rounding dust). The first cell that disagrees raises InvariantViolation.
     """
-    eps = np.finfo(float).eps
-    return 1e-10 * value_scale + 256.0 * eps * max(A * A, B * B, abs(A * B), 1.0)
+    A, B = ph - w, ph + pl - 2.0 * w
+    table = ((e * e, A), (e * (1.0 - e), B),
+             ((1.0 - e) * e, 0.0), ((1.0 - e) * (1.0 - e), 0.0))
+    mean = sum(P * X for P, X in table)
+    var = sum(P * (X - mean) ** 2 for P, X in table)
+    mean_poly, var_poly = e * e * A + e * (1.0 - e) * B, _var_poly(e, A, B)
+    tol = (1e-10 * np.maximum(np.maximum(abs(mean), abs(var)), 1.0)
+           + 256.0 * np.finfo(float).eps * np.maximum(np.maximum(A * A, B * B), 1.0))
+    _raise_first((abs(mean - mean_poly) > tol) | (abs(var - var_poly) > tol),
+                 InvariantViolation, "moment routes disagree: enumeration "
+                 "({!r}, {!r}) vs polynomial ({!r}, {!r}) at e={!r}, w={!r}",
+                 mean, var, mean_poly, var_poly, e, w)
+    return mean, var
+
+
+def _utility(e, w, ph, pl, gamma, c):
+    """`mv_utility` at success probabilities ``e``, from `_moments`."""
+    mean, var = _moments(e, w, ph, pl)
+    return mean - 0.5 * gamma * var - 0.5 * c * e * e
+
+
+def _foc(e, w, ph, pl, gamma, c, k):
+    """`mv_foc` at success probabilities ``e``, unchecked."""
+    A, B = ph - w, ph + pl - 2.0 * w
+    e2 = e * e
+    e3 = e2 * e
+    dvar = ((2.0 * e - 4.0 * e3) * A * A + (1.0 - 4.0 * e + 6.0 * e2 - 4.0 * e3) * B * B
+            - 2.0 * (3.0 * e2 - 4.0 * e3) * A * B)
+    return k * (B - 2.0 * e * (pl - w) - c * e - 0.5 * gamma * dvar)
 
 
 def profit_moments_pair(e: float, w: float, params: MarketParams) -> Moments:
@@ -148,37 +179,27 @@ def profit_moments_pair(e: float, w: float, params: MarketParams) -> Moments:
     returned. A ``w`` whose variance overflows the float range raises
     DomainError.
     """
-    _check_float_range(_repayment(w), params, 0.0, 0.0)
-    dist = profit_distribution_pair(e, w, params)
-    mean_enum = dist.mean()
-    var_enum = dist.variance()
-    A = params.high_revenue - w
-    B = params.high_revenue + params.low_revenue - 2.0 * w
-    mean_poly = _mean_poly(e, A, B)
-    var_poly = _var_poly(e, A, B)
-    tol = _moment_tolerance(A, B, max(abs(mean_enum), abs(var_enum), 1.0))
-    if abs(mean_enum - mean_poly) > tol or abs(var_enum - var_poly) > tol:
-        raise InvariantViolation(
-            "moment routes disagree: "
-            f"enumeration ({mean_enum!r}, {var_enum!r}) vs "
-            f"polynomial ({mean_poly!r}, {var_poly!r}) at e={e!r}, w={w!r}"
-        )
-    return Moments(mean=float(mean_enum), variance=float(var_enum))
+    w = _repayment(w)
+    _check_float_range(w, params, 0.0, 0.0)
+    e = _require_in("e", float(e), 0.0, 1.0)
+    mean, var = _moments(e, w, params.high_revenue, params.low_revenue)
+    return Moments(mean=float(mean), variance=float(var))
 
 
 def mv_utility(E: float, w: float, params: MarketParams, gamma, cost: CostModel,
                link: ScoreLink) -> float:
     """Mean-variance utility of a score: ``mean - (gamma/2) var - C(e)``.
 
-    Scalar by construction (it routes through the cross-checked
-    `profit_moments_pair`); the sweep optimizer uses an equivalent
-    vectorized path and re-validates its optimum through this function.
+    One score at a time, from the cross-checked moments of
+    `profit_moments_pair`; `optimal_ese_mv_batch` re-validates its optima
+    through the same moment enumeration, a whole sweep at once.
     """
     gamma = _risk_aversion(gamma)
     e = float(success_probability(E, link))
-    m = profit_moments_pair(e, w, params)
+    w = _repayment(w)
     _check_float_range(w, params, gamma, cost.c)
-    return m.mean - 0.5 * gamma * m.variance - float(cost.effort_cost(e))
+    return float(_utility(e, w, params.high_revenue, params.low_revenue,
+                          gamma, cost.c))
 
 
 def mv_foc(E, w: float, params: MarketParams, gamma, cost: CostModel,
@@ -199,18 +220,8 @@ def mv_foc(E, w: float, params: MarketParams, gamma, cost: CostModel,
     gamma = _risk_aversion(gamma)
     w = _repayment(w)
     _check_float_range(w, params, gamma, cost.c)
-    e = success_probability(E, link)
-    A = params.high_revenue - w
-    B = params.high_revenue + params.low_revenue - 2.0 * w
-    e2 = e * e
-    e3 = e2 * e
-    dmean = B - 2.0 * e * (params.low_revenue - w)
-    dvar = (
-        (2.0 * e - 4.0 * e3) * A * A
-        + (1.0 - 4.0 * e + 6.0 * e2 - 4.0 * e3) * B * B
-        - 2.0 * (3.0 * e2 - 4.0 * e3) * A * B
-    )
-    return link.k * (dmean - cost.marginal_cost(e) - 0.5 * gamma * dvar)
+    return _foc(success_probability(E, link), w, params.high_revenue,
+                params.low_revenue, gamma, cost.c, link.k)
 
 
 #: Coefficients per engine polynomial; the break-even root numerator has degree 9.
@@ -311,27 +322,6 @@ def _real_roots(coefs):
     return out
 
 
-def _check_optimum(opt: Optimum, w, params: MarketParams, gamma: float,
-                   cost: CostModel, link: ScoreLink) -> None:
-    """Re-validate an optimum through the cross-checked scalar routes."""
-    w_star = (binding_repayment(success_probability(opt.score, link), 2, params)
-              if w is None else w)
-    check = mv_utility(opt.score, w_star, params, gamma, cost, link)
-    scale = max(1.0, abs(opt.objective_value), abs(check))
-    if abs(check - opt.objective_value) > 1e-9 * scale:
-        raise InvariantViolation(
-            f"optimizer objective {opt.objective_value!r} disagrees with "
-            f"utility {check!r} at E={opt.score!r}"
-        )
-    if w is not None and not opt.at_boundary:
-        residual = float(mv_foc(opt.score, w, params, gamma, cost, link))
-        if abs(residual) > 1e-6 * scale:
-            raise InvariantViolation(
-                f"interior optimum at E={opt.score!r} leaves FOC residual "
-                f"{residual!r}"
-            )
-
-
 def optimal_ese_mv_batch(w, cells) -> list[Optimum]:
     """Mean-variance optimal scores of many cells, solved together.
 
@@ -347,14 +337,13 @@ def optimal_ese_mv_batch(w, cells) -> list[Optimum]:
     ``at_boundary`` is set exactly when the optimum is an endpoint. With
     ``k = 0`` both endpoints tie, so the optimum is E = 0 at the boundary.
 
-    Every optimum is re-validated: its utility must match the cross-checked
-    scalar `mv_utility` within 1e-9 of the utility scale, and an interior
+    One array pass re-validates every optimum apart from the engine: the
+    `mv_utility` route, at ``w`` or the break-even ``L(1+eps)/(1-(1-e)^2)``,
+    must match its utility within 1e-9 of the utility scale, and an interior
     fixed-``w`` optimum must leave a `mv_foc` residual below 1e-6 of that
-    scale. An error raised while handling a cell carries the cell's index
-    in its ``cell`` attribute.
+    scale. An error about a cell carries the cell's index in ``cell``.
     """
     w = None if w is None else _repayment(w)
-    cells = list(cells)
     rows = []
     for i, (params, gamma, cost, link) in enumerate(cells):
         with _cell(i):
@@ -374,28 +363,35 @@ def optimal_ese_mv_batch(w, cells) -> list[Optimum]:
     N = _scaled_utility(_poly(0.0, 1.0), s, table, gamma, c, _pmul)
     roots = _real_roots((_pmul(_pder(N), s) - 2.0 * _pmul(N, _pder(s))).T)
 
-    k, b = k[:, None], b[:, None]
-    inside = (roots > b) & (roots < b + 100.0 * k)
-    scores = np.divide(roots - b, k, out=np.full_like(roots, np.nan), where=inside)
+    kc, bc = k[:, None], b[:, None]
+    inside = (roots > bc) & (roots < bc + 100.0 * kc)
+    scores = np.divide(roots - bc, kc, out=np.full_like(roots, np.nan), where=inside)
     snap = _snap_tolerance(0.0, 100.0)
     scores[scores <= snap] = 0.0
     scores[scores >= 100.0 - snap] = 100.0
-    edges = np.broadcast_to([0.0, 100.0], (len(cells), 2))
+    edges = np.broadcast_to([0.0, 100.0], (len(rows), 2))
     scores = np.sort(np.concatenate([edges, scores], axis=1), axis=1)
-    values = _utility_at(np.clip(k * scores + b, 0.0, 1.0).T, s, table, gamma, c).T
+    values = _utility_at(np.clip(kc * scores + bc, 0.0, 1.0).T, s, table, gamma, c).T
     values[np.isnan(scores)] = -np.inf
     best = np.argmax(values, axis=1)
 
-    out = []
-    for i, (params, gamma, cost, link) in enumerate(cells):
-        score, value = float(scores[i, best[i]]), float(values[i, best[i]])
-        with _cell(i):
-            if not np.isfinite(value):
-                raise EvaluationError(f"objective is not finite at E={score!r}")
-            opt = Optimum(score, score == 0.0 or score == 100.0, value)
-            _check_optimum(opt, w, params, gamma, cost, link)
-        out.append(opt)
-    return out
+    score, value = (x[np.arange(len(rows)), best] for x in (scores, values))
+    _raise_first(~np.isfinite(value), EvaluationError,
+                 "objective is not finite at E={!r}", score)
+    e = np.clip(k * score + b, 0.0, 1.0)
+    check = _utility(e, principal / _coverage(e, 2) if w is None else w,
+                     ph, pl, gamma, c)
+    scale = np.maximum(np.maximum(abs(value), abs(check)), 1.0)
+    _raise_first(abs(check - value) > 1e-9 * scale, InvariantViolation,
+                 "optimizer objective {!r} disagrees with utility {!r} at E={!r}",
+                 value, check, score)
+    at_boundary = (score == 0.0) | (score == 100.0)
+    if w is not None:
+        residual = _foc(e, w, ph, pl, gamma, c, k)
+        _raise_first(~at_boundary & (abs(residual) > 1e-6 * scale), InvariantViolation,
+                     "interior optimum at E={!r} leaves FOC residual {!r}",
+                     score, residual)
+    return list(map(Optimum, score.tolist(), at_boundary.tolist(), value.tolist()))
 
 
 def optimal_ese_mv(w, params: MarketParams, gamma, cost: CostModel,

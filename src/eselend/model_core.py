@@ -16,8 +16,8 @@ repayment level that makes the financier whole, and the two loan ceilings
 Group sizes and repayments are plain numbers; `_group_size` is the one
 check of ``n`` and `_repayment` the one check of ``w``. A pair is the
 ``n = 2`` case of the group formulas. Only `profit_distribution_pair`
-stays pair-specific: its four-outcome table is the enumeration route that
-the pair moment polynomials are checked against.
+stays pair-specific: its four-outcome table is the scalar reference for
+the enumeration that the mean-variance moments are checked against.
 
 All monetary quantities share one currency unit. Functions broadcast over
 numpy arrays wherever a formula is closed-form in ``e`` or ``E``.
@@ -87,7 +87,7 @@ class MarketParams:
     Attributes
     ----------
     p : float
-        Output price, > 0.
+        Output price, > 0, with revenue ``p*y_high + p*y_low <= PROFIT_BOUND``.
     y_high : float
         Per-member physical yield on success. Must exceed ``y_low``.
     y_low : float
@@ -121,6 +121,9 @@ class MarketParams:
             raise DomainError("epsilon must be >= 0")
         if not 0 < self.delta < 1:
             raise DomainError("delta must lie in (0, 1)")
+        revenue = float(self.p) * float(self.y_high) + float(self.p) * float(self.y_low)
+        if revenue > PROFIT_BOUND:
+            raise DomainError(f"revenue p*y_high + p*y_low={revenue!r} exceeds 2**480")
 
     @property
     def high_revenue(self) -> float:

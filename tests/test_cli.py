@@ -257,13 +257,13 @@ class TestSweepMv:
     def test_failing_cell_is_named(self, tmp_path, monkeypatch, capsys):
         """A failed re-validation exits 4 and names its (b, c, gamma)
         cell; a bad gamma exits 2 and names its cell too."""
-        real = mean_variance.mv_utility
+        real = mean_variance._utility
 
-        def broken(E, w, params, gamma, cost, link):
-            off = 1.0 if (cost.c, gamma) == (1200.0, 0.5) else 0.0
-            return real(E, w, params, gamma, cost, link) + off
+        def broken(e, w, ph, pl, gamma, c):
+            off = np.where((c == 1200.0) & (gamma == 0.5), 1.0, 0.0)
+            return real(e, w, ph, pl, gamma, c) + off
 
-        monkeypatch.setattr(mean_variance, "mv_utility", broken)
+        monkeypatch.setattr(mean_variance, "_utility", broken)
         out = tmp_path / "mv.csv"
         assert main(["sweep-mv", "--b-set", "0.5", "--c-set", "1000,1200",
                      "--gamma-grid", "0:1:3", "--out", str(out)]) == 4
@@ -296,6 +296,42 @@ class TestSweepMv:
                      "--gamma-grid", "0:1:3", "--out", str(out)]) == 4
         assert ("error: b=0.5, c=1000, gamma=0: moment routes disagree"
                 in capsys.readouterr().err)
+
+    def test_engine_fault_is_caught_by_the_oracle(self, tmp_path, monkeypatch,
+                                                  capsys):
+        """The re-validation reads none of the engine's arrays, so a fault
+        in the engine itself exits 4 naming its cell, with plain numbers in
+        the message: a ranked value off by 1.0 disagrees with the utility,
+        and roots shifted by 1e-4 move the interior optimum of cell 0
+        (b=0.3, c=800, gamma=0, near E = 71.80) off its first-order
+        condition."""
+        out = tmp_path / "mv.csv"
+        real_values = mean_variance._utility_at
+
+        def off_values(e, s, rows, gamma, c):
+            bump = np.where((c == 1200.0) & (gamma == 0.5), 1.0, 0.0)
+            return real_values(e, s, rows, gamma, c) + bump
+
+        with monkeypatch.context() as patch:
+            patch.setattr(mean_variance, "_utility_at", off_values)
+            assert main(["sweep-mv", "--b-set", "0.5", "--c-set", "1000,1200",
+                         "--gamma-grid", "0:1:3", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: b=0.5, c=1200, gamma=0.5: optimizer objective ")
+        assert "disagrees with utility" in err and "np." not in err
+        real_roots = mean_variance._real_roots
+
+        def shifted_roots(coefs):
+            roots = real_roots(coefs)
+            roots[0] += 1e-4
+            return roots
+
+        monkeypatch.setattr(mean_variance, "_real_roots", shifted_roots)
+        assert main(["sweep-mv", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: b=0.3, c=800, gamma=0: interior optimum at E=71.8")
+        assert "FOC residual" in err and "np." not in err
+        assert not out.exists()
 
 
 # ----------------------------------------------------------------------
@@ -337,13 +373,12 @@ class TestSweepYield:
     def test_failing_cell_is_named(self, tmp_path, monkeypatch, capsys):
         """A failed re-validation exits 4 and names its scenario and
         gamma."""
-        real = mean_variance.mv_utility
+        real = mean_variance._utility
 
-        def broken(E, w, params, gamma, cost, link):
-            off = 1.0 if params.y_high == 600.0 else 0.0
-            return real(E, w, params, gamma, cost, link) + off
+        def broken(e, w, ph, pl, gamma, c):
+            return real(e, w, ph, pl, gamma, c) + np.where(ph == 600.0, 1.0, 0.0)
 
-        monkeypatch.setattr(mean_variance, "mv_utility", broken)
+        monkeypatch.setattr(mean_variance, "_utility", broken)
         out = tmp_path / "y.csv"
         assert main(["sweep-yield", "--endogenous-w", "--out", str(out)]) == 4
         assert ("error: scenario=Ybar=600,Ylow=300, gamma=0: "
@@ -778,6 +813,28 @@ class TestSpecErrors:
             argv = [*argv, "--config", str(path)]
         assert main([*argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
+class TestRevenueBound:
+    """A price or yield whose revenue exceeds the profit bound is an input
+    problem named as the revenue, in every command that builds a market.
+    It used to write inf ceilings, exit 4 on a non-finite FOC, or blame the
+    break-even w."""
+
+    @pytest.mark.parametrize("argv", [
+        ["ceilings", "--e-grid", "0.5"],
+        ["sweep-group-size", "--n-max", "3"],
+        ["simulate"],
+        ["sweep-mv"],
+        ["sweep-yield", "--yields", "1e300:1,600:300"],
+    ])
+    def test_huge_revenue_exits_two(self, argv, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        if argv[0] != "sweep-yield":
+            argv = [*argv, "--p", "1e308"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "error: revenue p*y_high + p*y_low=" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -205,17 +205,17 @@ class TestMvUtility:
             mv_utility(50.0, 1e160, BASE, 0.5, COST, LINK)
 
     def test_overflow_names_the_argument_at_fault(self):
-        """An ordinary w = 140 is never blamed: a huge gamma, effort cost
-        or revenue is named instead, with no floating-point warning."""
-        rich = MarketParams(p=1.0, y_high=1e200, y_low=500.0, loan=100.0,
-                            epsilon=0.05, delta=0.9)
-        for args, name in (((BASE, 1e300, COST), r"gamma=1e\+300"),
-                           ((BASE, 0.5, CostModel(c=1e307)), r"c=1e\+307"),
-                           ((rich, 0.5, COST),
-                            r"revenue p\*y_high \+ p\*y_low=1e\+200")):
-            params, gamma, cost = args
+        """An ordinary w = 140 is never blamed: a huge gamma or effort cost
+        is named instead, with no floating-point warning. A huge revenue
+        never reaches the utility: the market parameters reject it."""
+        for gamma, cost, name in ((1e300, COST, r"gamma=1e\+300"),
+                                  (0.5, CostModel(c=1e307), r"c=1e\+307")):
             with pytest.raises(DomainError, match=f"float range at {name}$"):
-                mv_utility(50.0, 140.0, params, gamma, cost, LINK)
+                mv_utility(50.0, 140.0, BASE, gamma, cost, LINK)
+        with pytest.raises(DomainError,
+                           match=r"revenue p\*y_high \+ p\*y_low=1e\+200"):
+            MarketParams(p=1.0, y_high=1e200, y_low=500.0, loan=100.0,
+                         epsilon=0.05, delta=0.9)
 
     def test_risk_preference_validation(self):
         """gamma must be finite and >= 0: -0.1 and nan are rejected."""
@@ -368,10 +368,11 @@ class TestOptimalEseMv:
             optimal_ese_mv(150.0, BASE, -0.5, COST, LINK)
 
     def test_utility_disagreement_is_an_invariant_violation(self, monkeypatch):
-        """If the scalar utility route ever disagreed with the vectorized
-        objective at the optimum, the solver raises instead of returning."""
-        real = mean_variance.mv_utility
-        monkeypatch.setattr(mean_variance, "mv_utility",
+        """If the utility route behind `mv_utility` ever disagreed with the
+        engine's objective at the optimum, the solver raises instead of
+        returning."""
+        real = mean_variance._utility
+        monkeypatch.setattr(mean_variance, "_utility",
                             lambda *args: real(*args) + 1e-3)
         with pytest.raises(InvariantViolation, match="disagrees with utility"):
             optimal_ese_mv(150.0, BASE, 0.001, COST, LINK)
@@ -379,7 +380,8 @@ class TestOptimalEseMv:
     def test_foc_residual_is_an_invariant_violation(self, monkeypatch):
         """An interior fixed-w optimum whose FOC residual is not ~0 raises;
         boundary optima never consult the FOC."""
-        monkeypatch.setattr(mean_variance, "mv_foc", lambda *args: 1.0)
+        monkeypatch.setattr(mean_variance, "_foc",
+                            lambda e, *args: np.ones_like(e))
         with pytest.raises(InvariantViolation, match="FOC residual"):
             optimal_ese_mv(150.0, BASE, 0.001, COST, LINK)
         assert optimal_ese_mv(150.0, BASE, 0.5, COST, LINK).at_boundary
@@ -431,12 +433,11 @@ class TestOptimalEseMvBatch:
         with pytest.raises(DomainError) as excinfo:
             optimal_ese_mv_batch(0.0, cells)
         assert excinfo.value.cell is None
-        real = mean_variance.mv_utility
+        real = mean_variance._utility
         monkeypatch.setattr(
-            mean_variance, "mv_utility",
-            lambda E, w, params, gamma, cost, link:
-                real(E, w, params, gamma, cost, link)
-                + (1.0 if gamma > 0 else 0.0))
+            mean_variance, "_utility",
+            lambda e, w, ph, pl, gamma, c:
+                real(e, w, ph, pl, gamma, c) + np.where(gamma > 0, 1.0, 0.0))
         with pytest.raises(InvariantViolation) as excinfo:
             optimal_ese_mv_batch(150.0, cells[:2])
         assert excinfo.value.cell == 1
