@@ -368,8 +368,7 @@ def _success_profits(n: int, w: float, params: MarketParams) -> np.ndarray:
     The k failing peers each contribute ``p*y_low`` toward their repayment
     ``w``; the ``n - k`` successful members split the shortfall equally.
     A ``w`` that puts a profit beyond ``PROFIT_BOUND`` in magnitude raises
-    DomainError, so the moments and the simulator's sums of squares stay
-    finite.
+    DomainError, so the moments stay finite.
     """
     k = np.arange(n, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -321,16 +321,19 @@ def optimal_ese_group_batch(ns, params: MarketParams, cost: CostModel,
     has a sign-change bracket, and all brackets are bisected in lockstep
     until no midpoint lies strictly inside its bracket; the end with the
     smaller ``|g|`` is the root. ``n`` may be fractional; the FOC is
-    analytic in ``n``. An error raised while handling a size carries the
-    size's index in its ``cell`` attribute.
+    analytic in ``n``. With ``k = 0`` the score has no effect, and every
+    optimum is E = 0 at the boundary, as in `optimal_ese_pair`. An error
+    raised while handling a size carries the size's index in its ``cell``
+    attribute.
     """
-    if link.k <= 0.0:
-        raise DomainError("group optimum requires k > 0")
     n = np.array(ns, dtype=float).reshape(-1)
     bad = np.flatnonzero(~(np.isfinite(n) & (n >= 1.0)))
     if bad.size:
         with _cell(int(bad[0])):
             raise DomainError("group size n must be >= 1")
+    if link.k == 0.0:
+        values = _objective(success_probability(np.zeros_like(n), link), n, params, cost)
+        return [Optimum(0.0, True, value) for value in values.tolist()]
 
     def g(E, n):
         return _foc(success_probability(E, link), n, params, cost)
@@ -436,14 +439,16 @@ def ese_limit(params: MarketParams, cost: CostModel, link: ScoreLink) -> Optimum
     settles at ``e_inf = p(y_high - y_low) / c``, i.e.
     ``E_inf = (e_inf - b) / k`` clamped to [0, 100]. The objective value
     reported is the limiting objective
-    ``e pYh - L(1+eps) + pYl (1-e) - c e^2/2`` at the clamped score.
+    ``e pYh - L(1+eps) + pYl (1-e) - c e^2/2`` at the clamped score. With
+    ``k = 0`` the limit is E = 0 at the boundary, as for every group size.
     """
-    if link.k <= 0.0:
-        raise DomainError("limit requires k > 0")
-    e_inf = params.p * (params.y_high - params.y_low) / cost.c
-    raw = (e_inf - link.b) / link.k
-    score = min(max(raw, 0.0), 100.0)
-    at_boundary = score != raw
+    if link.k == 0.0:
+        score, at_boundary = 0.0, True
+    else:
+        e_inf = params.p * (params.y_high - params.y_low) / cost.c
+        raw = (e_inf - link.b) / link.k
+        score = min(max(raw, 0.0), 100.0)
+        at_boundary = score != raw
     e = success_probability(score, link)
     principal = params.loan * (1.0 + params.epsilon)
     value = (

@@ -19,12 +19,13 @@ to [0, 1) via the top 53 bits, where ``mix64`` is the splitmix64 finalizer:
 Every draw is a pure function of (seed, counter), and the counter does not
 depend on e. So for one group size the simulator computes a single shared
 stream, in blocks of about 65,536 draws laid out member-major, and compares
-each block with every e of the batch, 64 cells per pass. A draw's top 53
-bits ``x`` stand for ``u = x * 2^-53``, and ``u < e`` holds exactly when
-``x < ceil(e * 2^53)``, so success is an integer compare. The simulator
-runs in one process and walks the trials in fixed 65,536-trial chunks; for
-each e it keeps each chunk's sum and sum of squares and reduces them in
-chunk order.
+each block with every e of the batch. A draw's top 53 bits ``x`` stand for
+``u = x * 2^-53``, and ``u < e`` holds exactly when ``x < ceil(e * 2^53)``,
+so success is an integer compare. A member's profit takes one of n + 1
+values, so for each e the simulator adds each block's outcomes into an
+integer count per outcome. The counts are exact and do not depend on how
+the trials are split, and the moments come from them as from an exact
+distribution, with no running float sums to cancel.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .errors import DomainError, _cell
 from .mean_variance import Moments
 from .model_core import (
     MarketParams,
+    ProfitDistribution,
     _group_size,
     _repayment,
     _require_finite,
@@ -50,22 +52,14 @@ from .model_core import (
 __all__ = [
     "SimConfig",
     "SimResult",
-    "CHUNK_TRIALS",
     "simulate_member_profit",
     "simulate_member_profit_batch",
     "enumerate_member_profit",
 ]
 
-#: Fixed partition width (in trials) for deterministic chunked accumulation.
-CHUNK_TRIALS = 65_536
-
 #: Draws per block of the shared stream; a block holds ``_BLOCK_DRAWS // n``
 #: trials of all n members.
 _BLOCK_DRAWS = 65_536
-
-#: Cells compared with one pass over the stream. Each holds a code array of
-#: one chunk, so this bounds that memory at 64 x 65,536 codes.
-_SHARED_CELLS = 64
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -142,12 +136,13 @@ def simulate_member_profit_batch(es, group, ws, params: MarketParams,
     member-major as ``trial * n + member``).
     With ``k`` peer failures and own success the profit is
     ``p y_high - w - k (w - p y_low) / (n - k)``; own failure pays 0.
-    The variance is the population variance over trials and
+    Each cell counts how many trials give each of the n + 1 outcomes, and
+    its mean and population variance are those of the `ProfitDistribution`
+    with probabilities ``counts / trials``, as in `enumerate_member_profit`;
     ``std_error_mean = sqrt(variance / trials)``. Result ``i`` depends only
     on (es[i], n, ws[i], params, trials, seed): the counters do not depend
-    on e, so every block of draws is computed once and compared with up to
-    ``_SHARED_CELLS`` cells. An error raised for a cell carries its index
-    in ``cell``.
+    on e, so every block of draws is computed once and compared with every
+    cell. An error raised for a cell carries its index in ``cell``.
     """
     n = _group_size(group)
     es, ws = list(es), list(ws)
@@ -163,67 +158,33 @@ def simulate_member_profit_batch(es, group, ws, params: MarketParams,
     if cfg.trials * n >= 2 ** 62:
         raise DomainError("trials * n too large for the 64-bit counter space")
 
-    results = []
-    for first in range(0, len(es), _SHARED_CELLS):
-        cells = slice(first, first + _SHARED_CELLS)
-        sums = _stream_sums(es[cells], n, tables[cells], cfg)
-        for i, cell_sums in enumerate(sums, first):
-            with _cell(i):
-                results.append(_sim_result(*cell_sums, cfg))
-    return results
-
-
-def _stream_sums(es: list, n: int, tables: list, cfg: SimConfig) -> list[tuple]:
-    """Per-chunk sums and sums of squares, and the min and max, of each
-    cell's profit, all from one pass over the shared draw stream.
-    ``tables[i]`` maps cell i's outcome codes to profits."""
     # x * 2^-53 < e holds exactly when x < ceil(e * 2^53).
     thresholds = [np.uint64(math.ceil(e * 2.0 ** 53)) for e in es]
-
     rows = max(1, _BLOCK_DRAWS // n)
     offsets = np.arange(rows, dtype=np.uint64) * np.uint64(n)
     offsets = (offsets + np.arange(n, dtype=np.uint64)[:, None]) * np.uint64(_GOLDEN)
     z, tmp = np.empty_like(offsets), np.empty_like(offsets)
     hit = np.empty(offsets.shape, dtype=bool)
     code_type = np.min_scalar_type(n)
-    codes = np.empty((len(es), min(CHUNK_TRIALS, cfg.trials)), dtype=code_type)
-    chunk_sums = [[] for _ in es]
-    chunk_sqs = [[] for _ in es]
-    lo = [math.inf] * len(es)
-    hi = [-math.inf] * len(es)
-    for start in range(0, cfg.trials, CHUNK_TRIALS):
-        m = min(CHUNK_TRIALS, cfg.trials - start)
-        for t in range(0, m, rows):
-            r = min(rows, m - t)
-            x = _draws53(_stream_base(cfg.seed, (start + t) * n),
-                         offsets[:, :r], z[:, :r], tmp[:, :r])
-            for i, threshold in enumerate(thresholds):
-                success = np.less(x, threshold, out=hit[:, :r])
-                code = np.add.reduce(success[1:], axis=0, dtype=code_type)
-                code += 1
-                np.multiply(success[0], code, out=codes[i, t:t + r])
-        for i, table in enumerate(tables):
-            profit = table.take(codes[i, :m])
-            chunk_sums[i].append(float(profit.sum()))
-            chunk_sqs[i].append(float((profit * profit).sum()))
-            lo[i] = min(lo[i], float(profit.min()))
-            hi[i] = max(hi[i], float(profit.max()))
-    return list(zip(chunk_sums, chunk_sqs, lo, hi))
+    counts = np.zeros((len(es), n + 1), dtype=np.int64)
+    for t in range(0, cfg.trials, rows):
+        r = min(rows, cfg.trials - t)
+        x = _draws53(_stream_base(cfg.seed, t * n), offsets[:, :r], z[:, :r], tmp[:, :r])
+        for i, threshold in enumerate(thresholds):
+            success = np.less(x, threshold, out=hit[:, :r])
+            code = np.add.reduce(success[1:], axis=0, dtype=code_type)
+            code += 1
+            code *= success[0]
+            counts[i] += np.bincount(code, minlength=n + 1)
 
-
-def _sim_result(chunk_sums: list[float], chunk_sqs: list[float], lo: float,
-                hi: float, cfg: SimConfig) -> SimResult:
-    """Moments from per-chunk sums, reduced in chunk order."""
-    if lo == hi:
-        # Every trial produced the same profit; report it exactly rather
-        # than dividing a rounded running sum back down.
-        return SimResult(lo, 0.0, 0.0, cfg.trials, cfg.seed)
-    total = float(np.sum(np.asarray(chunk_sums)))
-    total_sq = float(np.sum(np.asarray(chunk_sqs)))
-    mean = total / cfg.trials
-    variance = max(total_sq / cfg.trials - mean * mean, 0.0)
-    std_error = math.sqrt(variance / cfg.trials)
-    return SimResult(mean, variance, std_error, cfg.trials, cfg.seed)
+    results = []
+    for i, (cell_counts, table) in enumerate(zip(counts, tables)):
+        with _cell(i):
+            dist = ProfitDistribution(cell_counts / cfg.trials, table)
+            mean, variance = dist.mean(), dist.variance()
+            results.append(SimResult(mean, variance, math.sqrt(variance / cfg.trials),
+                                     cfg.trials, cfg.seed))
+    return results
 
 
 def simulate_member_profit(e: float, group, w: float, params: MarketParams,

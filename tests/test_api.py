@@ -20,7 +20,8 @@ def test_package_exports_each_module_list():
     """``eselend.__all__`` is the module lists in import order plus
     ``__version__``, with no name twice; each name is the module's own
     object. `SolverConfig` is gone: `argmax_grid`'s grid and iteration cap
-    are fixed."""
+    are fixed. `CHUNK_TRIALS` is gone: the simulator counts outcomes, so
+    no trial partition shows in its results."""
     names = [name for module in MODULES for name in module.__all__]
     assert eselend.__all__ == names + ["__version__"]
     assert len(set(eselend.__all__)) == len(eselend.__all__)
@@ -30,6 +31,8 @@ def test_package_exports_each_module_list():
     assert isinstance(eselend.__version__, str)
     assert not hasattr(eselend, "SolverConfig")
     assert not hasattr(optimizer, "SolverConfig")
+    assert not hasattr(eselend, "CHUNK_TRIALS")
+    assert not hasattr(oracle_sim, "CHUNK_TRIALS")
 
 
 # Valid values for every argument of a function that takes E, e, n, w or

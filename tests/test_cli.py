@@ -154,6 +154,15 @@ class TestSweepGroupSize:
         assert len(rows) == 1
         assert rows[0][0] == "2"
 
+    def test_flat_link_gives_zero_scores(self, tmp_path):
+        """--k 0 gives E = 0 at the boundary for every size and for the
+        limit, as sweep-mv does for a flat link."""
+        out = tmp_path / "g.csv"
+        assert main(["sweep-group-size", "--k", "0", "--n-max", "3",
+                     "--out", str(out)]) == 0
+        _, _, rows = _read_rows(out)
+        assert rows == [[n, "0", "true", "0"] for n in ("1", "2", "3")]
+
     def test_bad_window_exits_two(self, tmp_path):
         """n-min above n-max is a usage error."""
         out = tmp_path / "g.csv"

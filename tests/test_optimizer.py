@@ -20,6 +20,7 @@ from eselend import (
     DomainError,
     EvaluationError,
     MarketParams,
+    Optimum,
     ScoreLink,
     argmax_grid,
     dE_dn,
@@ -249,10 +250,21 @@ class TestSolveGroupFoc:
             opt.objective_value, group_objective(opt.score, 3, BASE, COST, LINK),
             rtol=1e-12)
 
-    def test_flat_link_rejected(self):
-        """k=0 leaves no way to move e through the score."""
-        with pytest.raises(DomainError):
-            optimal_ese_group(2, BASE, COST, ScoreLink(k=0.0, b=0.5))
+    def test_flat_link_pins_score_to_zero(self):
+        """k=0 makes the score irrelevant, so the optimum is E = 0 at the
+        boundary with the objective at e = b, as for the pair closed form
+        and for every size, fractional ones too."""
+        flat = ScoreLink(k=0.0, b=0.5)
+        for n in (1, 2, 2.5, 7):
+            opt = optimal_ese_group(n, BASE, COST, flat)
+            assert (opt.score, opt.at_boundary) == (0.0, True)
+            np.testing.assert_allclose(
+                opt.objective_value, group_objective(0.0, n, BASE, COST, flat),
+                rtol=1e-14)
+        pair = optimal_ese_pair(BASE, COST, flat)
+        assert (pair.score, pair.at_boundary) == (0.0, True)
+        np.testing.assert_allclose(optimal_ese_group(2, BASE, COST, flat).objective_value,
+                                   pair.objective_value, rtol=1e-14)
 
     def test_bad_group_size_rejected(self):
         """Group sizes below one member are domain errors."""
@@ -307,18 +319,18 @@ class TestOptimalEseGroupBatch:
         assert (bottom.score, bottom.at_boundary) == (0.0, True)
 
     def test_errors_carry_the_cell_index(self):
-        """A bad size or a non-finite FOC names the size's index; a flat
-        link, shared by every size, names none. At n = 1e308 the FOC term
-        p*y_low*n overflows at E = 0."""
+        """A bad size or a non-finite FOC names the size's index, also with
+        a flat link. At n = 1e308 the FOC term p*y_low*n overflows at
+        E = 0."""
         with pytest.raises(DomainError, match="n must be >= 1") as excinfo:
             optimal_ese_group_batch([2, 3, 0.5], BASE, COST, LINK)
         assert excinfo.value.cell == 2
         with pytest.raises(DomainError) as excinfo:
             optimal_ese_group_batch([2, np.inf], BASE, COST, LINK)
         assert excinfo.value.cell == 1
-        with pytest.raises(DomainError) as excinfo:
-            optimal_ese_group_batch([2], BASE, COST, ScoreLink(k=0.0, b=0.5))
-        assert excinfo.value.cell is None
+        with pytest.raises(DomainError, match="n must be >= 1") as excinfo:
+            optimal_ese_group_batch([2, 0.5], BASE, COST, ScoreLink(k=0.0, b=0.5))
+        assert excinfo.value.cell == 1
         with np.errstate(over="ignore"):
             with pytest.raises(EvaluationError,
                                match=r"FOC is not finite at E=0\.0") as excinfo:
@@ -468,6 +480,13 @@ class TestEseLimit:
         opt = ese_limit(BASE, CostModel(c=100.0), LINK)
         assert opt.score == 100.0
         assert opt.at_boundary
+
+    def test_flat_link_pins_score_to_zero(self):
+        """k=0: the limit is E = 0 at the boundary, as every group optimum
+        is, with the limiting objective at e = b = 0.5:
+        500 - 105 + 500 * 0.5 - 125 = 520."""
+        opt = ese_limit(BASE, COST, ScoreLink(k=0.0, b=0.5))
+        assert opt == Optimum(0.0, True, 520.0)
 
     def test_group_solver_converges_to_limit(self):
         """optimal_ese_group approaches the limit from above as n grows."""

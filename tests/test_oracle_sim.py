@@ -4,16 +4,18 @@ counter-based Monte Carlo simulator.
 The simulator documents its random source completely: draw t*n+j for
 (trial t, member j) is the splitmix64 finalizer applied to
 seed + (counter+1)*0x9E3779B97F4A7C15, mapped to [0, 1) by the top 53
-bits, and trials accumulate in fixed 65,536-trial chunks. These tests
-rebuild that contract independently, draw by draw in pure Python and
-chunk by chunk with a float-threshold numpy oracle, and require the
-shared-stream kernel to match it bit for bit, then check the statistics
-against the exact distribution.
+bits, and each cell counts its trials per outcome and takes the moments of
+the counted distribution. These tests rebuild that contract independently,
+draw by draw in pure Python and trial by trial with a float-threshold
+numpy oracle that counts outcomes, and require the shared-stream kernel to
+match it bit for bit, then check the statistics against the exact
+distribution.
 """
 
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 from eselend import (
     DomainError,
     MarketParams,
+    ProfitDistribution,
     SimConfig,
     SimResult,
     enumerate_member_profit,
@@ -30,13 +33,7 @@ from eselend import (
     simulate_member_profit,
     simulate_member_profit_batch,
 )
-from eselend.oracle_sim import (
-    _BLOCK_DRAWS,
-    _SHARED_CELLS,
-    CHUNK_TRIALS,
-    _draws53,
-    _stream_base,
-)
+from eselend.oracle_sim import _BLOCK_DRAWS, _draws53, _stream_base
 
 BASE = MarketParams(p=1.0, y_high=1000.0, y_low=500.0, loan=100.0,
                     epsilon=0.05, delta=0.9)
@@ -74,28 +71,31 @@ def _draws(seed: int, counters: np.ndarray) -> np.ndarray:
     return _draws53(_stream_base(seed, 0), counters * _GOLDEN, z, tmp)
 
 
-def _ref_simulate(e, n, w, params, trials, seed):
-    """Pure-Python rebuild of the documented simulation contract."""
+def _ref_outcomes(e, n, w, params, trials, seed):
+    """Rebuild of the documented draws, trial by trial with float
+    thresholds: the count of each outcome code own * (peer successes + 1)
+    and the profit each code pays (0 for codes that never occur)."""
     ph, pl = params.high_revenue, params.low_revenue
-    chunk_sums, chunk_sqs = [], []
-    lo, hi = math.inf, -math.inf
-    for start in range(0, trials, CHUNK_TRIALS):
-        m = min(CHUNK_TRIALS, trials - start)
+    counts, table = np.zeros(n + 1, dtype=np.int64), np.zeros(n + 1)
+    for start in range(0, trials, 100_000):
+        m = min(100_000, trials - start)
         counters = np.arange(start * n, (start + m) * n, dtype=np.uint64)
         success = _uniform01(seed, counters).reshape(m, n) < e
         peer_ok = success[:, 1:].sum(axis=1)
         k_fail = (n - 1) - peer_ok
         paid = ph - w - k_fail * (w - pl) / (peer_ok + 1)
-        profit = np.where(success[:, 0], paid, 0.0)
-        chunk_sums.append(float(profit.sum()))
-        chunk_sqs.append(float((profit * profit).sum()))
-        lo = min(lo, float(profit.min()))
-        hi = max(hi, float(profit.max()))
-    if lo == hi:
-        return lo, 0.0
-    mean = float(np.sum(np.asarray(chunk_sums))) / trials
-    var = max(float(np.sum(np.asarray(chunk_sqs))) / trials - mean * mean, 0.0)
-    return mean, var
+        code = np.where(success[:, 0], peer_ok + 1, 0)
+        table[code] = np.where(success[:, 0], paid, 0.0)
+        counts += np.bincount(code, minlength=n + 1)
+    return counts, table
+
+
+def _ref_simulate(e, n, w, params, trials, seed):
+    """The documented moments: those of the distribution with
+    probabilities counts / trials over the rebuilt outcomes."""
+    counts, table = _ref_outcomes(e, n, w, params, trials, seed)
+    dist = ProfitDistribution(counts / trials, table)
+    return dist.mean(), dist.variance()
 
 
 # ----------------------------------------------------------------------
@@ -154,24 +154,45 @@ class TestSimulateContract:
         b = simulate_member_profit(0.4, 3, 140.0, BASE, cfg)
         assert a == b
 
-    def test_matches_documented_recipe_single_chunk(self):
-        """A sub-chunk run reproduces the pure rebuild exactly."""
+    def test_matches_documented_recipe_single_block(self):
+        """A run inside one block of draws reproduces the rebuild exactly."""
         cfg = SimConfig(trials=10_000, seed=11)
         got = simulate_member_profit(0.55, 4, 160.0, BASE, cfg)
         mean, var = _ref_simulate(0.55, 4, 160.0, BASE, 10_000, 11)
         assert got.empirical_mean == mean
         assert got.empirical_variance == var
 
-    def test_matches_documented_recipe_across_chunks(self):
-        """A run spanning chunk boundaries (two full chunks plus a partial
-        tail) still matches the rebuild bit for bit."""
-        trials = 2 * CHUNK_TRIALS + 18_928
+    def test_matches_documented_recipe_across_blocks(self):
+        """A run spanning block boundaries (four full blocks of 32,768
+        pairs plus a partial tail) still matches the rebuild bit for bit."""
+        trials = 150_000
         cfg = SimConfig(trials=trials, seed=3)
         got = simulate_member_profit(0.3, 2, 150.0, BASE, cfg)
         mean, var = _ref_simulate(0.3, 2, 150.0, BASE, trials, 3)
         assert got.empirical_mean == mean
         assert got.empirical_variance == var
         assert got.trials == trials
+
+    def test_moments_are_exact_for_the_counts(self):
+        """The moments are within 4 ulps of the exact rational moments of
+        the counted outcomes. At e = 1 - 2^-20 the 2,000,000 pair trials
+        give the profits {0: 1, 850: 1,999,996, 1200: 3}, whose variance
+        is 0.54499999. E[x^2] - mean^2 would subtract two numbers near
+        722,500, one ulp of which is about a million ulps of that."""
+        e, trials = 1.0 - 2.0 ** -20, 2_000_000
+        got = simulate_member_profit(e, 2, 150.0, BASE,
+                                     SimConfig(trials=trials, seed=42))
+        counts, table = _ref_outcomes(e, 2, 150.0, BASE, trials, 42)
+        assert dict(zip(table.tolist(), counts.tolist())) == {
+            0.0: 1, 850.0: 1_999_996, 1200.0: 3}
+        p = [Fraction(int(c), trials) for c in counts]
+        x = [Fraction(v) for v in table.tolist()]
+        mean = sum(pi * xi for pi, xi in zip(p, x))
+        var = sum(pi * (xi - mean) ** 2 for pi, xi in zip(p, x))
+        assert var == Fraction(54_499_999, 10 ** 8)
+        for value, exact in ((got.empirical_mean, mean),
+                             (got.empirical_variance, var)):
+            assert abs(Fraction(value) - exact) <= 4 * Fraction(math.ulp(float(exact)))
 
     def test_single_trial(self):
         """trials=1 is legal and reports zero spread."""
@@ -225,7 +246,7 @@ class TestSimulateContract:
         """A w whose outcome profits overflow is rejected by the same check
         as the enumeration's, naming w, with no floating-point warning on
         the way. w = 1e160 leaves every profit finite, but their squares
-        would overflow the variance and the simulator's sums of squares."""
+        would overflow the variance."""
         cfg = SimConfig(trials=1000, seed=1)
         for w, shown in ((1e308, r"1e\+308"), (1e160, r"1e\+160")):
             with pytest.raises(DomainError, match=f"float range at w={shown}"):
@@ -240,12 +261,11 @@ class TestSimulateContract:
 
 
 def _trial_counts(n: int) -> list[int]:
-    """Trial counts on both sides of block and chunk boundaries for size
-    n, kept to at most 2^19 draws so the float oracle stays cheap."""
+    """Trial counts on both sides of block boundaries for size n, kept to
+    at most 2^19 draws so the float oracle stays cheap."""
     rows = max(1, _BLOCK_DRAWS // n)
-    counts = {1, 2, rows - 1, rows, rows + 1, 3 * rows + 2,
-              CHUNK_TRIALS - 1, CHUNK_TRIALS, CHUNK_TRIALS + 1,
-              2 * CHUNK_TRIALS + rows + 1}
+    counts = {1, 2, rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows + 1,
+              3 * rows + 2, 4 * rows + 1}
     return sorted(t for t in counts if 1 <= t and t * n <= 2 ** 19)
 
 
@@ -255,7 +275,7 @@ class TestSimulateBatch:
     @given(data=st.data())
     @settings(max_examples=200)
     def test_matches_float_oracle(self, data):
-        """Every cell equals the chunk-by-chunk float-threshold oracle,
+        """Every cell equals the trial-by-trial float-threshold oracle,
         for e at 0, 1, multiples of 2^-53 and exactly on a draw, sizes on
         both sides of the uint8 code limit, and any 64-bit seed."""
         n = data.draw(st.integers(1, 7) | st.integers(1, 300)
@@ -286,13 +306,13 @@ class TestSimulateBatch:
 
     def test_matches_one_cell_calls(self):
         """A batch returns the same results as one call per cell, also
-        when its cells take more than one pass over the stream."""
+        over several blocks and for 129 cells."""
         es, ws = [0.3, 0.5, 0.8, 0.5], [140.0, 150.0, 160.0, 120.0]
-        cfg = SimConfig(trials=CHUNK_TRIALS + 999, seed=8)
+        cfg = SimConfig(trials=66_535, seed=8)
         got = simulate_member_profit_batch(es, 4, ws, BASE, cfg)
         assert got == [simulate_member_profit(e, 4, w, BASE, cfg)
                        for e, w in zip(es, ws)]
-        es = [i / (2 * _SHARED_CELLS) for i in range(2 * _SHARED_CELLS + 1)]
+        es = [i / 128 for i in range(129)]
         ws = [100.0 + i for i in range(len(es))]
         cfg = SimConfig(trials=3000, seed=-8)
         got = simulate_member_profit_batch(es, 3, ws, BASE, cfg)
@@ -314,17 +334,17 @@ class TestSimulateBatch:
             simulate_member_profit_batch([0.5, 0.5, 0.5], 2, [150.0, 150.0, -1.0],
                                          BASE, cfg)
         assert excinfo.value.cell == 2
-        es = [0.5] * (_SHARED_CELLS + 3)
+        es = [0.5] * 67
         with pytest.raises(DomainError, match="w must be finite") as excinfo:
-            simulate_member_profit_batch(es, 2, [150.0] * (_SHARED_CELLS + 2)
-                                         + [math.inf], BASE, cfg)
-        assert excinfo.value.cell == _SHARED_CELLS + 2
+            simulate_member_profit_batch(es, 2, [150.0] * 66 + [math.inf],
+                                         BASE, cfg)
+        assert excinfo.value.cell == 66
         # w = 1e308 overflows the profit of a failing peer to -inf.
         with pytest.raises(DomainError,
                            match=r"float range at w=1e\+308") as excinfo:
-            simulate_member_profit_batch(es, 3, [150.0] * (_SHARED_CELLS + 1)
-                                         + [1e308, 150.0], BASE, cfg)
-        assert excinfo.value.cell == _SHARED_CELLS + 1
+            simulate_member_profit_batch(es, 3, [150.0] * 65 + [1e308, 150.0],
+                                         BASE, cfg)
+        assert excinfo.value.cell == 65
         with pytest.raises(DomainError, match="counter space") as excinfo:
             simulate_member_profit_batch([0.5], 2, [150.0], BASE,
                                          SimConfig(trials=2 ** 61, seed=1))
@@ -333,10 +353,10 @@ class TestSimulateBatch:
             simulate_member_profit_batch([0.5, 0.6], 2, [150.0], BASE, cfg)
 
     def test_large_group_memory_is_bounded(self):
-        """n = 1000 past one chunk works block by block: a few seconds and
-        at most 16 MB of numpy allocations, where one n-wide chunk would
-        take about 0.5 GB per uint64 array."""
-        cfg = SimConfig(trials=CHUNK_TRIALS + 1, seed=3)
+        """n = 1000 over 65,537 trials works block by block: a few seconds
+        and at most 16 MB of numpy allocations, where drawing every trial
+        at once would take about 0.5 GB per uint64 array."""
+        cfg = SimConfig(trials=65_537, seed=3)
         tracemalloc.start()
         try:
             began = time.perf_counter()
@@ -351,11 +371,10 @@ class TestSimulateBatch:
         assert abs(got.empirical_mean - exact.mean) <= 4.0 * got.std_error_mean
 
     def test_long_e_list_memory_is_bounded(self):
-        """Cells share the stream in groups, so 500 cells hold the code
-        arrays of at most _SHARED_CELLS of them (one per cell would be
-        500 x 65,536 bytes, about 31 MB)."""
+        """500 cells sharing one stream hold n + 1 counts each, not a code
+        per trial (that would be 500 x 65,536 bytes, about 31 MB)."""
         es = [i / 499 for i in range(500)]
-        cfg = SimConfig(trials=CHUNK_TRIALS, seed=4)
+        cfg = SimConfig(trials=65_536, seed=4)
         tracemalloc.start()
         try:
             got = simulate_member_profit_batch(es, 2, [150.0] * 500, BASE, cfg)
