@@ -20,7 +20,6 @@ Exit codes: 0 success, 2 usage or configuration problem, 3 data problem,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -139,17 +138,19 @@ def _parse_grid(spec: str, what: str) -> list[float]:
             raise ConfigError(f"{what} count must be >= 1")
         if count > _MAX_GRID_COUNT:
             raise ConfigError(f"{what} count must be <= {_MAX_GRID_COUNT}")
-        values = [float(v) for v in np.linspace(start, stop, count)]
+        # An overflowing span gives inf or nan, which the check below rejects.
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = np.linspace(start, stop, count)
     else:
         try:
-            values = [float(tok) for tok in spec.split(",") if tok.strip()]
+            grid = np.array([float(tok) for tok in spec.split(",") if tok.strip()])
         except ValueError:
             raise ConfigError(f"{what} has a non-numeric entry in {spec!r}") from None
-    if not values:
+    if not grid.size:
         raise ConfigError(f"{what} is empty")
-    if not all(math.isfinite(v) for v in values):
+    if not np.isfinite(grid).all():
         raise ConfigError(f"{what} contains a non-finite value")
-    return values
+    return grid.tolist()
 
 
 def _parse_yield_pairs(spec: str) -> list[tuple[float, float]]:
@@ -209,7 +210,8 @@ def _config_value(name: str, value, default):
 
 
 def _resolve(args: argparse.Namespace, command: str) -> dict:
-    """Merge flags over config-file values over defaults."""
+    """Merge flags over config-file values over defaults; reject an out
+    path that its own --plot-data twin would overwrite."""
     defaults = _COMMANDS[command][2]
     config = _load_config(args.config)
     unknown = sorted(set(config) - set(defaults))
@@ -221,6 +223,9 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     for name in defaults:
         if getattr(args, name) is not None:
             settings[name] = getattr(args, name)
+    if settings.get("plot_data") and Path(settings["out"]).suffix == ".dat":
+        raise ConfigError(f"--out {settings['out']} would be overwritten by its "
+                          "--plot-data .dat twin; give --out another suffix")
     return settings
 
 
@@ -236,21 +241,44 @@ def _provenance(command: str, settings: dict) -> str:
     )
 
 
-def _write_output(settings: dict, command: str, columns: list[str],
-                  rows: list[list]) -> None:
-    provenance = _provenance(command, settings)
+def _csv_quote(text: str) -> str:
+    """A field as csv.writer writes it beside others (QUOTE_MINIMAL)."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _write_output(settings: dict, command: str, table: dict) -> None:
+    """Write ``table`` (column name -> cells; two columns or more) as the
+    CSV at ``out`` and, with ``plot_data``, its ``.dat`` twin: the bytes of
+    `_fmt` on every cell through csv.writer, and space-joined LF lines.
+    Each column is classified once into one field of a ``%`` row template;
+    a column of mixed or other types goes through `_fmt` cell by cell.
+    """
+    fields = []  # (row template field, CSV cells, .dat cells) per column
+    for cells in table.values():
+        kinds = set(map(type, cells))
+        if kinds == {float} or kinds == {int}:
+            fields.append(("%.10g" if float in kinds else "%d", cells, cells))
+            continue
+        if kinds == {str}:
+            text = cells
+        elif kinds == {bool}:
+            text = ["true" if cell else "false" for cell in cells]
+        else:
+            text = [_fmt(cell) for cell in cells]
+        quoted = {field: _csv_quote(field) for field in set(text)}
+        fields.append(("%s", list(map(quoted.__getitem__, text)), text))
+    specs, csv_cols, dat_cols = zip(*fields)
+    provenance = _provenance(command, settings) + "\n"
     out = Path(settings["out"])
     with open(out, "w", newline="", encoding="utf-8") as fh:
-        fh.write(provenance + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows([[_fmt(cell) for cell in row] for row in rows])
+        fh.write(provenance + ",".join(map(_csv_quote, table)) + "\r\n")
+        fh.write("".join(map((",".join(specs) + "\r\n").__mod__, zip(*csv_cols))))
     if settings["plot_data"]:
         with open(out.with_suffix(".dat"), "w", encoding="utf-8") as fh:
-            fh.write(provenance + "\n")
-            fh.write("# " + " ".join(columns) + "\n")
-            for row in rows:
-                fh.write(" ".join(_fmt(cell) for cell in row) + "\n")
+            fh.write(provenance + "# " + " ".join(table) + "\n")
+            fh.write("".join(map((" ".join(specs) + "\n").__mod__, zip(*dat_cols))))
 
 
 # ----------------------------------------------------------------------
@@ -262,15 +290,15 @@ def cmd_ceilings(settings: dict) -> int:
     params = _market(settings)
     e_grid = _parse_grid(settings["e_grid"], "e-grid")
     e = np.array(e_grid)
-    l1 = loan_ceiling_affordability(e, params).tolist()
-    l2 = loan_ceiling_incentive(e, params).tolist()
-    rows = [[*cells, "L2"] for cells in zip(e_grid, l1, l2)]
-    _write_output(settings, "ceilings", ["e", "L1", "L2", "binding"], rows)
-    offenders = [row[0] for row in rows if not row[1] > row[2]]
+    l1 = loan_ceiling_affordability(e, params)
+    l2 = loan_ceiling_incentive(e, params)
+    _write_output(settings, "ceilings", {"e": e_grid, "L1": l1.tolist(),
+                  "L2": l2.tolist(), "binding": ["L2"] * len(e_grid)})
+    offenders = e[~(l1 > l2)].tolist()
     if offenders:
         raise InvariantViolation(
             "affordability ceiling does not exceed incentive ceiling at e="
-            + ", ".join(_fmt(e) for e in offenders)
+            + ", ".join(map(_fmt, offenders))
         )
     return 0
 
@@ -295,9 +323,10 @@ def cmd_sweep_group_size(settings: dict) -> int:
         optima = optimal_ese_group_batch(sizes, params, cost, link)
     except EvaluationError as exc:
         raise EvaluationError(f"group size n={sizes[exc.cell]}: {exc}") from None
-    rows = [[n, opt.score, opt.at_boundary, limit] for n, opt in zip(sizes, optima)]
-    _write_output(settings, "sweep-group-size",
-                  ["n", "optimal_E", "at_boundary", "limit_E"], rows)
+    _write_output(settings, "sweep-group-size", {
+        "n": sizes, "optimal_E": [opt.score for opt in optima],
+        "at_boundary": [opt.at_boundary for opt in optima],
+        "limit_E": [limit] * len(sizes)})
     return 0
 
 
@@ -306,8 +335,8 @@ def _solve_sweep(settings: dict, scenarios: list, gammas: list[float]) -> list:
 
     ``scenarios`` holds (label, params, b, c) tuples. ``k`` defaults to
     `slope_for_baseline` of each scenario's ``b``, and ``endogenous_w``
-    replaces the fixed ``w`` by the break-even repayment. Returns each
-    scenario's optima in gamma order; an error names the cell it came from.
+    replaces the fixed ``w`` by the break-even repayment. Returns the optima
+    scenario by scenario in gamma order; an error names the cell it came from.
     """
     cells, labels = [], []
     for label, params, b, c in scenarios:
@@ -324,8 +353,7 @@ def _solve_sweep(settings: dict, scenarios: list, gammas: list[float]) -> list:
         if exc.cell is None:
             raise
         raise type(exc)(f"{labels[exc.cell]}: {exc}") from None
-    n = len(gammas)
-    return [optima[i:i + n] for i in range(0, len(optima), n)]
+    return optima
 
 
 def cmd_sweep_mv(settings: dict) -> int:
@@ -335,12 +363,13 @@ def cmd_sweep_mv(settings: dict) -> int:
     gammas = _parse_grid(settings["gamma_grid"], "gamma-grid")
     scenarios = [(f"b={_fmt(b)}, c={_fmt(c)}", params, b, c)
                  for b in b_set for c in c_set]
-    solved = _solve_sweep(settings, scenarios, gammas)
-    rows = [[b, c, gamma, opt.score, opt.at_boundary]
-            for (_, _, b, c), optima in zip(scenarios, solved)
-            for gamma, opt in zip(gammas, optima)]
-    _write_output(settings, "sweep-mv",
-                  ["b", "c", "gamma", "optimal_E", "at_boundary"], rows)
+    optima = _solve_sweep(settings, scenarios, gammas)
+    _write_output(settings, "sweep-mv", {
+        "b": [b for _, _, b, _ in scenarios for _ in gammas],
+        "c": [c for _, _, _, c in scenarios for _ in gammas],
+        "gamma": gammas * len(scenarios),
+        "optimal_E": [opt.score for opt in optima],
+        "at_boundary": [opt.at_boundary for opt in optima]})
     return 0
 
 
@@ -352,11 +381,11 @@ def cmd_sweep_yield(settings: dict) -> int:
                   _market({**settings, "y_high": y_high, "y_low": y_low}),
                   settings["b"], settings["c"])
                  for name, (y_high, y_low) in zip(names, pairs)]
-    solved = _solve_sweep(settings, scenarios, gammas)
-    rows = [[name, gamma, opt.score]
-            for name, optima in zip(names, solved)
-            for gamma, opt in zip(gammas, optima)]
-    _write_output(settings, "sweep-yield", ["scenario", "gamma", "optimal_E"], rows)
+    optima = _solve_sweep(settings, scenarios, gammas)
+    _write_output(settings, "sweep-yield", {
+        "scenario": [name for name in names for _ in gammas],
+        "gamma": gammas * len(names),
+        "optimal_E": [opt.score for opt in optima]})
     return 0
 
 
@@ -409,9 +438,9 @@ def cmd_simulate(settings: dict) -> int:
         rows.append([e, n, result.trials, result.seed,
                      result.empirical_mean, moments.mean,
                      result.empirical_variance, moments.variance, z])
-    _write_output(settings, "simulate",
-                  ["e", "n", "trials", "seed", "empirical_mean", "analytic_mean",
-                   "empirical_var", "analytic_var", "z_mean"], rows)
+    columns = ["e", "n", "trials", "seed", "empirical_mean", "analytic_mean",
+               "empirical_var", "analytic_var", "z_mean"]
+    _write_output(settings, "simulate", dict(zip(columns, zip(*rows))))
     e, n, *_, z = max(rows, key=lambda row: abs(row[-1]))
     if abs(z) > 4.0:
         raise InvariantViolation(

@@ -11,10 +11,15 @@ data or filesystem problems, 4 violated internal invariants.
 import csv
 import dataclasses
 import json
+import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eselend import DomainError, cli, mean_variance, optimizer
 from eselend.cli import main
@@ -812,6 +817,11 @@ class TestSpecErrors:
          "n-set has a non-numeric entry in '2,x'"),
         (["simulate", "--n-set", "2:3:3"], None,
          "n-set entry 2.5 is not a whole number"),
+        # Spans beyond the float range overflow in linspace; no warning leaks.
+        (["ceilings", "--e-grid=-1e308:1e308:3"], None,
+         "e-grid contains a non-finite value"),
+        (["ceilings", "--e-grid=-1e308:1e308:1"], None,
+         "e-grid contains a non-finite value"),
     ])
     def test_bad_spec_exits_two(self, argv, config, message, tmp_path, capsys):
         """Each case prints exactly its message and writes no output."""
@@ -871,6 +881,111 @@ class TestSweepDefaults:
                 == mean_variance.DEFAULT_SWEEP_PARAMS)
         # test_criterion_08d_yield_scenarios runs at b = 0.5, c = 1000.
         assert (yld["b"], yld["c"]) == (0.5, 1000.0)
+
+
+def _reference_write(settings, command, table):
+    """The per-cell route the row-template writer replaced, kept as its
+    reference: `_fmt` on every cell through csv.writer, and space-joined
+    ``.dat`` lines."""
+    columns, rows = list(table), list(zip(*table.values()))
+    provenance = cli._provenance(command, settings)
+    out = Path(settings["out"])
+    with open(out, "w", newline="", encoding="utf-8") as fh:
+        fh.write(provenance + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([[cli._fmt(cell) for cell in row] for row in rows])
+    if settings["plot_data"]:
+        with open(out.with_suffix(".dat"), "w", encoding="utf-8") as fh:
+            fh.write(provenance + "\n")
+            fh.write("# " + " ".join(columns) + "\n")
+            for row in rows:
+                fh.write(" ".join(cli._fmt(cell) for cell in row) + "\n")
+
+
+_FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2e-308, 1e300,
+     -1e300, 100.0, 1e16])
+_INTS = st.integers() | st.sampled_from([-7, 2**53 + 1, -(2**63), 10**30])
+# NUL is left out: csv.writer's handling of it changed in Python 3.11.
+_TEXT = st.text(st.characters(blacklist_characters="\x00")
+                | st.sampled_from(list(',"\r\n \u00e9\u4e2d')), max_size=6)
+_CELLS = {
+    "float": _FLOATS,
+    "float64": _FLOATS.map(np.float64),
+    "int": _INTS,
+    "bool": st.booleans(),
+    "str": _TEXT,
+    "bool-int": st.booleans() | _INTS,
+    "int-float": _INTS | _FLOATS,
+    "with-none": st.none() | st.booleans() | _FLOATS | _TEXT,
+}
+
+
+@st.composite
+def _tables(draw):
+    """Tables of two to five columns, each of one kind of cell, zero to six
+    rows. A table has two columns or more, as every output does."""
+    rows = draw(st.integers(0, 6))
+    names = draw(st.lists(_TEXT, min_size=2, max_size=5, unique=True))
+    return {name: draw(st.lists(_CELLS[draw(st.sampled_from(sorted(_CELLS)))],
+                                min_size=rows, max_size=rows))
+            for name in names}
+
+
+class TestOutputFiles:
+    """The row-template writer writes the bytes of the per-cell route, and
+    --plot-data never overwrites the CSV."""
+
+    @settings(max_examples=300)
+    @given(table=_tables())
+    def test_writer_matches_per_cell_route(self, table):
+        with tempfile.TemporaryDirectory() as tmp:
+            written = {}
+            for name, write in (("new", cli._write_output),
+                                ("ref", _reference_write)):
+                out = Path(tmp) / f"{name}.csv"
+                write({"out": str(out), "plot_data": True, "seed": 1},
+                      "test", table)
+                written[name] = (out.read_bytes(),
+                                 out.with_suffix(".dat").read_bytes())
+        assert written["new"] == written["ref"]
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-group-size", "--n-max", "1000"],
+        ["ceilings", "--e-grid", "0.01:0.99:5000"],
+    ])
+    def test_contract_outputs_match_per_cell_route(self, argv, tmp_path,
+                                                   monkeypatch):
+        """The benchmark's two contract invocations, with --plot-data."""
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        assert main([*argv, "--plot-data", "--out", str(new)]) == 0
+        monkeypatch.setattr(cli, "_write_output", _reference_write)
+        assert main([*argv, "--plot-data", "--out", str(ref)]) == 0
+        assert new.read_bytes() == ref.read_bytes()
+        assert (new.with_suffix(".dat").read_bytes()
+                == ref.with_suffix(".dat").read_bytes())
+
+    @pytest.mark.parametrize("command", [
+        "ceilings", "sweep-group-size", "sweep-mv", "sweep-yield", "simulate"])
+    @pytest.mark.parametrize("by_config", [False, True])
+    def test_dat_out_with_plot_data_exits_two(self, command, by_config,
+                                              tmp_path, capsys):
+        """The twin of x.dat is x.dat itself: the run used to write the CSV
+        there, overwrite it with the twin and exit 0."""
+        out = tmp_path / "x.dat"
+        argv = [command, "--out", str(out)]
+        if by_config:
+            config = tmp_path / "run.json"
+            config.write_text('{"plot_data": true}', encoding="utf-8")
+            argv += ["--config", str(config)]
+        else:
+            argv.append("--plot-data")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: --out {out} would be overwritten by its --plot-data .dat "
+            "twin; give --out another suffix\n")
+        assert not out.exists()
 
 
 class TestExitCodes:
