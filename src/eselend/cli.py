@@ -336,13 +336,17 @@ def _solve_sweep(settings: dict, scenarios: list, gammas: list[float]) -> list:
     ``scenarios`` holds (label, params, b, c) tuples. ``k`` defaults to
     `slope_for_baseline` of each scenario's ``b``, and ``endogenous_w``
     replaces the fixed ``w`` by the break-even repayment. Returns the optima
-    scenario by scenario in gamma order; an error names the cell it came from.
+    scenario by scenario in gamma order; an error names the scenario or cell
+    it came from.
     """
     cells, labels = [], []
     for label, params, b, c in scenarios:
-        k = slope_for_baseline(b) if settings["k"] is None else settings["k"]
-        link = ScoreLink(k=k, b=b)
-        cost = CostModel(c=c)
+        try:
+            k = slope_for_baseline(b) if settings["k"] is None else settings["k"]
+            link = ScoreLink(k=k, b=b)
+            cost = CostModel(c=c)
+        except DomainError as exc:
+            raise DomainError(f"{label}: {exc}") from None
         for gamma in gammas:
             cells.append((params, gamma, cost, link))
             labels.append(f"{label}, gamma={_fmt(gamma)}")

@@ -15,9 +15,12 @@ repayment level that makes the financier whole, and the two loan ceilings
 
 Group sizes and repayments are plain numbers; `_group_size` is the one
 check of ``n`` and `_repayment` the one check of ``w``. A pair is the
-``n = 2`` case of the group formulas. Only `profit_distribution_pair`
-stays pair-specific: its four-outcome table is the scalar reference for
-the enumeration that the mean-variance moments are checked against.
+``n = 2`` case of the group formulas. `_outcomes` is the one enumeration
+of a member's n + 1 outcomes, which `expected_profit_group_sum` and
+`profit_distribution_group` both read, and `_profit` the one closed form
+of a member's expected profit. Only `profit_distribution_pair` stays
+pair-specific: its four-outcome table is the tests' scalar reference for
+the group enumeration.
 
 All monetary quantities share one currency unit. Functions broadcast over
 numpy arrays wherever a formula is closed-form in ``e`` or ``E``.
@@ -354,12 +357,16 @@ def expected_profit_group(E, n: int, w: float, params: MarketParams, cost: CostM
     w = _repayment(w)
     e = success_probability(E, link)
     coverage = _coverage(e, n)
-    gross = (
-        e * params.high_revenue
-        - w * coverage
-        + params.low_revenue * (coverage - e)
-    )
-    return gross - cost.effort_cost(e)
+    return _profit(e, coverage, w * coverage, params, cost)
+
+
+def _profit(e, coverage, repaid, params: MarketParams, cost: CostModel):
+    """A member's expected profit net of effort, ``e*pYh - repaid +
+    pYl*(coverage - e) - c e^2/2``, where ``coverage`` is the chance
+    ``1 - (1-e)^n`` that the group repays and ``repaid`` the member's
+    expected repayment; no range checks, so it broadcasts over ``e``."""
+    return (e * params.high_revenue - repaid
+            + params.low_revenue * (coverage - e) - cost.effort_cost(e))
 
 
 def _success_profits(n: int, w: float, params: MarketParams) -> np.ndarray:
@@ -384,49 +391,45 @@ def _check_profit_bound(largest: float, w: float) -> None:
         raise DomainError(f"the outcome profits overflow the float range at w={w!r}")
 
 
-def _member_success_pmf(e_values: np.ndarray, n: int) -> np.ndarray:
-    """P(self succeeds, exactly k of n-1 peers fail) for k = 0..n-1.
+def _outcomes(e, n: int, w: float, params: MarketParams):
+    """A member's ``n + 1`` outcomes as ``(probabilities, profits)``.
 
-    Shape (n, m) for m values of e, all strictly inside (0, 1). Binomial
-    coefficients use the incremental ratio recurrence
-    ``C(n-1, k+1) = C(n-1, k) * (n-1-k) / (k+1)`` in float64; the power
-    factors combine in log space so extreme tails underflow to 0 harmlessly
-    instead of poisoning the whole vector.
+    Row ``k < n``: self succeeds and k of the n-1 peers fail, with
+    probability ``C(n-1,k) e^{n-k} (1-e)^k`` and the `_success_profits`
+    profit; the last row is own failure, ``1 - e`` on profit 0.
+    ``probabilities`` has shape ``(n + 1,) + shape(e)``. Checks ``n`` (at
+    most ``MAX_ENUM_GROUP``), ``e`` and ``w``, in that order. The binomial
+    coefficients come from the ratio recurrence ``C(n-1, k+1) = C(n-1, k)
+    (n-1-k) / (k+1)``; the powers combine in log space, so extreme tails
+    underflow to 0 instead of poisoning the row, and ``e = 1`` puts all
+    mass on ``k = 0``.
     """
-    k = np.arange(n, dtype=float)
-    if n > 1:
-        j = np.arange(n - 1, dtype=float)
-        coeff = np.concatenate(([1.0], np.cumprod((n - 1 - j) / (j + 1))))
-    else:
-        coeff = np.ones(1)
-    log_pow = np.outer(n - k, np.log(e_values)) + np.outer(k, np.log1p(-e_values))
-    return coeff[:, None] * np.exp(log_pow)
+    n = _group_size(n)
+    if n > MAX_ENUM_GROUP:
+        raise DomainError(f"enumeration supports n <= {MAX_ENUM_GROUP}")
+    e = np.asarray(_require_in("e", e, 0.0, 1.0), dtype=float)
+    profits = np.append(_success_profits(n, _repayment(w), params), 0.0)
+    k = np.arange(n, dtype=float).reshape((n,) + (1,) * e.ndim)
+    j = np.arange(n - 1, dtype=float)
+    coeff = np.concatenate(([1.0], np.cumprod((n - 1 - j) / (j + 1))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_pow = (n - k) * np.log(e) + k * np.log1p(-e)
+    success = np.where(e == 1.0, k == 0.0, coeff.reshape(k.shape) * np.exp(log_pow))
+    return np.concatenate((success, (1.0 - e)[None])), profits
 
 
 def expected_profit_group_sum(E, n: int, w: float, params: MarketParams, cost: CostModel, link: ScoreLink):
     """Expected profit of one member, as the explicit outcome enumeration.
 
-    Sums ``C(n-1,k) e^{n-k} (1-e)^k * [pYh - w - k(w - pYl)/(n-k)]`` over
-    ``k = 0..n-1`` and subtracts the effort cost. Supported for group sizes
-    up to 1000. Agrees with `expected_profit_group` to float accuracy; kept
-    separate so the closed form has an independent check.
+    The mean of the `_outcomes` table, ``sum_k C(n-1,k) e^{n-k} (1-e)^k *
+    [pYh - w - k(w - pYl)/(n-k)]``, less the effort cost. Supported for
+    group sizes up to 1000. Agrees with `expected_profit_group` to float
+    accuracy; kept separate so the closed form has an independent check.
     """
-    n = _group_size(n)
-    if n > MAX_ENUM_GROUP:
-        raise DomainError(f"enumeration supports n <= {MAX_ENUM_GROUP}")
-    w = _repayment(w)
     e = success_probability(E, link)
-    scalar = np.ndim(e) == 0
-    ev = np.atleast_1d(np.asarray(e, dtype=float))
-    profits = _success_profits(n, w, params)
-    gross = np.empty_like(ev)
-    interior = (ev > 0.0) & (ev < 1.0)
-    if np.any(interior):
-        gross[interior] = profits @ _member_success_pmf(ev[interior], n)
-    gross[ev == 0.0] = 0.0
-    gross[ev == 1.0] = profits[0]
-    out = gross - cost.effort_cost(ev)
-    return float(out[0]) if scalar else out
+    probabilities, profits = _outcomes(e, n, w, params)
+    out = np.tensordot(profits, probabilities, 1) - cost.effort_cost(e)
+    return float(out) if np.ndim(e) == 0 else out
 
 
 # ----------------------------------------------------------------------
@@ -456,19 +459,6 @@ def profit_distribution_group(e: float, n: int, w: float, params: MarketParams) 
     """Per-member profit distribution in an ``n``-member group.
 
     ``n`` outcomes for "self succeeds with k = 0..n-1 failing peers" plus a
-    single mass ``1 - e`` on profit 0 for own failure.
+    single mass ``1 - e`` on profit 0 for own failure (`_outcomes`).
     """
-    n = _group_size(n)
-    if n > MAX_ENUM_GROUP:
-        raise DomainError(f"enumeration supports n <= {MAX_ENUM_GROUP}")
-    e = _require_in("e", float(e), 0.0, 1.0)
-    w = _repayment(w)
-    profits = _success_profits(n, w, params)
-    if e == 0.0:
-        pmf = np.zeros(n)
-    elif e == 1.0:
-        pmf = np.zeros(n)
-        pmf[0] = 1.0
-    else:
-        pmf = _member_success_pmf(np.array([e]), n)[:, 0]
-    return ProfitDistribution(np.append(pmf, 1.0 - e), np.append(profits, 0.0))
+    return ProfitDistribution(*_outcomes(float(e), n, w, params))

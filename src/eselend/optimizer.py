@@ -41,6 +41,7 @@ from .model_core import (
     ScoreLink,
     _coverage,
     _group_size,
+    _profit,
     success_probability,
 )
 
@@ -95,11 +96,9 @@ def group_objective(E, n, params: MarketParams, cost: CostModel, link: ScoreLink
 
 
 def _objective(e, n, params: MarketParams, cost: CostModel):
-    """`group_objective` at success probability ``e``, without range checks;
-    ``(1-e) - (1-e)^n`` is the coverage `_coverage` less ``e``."""
-    principal = params.loan * (1.0 + params.epsilon)
-    return (e * params.high_revenue - principal
-            + params.low_revenue * (_coverage(e, n) - e) - cost.effort_cost(e))
+    """`group_objective` at success probability ``e``, without range checks:
+    the binding contract repays ``L(1+eps)`` in expectation."""
+    return _profit(e, _coverage(e, n), params.loan * (1.0 + params.epsilon), params, cost)
 
 
 def group_foc(E, n, params: MarketParams, cost: CostModel, link: ScoreLink):
@@ -449,12 +448,6 @@ def ese_limit(params: MarketParams, cost: CostModel, link: ScoreLink) -> Optimum
         raw = (e_inf - link.b) / link.k
         score = min(max(raw, 0.0), 100.0)
         at_boundary = score != raw
-    e = success_probability(score, link)
-    principal = params.loan * (1.0 + params.epsilon)
-    value = (
-        e * params.high_revenue
-        - principal
-        + params.low_revenue * (1.0 - e)
-        - cost.effort_cost(e)
-    )
+    value = _profit(success_probability(score, link), 1.0,
+                    params.loan * (1.0 + params.epsilon), params, cost)
     return Optimum(score=score, at_boundary=at_boundary, objective_value=float(value))

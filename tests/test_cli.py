@@ -287,6 +287,19 @@ class TestSweepMv:
         assert ("error: b=0.5, c=1000, gamma=-1: gamma must be >= 0"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--k", "0.006"], "b=0.5, c=800: link must satisfy 100*k + b <= 1"),
+        (["--c-set", "800,0"], "b=0.3, c=0: c must be > 0"),
+        (["--b-set", "0.3,1.5"], "b=1.5, c=800: b must lie in [0, 1]"),
+    ])
+    def test_bad_scenario_is_named(self, argv, message, tmp_path, capsys):
+        """A link or cost that cannot be built exits 2 naming its (b, c)
+        scenario, as a bad gamma names its cell."""
+        out = tmp_path / "mv.csv"
+        assert main(["sweep-mv", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_overflowing_w_is_named(self, tmp_path, capsys):
         """A --w whose utility overflows the float range is an input
         problem: exit 2 naming the first cell, with no floating-point
@@ -822,6 +835,9 @@ class TestSpecErrors:
          "e-grid contains a non-finite value"),
         (["ceilings", "--e-grid=-1e308:1e308:1"], None,
          "e-grid contains a non-finite value"),
+        (["sweep-group-size", "--n-min", "0"], None, "n-min must be >= 1"),
+        # A bad shared w belongs to no cell, so it is named without one.
+        (["sweep-mv", "--w", "-5"], None, "w must be > 0"),
     ])
     def test_bad_spec_exits_two(self, argv, config, message, tmp_path, capsys):
         """Each case prints exactly its message and writes no output."""

@@ -103,14 +103,17 @@ class TestParameterValidation:
 
     def test_group_spec_requires_integer_members(self):
         """The enumeration routes take a whole number of at least one
-        member: n = 2.5, n = True and n = 0 are rejected, while a numpy
-        integer is accepted."""
+        member and at most MAX_ENUM_GROUP = 1000: n = 2.5, n = True, n = 0
+        and n = 1001 are rejected, while a numpy integer is accepted."""
         cost = CostModel(c=1000.0)
         link = ScoreLink(k=0.01, b=0.0)
-        for n in (2.5, True, 0):
-            with pytest.raises(DomainError, match="group size n must be"):
+        for n, match in ((2.5, "group size n must be"),
+                         (True, "group size n must be"),
+                         (0, "group size n must be"),
+                         (1001, "^enumeration supports n <= 1000$")):
+            with pytest.raises(DomainError, match=match):
                 profit_distribution_group(0.5, n, 150.0, BASE)
-            with pytest.raises(DomainError, match="group size n must be"):
+            with pytest.raises(DomainError, match=match):
                 expected_profit_group_sum(50.0, n, 150.0, BASE, cost, link)
         assert (profit_distribution_group(0.5, np.int64(3), 150.0, BASE).mean()
                 == profit_distribution_group(0.5, 3, 150.0, BASE).mean())
@@ -515,15 +518,18 @@ class TestExpectedProfitGroup:
             gross - cost.effort_cost(0.5), rtol=1e-12)
 
     def test_closed_form_matches_binomial_sum(self):
-        """The closed form equals the explicit sum over partner outcomes."""
+        """The closed form equals the explicit sum over partner outcomes,
+        at the table's edges e = 0 and e = 1 as well."""
         cost = CostModel(c=900.0)
         link = ScoreLink(k=0.009, b=0.05)
         rng = np.random.default_rng(7)
-        for _ in range(20):
+        for i in range(26):
             params = _random_params(rng)
             E = rng.uniform(0.0, 100.0)
             w = rng.uniform(10.0, 500.0)
             n = int(rng.integers(1, 40))
+            if i >= 20:  # E = 0 and E = 100 map to e = 0 and e = 1
+                E, link = 100.0 * (i % 2), ScoreLink(k=0.01, b=0.0)
             a = expected_profit_group(E, n, w, params, cost, link)
             b = expected_profit_group_sum(E, n, w, params, cost, link)
             np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-10)
@@ -634,11 +640,12 @@ class TestProfitDistributionGroup:
     """Exact n+1 outcome distribution for one member of an n-group."""
 
     def test_reduces_to_pair(self):
-        """n=2 aggregates to the same mean and variance as the pair table."""
+        """n=2 aggregates to the same mean and variance as the pair table,
+        at e = 0 and e = 1 as well."""
         rng = np.random.default_rng(7)
-        for _ in range(20):
+        for i in range(24):
             params = _random_params(rng)
-            e = rng.uniform(0.0, 1.0)
+            e = rng.uniform(0.0, 1.0) if i < 20 else float(i % 2)
             w = rng.uniform(10.0, 400.0)
             pair = profit_distribution_pair(e, w, params)
             grp = profit_distribution_group(e, 2, w, params)

@@ -166,6 +166,30 @@ class TestScoringScheme:
         with pytest.raises(ConfigError):
             _metric(bounds=(5.0, 5.0))
 
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: _metric(id=" "), ConfigError,
+         "metric id must be a non-empty string"),
+        (lambda: _metric(weight=math.nan), ConfigError,
+         "weight for metric 'm1' must be finite"),
+        (lambda: _metric(weight=-0.5), ConfigError,
+         "weight for metric 'm1' must be >= 0"),
+        (lambda: MetricRecord("F1", "m1", math.inf), DataError,
+         "non-finite value inf for farmer 'F1', metric 'm1'"),
+        (lambda: ScoringScheme(schema=()), ConfigError,
+         "schema must contain at least one metric"),
+        (lambda: ScoringScheme(schema=(_metric(),), normalization="RANK"),
+         ConfigError, "unknown normalization 'RANK'"),
+        (lambda: normalize([], _metric()), DataError,
+         "cohort for metric 'm1' must be non-empty"),
+    ], ids=["empty_id", "nan_weight", "negative_weight", "bad_record",
+            "empty_schema", "unknown_normalization", "empty_cohort"])
+    def test_unusable_input_is_named(self, build, error, message):
+        """A metric, record, scheme or cohort that cannot be used raises
+        an error saying what is wrong with it."""
+        with pytest.raises(error) as excinfo:
+            build()
+        assert str(excinfo.value) == message
+
 
 def category_weights(scheme):
     """Each pillar's total metric weight."""
@@ -328,6 +352,10 @@ class TestCompositeScore:
 # ----------------------------------------------------------------------
 
 
+_SHORT = "metric_id,pillar,direction,kind\n"
+_LONG = "metric_id,pillar,direction,kind,weight,min,max\n"
+
+
 class TestCsvCodecs:
     """Readers reject malformed files with located errors; the writer
     emits a stable four-decimal format."""
@@ -451,6 +479,32 @@ class TestCsvCodecs:
         with pytest.raises(ConfigError) as excinfo:
             read_schema_csv(path)
         assert ":2" in str(excinfo.value)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "{path}: empty schema file"),
+        ("id,pillar,direction,kind\n",
+         "{path}:1: expected header metric_id,pillar,direction,kind,weight,"
+         "min,max (weight, min, and max may be omitted)"),
+        (_LONG + "a,SOCIAL,HIGHER_BETTER,CONTINUOUS,heavy,,\n",
+         "{path}:2: weight 'heavy' is not a number"),
+        (_LONG + "a,SOCIAL,HIGHER_BETTER,CONTINUOUS,,x,1\n",
+         "{path}:2: min 'x' is not a number"),
+        (_LONG + "a,SOCIAL,HIGHER_BETTER,CONTINUOUS,,0,y\n",
+         "{path}:2: max 'y' is not a number"),
+        # Blank rows are skipped but still count as lines.
+        (_SHORT + "a,SOCIAL,HIGHER_BETTER,CONTINUOUS\n\n , ,\n"
+         "b,GOVERNANCE,HIGHER_BETTER,CONTINUOUS\n",
+         "{path}:5: unknown pillar 'GOVERNANCE' for metric 'b'"),
+        (_SHORT + "\n", "{path}: schema file contains no metrics"),
+    ], ids=["empty", "header", "weight", "min", "max", "pillar", "no_metrics"])
+    def test_schema_errors_are_located(self, text, message, tmp_path):
+        """A malformed schema is a configuration error naming its file,
+        and its line where one is at fault."""
+        path = tmp_path / "schema.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError) as excinfo:
+            read_schema_csv(path)
+        assert str(excinfo.value) == message.format(path=path)
 
     def test_writer_format(self, tmp_path):
         """Scores write sorted by farmer id with four decimals."""
