@@ -15,11 +15,15 @@ option is declared once, in ``_OPTIONS``, and each subcommand once, in
 ``_COMMANDS``; a config value is converted and checked exactly like its flag.
 Exit codes: 0 success, 2 usage or configuration problem, 3 data problem,
 4 solver or invariant failure.
+
+`main` builds its parser on its first call and reuses it for the rest of
+the process; `build_parser` returns a fresh parser on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -104,6 +108,8 @@ _OPTIONS = {
 }
 
 _MARKET = asdict(DEFAULT_SWEEP_PARAMS)
+
+
 def _fmt(value) -> str:
     """Deterministic cell formatting: 10 significant digits for floats."""
     if value is None:
@@ -141,6 +147,10 @@ def _parse_grid(spec: str, what: str) -> list[float]:
         # An overflowing span gives inf or nan, which the check below rejects.
         with np.errstate(over="ignore", invalid="ignore"):
             grid = np.linspace(start, stop, count)
+        # linspace's one point is start + 0 * (stop - start), which is nan
+        # when the span overflows; the point itself is start.
+        if count == 1 and not np.isfinite(grid[0]):
+            grid = np.array([start])
     else:
         try:
             grid = np.array([float(tok) for tok in spec.split(",") if tok.strip()])
@@ -527,8 +537,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# A build takes about 50 times as long as a parse, and parse_args keeps
+# no state between calls, so `main` builds one parser on its first call,
+# not at import, and reuses it.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command][0](_resolve(args, args.command))
     except (ConfigError, DomainError) as exc:

@@ -8,10 +8,14 @@ runs with the same inputs must produce byte-identical files. Exit codes:
 data or filesystem problems, 4 violated internal invariants.
 """
 
+import argparse
 import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -24,6 +28,8 @@ from hypothesis import strategies as st
 from eselend import DomainError, cli, mean_variance, optimizer
 from eselend.cli import main
 from eselend.errors import _cell
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _read_rows(path):
@@ -833,11 +839,14 @@ class TestSpecErrors:
         # Spans beyond the float range overflow in linspace; no warning leaks.
         (["ceilings", "--e-grid=-1e308:1e308:3"], None,
          "e-grid contains a non-finite value"),
-        (["ceilings", "--e-grid=-1e308:1e308:1"], None,
+        (["ceilings", "--e-grid=-1e308:1e308:2"], None,
          "e-grid contains a non-finite value"),
         (["sweep-group-size", "--n-min", "0"], None, "n-min must be >= 1"),
         # A bad shared w belongs to no cell, so it is named without one.
         (["sweep-mv", "--w", "-5"], None, "w must be > 0"),
+        # A one-point grid is its start, even where the span overflows.
+        (["sweep-mv", "--gamma-grid=-1e308:1e308:1"], None,
+         "b=0.3, c=800, gamma=-1e+308: gamma must be >= 0"),
     ])
     def test_bad_spec_exits_two(self, argv, config, message, tmp_path, capsys):
         """Each case prints exactly its message and writes no output."""
@@ -849,6 +858,17 @@ class TestSpecErrors:
         assert main([*argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("spec, point", [
+        ("-1e308:1e308:1", -1e308),
+        ("0.3:0.7:1", 0.3),
+        ("-0:5:1", 0.0),
+        ("-0:-5:1", -0.0),
+    ])
+    def test_one_point_grid(self, spec, point):
+        """``start:stop:1`` is linspace's one point, sign of zero included,
+        and ``[start]`` where linspace's point is not finite."""
+        assert list(map(repr, cli._parse_grid(spec, "grid"))) == [repr(point)]
 
 
 class TestRevenueBound:
@@ -1041,3 +1061,76 @@ class TestExitCodes:
         _, _, rows = _read_rows(out)
         assert [row[0] for row in rows] == ["0.25", "0.5", "0.75", "1"]
         assert float(rows[2][2]) == 1e9
+
+
+class TestSharedParser:
+    """`main` parses every call with the one parser its first call built;
+    nothing that one call sets or fails on reaches the next, and the
+    outputs stay byte-identical to the goldens."""
+
+    def test_flags_do_not_leak(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep-mv", "--endogenous-w", "--b-set", "0.5",
+                     "--gamma-grid", "0:1:3", "--out", "first.csv"]) == 0
+        assert main(["sweep-mv"]) == 0
+        assert ((tmp_path / "mv_sweep.csv").read_bytes()
+                == (GOLDEN / "mv_sweep.csv").read_bytes())
+
+    @pytest.mark.parametrize("failing, code, written", [
+        (["simulate", "--trials", "1.5"], 2, "simulate.csv"),
+        (["sweep-mv", "--help"], 0, "mv_sweep.csv"),
+    ])
+    def test_exit_leaves_no_state(self, failing, code, written, tmp_path,
+                                  monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(failing)
+        assert excinfo.value.code == code
+        assert main(failing[:1]) == 0
+        assert ((tmp_path / written).read_bytes()
+                == (GOLDEN / written).read_bytes())
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_help_matches_a_fresh_parser(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        texts = []
+        for parse in (main, cli.build_parser().parse_args):
+            with pytest.raises(SystemExit) as excinfo:
+                parse([command, "--help"])
+            assert excinfo.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+
+    def test_second_call_builds_no_parser(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        assert main(["ceilings", "--out", str(tmp_path / "a.csv")]) == 0
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert main(["ceilings", "--out", str(tmp_path / "b.csv")]) == 0
+        assert built == []
+        # The counter sees a build: the top parser and one per subcommand.
+        cli.build_parser()
+        assert len(built) == 1 + len(cli._COMMANDS)
+
+    def test_import_builds_no_parser(self):
+        code = ("import argparse\n"
+                "built = []\n"
+                "init = argparse.ArgumentParser.__init__\n"
+                "def counting(self, *args, **kwargs):\n"
+                "    built.append(self)\n"
+                "    init(self, *args, **kwargs)\n"
+                "argparse.ArgumentParser.__init__ = counting\n"
+                "import eselend.cli\n"
+                "print(len(built))\n"
+                "eselend.cli.build_parser()\n"
+                "print(len(built))\n")
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": package_root}, check=True)
+        assert result.stdout == f"0\n{1 + len(cli._COMMANDS)}\n"
