@@ -58,6 +58,7 @@ from .model_core import (
 from .optimizer import ese_limit, optimal_ese_group_batch
 from .oracle_sim import SimConfig, enumerate_member_profit, simulate_member_profit_batch
 from .scoring import (
+    NORMALIZATIONS,
     composite_score,
     read_metrics_csv,
     read_schema_csv,
@@ -101,8 +102,7 @@ _OPTIONS = {
     "seed": _Option(int, "reproducibility seed"),
     "metrics": _Option(str, "metrics CSV (farmer_id,metric_id,value)"),
     "schema": _Option(str, "schema CSV; auto is the bundled sample"),
-    "normalization": _Option(str, "normalization method",
-                             ("MIN_MAX", "Z_SCORE_CLIPPED")),
+    "normalization": _Option(str, "normalization method", NORMALIZATIONS),
     "out": _Option(str, "output CSV path"),
     "plot_data": _Option(bool, "also write a gnuplot .dat twin"),
 }
@@ -349,7 +349,7 @@ def _solve_sweep(settings: dict, scenarios: list, gammas: list[float]) -> list:
     scenario by scenario in gamma order; an error names the scenario or cell
     it came from.
     """
-    cells, labels = [], []
+    cells = []
     for label, params, b, c in scenarios:
         try:
             k = slope_for_baseline(b) if settings["k"] is None else settings["k"]
@@ -357,16 +357,16 @@ def _solve_sweep(settings: dict, scenarios: list, gammas: list[float]) -> list:
             cost = CostModel(c=c)
         except DomainError as exc:
             raise DomainError(f"{label}: {exc}") from None
-        for gamma in gammas:
-            cells.append((params, gamma, cost, link))
-            labels.append(f"{label}, gamma={_fmt(gamma)}")
+        cells += [(params, gamma, cost, link) for gamma in gammas]
     try:
         optima = optimal_ese_mv_batch(
             None if settings["endogenous_w"] else settings["w"], cells)
     except (DomainError, EvaluationError, InvariantViolation) as exc:
         if exc.cell is None:
             raise
-        raise type(exc)(f"{labels[exc.cell]}: {exc}") from None
+        scenario, gamma = divmod(exc.cell, len(gammas))
+        label = f"{scenarios[scenario][0]}, gamma={_fmt(gammas[gamma])}"
+        raise type(exc)(f"{label}: {exc}") from None
     return optima
 
 
@@ -503,7 +503,7 @@ _COMMANDS: dict[str, tuple] = {
         **_SWEEP, "out": "yield_sweep.csv", "plot_data": False}),
     "simulate": (cmd_simulate, "Monte Carlo check against exact moments", {
         **_MARKET, "e_grid": "0.3,0.5,0.8", "n_set": "2,3,10",
-        "trials": 1_000_000, "seed": 42, "w": None,
+        **asdict(SimConfig()), "w": None,
         "out": "simulate.csv", "plot_data": False}),
     "score": (cmd_score, "composite scores from metric records", {
         "metrics": None, "schema": None, "normalization": "MIN_MAX",

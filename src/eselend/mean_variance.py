@@ -21,7 +21,7 @@ on the score range is an endpoint or a real root of ``N' s - 2 N s'``.
 (companion-matrix eigenvalues), ranks the candidates by ``N / s^2`` and
 re-validates every winner in one array pass through the moments and
 first-order condition that `mv_utility` and `mv_foc` take one cell at a
-time. The constants at the bottom are the sweeps' default parameter sets.
+time. The sweeps' market calibration and fixed ``w`` are at the bottom.
 """
 
 from __future__ import annotations
@@ -56,10 +56,6 @@ __all__ = [
     "slope_for_baseline",
     "DEFAULT_SWEEP_PARAMS",
     "DEFAULT_SWEEP_W",
-    "DEFAULT_COSTS",
-    "DEFAULT_BASELINES",
-    "DEFAULT_GAMMA_GRID",
-    "DEFAULT_YIELD_SCENARIOS",
 ]
 
 
@@ -409,7 +405,7 @@ def optimal_ese_mv(w, params: MarketParams, gamma, cost: CostModel,
 
 
 # ----------------------------------------------------------------------
-# documented default parameter sets for the risk-aversion sweeps
+# the sweeps' market calibration, fixed repayment and score slope
 # ----------------------------------------------------------------------
 
 #: Market calibration used by the sweep subcommands and the property tests.
@@ -419,18 +415,6 @@ DEFAULT_SWEEP_PARAMS = MarketParams(
 
 #: Break-even repayment for a pair at e = 0.5, held fixed across sweeps.
 DEFAULT_SWEEP_W = binding_repayment(0.5, 2, DEFAULT_SWEEP_PARAMS)
-
-#: Effort-cost scales swept in the risk-aversion studies.
-DEFAULT_COSTS = (800.0, 1000.0, 1200.0, 1500.0, 2000.0)
-
-#: Baseline success probabilities: poor, neutral, favorable conditions.
-DEFAULT_BASELINES = (0.3, 0.5, 0.7)
-
-#: Risk-aversion grid, 21 points on [0, 1].
-DEFAULT_GAMMA_GRID = tuple(float(g) for g in np.linspace(0.0, 1.0, 21))
-
-#: (y_high, y_low) pairs for the yield comparison, high-yield pair first.
-DEFAULT_YIELD_SCENARIOS = ((1000.0, 500.0), (600.0, 300.0))
 
 
 def slope_for_baseline(b: float) -> float:

@@ -399,19 +399,23 @@ def read_metrics_csv(path) -> MetricTable:
             cells.pop()
         header = cells[:3]
         del cells[:3]
-        rows = None
     else:
-        (_, header), *rows = _csv_rows(text, path, DataError)
-        del text
-        cells = (None if any(len(row) != 3 for _, row in rows)
-                 else [cell for _, row in rows for cell in row])
+        try:
+            header, *rows = csv.reader(io.StringIO(text, newline=""))
+        except csv.Error:
+            list(_csv_rows(text, path, DataError))  # raises it at its line
+            raise
+        cells = (None if any(len(row) != 3 for row in rows)
+                 else [cell for row in rows for cell in row])
         strip = True  # a quoted cell may hold a newline
     if [h.strip() for h in header] != _METRICS_HEADER:
         raise DataError(f"{path}:1: expected header {','.join(_METRICS_HEADER)}")
     table = None if cells is None else _parse_columns(cells, strip)
     if table is None:
-        if rows is None:  # a line of an aligned file is one record
+        if aligned:  # a line of an aligned file is one record
             rows = [(i // 3 + 2, cells[i:i + 3]) for i in range(0, len(cells), 3)]
+        else:
+            _, *rows = _csv_rows(text, path, DataError)
         table = _parse_rows(rows, path)
     if not len(table):
         raise ConfigError(f"{path}: metrics file contains no records")

@@ -56,14 +56,11 @@ from eselend import (
     simulate_member_profit,
     success_probability,
 )
+from eselend import cli
 from eselend.cli import main as cli_main
 from eselend.mean_variance import (
-    DEFAULT_BASELINES,
-    DEFAULT_COSTS,
-    DEFAULT_GAMMA_GRID,
     DEFAULT_SWEEP_PARAMS,
     DEFAULT_SWEEP_W,
-    DEFAULT_YIELD_SCENARIOS,
     slope_for_baseline,
 )
 from eselend import SimConfig
@@ -72,6 +69,20 @@ BASE = MarketParams(p=1.0, y_high=1000.0, y_low=500.0, loan=100.0,
                     epsilon=0.05, delta=0.9)
 COST = CostModel(c=1000.0)
 LINK = ScoreLink(k=0.01, b=0.0)
+
+
+def _cli_defaults(command):
+    return cli._resolve(cli.build_parser().parse_args([command]), command)
+
+
+# The grids `eselend sweep-mv` and `eselend sweep-yield` run by default (the
+# two share one gamma grid), so the sweep directions below are asserted on
+# what the command line ships.
+_MV_DEFAULTS = _cli_defaults("sweep-mv")
+BASELINES = cli._parse_grid(_MV_DEFAULTS["b_set"], "b-set")
+COSTS = cli._parse_grid(_MV_DEFAULTS["c_set"], "c-set")
+GAMMA_GRID = cli._parse_grid(_MV_DEFAULTS["gamma_grid"], "gamma-grid")
+YIELD_PAIRS = cli._parse_yield_pairs(_cli_defaults("sweep-yield")["yields"])
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -396,11 +407,11 @@ def mv_sweep():
     from it."""
     started = time.perf_counter()
     scores = {}
-    for b in DEFAULT_BASELINES:
+    for b in BASELINES:
         link = ScoreLink(k=slope_for_baseline(b), b=b)
-        for c in DEFAULT_COSTS:
+        for c in COSTS:
             cost = CostModel(c=c)
-            for gamma in DEFAULT_GAMMA_GRID:
+            for gamma in GAMMA_GRID:
                 opt = optimal_ese_mv(DEFAULT_SWEEP_W, DEFAULT_SWEEP_PARAMS,
                                      gamma, cost, link)
                 scores[(b, c, gamma)] = opt.score
@@ -447,9 +458,9 @@ def test_criterion_08a_score_vs_risk_aversion(mv_sweep):
     peak = int(np.argmax(var))
     e_v = float(e[peak])
     assert np.all(np.diff(var[peak:]) < 0.0), "variance does not fall on [e_V, 1]"
-    two_e_r = min(2.0 * B / (2.0 * (B - A) + c) for c in DEFAULT_COSTS)
+    two_e_r = min(2.0 * B / (2.0 * (B - A) + c) for c in COSTS)
     pair_sum = 0.0
-    for b in DEFAULT_BASELINES:
+    for b in BASELINES:
         below = e[(e >= b) & (e < e_v)]
         if below.size:
             twin = np.interp(_moment_polys(below, A, B)[1],
@@ -458,9 +469,9 @@ def test_criterion_08a_score_vs_risk_aversion(mv_sweep):
     assert abs(e_v - 0.434) < 1e-3, f"variance peaks at e={e_v:.4f}"
     assert pair_sum <= 0.879 < 0.897 <= two_e_r, (
         f"e + e' reaches {pair_sum:.4f} against 2 e_R = {two_e_r:.4f}")
-    inner = (e >= min(DEFAULT_BASELINES)) & (e < 1.0)
+    inner = (e >= min(BASELINES)) & (e < 1.0)
     gamma_one = {}
-    for c in DEFAULT_COSTS:
+    for c in COSTS:
         gamma_one[c] = 2.0 * (c + B - 2.0 * A) / (A * A + (A - B) ** 2)
         # U(1) >= U(e) on the whole range once gamma reaches gamma_1(c),
         # since U(1) - U(e) = R(1) - R(e) + (gamma/2) V(e); below it
@@ -471,32 +482,32 @@ def test_criterion_08a_score_vs_risk_aversion(mv_sweep):
 
     # The default grid.
     violations = []
-    for b in DEFAULT_BASELINES:
-        for c in DEFAULT_COSTS:
-            for g0, g1 in zip(DEFAULT_GAMMA_GRID, DEFAULT_GAMMA_GRID[1:]):
+    for b in BASELINES:
+        for c in COSTS:
+            for g0, g1 in zip(GAMMA_GRID, GAMMA_GRID[1:]):
                 lo, hi = scores[(b, c, g0)], scores[(b, c, g1)]
                 if hi < lo - 1e-6:
                     violations.append((b, c, g0, g1, lo, hi))
     expected = _risk_neutral_score(params, w, 800.0, 0.3)
-    corner = [scores[(b, c, g)] for b in DEFAULT_BASELINES
-              for c in DEFAULT_COSTS for g in DEFAULT_GAMMA_GRID[1:]]
+    corner = [scores[(b, c, g)] for b in BASELINES
+              for c in COSTS for g in GAMMA_GRID[1:]]
 
     # A fine gamma scan of the same cells, in one batch.
     fine = np.linspace(0.0, 4e-3, 801)[1:]
     started = time.perf_counter()
     cells = [(params, float(g), CostModel(c=c),
               ScoreLink(k=slope_for_baseline(b), b=b))
-             for b in DEFAULT_BASELINES for c in DEFAULT_COSTS for g in fine]
+             for b in BASELINES for c in COSTS for g in fine]
     fine_scores = np.array([opt.score for opt in
                             optimal_ese_mv_batch(w, cells)])
-    fine_scores = fine_scores.reshape(len(DEFAULT_BASELINES),
-                                      len(DEFAULT_COSTS), fine.size)
+    fine_scores = fine_scores.reshape(len(BASELINES),
+                                      len(COSTS), fine.size)
     elapsed += time.perf_counter() - started
     path_gammas = np.concatenate([[0.0], fine])
     largest_step = 0.0
     threshold_misses = []
-    for i, b in enumerate(DEFAULT_BASELINES):
-        for j, c in enumerate(DEFAULT_COSTS):
+    for i, b in enumerate(BASELINES):
+        for j, c in enumerate(COSTS):
             path = np.concatenate([[scores[(b, c, 0.0)]], fine_scores[i, j]])
             steps = np.diff(path)
             largest_step = max(largest_step, float(steps.max()))
@@ -566,11 +577,11 @@ def test_criterion_08b_score_vs_baseline(mv_sweep):
     score the contract needs."""
     scores, _ = mv_sweep
     violations = []
-    for c in DEFAULT_COSTS:
-        for gamma in DEFAULT_GAMMA_GRID:
-            by_b = [scores[(b, c, gamma)] for b in DEFAULT_BASELINES]
-            for (b0, s0), (b1, s1) in zip(zip(DEFAULT_BASELINES, by_b),
-                                          zip(DEFAULT_BASELINES[1:], by_b[1:])):
+    for c in COSTS:
+        for gamma in GAMMA_GRID:
+            by_b = [scores[(b, c, gamma)] for b in BASELINES]
+            for (b0, s0), (b1, s1) in zip(zip(BASELINES, by_b),
+                                          zip(BASELINES[1:], by_b[1:])):
                 if s1 > s0 + 1e-6:
                     violations.append((gamma, c, b0, b1, s0, s1))
     ok = not violations
@@ -600,10 +611,10 @@ def test_criterion_08c_score_vs_cost(mv_sweep):
     scores, _ = mv_sweep
     params, w = DEFAULT_SWEEP_PARAMS, DEFAULT_SWEEP_W
     _assert_polys_match_library(params, w)
-    for b in DEFAULT_BASELINES:
+    for b in BASELINES:
         e = np.linspace(b, 1.0, 10_001)
-        for gamma in DEFAULT_GAMMA_GRID:
-            for c0, c1 in zip(DEFAULT_COSTS, DEFAULT_COSTS[1:]):
+        for gamma in GAMMA_GRID:
+            for c0, c1 in zip(COSTS, COSTS[1:]):
                 gap = (_utility(e, params, w, gamma, c1)
                        - _utility(e, params, w, gamma, c0))
                 assert np.max(np.diff(gap)) < 0.0, (
@@ -611,15 +622,15 @@ def test_criterion_08c_score_vs_cost(mv_sweep):
                     f"does not fall in e")
 
     violations = []
-    for b in DEFAULT_BASELINES:
-        for gamma in DEFAULT_GAMMA_GRID:
-            by_c = [scores[(b, c, gamma)] for c in DEFAULT_COSTS]
-            for (c0, s0), (c1, s1) in zip(zip(DEFAULT_COSTS, by_c),
-                                          zip(DEFAULT_COSTS[1:], by_c[1:])):
+    for b in BASELINES:
+        for gamma in GAMMA_GRID:
+            by_c = [scores[(b, c, gamma)] for c in COSTS]
+            for (c0, s0), (c1, s1) in zip(zip(COSTS, by_c),
+                                          zip(COSTS[1:], by_c[1:])):
                 if s1 > s0 + 1e-6:
                     violations.append((b, gamma, c0, c1, s0, s1))
     closed = {(b, c): _risk_neutral_score(params, w, c, b)
-              for b in DEFAULT_BASELINES for c in DEFAULT_COSTS}
+              for b in BASELINES for c in COSTS}
     worst = max(abs(scores[(b, c, 0.0)] - closed[(b, c)]) for b, c in closed)
     ok = not violations and worst <= 1e-6
     detail = f"gamma=0 rows within {worst:.2e} of the closed form"
@@ -662,7 +673,7 @@ def test_criterion_08d_yield_scenarios():
     cost = CostModel(c=1000.0)
     w = DEFAULT_SWEEP_W
     scenarios = {}
-    for y_high, y_low in DEFAULT_YIELD_SCENARIOS:
+    for y_high, y_low in YIELD_PAIRS:
         scenarios[(y_high, y_low)] = MarketParams(
             p=1.0, y_high=y_high, y_low=y_low, loan=100.0, epsilon=0.05,
             delta=0.9)
@@ -671,17 +682,17 @@ def test_criterion_08d_yield_scenarios():
     for params in (high, low):
         _assert_polys_match_library(params, w)
     e = np.linspace(b, 1.0, 100_001)
-    for gamma in DEFAULT_GAMMA_GRID:
+    for gamma in GAMMA_GRID:
         gap = (_utility(e, high, w, gamma, cost.c)
                - _utility(e, low, w, gamma, cost.c))
         assert np.min(np.diff(gap)) > 0.0, (
             f"gamma={gamma:g}: U_high - U_low does not rise in e")
 
     rows = {key: [optimal_ese_mv(w, params, gamma, cost, link).score
-                  for gamma in DEFAULT_GAMMA_GRID]
+                  for gamma in GAMMA_GRID]
             for key, params in scenarios.items()}
     violations = []
-    for gamma, s_high, s_low in zip(DEFAULT_GAMMA_GRID, rows[(1000.0, 500.0)],
+    for gamma, s_high, s_low in zip(GAMMA_GRID, rows[(1000.0, 500.0)],
                                     rows[(600.0, 300.0)]):
         if s_low > s_high + 1e-6:
             violations.append((gamma, s_high, s_low))
@@ -699,7 +710,7 @@ def test_criterion_08d_yield_scenarios():
     _report("yield scenario ordering", ok, detail)
     assert not violations, (
         f"the low-yield scenario scores above the high-yield one at "
-        f"{len(violations)} of {len(DEFAULT_GAMMA_GRID)} gamma points; "
+        f"{len(violations)} of {len(GAMMA_GRID)} gamma points; "
         f"first at gamma={violations[0][0]:g}: {violations[0][2]:.2f} vs "
         f"{violations[0][1]:.2f}")
     assert low.low_revenue > w

@@ -2,18 +2,21 @@
 exported by the package, once, and no other name is; and every public
 function rejects out-of-domain arguments with DomainError."""
 
+import ast
 import inspect
 import math
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eselend
-from eselend import errors, mean_variance, model_core, optimizer, oracle_sim, scoring
+from eselend import cli, errors, mean_variance, model_core, optimizer, oracle_sim, scoring
 
 MODULES = (errors, model_core, optimizer, mean_variance, oracle_sim, scoring)
+SRC = Path(eselend.__file__).parent
 
 
 def test_package_exports_each_module_list():
@@ -33,6 +36,71 @@ def test_package_exports_each_module_list():
     assert not hasattr(optimizer, "SolverConfig")
     assert not hasattr(eselend, "CHUNK_TRIALS")
     assert not hasattr(oracle_sim, "CHUNK_TRIALS")
+
+
+# The public names that no code in src/eselend loads, each with the reason
+# it is kept.
+_UNLOADED_PUBLIC = {
+    "__version__": "the package version",
+    "argmax_grid": "reference the tests compare against; perfbench/layers.TRACED",
+    "dE_dn": "paper formula: the group-size sensitivity of the optimal score",
+    "dE_dn_as_printed": "printed variant of dE_dn",
+    "expected_profit_group": "paper formula: a member's expected profit",
+    "expected_profit_group_sum": "reference the tests compare against",
+    "group_foc": "paper formula: the group first-order condition",
+    "mv_foc": "one-cell call of optimal_ese_mv_batch's re-validation",
+    "mv_utility": "one-cell call of optimal_ese_mv_batch's re-validation",
+    "optimal_ese_group": "one-cell call of optimal_ese_group_batch",
+    "optimal_ese_mv": "one-cell call of optimal_ese_mv_batch",
+    "optimal_ese_pair": "paper formula: the pair optimum in closed form",
+    "optimal_ese_pair_as_printed": "printed variant of optimal_ese_pair",
+    "profit_distribution_pair": "reference the tests compare against",
+    "profit_moments_pair": "one-cell call of optimal_ese_mv_batch's re-validation",
+    "simulate_member_profit": "one-cell call of simulate_member_profit_batch",
+}
+
+
+def _module_level_names(tree):
+    """Names a module binds at its top level, other than ``__all__`` and
+    ``__future__`` features."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name) and sub.id != "__all__":
+                        yield sub.id
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    if alias.name != "*":
+                        yield alias.asname or alias.name.split(".")[0]
+
+
+def test_every_public_name_is_used_or_listed():
+    """Every module-level name in src/eselend is public or loaded by some
+    src/ code, and the public names that no src/ code loads are exactly
+    `_UNLOADED_PUBLIC`, so a constant no code reads cannot stay exported."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    loaded = {node.id if isinstance(node, ast.Name) else node.attr
+              for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, (ast.Name, ast.Attribute))
+              and isinstance(node.ctx, ast.Load)}
+    modules = {"__init__": eselend, "cli": cli,
+               **{module.__name__.rpartition(".")[2]: module for module in MODULES}}
+    assert set(modules) == set(trees)
+    unused = {f"{stem}.{name}" for stem, tree in trees.items()
+              for name in _module_level_names(tree)
+              if name not in modules[stem].__all__ and name not in loaded}
+    assert not unused, f"module-level names nothing loads: {sorted(unused)}"
+    unloaded = {name for module in modules.values() for name in module.__all__
+                if name not in loaded}
+    assert unloaded == set(_UNLOADED_PUBLIC), (
+        f"unlisted: {sorted(unloaded - set(_UNLOADED_PUBLIC))}; "
+        f"now loaded: {sorted(set(_UNLOADED_PUBLIC) - unloaded)}")
 
 
 # Valid values for every argument of a function that takes E, e, n, w or

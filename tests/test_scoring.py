@@ -418,6 +418,25 @@ class TestCsvCodecs:
                             patch.setattr(scoring, "_parse_rows", fail)
                         assert _columns(read_metrics_csv(path)) == want
 
+    def test_valid_quoted_files_skip_the_row_walk(self, tmp_path, monkeypatch):
+        """A valid file with quoted cells is read in one csv.reader pass,
+        without the line-tracking `_csv_rows` walk, into the table of the
+        same file unquoted."""
+        def fail(*args, **kwargs):
+            raise AssertionError("called")
+
+        for end in ("\n", "\r\n"):
+            plain = tmp_path / "plain.csv"
+            plain.write_text(f"farmer_id,metric_id,value{end}F1,m,10{end}"
+                             f"F2,q,0.5{end}", encoding="utf-8", newline="")
+            quoted = tmp_path / "quoted.csv"
+            quoted.write_text(f'farmer_id,metric_id,value{end}"F1",m,10{end}'
+                              f'F2,"q",0.5{end}', encoding="utf-8", newline="")
+            want = _columns(read_metrics_csv(plain))
+            with monkeypatch.context() as patch:
+                patch.setattr(scoring, "_csv_rows", fail)
+                assert _columns(read_metrics_csv(quoted)) == want
+
     def test_invalid_utf8_is_a_located_error(self, tmp_path):
         """A byte that is not UTF-8 names the file, the byte and its line:
         a data error in a metrics file, a configuration error in a schema."""
