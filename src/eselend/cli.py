@@ -391,10 +391,13 @@ def cmd_sweep_yield(settings: dict) -> int:
     pairs = _parse_yield_pairs(settings["yields"])
     gammas = _parse_grid(settings["gamma_grid"], "gamma-grid")
     names = [f"Ybar={_fmt(y_high)},Ylow={_fmt(y_low)}" for y_high, y_low in pairs]
-    scenarios = [(f"scenario={name}",
-                  _market({**settings, "y_high": y_high, "y_low": y_low}),
-                  settings["b"], settings["c"])
-                 for name, (y_high, y_low) in zip(names, pairs)]
+    scenarios = []
+    for name, (y_high, y_low) in zip(names, pairs):
+        try:
+            params = _market({**settings, "y_high": y_high, "y_low": y_low})
+        except DomainError as exc:
+            raise DomainError(f"scenario={name}: {exc}") from None
+        scenarios.append((f"scenario={name}", params, settings["b"], settings["c"]))
     optima = _solve_sweep(settings, scenarios, gammas)
     _write_output(settings, "sweep-yield", {
         "scenario": [name for name in names for _ in gammas],

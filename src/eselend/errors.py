@@ -9,7 +9,7 @@ internal invariants.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import numpy as np
 
 __all__ = [
     "EselendError",
@@ -24,8 +24,9 @@ __all__ = [
 class EselendError(Exception):
     """Base class for all package errors.
 
-    ``cell`` is the index of the input cell a batched solver was handling
-    when the error arose, and None otherwise.
+    ``cell`` is the index of the input cell a batched solver rejected, and
+    None otherwise; when several cells fail, the first failing check names
+    its first failing cell.
     """
 
     cell: int | None = None
@@ -59,11 +60,11 @@ class InvariantViolation(EselendError, RuntimeError):
     """Two internal computation routes disagreed beyond tolerance."""
 
 
-@contextmanager
-def _cell(i: int):
-    """Record the batch cell index on a package error raised in the block."""
-    try:
-        yield
-    except EselendError as exc:
-        exc.cell = i
-        raise
+def _raise_first(bad, error, message, *values):
+    """Raise ``error(message)`` for the first cell flagged in ``bad``, formatted
+    with the cell's entries of ``values`` as floats; an array names the cell."""
+    for i in np.flatnonzero(bad)[:1]:
+        exc = error(message.format(*(float(np.broadcast_to(v, np.shape(bad)).flat[i])
+                                     for v in values)))
+        exc.cell = int(i) if np.ndim(bad) else None
+        raise exc

@@ -26,12 +26,11 @@ time. The sweeps' market calibration and fixed ``w`` are at the bottom.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, InvariantViolation, _cell
+from .errors import DomainError, EvaluationError, InvariantViolation, _raise_first
 from .model_core import (
     PROFIT_BOUND,
     CostModel,
@@ -73,37 +72,33 @@ class Moments:
             raise DomainError("variance must be >= 0")
 
 
-def _risk_aversion(gamma) -> float:
-    """Check a risk-aversion coefficient: finite and >= 0 (0 is neutrality)."""
-    gamma = _require_finite("gamma", gamma)
-    if gamma < 0:
-        raise DomainError("gamma must be >= 0")
+def _risk_aversion(gamma):
+    """Check risk-aversion coefficients, a float or one per cell: finite,
+    then >= 0 (0 is neutrality)."""
+    _raise_first(~np.isfinite(gamma), DomainError, "gamma must be finite, got {!r}", gamma)
+    _raise_first(gamma < 0, DomainError, "gamma must be >= 0")
     return gamma
 
 
-def _check_float_range(w: float, params: MarketParams, gamma: float,
-                       c: float) -> None:
+def _check_float_range(w, ph, pl, gamma, c) -> None:
     """Reject arguments whose mean-variance utility overflows the float
-    range, naming the first at fault: ``w``, gamma, then c.
+    range, naming the first at fault: ``w``, gamma, then c. Each argument
+    is a float or one value per cell.
 
     ``M = max(pYh + pYl, 2w, 1)`` bounds ``A`` and ``B``; ``2w``, like the
     revenue in `MarketParams`, must stay within `PROFIT_BOUND`. The moments
     stay within a few times ``(1 + gamma) M^2 + c`` and the FOC coefficients
     within about 50 times it, so 1024 times it must be finite. ``gamma = c
-    = 0`` checks the moments alone. Python floats overflow without warning.
+    = 0`` checks the moments alone.
     """
-    m = max(params.high_revenue + params.low_revenue, 2.0 * w, 1.0)
-    spread = 1024.0 * (1.0 + gamma) * m * m
-    if 2.0 * w > PROFIT_BOUND:
-        name, value = "w", w
-    elif not math.isfinite(spread):
-        name, value = "gamma", gamma
-    elif not math.isfinite(spread + 1024.0 * float(c)):
-        name, value = "c", float(c)
-    else:
-        return
-    raise DomainError("the mean-variance utility overflows the float range "
-                      f"at {name}={value!r}")
+    overflow = "the mean-variance utility overflows the float range at "
+    with np.errstate(over="ignore"):
+        m = np.maximum(np.maximum(ph + pl, 2.0 * w), 1.0)
+        spread = 1024.0 * (1.0 + gamma) * m * m
+        _raise_first(2.0 * w > PROFIT_BOUND, DomainError, overflow + "w={!r}", w)
+        _raise_first(~np.isfinite(spread), DomainError, overflow + "gamma={!r}", gamma)
+        _raise_first(~np.isfinite(spread + 1024.0 * c), DomainError,
+                     overflow + "c={!r}", c)
 
 
 def _var_poly(e, A, B):
@@ -115,16 +110,6 @@ def _var_poly(e, A, B):
         + (e - 2.0 * e2 + 2.0 * e3 - e4) * B * B
         - 2.0 * (e3 - e4) * A * B
     )
-
-
-def _raise_first(bad, error, message, *values):
-    """Raise ``error(message)`` for the first cell flagged in ``bad``, formatted
-    with the cell's entries of ``values`` as floats; an array names the cell."""
-    for i in np.flatnonzero(bad)[:1]:
-        exc = error(message.format(*(float(np.broadcast_to(v, np.shape(bad)).flat[i])
-                                     for v in values)))
-        exc.cell = int(i) if np.ndim(bad) else None
-        raise exc
 
 
 def _moments(e, w, ph, pl):
@@ -176,9 +161,10 @@ def profit_moments_pair(e: float, w: float, params: MarketParams) -> Moments:
     DomainError.
     """
     w = _repayment(w)
-    _check_float_range(w, params, 0.0, 0.0)
+    ph, pl = params.high_revenue, params.low_revenue
+    _check_float_range(w, ph, pl, 0.0, 0.0)
     e = _require_in("e", float(e), 0.0, 1.0)
-    mean, var = _moments(e, w, params.high_revenue, params.low_revenue)
+    mean, var = _moments(e, w, ph, pl)
     return Moments(mean=float(mean), variance=float(var))
 
 
@@ -190,12 +176,12 @@ def mv_utility(E: float, w: float, params: MarketParams, gamma, cost: CostModel,
     `profit_moments_pair`; `optimal_ese_mv_batch` re-validates its optima
     through the same moment enumeration, a whole sweep at once.
     """
-    gamma = _risk_aversion(gamma)
+    gamma = _risk_aversion(float(gamma))
     e = float(success_probability(E, link))
     w = _repayment(w)
-    _check_float_range(w, params, gamma, cost.c)
-    return float(_utility(e, w, params.high_revenue, params.low_revenue,
-                          gamma, cost.c))
+    ph, pl = params.high_revenue, params.low_revenue
+    _check_float_range(w, ph, pl, gamma, cost.c)
+    return float(_utility(e, w, ph, pl, gamma, cost.c))
 
 
 def mv_foc(E, w: float, params: MarketParams, gamma, cost: CostModel,
@@ -213,11 +199,11 @@ def mv_foc(E, w: float, params: MarketParams, gamma, cost: CostModel,
     check against the utility). Identically zero when ``k = 0``; the
     arguments are checked as in `mv_utility`.
     """
-    gamma = _risk_aversion(gamma)
+    gamma = _risk_aversion(float(gamma))
     w = _repayment(w)
-    _check_float_range(w, params, gamma, cost.c)
-    return _foc(success_probability(E, link), w, params.high_revenue,
-                params.low_revenue, gamma, cost.c, link.k)
+    ph, pl = params.high_revenue, params.low_revenue
+    _check_float_range(w, ph, pl, gamma, cost.c)
+    return _foc(success_probability(E, link), w, ph, pl, gamma, cost.c, link.k)
 
 
 #: Coefficients per engine polynomial; the break-even root numerator has degree 9.
@@ -321,9 +307,12 @@ def _real_roots(coefs):
 def optimal_ese_mv_batch(w, cells) -> list[Optimum]:
     """Mean-variance optimal scores of many cells, solved together.
 
-    Each cell is a ``(params, gamma, cost, link)`` tuple. ``w`` is shared:
-    a number is a fixed repayment and ``None`` the break-even one, as in
-    `optimal_ese_mv`. Both modes build ``N = s^2 U`` from the pair outcome table (the module
+    Each cell is a ``(params, gamma, cost, link)`` tuple. ``w`` is shared: a
+    number is a fixed repayment and ``None`` the break-even one, as in
+    `optimal_ese_mv`. The cells are checked as arrays first, in this order:
+    gamma finite and >= 0, ``b > 0`` and a finite break-even ``w`` at
+    ``e = b`` (its largest), then the float range at that ``w`` or the fixed
+    one. Both modes build ``N = s^2 U`` from the pair outcome table (the module
     docstring), a quartic for a fixed ``w`` and of degree 8 for the
     break-even ``w``. The candidates are E = 0, E = 100 and every real root
     of ``N' s - 2 N s'`` inside the open score range, mapped back through
@@ -337,23 +326,25 @@ def optimal_ese_mv_batch(w, cells) -> list[Optimum]:
     `mv_utility` route, at ``w`` or the break-even ``L(1+eps)/(1-(1-e)^2)``,
     must match its utility within 1e-9 of the utility scale, and an interior
     fixed-``w`` optimum must leave a `mv_foc` residual below 1e-6 of that
-    scale. An error about a cell carries the cell's index in ``cell``.
+    scale. An error about a cell carries the cell's index in ``cell``: the
+    first failing check names its first failing cell.
     """
     w = None if w is None else _repayment(w)
-    rows = []
-    for i, (params, gamma, cost, link) in enumerate(cells):
-        with _cell(i):
-            gamma = _risk_aversion(gamma)
-            if w is None and link.b <= 0.0:
-                raise DomainError("endogenous repayment requires b > 0 so the "
-                                  "success probability is positive at every score")
-            # the break-even w is largest at the lowest score, e = b
-            top_w = binding_repayment(link.b, 2, params) if w is None else w
-            _check_float_range(top_w, params, gamma, cost.c)
-        rows.append((params.high_revenue, params.low_revenue,
-                     params.loan * (1.0 + params.epsilon), gamma,
-                     cost.c, link.k, link.b))
-    ph, pl, principal, gamma, c, k, b = np.array(rows, dtype=float).reshape(-1, 7).T
+    ph, pl, principal, gamma, c, k, b = np.array(
+        [(params.high_revenue, params.low_revenue, params.loan * (1.0 + params.epsilon),
+          gamma, cost.c, link.k, link.b) for params, gamma, cost, link in cells],
+        dtype=float).reshape(-1, 7).T
+    _risk_aversion(gamma)
+    if w is None:
+        _raise_first(b <= 0.0, DomainError, "endogenous repayment requires b > 0 so "
+                     "the success probability is positive at every score")
+        # the break-even w is largest at the lowest score, e = b
+        with np.errstate(over="ignore"):
+            top_w = principal / _coverage(b, 2)
+        _raise_first(~np.isfinite(top_w), DomainError, "w must be finite, got {!r}", top_w)
+    else:
+        top_w = np.full_like(b, w)
+    _check_float_range(top_w, ph, pl, gamma, c)
     s, table = _outcome_table(ph, pl, principal, w)
     # dU/de = (N' s - 2 N s') / s^3 with s > 0 on (0, 1]
     N = _scaled_utility(_poly(0.0, 1.0), s, table, gamma, c, _pmul)
@@ -365,13 +356,13 @@ def optimal_ese_mv_batch(w, cells) -> list[Optimum]:
     snap = _snap_tolerance(0.0, 100.0)
     scores[scores <= snap] = 0.0
     scores[scores >= 100.0 - snap] = 100.0
-    edges = np.broadcast_to([0.0, 100.0], (len(rows), 2))
+    edges = np.broadcast_to([0.0, 100.0], (len(b), 2))
     scores = np.sort(np.concatenate([edges, scores], axis=1), axis=1)
     values = _utility_at(np.clip(kc * scores + bc, 0.0, 1.0).T, s, table, gamma, c).T
     values[np.isnan(scores)] = -np.inf
     best = np.argmax(values, axis=1)
 
-    score, value = (x[np.arange(len(rows)), best] for x in (scores, values))
+    score, value = (x[np.arange(len(b)), best] for x in (scores, values))
     _raise_first(~np.isfinite(value), EvaluationError,
                  "objective is not finite at E={!r}", score)
     e = np.clip(k * score + b, 0.0, 1.0)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _raise_first
 
 __all__ = [
     "MarketParams",
@@ -200,11 +200,12 @@ def _group_size(n, *, real: bool = False):
     return int(n)
 
 
-def _repayment(w) -> float:
-    """Check a repayment ``w``: finite and > 0; returns it as a float."""
-    w = _require_finite("w", w)
-    if w <= 0:
-        raise DomainError("w must be > 0")
+def _repayment(w):
+    """Check a repayment ``w``, or one per cell: finite, then > 0; returns
+    it as a float, or as a float array."""
+    w = np.asarray(w, dtype=float) if np.ndim(w) else float(w)
+    _raise_first(~np.isfinite(w), DomainError, "w must be finite, got {!r}", w)
+    _raise_first(w <= 0.0, DomainError, "w must be > 0")
     return w
 
 
@@ -369,8 +370,9 @@ def _profit(e, coverage, repaid, params: MarketParams, cost: CostModel):
             + params.low_revenue * (coverage - e) - cost.effort_cost(e))
 
 
-def _success_profits(n: int, w: float, params: MarketParams) -> np.ndarray:
-    """Member profit when she succeeds and exactly k of n-1 peers fail, k = 0..n-1.
+def _success_profits(n: int, w, params: MarketParams) -> np.ndarray:
+    """Member profit on own success with exactly k of n-1 peers failing,
+    k = 0..n-1; a 1-d ``w`` gives one row per cell.
 
     The k failing peers each contribute ``p*y_low`` toward their repayment
     ``w``; the ``n - k`` successful members split the shortfall equally.
@@ -378,17 +380,19 @@ def _success_profits(n: int, w: float, params: MarketParams) -> np.ndarray:
     DomainError, so the moments stay finite.
     """
     k = np.arange(n, dtype=float)
+    col = np.asarray(w)[..., None]
     with np.errstate(over="ignore", invalid="ignore"):
-        shortfall_share = k * (w - params.low_revenue) / (n - k)
-        profits = params.high_revenue - w - shortfall_share
-        _check_profit_bound(np.abs(profits).max(), w)
+        shortfall_share = k * (col - params.low_revenue) / (n - k)
+        profits = params.high_revenue - col - shortfall_share
+        _check_profit_bound(np.abs(profits).max(axis=-1), w)
     return profits
 
 
-def _check_profit_bound(largest: float, w: float) -> None:
-    """Raise DomainError naming ``w`` unless ``largest <= PROFIT_BOUND``."""
-    if not largest <= PROFIT_BOUND:
-        raise DomainError(f"the outcome profits overflow the float range at w={w!r}")
+def _check_profit_bound(largest, w) -> None:
+    """Raise DomainError naming ``w`` unless ``largest <= PROFIT_BOUND``;
+    with one value per cell, the first cell that fails is named."""
+    _raise_first(np.logical_not(largest <= PROFIT_BOUND), DomainError,
+                 "the outcome profits overflow the float range at w={!r}", w)
 
 
 def _outcomes(e, n: int, w: float, params: MarketParams):

@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, _cell
+from .errors import DomainError, EvaluationError, _raise_first
 from .model_core import (
     CostModel,
     MarketParams,
@@ -321,15 +321,12 @@ def optimal_ese_group_batch(ns, params: MarketParams, cost: CostModel,
     until no midpoint lies strictly inside its bracket; the end with the
     smaller ``|g|`` is the root. ``n`` may be fractional; the FOC is
     analytic in ``n``. With ``k = 0`` the score has no effect, and every
-    optimum is E = 0 at the boundary, as in `optimal_ese_pair`. An error
-    raised while handling a size carries the size's index in its ``cell``
-    attribute.
+    optimum is E = 0 at the boundary, as in `optimal_ese_pair`. A bad size,
+    then a FOC not finite at an endpoint, raises an error whose ``cell`` is
+    the index of the first size that fails it.
     """
     n = np.array(ns, dtype=float).reshape(-1)
-    bad = np.flatnonzero(~(np.isfinite(n) & (n >= 1.0)))
-    if bad.size:
-        with _cell(int(bad[0])):
-            raise DomainError("group size n must be >= 1")
+    _raise_first(~(np.isfinite(n) & (n >= 1.0)), DomainError, "group size n must be >= 1")
     if link.k == 0.0:
         values = _objective(success_probability(np.zeros_like(n), link), n, params, cost)
         return [Optimum(0.0, True, value) for value in values.tolist()]
@@ -341,12 +338,8 @@ def optimal_ese_group_batch(ns, params: MarketParams, cost: CostModel,
     # A size too large for them overflows; the check below names it.
     with np.errstate(over="ignore", invalid="ignore"):
         g0, g100 = g(0.0, n), g(100.0, n)
-    bad = np.flatnonzero(~(np.isfinite(g0) & np.isfinite(g100)))
-    if bad.size:
-        i = int(bad[0])
-        with _cell(i):
-            E = 0.0 if not np.isfinite(g0[i]) else 100.0
-            raise EvaluationError(f"FOC is not finite at E={E!r}")
+    _raise_first(~(np.isfinite(g0) & np.isfinite(g100)), EvaluationError,
+                 "FOC is not finite at E={!r}", np.where(np.isfinite(g0), 100.0, 0.0))
     lower = g0 <= FOC_ROOT_TOL
     scores = np.where(lower, 0.0, 100.0)
     at_boundary = np.where(lower, g0 < -FOC_ROOT_TOL, g100 > FOC_ROOT_TOL)

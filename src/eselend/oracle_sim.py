@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, _cell
+from .errors import DomainError, _raise_first
 from .mean_variance import Moments
 from .model_core import (
     MarketParams,
@@ -44,7 +44,6 @@ from .model_core import (
     _group_size,
     _repayment,
     _require_finite,
-    _require_in,
     _success_profits,
     profit_distribution_group,
 )
@@ -142,19 +141,18 @@ def simulate_member_profit_batch(es, group, ws, params: MarketParams,
     ``std_error_mean = sqrt(variance / trials)``. Result ``i`` depends only
     on (es[i], n, ws[i], params, trials, seed): the counters do not depend
     on e, so every block of draws is computed once and compared with every
-    cell. An error raised for a cell carries its index in ``cell``.
+    cell. The cells are checked as arrays first: e in [0, 1], w finite and
+    > 0, then the profits' bound. An error about a cell carries its index
+    in ``cell``: the first failing check names its first failing cell.
     """
     n = _group_size(group)
-    es, ws = list(es), list(ws)
+    es, ws = np.fromiter(es, float), np.fromiter(ws, float)
     if len(es) != len(ws):
         raise DomainError("es and ws must have the same length")
-    tables = []
-    for i, (e, w) in enumerate(zip(es, ws)):
-        with _cell(i):
-            _require_in("e", e, 0.0, 1.0)
-            w = _repayment(w)
-            # Entry c is the profit of code own * (peer successes + 1).
-            tables.append(np.concatenate(([0.0], _success_profits(n, w, params)[::-1])))
+    _raise_first(~((es >= 0.0) & (es <= 1.0)), DomainError, "e must lie in [0.0, 1.0]")
+    # Entry c is the profit of code own * (peer successes + 1).
+    tables = np.concatenate((np.zeros((len(ws), 1)),
+                             _success_profits(n, _repayment(ws), params)[:, ::-1]), axis=1)
     if cfg.trials * n >= 2 ** 62:
         raise DomainError("trials * n too large for the 64-bit counter space")
 
@@ -178,12 +176,11 @@ def simulate_member_profit_batch(es, group, ws, params: MarketParams,
             counts[i] += np.bincount(code, minlength=n + 1)
 
     results = []
-    for i, (cell_counts, table) in enumerate(zip(counts, tables)):
-        with _cell(i):
-            dist = ProfitDistribution(cell_counts / cfg.trials, table)
-            mean, variance = dist.mean(), dist.variance()
-            results.append(SimResult(mean, variance, math.sqrt(variance / cfg.trials),
-                                     cfg.trials, cfg.seed))
+    for cell_counts, table in zip(counts, tables):
+        dist = ProfitDistribution(cell_counts / cfg.trials, table)
+        mean, variance = dist.mean(), dist.variance()
+        results.append(SimResult(mean, variance, math.sqrt(variance / cfg.trials),
+                                 cfg.trials, cfg.seed))
     return results
 
 

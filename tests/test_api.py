@@ -1,8 +1,10 @@
 """The package's public surface: every name in a module's ``__all__`` is
-exported by the package, once, and no other name is; and every public
-function rejects out-of-domain arguments with DomainError."""
+exported by the package, once, and no other name is; every public
+function rejects out-of-domain arguments with DomainError; and a batch
+names the cell it rejects, one way only."""
 
 import ast
+import dataclasses
 import inspect
 import math
 import warnings
@@ -165,3 +167,132 @@ def test_huge_revenue_is_a_domain_error(field, value):
         with pytest.raises(eselend.DomainError,
                            match=r"^revenue p\*y_high \+ p\*y_low="):
             eselend.MarketParams(**market)
+
+
+def test_only_errors_sets_a_cell():
+    """No module in src/eselend but errors.py assigns an attribute named
+    ``cell``: `errors._raise_first` is the one way a batch names a cell."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            assert not (isinstance(node, ast.Attribute) and node.attr == "cell"
+                        and isinstance(node.ctx, ast.Store)), (
+                f"{path.name}:{node.lineno} assigns .cell")
+
+
+# ----------------------------------------------------------------------
+# batch cell naming
+# ----------------------------------------------------------------------
+
+_MARKET = eselend.DEFAULT_SWEEP_PARAMS
+_COST = eselend.CostModel(c=1000.0)
+_LINK = eselend.ScoreLink(k=0.007, b=0.3)
+_ZERO_START = eselend.ScoreLink(k=0.01, b=0.0)  # e = 0 at E = 0
+_SIM = eselend.SimConfig(trials=64, seed=1)
+
+
+def _mv_cell(gamma=0.5, params=_MARKET, c=1000.0, link=_LINK):
+    return (params, gamma, eselend.CostModel(c=c), link)
+
+
+def _mv_fixed(cells):
+    return eselend.optimal_ese_mv_batch(150.0, cells)
+
+
+def _mv_break_even(cells):
+    return eselend.optimal_ese_mv_batch(None, cells)
+
+
+def _group(ns):
+    return eselend.optimal_ese_group_batch(ns, _MARKET, _COST, _ZERO_START)
+
+
+def _simulate(cells):
+    es, ws = zip(*cells)
+    return eselend.simulate_member_profit_batch(es, 3, ws, _MARKET, _SIM)
+
+
+def _mv_scalar(cell):
+    return eselend.mv_utility(0.0, 150.0, *cell)
+
+
+def _sim_scalar(cell):
+    return eselend.profit_distribution_group(cell[0], 3, cell[1], _MARKET)
+
+
+# Batch, good cells, and per bad cell the one-cell reference and the
+# ``cell`` that reference reports: a scalar route (None), or the batch on
+# that cell alone (0) where no scalar route raises the check. That holds
+# for b = 0, for the FOC, and for the break-even w that overflows: the
+# batch names its own break-even w, from numpy's expm1 and log1p, which
+# can differ in the last digit from `binding_repayment`'s.
+_BATCHES = {
+    "mv fixed w": (_mv_fixed, [_mv_cell(), _mv_cell(0.0), _mv_cell(0.001, c=800.0)], [
+        (_mv_cell(-1.0), _mv_scalar, None),
+        (_mv_cell(math.nan), _mv_scalar, None),
+        (_mv_cell(1e300), _mv_scalar, None),
+        (_mv_cell(c=1.7e308), _mv_scalar, None),
+    ]),
+    "mv break-even w": (_mv_break_even, [_mv_cell(), _mv_cell(0.0),
+                                         _mv_cell(link=eselend.ScoreLink(k=0.003, b=0.7))], [
+        (_mv_cell(-0.5), _mv_scalar, None),
+        (_mv_cell(math.nan), _mv_scalar, None),
+        (_mv_cell(link=_ZERO_START),
+         lambda cell: eselend.optimal_ese_mv(None, *cell), 0),
+        (_mv_cell(link=eselend.ScoreLink(k=0.005, b=1e-320)),
+         lambda cell: eselend.binding_repayment(cell[3].b, 2, cell[0]), None),
+        (_mv_cell(params=dataclasses.replace(_MARKET, loan=1e160)),
+         lambda cell: eselend.optimal_ese_mv(None, *cell), 0),
+        (_mv_cell(c=1.7e308), lambda cell: eselend.mv_utility(
+            0.0, eselend.binding_repayment(0.3, 2, _MARKET), *cell), None),
+    ]),
+    "group sizes": (_group, [2, 3, 7.5], [
+        *((n, lambda n: eselend.group_foc(50.0, n, _MARKET, _COST, _ZERO_START), None)
+          for n in (0.5, 0.0, -3.0, math.nan, math.inf)),
+        (1e308, lambda n: eselend.optimal_ese_group(n, _MARKET, _COST, _ZERO_START), 0),
+    ]),
+    "simulation": (_simulate, [(0.5, 150.0), (0.0, 120.0), (1.0, 160.0)], [
+        *(((e, 150.0), _sim_scalar, None) for e in (1.5, -0.1, math.nan)),
+        *(((0.5, w), _sim_scalar, None) for w in (0.0, -1.0, math.inf, math.nan, 1e308)),
+    ]),
+}
+_BAD_CELLS = [(name, i) for name, (_, _, bad) in _BATCHES.items()
+              for i in range(len(bad))]
+
+
+@given(data=st.data())
+@settings(max_examples=300)
+def test_a_bad_cell_is_named_by_its_index(data):
+    """One bad cell at a random index of each batch: the error carries
+    that index in ``cell``, and has the type and message of the error its
+    one-cell reference raises for that cell."""
+    name, which = data.draw(st.sampled_from(_BAD_CELLS), "bad cell")
+    run, good, bad_cells = _BATCHES[name]
+    bad, reference, reference_cell = bad_cells[which]
+    cells = data.draw(st.lists(st.sampled_from(good), max_size=6), "good cells")
+    index = data.draw(st.integers(0, len(cells)), "index")
+    cells.insert(index, bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(eselend.EselendError) as got:
+            run(cells)
+        with pytest.raises(eselend.EselendError) as expected:
+            reference(bad)
+    assert got.value.cell == index
+    assert expected.value.cell == reference_cell
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+
+
+def test_the_first_failing_check_names_the_cell():
+    """With two different bad cells, the check that comes first in the
+    batch's order names its first failing cell, even when the other bad
+    cell comes earlier: gamma before the float range, e before w."""
+    cells = [_mv_cell(), _mv_cell(c=1.7e308), _mv_cell(-1.0)]
+    with pytest.raises(eselend.DomainError, match="^gamma must be >= 0$") as got:
+        _mv_fixed(cells)
+    assert got.value.cell == 2
+    with pytest.raises(eselend.DomainError, match=r"^e must lie in \[0.0, 1.0\]$") as got:
+        _simulate([(0.5, 150.0), (0.5, -1.0), (1.5, 150.0)])
+    assert got.value.cell == 2

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from eselend import DomainError, cli, mean_variance, optimizer
 from eselend.cli import main
-from eselend.errors import _cell
+from eselend.errors import _raise_first
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -448,6 +448,16 @@ class TestSweepYield:
                    "w=1e+308\n")
         assert not out.exists()
 
+    def test_invalid_market_is_named(self, tmp_path, capsys):
+        """A yield pair that makes no valid market exits 2 naming the pair,
+        before anything is written."""
+        out = tmp_path / "y.csv"
+        assert main(["sweep-yield", "--yields", "1000:500,500:1000",
+                     "--out", str(out)]) == 2
+        assert (capsys.readouterr().err
+                == "error: scenario=Ybar=500,Ylow=1000: need 0 < y_low < y_high\n")
+        assert not out.exists()
+
     def test_yields_spec_needs_two_pairs(self, tmp_path):
         """One pair or malformed pairs exit 2."""
         out = tmp_path / "y.csv"
@@ -530,8 +540,7 @@ class TestSimulate:
         """An error the simulator raises for one e is prefixed with its
         (e, n) cell and exits 2 before anything is written."""
         def failing(es, n, ws, params, cfg):
-            with _cell(1):
-                raise DomainError("empirical_mean must be finite")
+            _raise_first([False, True], DomainError, "empirical_mean must be finite")
 
         monkeypatch.setattr(cli, "simulate_member_profit_batch", failing)
         out = tmp_path / "s.csv"
@@ -893,9 +902,9 @@ class TestSpecErrors:
 
 class TestRevenueBound:
     """A price or yield whose revenue exceeds the profit bound is an input
-    problem named as the revenue, in every command that builds a market.
-    It used to write inf ceilings, exit 4 on a non-finite FOC, or blame the
-    break-even w."""
+    problem named as the revenue, in every command that builds a market;
+    `sweep-yield` also names the yield pair. It used to write inf ceilings,
+    exit 4 on a non-finite FOC, or blame the break-even w."""
 
     @pytest.mark.parametrize("argv", [
         ["ceilings", "--e-grid", "0.5"],
@@ -906,10 +915,12 @@ class TestRevenueBound:
     ])
     def test_huge_revenue_exits_two(self, argv, tmp_path, capsys):
         out = tmp_path / "o.csv"
+        prefix = "scenario=Ybar=1e+300,Ylow=1: "
         if argv[0] != "sweep-yield":
-            argv = [*argv, "--p", "1e308"]
+            argv, prefix = [*argv, "--p", "1e308"], ""
         assert main([*argv, "--out", str(out)]) == 2
-        assert "error: revenue p*y_high + p*y_low=" in capsys.readouterr().err
+        assert (f"error: {prefix}revenue p*y_high + p*y_low="
+                in capsys.readouterr().err)
         assert not out.exists()
 
 

@@ -8,6 +8,8 @@ probability 1/4 each, so the mean is 512.5 and the variance is
 0.25*850^2 + 0.25*1200^2 - 512.5^2 = 277968.75.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -441,6 +443,28 @@ class TestOptimalEseMvBatch:
         with pytest.raises(InvariantViolation) as excinfo:
             optimal_ese_mv_batch(150.0, cells[:2])
         assert excinfo.value.cell == 1
+
+    def test_entry_checks_do_not_grow_with_the_batch(self, monkeypatch):
+        """A 315-cell break-even batch checks its entries with as many calls
+        of `binding_repayment` and `_check_float_range` as a one-cell batch:
+        the checks run on arrays, not cell by cell."""
+        calls = Counter()
+        for name in ("binding_repayment", "_check_float_range"):
+            def counted(*args, _real=getattr(mean_variance, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(mean_variance, name, counted)
+        cells = [(BASE, gamma, CostModel(c=c), ScoreLink(k=(1 - b) / 100, b=b))
+                 for b in (0.1, 0.3, 0.5, 0.7, 0.9)
+                 for c in (600.0, 800.0, 1000.0, 1200.0, 1500.0, 2000.0, 3000.0)
+                 for gamma in np.linspace(0.0, 1.0, 9)]
+        assert len(cells) == 315
+        counts = []
+        for batch in (cells[:1], cells):
+            calls.clear()
+            optimal_ese_mv_batch(None, batch)
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
 
     def test_overflow_is_rejected_per_cell(self):
         """A cell whose utility would overflow the float range is a domain
