@@ -18,10 +18,12 @@ with ``s = 1`` for a fixed ``w`` and ``s = e(2-e)`` for the break-even
 builder turns the table into the polynomial ``N = s^2 U``, so the maximizer
 on the score range is an endpoint or a real root of ``N' s - 2 N s'``.
 `optimal_ese_mv_batch` finds the roots of a whole sweep at once
-(companion-matrix eigenvalues), ranks the candidates by ``N / s^2`` and
-re-validates every winner in one array pass through the moments and
-first-order condition that `mv_utility` and `mv_foc` take one cell at a
-time. The sweeps' market calibration and fixed ``w`` are at the bottom.
+(companion-matrix eigenvalues), each distinct first-order-condition
+polynomial once, so a cell's result does not depend on the other cells in
+its batch. It ranks the candidates by ``N / s^2`` and re-validates every
+winner in one array pass through the moments and first-order condition
+that `mv_utility` and `mv_foc` take one cell at a time. The sweeps' market
+calibration and fixed ``w`` are at the bottom.
 """
 
 from __future__ import annotations
@@ -280,14 +282,22 @@ def _utility_at(e, s, rows, gamma, c):
 def _real_roots(coefs):
     """Real parts of the roots of each row's polynomial, NaN-padded.
 
-    Rows hold coefficients low order first. Zero low-order coefficients
-    (roots at 0) are dropped, and so are top coefficients within ``eps`` of
-    the row's largest, which moves the polynomial by at most that much on
-    [0, 1]. Rows are grouped by the degree left and solved with batched
-    companion-matrix eigenvalues (the method behind `numpy.roots`). Real
-    parts of complex pairs are kept: a non-stationary candidate never beats
-    the maximizer, and a real double root may round into a complex pair.
+    Rows hold coefficients low order first. Each distinct row is solved
+    once and its roots go back to every row equal to it. Rows are keyed by
+    their bytes, so only bit-identical rows share a solve (a signed zero or
+    one ulp keeps two rows apart), and a row's roots do not depend on the
+    other rows. Zero low-order coefficients (roots at 0) are dropped, and so
+    are top coefficients within ``eps`` of the row's largest, which moves
+    the polynomial by at most that much on [0, 1]. Rows are grouped by the
+    degree left and solved with batched companion-matrix eigenvalues (the
+    method behind `numpy.roots`). Real parts of complex pairs are kept: a
+    non-stationary candidate never beats the maximizer, and a real double
+    root may round into a complex pair.
     """
+    coefs = np.ascontiguousarray(coefs)
+    keys = coefs.view(np.dtype((np.void, coefs.itemsize * coefs.shape[1])))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    coefs = coefs[first]
     mag = np.abs(coefs)
     significant = mag > np.finfo(float).eps * mag.max(axis=1, keepdims=True)
     hi = coefs.shape[1] - 1 - np.argmax(significant[:, ::-1], axis=1)
@@ -301,7 +311,7 @@ def _real_roots(coefs):
         companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
         companion[:, :, -1] = -c[:, :d] / c[:, d:]
         out[rows, :d] = np.linalg.eigvals(companion).real
-    return out
+    return out[inverse]
 
 
 def optimal_ese_mv_batch(w, cells) -> list[Optimum]:
@@ -314,7 +324,10 @@ def optimal_ese_mv_batch(w, cells) -> list[Optimum]:
     ``e = b`` (its largest), then the float range at that ``w`` or the fixed
     one. Both modes build ``N = s^2 U`` from the pair outcome table (the module
     docstring), a quartic for a fixed ``w`` and of degree 8 for the
-    break-even ``w``. The candidates are E = 0, E = 100 and every real root
+    break-even ``w``. The polynomial does not depend on the link, so cells
+    that differ only in ``(k, b)`` share it, and each distinct polynomial
+    is solved once; a cell's result does not depend on the other cells in
+    the batch. The candidates are E = 0, E = 100 and every real root
     of ``N' s - 2 N s'`` inside the open score range, mapped back through
     ``E = (e - b) / k``. They are ranked by ``N / s^2`` from the table's
     rows at each candidate, and ties go to the lower score. A root within

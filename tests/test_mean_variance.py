@@ -34,7 +34,8 @@ from eselend import (
     slope_for_baseline,
     success_probability,
 )
-from eselend import mean_variance
+from eselend import cli, mean_variance
+from oracles import RootCounter
 
 BASE = MarketParams(p=1.0, y_high=1000.0, y_low=500.0, loan=100.0,
                     epsilon=0.05, delta=0.9)
@@ -97,6 +98,23 @@ def _draw_cell(data, endogenous):
     link = ScoreLink(k=data.draw(unit, "k_share") * (1.0 - b) / 100.0, b=b)
     w = None if endogenous else data.draw(st.floats(10.0, 500.0), "w")
     return w, params, gamma, cost, link
+
+
+def _cli_cells(command):
+    """The cells ``eselend sweep-mv`` or ``eselend sweep-yield`` solves at
+    its defaults, in the CLI's order."""
+    settings = cli._COMMANDS[command][2]
+    if command == "sweep-mv":
+        scenarios = [(cli._market(settings), b, c)
+                     for b in cli._parse_grid(settings["b_set"], "b-set")
+                     for c in cli._parse_grid(settings["c_set"], "c-set")]
+    else:
+        scenarios = [(cli._market({**settings, "y_high": y_high, "y_low": y_low}),
+                      settings["b"], settings["c"])
+                     for y_high, y_low in cli._parse_yield_pairs(settings["yields"])]
+    return [(params, gamma, CostModel(c=c), ScoreLink(k=slope_for_baseline(b), b=b))
+            for params, b, c in scenarios
+            for gamma in cli._parse_grid(settings["gamma_grid"], "gamma-grid")]
 
 
 # ----------------------------------------------------------------------
@@ -466,6 +484,54 @@ class TestOptimalEseMvBatch:
             counts.append(dict(calls))
         assert counts[0] == counts[1]
 
+    def test_each_distinct_polynomial_is_solved_once(self, monkeypatch):
+        """The first-order condition does not depend on the link, so the 315
+        default `sweep-mv` cells (3 b x 5 c x 21 gamma) solve 105 companion
+        matrices in each w mode, and the 42 default `sweep-yield` cells, all
+        distinct, solve 42."""
+        solved = []
+        real = np.linalg.eigvals
+
+        def counted(matrices):
+            solved.append(len(matrices))
+            return real(matrices)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        for command, cells, distinct in (("sweep-mv", 315, 105), ("sweep-yield", 42, 42)):
+            batch = _cli_cells(command)
+            assert len(batch) == cells
+            for w in (mean_variance.DEFAULT_SWEEP_W, None):
+                solved.clear()
+                optimal_ese_mv_batch(w, batch)
+                assert sum(solved) == distinct, (command, w)
+
+    @given(data=st.data())
+    @settings(max_examples=100)
+    def test_a_cell_does_not_depend_on_its_batch(self, data):
+        """Cells drawn with replacement from a small pool, so that many share
+        their polynomial or repeat, give exactly the one-cell optima in a
+        batch, for a fixed w and the break-even w."""
+        markets = data.draw(st.lists(st.builds(
+            MarketParams, p=st.floats(0.2, 3.0), y_high=st.floats(900.0, 2000.0),
+            y_low=st.floats(50.0, 800.0), loan=st.floats(10.0, 400.0),
+            epsilon=st.floats(0.0, 0.2), delta=st.just(0.9)),
+            min_size=1, max_size=2), "markets")
+        gammas = data.draw(st.lists(st.just(0.0) | st.floats(-6.0, 0.0).map(
+            lambda x: 10.0 ** x), min_size=1, max_size=2), "gammas")
+        costs = data.draw(st.lists(st.floats(100.0, 4000.0), min_size=1,
+                                   max_size=2), "costs")
+        links = data.draw(st.lists(st.builds(
+            lambda b, share: ScoreLink(k=share * (1.0 - b) / 100.0, b=b),
+            st.floats(0.05, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=3), "links")
+        pool = [(params, gamma, CostModel(c=c), link) for params in markets
+                for gamma in gammas for c in costs for link in links]
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                                   max_size=3 * len(pool)), "picks")
+        batch = [pool[i] for i in picks]
+        for w in (data.draw(st.floats(10.0, 500.0), "w"), None):
+            assert optimal_ese_mv_batch(w, batch) == [
+                optimal_ese_mv(w, *cell) for cell in batch]
+
     def test_overflow_is_rejected_per_cell(self):
         """A cell whose utility would overflow the float range is a domain
         error naming its index, raised before any numpy overflow: a huge
@@ -481,6 +547,54 @@ class TestOptimalEseMvBatch:
             with pytest.raises(DomainError, match="overflows the float range") as excinfo:
                 optimal_ese_mv_batch(w, cells)
             assert excinfo.value.cell == len(cells) - 1
+
+
+class TestRealRoots:
+    """The batched root finder against one-row calls and exact counts."""
+
+    def test_only_identical_rows_share_a_solve(self):
+        """Rows one ulp or one signed zero apart come back bit for bit as
+        their one-row calls return them: ``x^2 + 1`` with a +0.0 or -0.0
+        middle coefficient has roots whose real parts are zeros of opposite
+        signs, which a key by value (``numpy.unique(axis=0)``) would merge."""
+        quadratic = [0.18, -0.9, 1.0]
+        rows = np.array([quadratic, [np.nextafter(0.18, 1.0), -0.9, 1.0],
+                         [1.0, 0.0, 1.0], [1.0, -0.0, 1.0], quadratic])
+        batch = mean_variance._real_roots(rows)
+        for row, roots in zip(rows, batch):
+            assert roots.tobytes() == mean_variance._real_roots(row[None])[0].tobytes()
+        assert batch[0].tobytes() != batch[1].tobytes()
+        assert batch[2].tobytes() != batch[3].tobytes()
+
+    @pytest.mark.parametrize("w", [mean_variance.DEFAULT_SWEEP_W, None],
+                             ids=["fixed-w", "break-even-w"])
+    def test_in_range_roots_match_exact_counts(self, w, monkeypatch):
+        """On every default `sweep-mv` cell, the engine's roots inside the
+        open score range ``(b, b + 100k)`` are as many as the polynomial it
+        solved has distinct real roots there, counted exactly by a Sturm
+        sequence over `Fraction` copies of its float coefficients."""
+        solved = []
+        real = mean_variance._real_roots
+
+        def recorded(coefs):
+            roots = real(coefs)
+            solved.append((np.array(coefs), roots))
+            return roots
+
+        monkeypatch.setattr(mean_variance, "_real_roots", recorded)
+        cells = _cli_cells("sweep-mv")
+        optimal_ese_mv_batch(w, cells)
+        [(coefs, roots)] = solved
+        counters, engine, exact = {}, [], []
+        for row, row_roots, (_, _, _, link) in zip(coefs, roots, cells):
+            lo, hi = link.b, link.b + 100.0 * link.k
+            engine.append(int(np.count_nonzero((row_roots > lo) & (row_roots < hi))))
+            key = row.tobytes()
+            if key not in counters:
+                counters[key] = RootCounter(row.tolist())
+            exact.append(counters[key].count(lo, hi))
+        assert engine == exact
+        assert sum(exact) == (111 if w is not None else 203)
 
 
 class TestUtilityBuilder:
