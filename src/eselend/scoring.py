@@ -19,13 +19,17 @@ farmers and metrics as the rows and columns of one farmers x metrics
 matrix, from whose counts it reports duplicate, unknown and missing pairs.
 A list of `MetricRecord`s is converted to a table and scored the same way.
 
-The metrics reader splits a plain file as text: when the file holds no
-quote, NUL or lone carriage return and every line has exactly two commas
-(one pass over the bytes checks this), its cells are one
-``str.split(",")`` of the text with newlines turned into commas. Every
-other file goes through `csv.reader`. Both feed the same column check,
-and a file that fails it is walked row by row to name the line its first
-bad record starts on.
+The metrics reader splits a plain file as text, one chunk of whole lines
+(about `_CHUNK_BYTES` bytes) at a time: when a chunk holds no quote, NUL
+or lone carriage return and each of its lines has exactly two commas (one
+pass over its bytes checks this), it is decoded on its own and its cells
+are one ``str.split(",")`` of it with newlines turned into commas. So no
+more than one chunk of the file is held at a time, and repeated ids in
+the returned table share one ``str`` object. A file with any other chunk
+is read and decoded whole and goes through `csv.reader`, whose rows are
+taken in slices of about as many records. Both feed the same column
+check, and a file that fails it is walked row by row to name the line its
+first bad record starts on.
 
 File formats: metric records arrive as CSV with header
 ``farmer_id,metric_id,value``; the schema is CSV with header
@@ -42,7 +46,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -334,6 +338,10 @@ _NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b",\n")))
 # holds CR only in CRLF, where it ends a line's last cell, which float()
 # reads past.
 _ASCII_SPACE = "\t\x0b\x0c\x1c\x1d\x1e\x1f "
+#: Bytes per chunk of a metrics file; a chunk ends at the first newline
+#: after this many. The `csv.reader` route takes rows in slices of
+#: ``_CHUNK_BYTES // 32``, about as many records at some 32 bytes a line.
+_CHUNK_BYTES = 262_144
 
 
 def _decode(data: bytes, path: Path, error: type[Exception]) -> str:
@@ -358,6 +366,14 @@ def _two_commas_a_line(data: bytes) -> bool:
     return seps == b",,\n" * (len(seps) // 3)
 
 
+def _aligned(data: bytes) -> bool:
+    """Whether ``data`` can be split as text: it holds no quote, NUL or
+    lone carriage return, and every line of it has exactly two commas."""
+    lone_cr = b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
+    return (b'"' not in data and b"\0" not in data and not lone_cr
+            and _two_commas_a_line(data))
+
+
 def _csv_rows(text: str, path: Path, error: type[Exception]):
     """Yield `csv.reader`'s rows of ``text`` as ``(line it starts on, row)``.
     A `csv.Error` raises ``error`` at the line of the row it stopped in."""
@@ -374,79 +390,128 @@ def _csv_rows(text: str, path: Path, error: type[Exception]):
 def read_metrics_csv(path) -> MetricTable:
     """Load metric records, reporting problems with file and line context.
 
-    Blank rows are skipped and cells are stripped. The cells come from one
-    text split, or from `csv.reader` for any other file (see the module
-    docstring). The records are checked a whole column at a time; only a
-    file that fails a check (or holds a blank row) is walked again row by
-    row, to report the line its first bad record starts on.
+    Blank rows are skipped and cells are stripped. The file is read and
+    split in chunks of whole lines, each decoded on its own (see the module
+    docstring), and its records are checked a whole column of a chunk at a
+    time. A file that is not split this way to a valid table (one with a
+    quote, a blank row, invalid UTF-8 or a bad record) is read again whole
+    by `_read_whole`, which reports the problem at its line. Repeated ids
+    in the table are one ``str`` object each.
     """
     path = Path(path)
+    with path.open("rb") as file:
+        chunks = _aligned_chunks(file)
+        header = next(chunks, None)
+        if header is not None and [h.strip() for h in header] == _METRICS_HEADER:
+            table = _parse_columns(chunks)
+            if table is not None and len(table):
+                return table
+    return _read_whole(path)
+
+
+def _read_whole(path: Path) -> MetricTable:
+    """`read_metrics_csv` from the whole decoded text: aligned files are
+    walked row by row, any other goes through `csv.reader`, and the first
+    problem raises at the line its record starts on."""
     data = path.read_bytes()
-    lone_cr = b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
-    aligned = (b'"' not in data and b"\0" not in data and not lone_cr
-               and _two_commas_a_line(data))
+    aligned = _aligned(data)
     text = _decode(data, path, DataError)
     del data
     if not text:
         raise ConfigError(f"{path}: empty metrics file")
-    if aligned:
-        strip = not text.isascii() or any(ch in text for ch in _ASCII_SPACE)
-        final_newline = text.endswith("\n")
-        text = text.replace("\n", ",")
-        cells = text.split(",")
-        del text
-        if final_newline:
-            cells.pop()
-        header = cells[:3]
-        del cells[:3]
+    table = None
+    if aligned:  # a line of an aligned file is one record
+        rows = enumerate(map(str.split, text.split("\n"), repeat(",")), 1)
+        _, header = next(rows)
     else:
+        chunks = _row_chunks(csv.reader(io.StringIO(text, newline="")))
         try:
-            header, *rows = csv.reader(io.StringIO(text, newline=""))
+            header = next(chunks)
+            table = _parse_columns(chunks)
         except csv.Error:
             list(_csv_rows(text, path, DataError))  # raises it at its line
             raise
-        cells = (None if any(len(row) != 3 for row in rows)
-                 else [cell for row in rows for cell in row])
-        strip = True  # a quoted cell may hold a newline
+        if table is None:
+            # csv.reader stopped at the first bad slice; a csv.Error further
+            # on still comes before any header or record error
+            _, *rows = _csv_rows(text, path, DataError)
     if [h.strip() for h in header] != _METRICS_HEADER:
         raise DataError(f"{path}:1: expected header {','.join(_METRICS_HEADER)}")
-    table = None if cells is None else _parse_columns(cells, strip)
     if table is None:
-        if aligned:  # a line of an aligned file is one record
-            rows = [(i // 3 + 2, cells[i:i + 3]) for i in range(0, len(cells), 3)]
-        else:
-            _, *rows = _csv_rows(text, path, DataError)
         table = _parse_rows(rows, path)
     if not len(table):
         raise ConfigError(f"{path}: metrics file contains no records")
     return table
 
 
-def _parse_columns(cells: list[str], strip: bool) -> MetricTable | None:
-    """The table of ``cells``, three to a record, or None unless every
-    record is valid. ``strip`` is False only when no id can hold
-    whitespace."""
-    farmer_ids, metric_ids = cells[0::3], cells[1::3]
-    if strip:
-        farmer_ids = [cell.strip() for cell in farmer_ids]
-        metric_ids = [cell.strip() for cell in metric_ids]
-    if not (all(farmer_ids) and all(metric_ids)):
-        return None
-    try:
-        # float() ignores the whitespace that strip() removes, but for
-        # \x1c-\x1f: a value padded with those is read by _parse_rows
-        values = np.fromiter(map(float, cells[2::3]), dtype=float,
-                             count=len(farmer_ids))
-    except ValueError:
-        return None
-    if not np.isfinite(values).all():
-        return None
-    return MetricTable(farmer_ids, metric_ids, values)
+def _aligned_chunks(file):
+    """Yield the cells of an aligned metrics file's header line, then those
+    of each run of whole lines that ends at the first newline after
+    `_CHUNK_BYTES` bytes: one ``str.split(",")`` of the run's own decoded
+    text with newlines turned into commas, every cell stripped where an id
+    may hold whitespace. Yield None, and stop, at a run that is not aligned
+    or not valid UTF-8."""
+    data = file.readline().removeprefix(_UTF8_BOM)
+    while data:
+        try:
+            text = str(data, "utf-8") if _aligned(data) else None
+        except UnicodeDecodeError:
+            text = None
+        if text is None:
+            yield None
+            return
+        cells = text.replace("\n", ",").split(",")
+        if text.endswith("\n"):
+            cells.pop()
+        if not text.isascii() or any(ch in text for ch in _ASCII_SPACE):
+            cells = [cell.strip() for cell in cells]
+        yield cells
+        data = file.read(_CHUNK_BYTES) + file.readline()
 
 
-def _parse_rows(rows: list[tuple], path: Path) -> MetricTable:
+def _row_chunks(reader):
+    """Yield `csv.reader`'s header row, then the stripped cells of each
+    slice of its rows, or None for a slice with a row of other than three
+    cells."""
+    yield next(reader, [])
+    size = max(1, _CHUNK_BYTES // 32)
+    while rows := list(islice(reader, size)):
+        yield (None if any(len(row) != 3 for row in rows)
+               else [cell.strip() for row in rows for cell in row])
+
+
+def _parse_columns(chunks) -> MetricTable | None:
+    """The table of the cell lists ``chunks``, three cells to a record with
+    ids already stripped, or None unless every record is valid (a chunk of
+    None is not). Each id becomes its first copy in one dict that lives for
+    the whole file, so repeats share one object and an empty id leaves
+    ``""`` in the dict."""
+    ids: dict[str, str] = {}
+    # np.empty(0) gives a file of a header alone its empty value column
+    farmer_ids, metric_ids, values = [], [], [np.empty(0)]
+    for cells in chunks:
+        if cells is None:
+            return None
+        farmers, metrics = cells[0::3], cells[1::3]
+        farmer_ids += map(ids.setdefault, farmers, farmers)
+        metric_ids += map(ids.setdefault, metrics, metrics)
+        if "" in ids:
+            return None
+        try:
+            values.append(np.fromiter(map(float, cells[2::3]), dtype=float,
+                                      count=len(farmers)))
+        except ValueError:
+            return None
+        if not np.isfinite(values[-1]).all():
+            return None
+    return MetricTable(farmer_ids, metric_ids, np.concatenate(values))
+
+
+def _parse_rows(rows: Iterable[tuple], path: Path) -> MetricTable:
     """The table of ``(line, row)`` pairs read one at a time in file order,
-    skipping blank rows and raising at the first bad one with its line."""
+    skipping blank rows and raising at the first bad one with its line.
+    Repeated ids share one object."""
+    ids: dict[str, str] = {}
     farmer_ids, metric_ids, values = [], [], []
     for lineno, row in rows:
         if not any(cell.strip() for cell in row):
@@ -461,8 +526,8 @@ def _parse_rows(rows: list[tuple], path: Path) -> MetricTable:
         problem = _record_problem(farmer_id, metric_id, value)
         if problem is not None:
             raise DataError(f"{path}:{lineno}: {problem}")
-        farmer_ids.append(farmer_id)
-        metric_ids.append(metric_id)
+        farmer_ids.append(ids.setdefault(farmer_id, farmer_id))
+        metric_ids.append(ids.setdefault(metric_id, metric_id))
         values.append(value)
     return MetricTable(farmer_ids, metric_ids, np.array(values, dtype=float))
 

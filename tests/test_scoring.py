@@ -9,6 +9,7 @@ import csv
 import dataclasses
 import importlib.resources as resources
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -755,3 +756,124 @@ class TestColumnarMatchesReference:
         except (ConfigError, DataError):
             return
         assert _outcome(lambda: composite_score(records, scheme)) == want
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 2, 17, 64])
+    @given(text=_metrics_files(),
+           normalization=st.sampled_from(["MIN_MAX", "Z_SCORE_CLIPPED"]))
+    @settings(max_examples=150,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_chunk_boundaries_change_nothing(self, tmp_path, monkeypatch,
+                                             chunk_bytes, text, normalization):
+        """With chunks of a few characters (and csv.reader slices of one or
+        two rows), boundaries fall inside and between lines, next to CRLF
+        ends and before a missing final newline; the table, the scores
+        and any error are still the reference's."""
+        monkeypatch.setattr(scoring, "_CHUNK_BYTES", chunk_bytes)
+        path = tmp_path / "metrics.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert (_table_outcome(lambda: _columns(read_metrics_csv(path)))
+                == _table_outcome(lambda: zip(*[
+                    (r.farmer_id, r.metric_id, r.value)
+                    for r in _reference_read(path)])))
+        scheme = ScoringScheme(schema=_PROPERTY_SCHEMA, normalization=normalization)
+        assert (_outcome(lambda: composite_score(read_metrics_csv(path), scheme))
+                == _outcome(lambda: _reference_score(_reference_read(path), scheme)))
+
+
+# ----------------------------------------------------------------------
+# chunked reads: located errors, shared ids, memory
+# ----------------------------------------------------------------------
+
+
+def _cohort_text(n_farmers, quote=False, blank=False, end="\n"):
+    """An aligned metrics file of ``n_farmers`` x the property schema,
+    optionally with its first farmer id quoted or a blank row after the
+    header."""
+    rows = [f"F{i},{metric.id},{(i + j) % 2}"
+            for i in range(n_farmers) for j, metric in enumerate(_PROPERTY_SCHEMA)]
+    if quote:
+        rows[0] = '"' + rows[0].replace(",", '",', 1)
+    if blank:
+        rows.insert(0, ",,")
+    return end.join(["farmer_id,metric_id,value"] + rows) + end
+
+
+class TestChunkedReads:
+    """The reader holds one chunk of the file at a time and one string per
+    distinct id."""
+
+    @pytest.mark.parametrize("quote", [False, True], ids=["split", "csv"])
+    @pytest.mark.parametrize("last", ["\n", ""], ids=["newline", "no-newline"])
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_bad_record_in_the_last_chunk_is_named(self, tmp_path, monkeypatch,
+                                                   quote, last, end):
+        """The only bad record, on the last line of a file of many chunks,
+        is named by its line."""
+        monkeypatch.setattr(scoring, "_CHUNK_BYTES", 256)
+        text = _cohort_text(250, quote=quote, end=end) + f"F9,soil,abc{last}"
+        assert len(text.encode()) > 10 * 256
+        path = tmp_path / "metrics.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(DataError) as excinfo:
+            read_metrics_csv(path)
+        assert str(excinfo.value) == f"{path}:1002: value 'abc' is not a number"
+
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xe2\n", b"\xe2\x82"],
+                             ids=["stray", "cut-by-newline", "cut-by-end"])
+    def test_invalid_utf8_in_a_late_chunk_is_named(self, tmp_path, monkeypatch,
+                                                   bad):
+        """Chunks are decoded one at a time, but a byte that is not UTF-8
+        in the last of many is named by its byte and line, as a decode of
+        the whole file names it."""
+        monkeypatch.setattr(scoring, "_CHUNK_BYTES", 256)
+        path = tmp_path / "metrics.csv"
+        path.write_bytes(_cohort_text(250).encode() + b"F9,soil," + bad)
+        with pytest.raises(DataError) as excinfo:
+            read_metrics_csv(path)
+        assert (str(excinfo.value)
+                == f"{path}: not valid UTF-8: byte 0x{bad[0]:02x} on line 1002")
+
+    @pytest.mark.parametrize("quote, blank", [(False, False), (True, False),
+                                              (False, True)],
+                             ids=["split", "csv", "row-walk"])
+    def test_repeated_ids_share_one_object(self, tmp_path, monkeypatch,
+                                           quote, blank):
+        """Every route gives each distinct id one str object, and the scores
+        are those of a table whose ids are all distinct objects."""
+        monkeypatch.setattr(scoring, "_CHUNK_BYTES", 64)
+        path = tmp_path / "metrics.csv"
+        path.write_text(_cohort_text(40, quote=quote, blank=blank),
+                        encoding="utf-8")
+        table = read_metrics_csv(path)
+        for column in (table.farmer_ids, table.metric_ids):
+            assert len({id(s) for s in column}) == len(set(column)) < len(column)
+        fresh = MetricTable([s.encode().decode() for s in table.farmer_ids],
+                            [s.encode().decode() for s in table.metric_ids],
+                            table.values)
+        assert len({id(s) for s in fresh.farmer_ids}) == len(fresh)
+        scheme = ScoringScheme(schema=_PROPERTY_SCHEMA)
+        assert (list(composite_score(table, scheme).items())
+                == list(composite_score(fresh, scheme).items()))
+
+    def test_memory_stays_near_the_file_size(self, tmp_path):
+        """Reading a 3 MB cohort peaks under 4x the file's bytes and holds
+        under 1.5x once read: the file is read, decoded and split one chunk
+        at a time, and the table keeps one string per distinct id."""
+        rng = np.random.default_rng(0)
+        lines = ["farmer_id,metric_id,value"] + [
+            f"farmer_{i:05d},metric_{j:02d},{value!r}"
+            for i in range(2500)
+            for j, value in enumerate(np.round(rng.normal(50.0, 10.0, 36), 6).tolist())]
+        path = tmp_path / "metrics.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        size = path.stat().st_size
+        assert size > 2_900_000
+        tracemalloc.start()
+        try:
+            table = read_metrics_csv(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 90_000
+        assert peak < 4 * size
+        assert held < 1.5 * size
