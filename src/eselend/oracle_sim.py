@@ -19,13 +19,19 @@ to [0, 1) via the top 53 bits, where ``mix64`` is the splitmix64 finalizer:
 Every draw is a pure function of (seed, counter), and the counter does not
 depend on e. So for one group size the simulator computes a single shared
 stream, in blocks of about 65,536 draws laid out member-major, and compares
-each block with every e of the batch. A draw's top 53 bits ``x`` stand for
-``u = x * 2^-53``, and ``u < e`` holds exactly when ``x < ceil(e * 2^53)``,
-so success is an integer compare. A member's profit takes one of n + 1
-values, so for each e the simulator adds each block's outcomes into an
-integer count per outcome. The counts are exact and do not depend on how
-the trials are split, and the moments come from them as from an exact
-distribution, with no running float sums to cancel.
+each block with every e of the batch. A draw's top 53 bits ``x = z >> 11``
+stand for ``u = x * 2^-53``, and ``u < e`` holds exactly when
+``x < ceil(e * 2^53)``, that is when the raw hash ``z`` lies below
+``ceil(e * 2^53) * 2^11``. So success is one integer compare on the hash,
+which is never shifted; at e = 1 the limit is 2^64 and every member
+succeeds. A member's profit takes one of n + 1 values, so each trial has an
+outcome code in [0, n] per e. One count per block serves several e: their
+codes are packed as the base-(n + 1) digits of one integer, at most 4,096
+values, and counted with one bincount. At the end each e's n + 1 counts are
+the sums of the packed counts over the other digits. The counts are exact
+and do not depend on how the trials are split or the cells packed, and the
+moments come from them as from an exact distribution, with no running float
+sums to cancel.
 """
 
 from __future__ import annotations
@@ -59,6 +65,10 @@ __all__ = [
 #: Draws per block of the shared stream; a block holds ``_BLOCK_DRAWS // n``
 #: trials of all n members.
 _BLOCK_DRAWS = 65_536
+
+#: Most values of one count of packed outcome codes: a count packs as many
+#: cells as fit, so long e lists and large n split into several counts.
+_PACK_BINS = 4096
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -105,12 +115,12 @@ def _stream_base(seed: int, counter: int) -> np.uint64:
     return np.uint64((seed + (counter + 1) * _GOLDEN) & _U64_MASK)
 
 
-def _draws53(base: np.uint64, offsets: np.ndarray, z: np.ndarray,
-             tmp: np.ndarray) -> np.ndarray:
-    """Top 53 bits of splitmix64 of ``base + offsets``, written into ``z``.
+def _hash64(base: np.uint64, offsets: np.ndarray, z: np.ndarray,
+            tmp: np.ndarray) -> np.ndarray:
+    """splitmix64 of ``base + offsets``, all 64 bits, written into ``z``.
 
-    ``tmp`` is scratch of the same shape; nothing else is allocated. Draw
-    ``x`` stands for the uniform ``x * 2^-53``.
+    ``tmp`` is scratch of the same shape; nothing else is allocated. The
+    draw is the top 53 bits ``x = z >> 11``, which stand for ``x * 2^-53``.
     """
     with np.errstate(over="ignore"):
         np.add(offsets, base, out=z)
@@ -122,8 +132,17 @@ def _draws53(base: np.uint64, offsets: np.ndarray, z: np.ndarray,
         z *= _MIX_2
         np.right_shift(z, np.uint64(31), out=tmp)
         z ^= tmp
-        z >>= np.uint64(11)
     return z
+
+
+def _below(z: np.ndarray, threshold: int, out: np.ndarray) -> np.ndarray:
+    """``(z >> 11) < threshold`` for a threshold in [0, 2^53], written into
+    ``out``: tested on the raw hash as ``z < threshold * 2^11``, which is
+    always true at 2^53, the threshold of e = 1."""
+    if threshold == 2 ** 53:
+        out.fill(True)
+        return out
+    return np.less(z, np.uint64(threshold << 11), out=out)
 
 
 def simulate_member_profit_batch(es, group, ws, params: MarketParams,
@@ -140,10 +159,12 @@ def simulate_member_profit_batch(es, group, ws, params: MarketParams,
     with probabilities ``counts / trials``, as in `enumerate_member_profit`;
     ``std_error_mean = sqrt(variance / trials)``. Result ``i`` depends only
     on (es[i], n, ws[i], params, trials, seed): the counters do not depend
-    on e, so every block of draws is computed once and compared with every
-    cell. The cells are checked as arrays first: e in [0, 1], w finite and
-    > 0, then the profits' bound. An error about a cell carries its index
-    in ``cell``: the first failing check names its first failing cell.
+    on e, so every block of draws is hashed once and compared with every
+    cell, and several cells share one count per block, their outcome codes
+    packed as the digits of one integer. The cells are checked as arrays
+    first: e in [0, 1], w finite and > 0, then the profits' bound. An error
+    about a cell carries its index in ``cell``: the first failing check
+    names its first failing cell.
     """
     n = _group_size(group)
     es, ws = np.fromiter(es, float), np.fromiter(ws, float)
@@ -155,25 +176,48 @@ def simulate_member_profit_batch(es, group, ws, params: MarketParams,
                              _success_profits(n, _repayment(ws), params)[:, ::-1]), axis=1)
     if cfg.trials * n >= 2 ** 62:
         raise DomainError("trials * n too large for the 64-bit counter space")
+    if not len(es):
+        return []
 
     # x * 2^-53 < e holds exactly when x < ceil(e * 2^53).
-    thresholds = [np.uint64(math.ceil(e * 2.0 ** 53)) for e in es]
+    thresholds = [math.ceil(e * 2.0 ** 53) for e in es]
+    # Each count packs the codes of up to `width` cells, one base-(n + 1)
+    # digit per cell, the group's first cell in the lowest digit.
+    width = 1
+    while (n + 1) ** (width + 1) <= _PACK_BINS:
+        width += 1
+    groups = [range(i, min(i + width, len(es))) for i in range(0, len(es), width)]
+    cubes = [np.zeros((n + 1) ** len(cells), dtype=np.int64) for cells in groups]
     rows = max(1, _BLOCK_DRAWS // n)
     offsets = np.arange(rows, dtype=np.uint64) * np.uint64(n)
     offsets = (offsets + np.arange(n, dtype=np.uint64)[:, None]) * np.uint64(_GOLDEN)
     z, tmp = np.empty_like(offsets), np.empty_like(offsets)
     hit = np.empty(offsets.shape, dtype=bool)
-    code_type = np.min_scalar_type(n)
-    counts = np.zeros((len(es), n + 1), dtype=np.int64)
+    code = np.empty(rows, dtype=np.min_scalar_type(n))
+    # Room for the packed codes and for their base n + 1.
+    packed = np.empty(rows, dtype=np.min_scalar_type((n + 1) ** width))
     for t in range(0, cfg.trials, rows):
         r = min(rows, cfg.trials - t)
-        x = _draws53(_stream_base(cfg.seed, t * n), offsets[:, :r], z[:, :r], tmp[:, :r])
-        for i, threshold in enumerate(thresholds):
-            success = np.less(x, threshold, out=hit[:, :r])
-            code = np.add.reduce(success[1:], axis=0, dtype=code_type)
-            code += 1
-            code *= success[0]
-            counts[i] += np.bincount(code, minlength=n + 1)
+        hashed = _hash64(_stream_base(cfg.seed, t * n), offsets[:, :r], z[:, :r],
+                         tmp[:, :r])
+        digit, digits = code[:r], packed[:r]
+        for cells, cube in zip(groups, cubes):
+            digits.fill(0)
+            for i in reversed(cells):
+                # A trial's code is own * (own + peer successes), in [0, n].
+                success = _below(hashed, thresholds[i], hit[:, :r]).view(np.uint8)
+                np.add.reduce(success, axis=0, dtype=digit.dtype, out=digit)
+                digit *= success[0]
+                digits *= n + 1
+                digits += digit
+            cube += np.bincount(digits, minlength=len(cube))
+
+    counts = np.empty((len(es), n + 1), dtype=np.int64)
+    for cells, cube in zip(groups, cubes):
+        # Axis j of the reversed cube is the digit of the group's cell j.
+        cube = cube.reshape((n + 1,) * len(cells)).T
+        for j, i in enumerate(cells):
+            counts[i] = np.moveaxis(cube, j, 0).reshape(n + 1, -1).sum(axis=1)
 
     results = []
     for cell_counts, table in zip(counts, tables):

@@ -33,7 +33,8 @@ from eselend import (
     simulate_member_profit,
     simulate_member_profit_batch,
 )
-from eselend.oracle_sim import _BLOCK_DRAWS, _draws53, _stream_base
+from eselend import oracle_sim
+from eselend.oracle_sim import _BLOCK_DRAWS, _below, _hash64, _stream_base
 
 BASE = MarketParams(p=1.0, y_high=1000.0, y_low=500.0, loan=100.0,
                     epsilon=0.05, delta=0.9)
@@ -66,21 +67,30 @@ def _uniform01(seed: int, counters: np.ndarray) -> np.ndarray:
 
 
 def _draws(seed: int, counters: np.ndarray) -> np.ndarray:
-    """The kernel's 53-bit draws for arbitrary counters."""
+    """The kernel's 53-bit draws for arbitrary counters: the top 53 bits of
+    its raw 64-bit hash."""
     z, tmp = np.empty_like(counters), np.empty_like(counters)
-    return _draws53(_stream_base(seed, 0), counters * _GOLDEN, z, tmp)
+    return _hash64(_stream_base(seed, 0), counters * _GOLDEN, z, tmp) >> np.uint64(11)
 
 
-def _ref_outcomes(e, n, w, params, trials, seed):
-    """Rebuild of the documented draws, trial by trial with float
-    thresholds: the count of each outcome code own * (peer successes + 1)
-    and the profit each code pays (0 for codes that never occur)."""
-    ph, pl = params.high_revenue, params.low_revenue
-    counts, table = np.zeros(n + 1, dtype=np.int64), np.zeros(n + 1)
+def _ref_uniforms(seed, n, trials):
+    """The documented uniforms of every (trial, member), as (m, n) arrays
+    of at most 100,000 trials each."""
     for start in range(0, trials, 100_000):
         m = min(100_000, trials - start)
         counters = np.arange(start * n, (start + m) * n, dtype=np.uint64)
-        success = _uniform01(seed, counters).reshape(m, n) < e
+        yield _uniform01(seed, counters).reshape(m, n)
+
+
+def _ref_outcomes(e, n, w, params, trials, seed, uniforms=None):
+    """Rebuild of the documented draws, trial by trial with float
+    thresholds: the count of each outcome code own * (peer successes + 1)
+    and the profit each code pays (0 for codes that never occur).
+    ``uniforms`` may hold the run's `_ref_uniforms`, computed once."""
+    ph, pl = params.high_revenue, params.low_revenue
+    counts, table = np.zeros(n + 1, dtype=np.int64), np.zeros(n + 1)
+    for u in uniforms if uniforms is not None else _ref_uniforms(seed, n, trials):
+        success = u < e
         peer_ok = success[:, 1:].sum(axis=1)
         k_fail = (n - 1) - peer_ok
         paid = ph - w - k_fail * (w - pl) / (peer_ok + 1)
@@ -90,10 +100,10 @@ def _ref_outcomes(e, n, w, params, trials, seed):
     return counts, table
 
 
-def _ref_simulate(e, n, w, params, trials, seed):
+def _ref_simulate(e, n, w, params, trials, seed, uniforms=None):
     """The documented moments: those of the distribution with
     probabilities counts / trials over the rebuilt outcomes."""
-    counts, table = _ref_outcomes(e, n, w, params, trials, seed)
+    counts, table = _ref_outcomes(e, n, w, params, trials, seed, uniforms)
     dist = ProfitDistribution(counts / trials, table)
     return dist.mean(), dist.variance()
 
@@ -130,6 +140,19 @@ class TestUniformStream:
         counters = np.arange(10_000, dtype=np.uint64)
         x = _draws(9, counters)
         assert np.all(x < np.uint64(2 ** 53))
+
+    @pytest.mark.parametrize("threshold", [0, 1, 2 ** 52, 2 ** 53 - 1, 2 ** 53])
+    def test_raw_hash_limit_at_its_edges(self, threshold):
+        """The success test on the raw hash, z < threshold * 2^11, agrees
+        with the test on the draw, (z >> 11) < threshold, on both sides of
+        the limit; at threshold 2^53 (e = 1) every hash passes."""
+        limit = threshold << 11
+        zs = [z for z in (limit - 1, limit, 0, 2 ** 64 - 1) if 0 <= z < 2 ** 64]
+        got = _below(np.array(zs, dtype=np.uint64), threshold,
+                     np.empty(len(zs), dtype=bool))
+        assert got.tolist() == [(z >> 11) < threshold for z in zs]
+        if threshold == 2 ** 53:
+            assert got.all()
 
     def test_roughly_uniform(self):
         """The first 100k draws have mean near 1/2 and spread near 1/12."""
@@ -277,7 +300,8 @@ class TestSimulateBatch:
     def test_matches_float_oracle(self, data):
         """Every cell equals the trial-by-trial float-threshold oracle,
         for e at 0, 1, multiples of 2^-53 and exactly on a draw, sizes on
-        both sides of the uint8 code limit, and any 64-bit seed."""
+        both sides of the uint8 code limit, any 64-bit seed, and cells
+        alone in a count, sharing one, or split across several."""
         n = data.draw(st.integers(1, 7) | st.integers(1, 300)
                       | st.sampled_from([255, 256, 257]), "n")
         trials = data.draw(st.sampled_from(_trial_counts(n)), "trials")
@@ -293,13 +317,19 @@ class TestSimulateBatch:
              | st.integers(0, 2 ** 53).map(lambda k: k * 2.0 ** -53)
              | st.floats(0.0, 1.0)
              | on_draw)
-        es = data.draw(st.lists(e, min_size=1, max_size=4), "es")
+        # Up to 16 cells at small n, with repeats: several cells share a
+        # count, and long lists split across several counts.
+        size = 16 if n <= 7 else 4
+        es = data.draw(st.lists(e, min_size=1, max_size=size), "es")
+        es = data.draw(st.permutations(es + data.draw(st.lists(
+            st.sampled_from(es), max_size=size - len(es)), "repeats")), "order")
         ws = data.draw(st.lists(st.floats(1.0, 600.0), min_size=len(es),
                                 max_size=len(es)), "ws")
         got = simulate_member_profit_batch(es, n, ws, BASE,
                                            SimConfig(trials=trials, seed=seed))
+        uniforms = list(_ref_uniforms(seed, n, trials))
         for e, w, result in zip(es, ws, got):
-            mean, var = _ref_simulate(e, n, w, BASE, trials, seed)
+            mean, var = _ref_simulate(e, n, w, BASE, trials, seed, uniforms)
             assert (result.empirical_mean, result.empirical_variance) == (mean, var)
             assert result == SimResult(mean, var, math.sqrt(var / trials),
                                        trials, seed)
@@ -318,6 +348,23 @@ class TestSimulateBatch:
         got = simulate_member_profit_batch(es, 3, ws, BASE, cfg)
         assert got == [simulate_member_profit(e, 3, w, BASE, cfg)
                        for e, w in zip(es, ws)]
+
+    @pytest.mark.parametrize("block_draws", [1, 7, 1000])
+    @pytest.mark.parametrize("pack_bins", [1, 27, 4096])
+    def test_results_do_not_depend_on_the_split(self, monkeypatch, block_draws,
+                                                pack_bins):
+        """Other block sizes, and counts that pack fewer cells (down to one
+        cell per count), give every cell the same result as the default
+        split."""
+        es = [0.0, 0.3, 1.0, 0.5, 0.3, 2.0 ** -53, 0.8, 1.0 - 2.0 ** -53, 0.5]
+        ws = [100.0 + 10 * i for i in range(len(es))]
+        for n, trials in ((1, 2_001), (3, 1_003), (10, 401)):
+            cfg = SimConfig(trials=trials, seed=n)
+            want = simulate_member_profit_batch(es, n, ws, BASE, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle_sim, "_BLOCK_DRAWS", block_draws)
+                patch.setattr(oracle_sim, "_PACK_BINS", pack_bins)
+                assert simulate_member_profit_batch(es, n, ws, BASE, cfg) == want
 
     def test_empty_batch(self):
         """No cells, no results."""
