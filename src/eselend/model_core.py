@@ -278,13 +278,15 @@ def _coverage(e, n):
     """``1 - (1-e)^n``, the chance that not every member fails.
 
     Computed as ``-expm1(n log1p(-e))``, without the cancellation that the
-    direct form suffers at tiny ``e``; ``e = 1`` gives 1. A float takes the
-    `math` route, several times faster than numpy's on one value.
+    direct form suffers at tiny ``e``; ``e = 1`` gives 1. Every input goes
+    through numpy's loop on one contiguous 1-d array, since its scalar
+    loop and `math` can differ from it in the last bit; a float gives a
+    float and an array the shape of ``e`` broadcast with ``n``.
     """
-    if isinstance(e, float):
-        return 1.0 if e == 1.0 else -math.expm1(n * math.log1p(-e))
+    e_all, n_all = np.broadcast_arrays(np.asarray(e, dtype=float), n)
     with np.errstate(divide="ignore"):
-        return -np.expm1(n * np.log1p(-e))
+        out = -np.expm1(n_all.ravel() * np.log1p(-e_all.ravel()))
+    return float(out[0]) if isinstance(e, float) else out.reshape(e_all.shape)
 
 
 def binding_repayment(e: float, n: int, params: MarketParams) -> float:

@@ -14,22 +14,21 @@ uses cohort statistics.
 
 Records are held as columns, not one object each: `read_metrics_csv`
 returns a `MetricTable` of farmer ids, metric ids and a float64 value
-array, validated a whole column at a time, and `composite_score` codes
-farmers and metrics as the rows and columns of one farmers x metrics
-matrix, from whose counts it reports duplicate, unknown and missing pairs.
+array, and `composite_score` codes farmers and metrics as the rows and
+columns of one farmers x metrics matrix, from whose counts it reports
+duplicate, unknown and missing pairs.
 A list of `MetricRecord`s is converted to a table and scored the same way.
 
-The metrics reader splits a plain file as text, one chunk of whole lines
-(about `_CHUNK_BYTES` bytes) at a time: when a chunk holds no quote, NUL
-or lone carriage return and each of its lines has exactly two commas (one
-pass over its bytes checks this), it is decoded on its own and its cells
-are one ``str.split(",")`` of it with newlines turned into commas. So no
-more than one chunk of the file is held at a time, and repeated ids in
-the returned table share one ``str`` object. A file with any other chunk
-is read and decoded whole and goes through `csv.reader`, whose rows are
-taken in slices of about as many records. Both feed the same column
-check, and a file that fails it is walked row by row to name the line its
-first bad record starts on.
+The metrics reader takes one of two routes. A plain file is split as
+text, one chunk of whole lines (about `_CHUNK_BYTES` bytes) at a time:
+when a chunk holds no quote, NUL or lone carriage return and each of its
+lines has exactly two commas (one pass over its bytes checks this), it is
+decoded on its own and its cells are one ``str.split(",")`` of it with
+newlines turned into commas, checked a whole column at a time. So no more
+than one chunk of the file is held at a time, and repeated ids in the
+returned table share one ``str`` object. Any other file, and a plain file
+with a bad record, is decoded whole and walked one `csv.reader` row at a
+time, which names the line its first bad record starts on.
 
 File formats: metric records arrive as CSV with header
 ``farmer_id,metric_id,value``; the schema is CSV with header
@@ -46,7 +45,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -339,8 +338,7 @@ _NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b",\n")))
 # reads past.
 _ASCII_SPACE = "\t\x0b\x0c\x1c\x1d\x1e\x1f "
 #: Bytes per chunk of a metrics file; a chunk ends at the first newline
-#: after this many. The `csv.reader` route takes rows in slices of
-#: ``_CHUNK_BYTES // 32``, about as many records at some 32 bytes a line.
+#: after this many.
 _CHUNK_BYTES = 262_144
 
 
@@ -390,67 +388,34 @@ def _csv_rows(text: str, path: Path, error: type[Exception]):
 def read_metrics_csv(path) -> MetricTable:
     """Load metric records, reporting problems with file and line context.
 
-    Blank rows are skipped and cells are stripped. The file is read and
-    split in chunks of whole lines, each decoded on its own (see the module
-    docstring), and its records are checked a whole column of a chunk at a
-    time. A file that is not split this way to a valid table (one with a
-    quote, a blank row, invalid UTF-8 or a bad record) is read again whole
-    by `_read_whole`, which reports the problem at its line. Repeated ids
-    in the table are one ``str`` object each.
+    Blank rows are skipped and cells are stripped. A plain file is read,
+    decoded and split a chunk of whole lines at a time by `_split_table`
+    (see the module docstring). Any other file, and any file the split
+    route cannot turn into a valid table (one with a quote, a blank row,
+    invalid UTF-8 or a bad record), is walked row by row by `_walk_table`,
+    which raises at the line of the first problem. Repeated ids in the
+    table are one ``str`` object each.
     """
     path = Path(path)
     with path.open("rb") as file:
-        chunks = _aligned_chunks(file)
-        header = next(chunks, None)
-        if header is not None and [h.strip() for h in header] == _METRICS_HEADER:
-            table = _parse_columns(chunks)
-            if table is not None and len(table):
-                return table
-    return _read_whole(path)
+        table = _split_table(file)
+    return _walk_table(path) if table is None else table
 
 
-def _read_whole(path: Path) -> MetricTable:
-    """`read_metrics_csv` from the whole decoded text: aligned files are
-    walked row by row, any other goes through `csv.reader`, and the first
-    problem raises at the line its record starts on."""
-    data = path.read_bytes()
-    aligned = _aligned(data)
-    text = _decode(data, path, DataError)
-    del data
-    if not text:
-        raise ConfigError(f"{path}: empty metrics file")
-    table = None
-    if aligned:  # a line of an aligned file is one record
-        rows = enumerate(map(str.split, text.split("\n"), repeat(",")), 1)
-        _, header = next(rows)
-    else:
-        chunks = _row_chunks(csv.reader(io.StringIO(text, newline="")))
-        try:
-            header = next(chunks)
-            table = _parse_columns(chunks)
-        except csv.Error:
-            list(_csv_rows(text, path, DataError))  # raises it at its line
-            raise
-        if table is None:
-            # csv.reader stopped at the first bad slice; a csv.Error further
-            # on still comes before any header or record error
-            _, *rows = _csv_rows(text, path, DataError)
-    if [h.strip() for h in header] != _METRICS_HEADER:
-        raise DataError(f"{path}:1: expected header {','.join(_METRICS_HEADER)}")
-    if table is None:
-        table = _parse_rows(rows, path)
-    if not len(table):
-        raise ConfigError(f"{path}: metrics file contains no records")
-    return table
+def _split_table(file) -> MetricTable | None:
+    """The table of an aligned metrics file, or None.
 
-
-def _aligned_chunks(file):
-    """Yield the cells of an aligned metrics file's header line, then those
-    of each run of whole lines that ends at the first newline after
-    `_CHUNK_BYTES` bytes: one ``str.split(",")`` of the run's own decoded
-    text with newlines turned into commas, every cell stripped where an id
-    may hold whitespace. Yield None, and stop, at a run that is not aligned
-    or not valid UTF-8."""
+    The header line and then each run of whole lines that ends at the
+    first newline after `_CHUNK_BYTES` bytes are decoded on their own and
+    split with one ``str.split(",")``, newlines turned into commas; cells
+    are stripped where an id may hold whitespace. Each id becomes its first
+    copy in one dict that lives for the whole file, so repeats share one
+    object. None at the first run that is not aligned or not valid UTF-8,
+    a bad header, a bad record, or a file with no records.
+    """
+    ids: dict[str, str] = {}
+    farmer_ids, metric_ids, values = [], [], []
+    header = True
     data = file.readline().removeprefix(_UTF8_BOM)
     while data:
         try:
@@ -458,53 +423,55 @@ def _aligned_chunks(file):
         except UnicodeDecodeError:
             text = None
         if text is None:
-            yield None
-            return
+            return None
         cells = text.replace("\n", ",").split(",")
         if text.endswith("\n"):
             cells.pop()
         if not text.isascii() or any(ch in text for ch in _ASCII_SPACE):
             cells = [cell.strip() for cell in cells]
-        yield cells
+        if header:  # CRLF leaves "\r" on its last cell
+            if [cell.strip() for cell in cells] != _METRICS_HEADER:
+                return None
+            header = False
+        else:
+            farmers, metrics = cells[0::3], cells[1::3]
+            farmer_ids += map(ids.setdefault, farmers, farmers)
+            metric_ids += map(ids.setdefault, metrics, metrics)
+            if "" in ids:
+                return None
+            try:
+                values.append(np.fromiter(map(float, cells[2::3]), dtype=float,
+                                          count=len(farmers)))
+            except ValueError:
+                return None
+            if not np.isfinite(values[-1]).all():
+                return None
         data = file.read(_CHUNK_BYTES) + file.readline()
-
-
-def _row_chunks(reader):
-    """Yield `csv.reader`'s header row, then the stripped cells of each
-    slice of its rows, or None for a slice with a row of other than three
-    cells."""
-    yield next(reader, [])
-    size = max(1, _CHUNK_BYTES // 32)
-    while rows := list(islice(reader, size)):
-        yield (None if any(len(row) != 3 for row in rows)
-               else [cell.strip() for row in rows for cell in row])
-
-
-def _parse_columns(chunks) -> MetricTable | None:
-    """The table of the cell lists ``chunks``, three cells to a record with
-    ids already stripped, or None unless every record is valid (a chunk of
-    None is not). Each id becomes its first copy in one dict that lives for
-    the whole file, so repeats share one object and an empty id leaves
-    ``""`` in the dict."""
-    ids: dict[str, str] = {}
-    # np.empty(0) gives a file of a header alone its empty value column
-    farmer_ids, metric_ids, values = [], [], [np.empty(0)]
-    for cells in chunks:
-        if cells is None:
-            return None
-        farmers, metrics = cells[0::3], cells[1::3]
-        farmer_ids += map(ids.setdefault, farmers, farmers)
-        metric_ids += map(ids.setdefault, metrics, metrics)
-        if "" in ids:
-            return None
-        try:
-            values.append(np.fromiter(map(float, cells[2::3]), dtype=float,
-                                      count=len(farmers)))
-        except ValueError:
-            return None
-        if not np.isfinite(values[-1]).all():
-            return None
+    if not values:
+        return None
     return MetricTable(farmer_ids, metric_ids, np.concatenate(values))
+
+
+def _walk_table(path: Path) -> MetricTable:
+    """`read_metrics_csv` by one lazy `csv.reader` walk of the whole decoded
+    text, raising at the line its first problem starts on. At a bad header
+    or record the rest of the rows are still read, so that a `csv.Error`
+    further on is the one raised."""
+    rows = _csv_rows(_decode(path.read_bytes(), path, DataError), path, DataError)
+    _, header = next(rows, (1, None))
+    if header is None:
+        raise ConfigError(f"{path}: empty metrics file")
+    try:
+        if [h.strip() for h in header] != _METRICS_HEADER:
+            raise DataError(f"{path}:1: expected header {','.join(_METRICS_HEADER)}")
+        table = _parse_rows(rows, path)
+    except DataError:
+        for _ in rows:
+            pass
+        raise
+    if not len(table):
+        raise ConfigError(f"{path}: metrics file contains no records")
+    return table
 
 
 def _parse_rows(rows: Iterable[tuple], path: Path) -> MetricTable:

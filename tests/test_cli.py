@@ -711,7 +711,8 @@ class TestScore:
     def test_csv_error_exits_with_its_line_named(self, tmp_path, capsys):
         """A quoted cell over csv's field size limit is a data error in a
         metrics file (exit 3) and a configuration error in a schema (exit
-        2); each names its file and the line the record starts on."""
+        2); each names its file and the line the record starts on, even
+        after an earlier bad record."""
         big = '"' + "x" * 200_000 + '"'
         limit = "field larger than field limit (131072)"
         schema = tmp_path / "schema.csv"
@@ -719,13 +720,16 @@ class TestScore:
                           "m,ENVIRONMENTAL,HIGHER_BETTER,CONTINUOUS\n",
                           encoding="utf-8")
         metrics = tmp_path / "metrics.csv"
-        metrics.write_text(f"farmer_id,metric_id,value\nF1,m,1\n{big},m,1\n",
-                           encoding="utf-8")
         out = tmp_path / "scores.csv"
         argv = ["score", "--metrics", str(metrics), "--schema", str(schema),
                 "--out", str(out)]
-        assert main(argv) == 3
-        assert capsys.readouterr().err == f"error: {metrics}:3: {limit}\n"
+        # the field-limit error on line 3 still comes before the bad value
+        # on line 2
+        for value in ("1", "abc"):
+            metrics.write_text(f"farmer_id,metric_id,value\nF1,m,{value}\n"
+                               f"{big},m,1\n", encoding="utf-8")
+            assert main(argv) == 3
+            assert capsys.readouterr().err == f"error: {metrics}:3: {limit}\n"
         metrics.write_text("farmer_id,metric_id,value\nF1,m,1\n", encoding="utf-8")
         schema.write_text("metric_id,pillar,direction,kind\n"
                           f"{big},ENVIRONMENTAL,HIGHER_BETTER,CONTINUOUS\n",

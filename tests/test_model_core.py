@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eselend import (
@@ -34,7 +34,7 @@ from eselend import (
     simulate_member_profit_batch,
     success_probability,
 )
-from eselend.model_core import PROFIT_BOUND
+from eselend.model_core import PROFIT_BOUND, _coverage
 
 BASE = MarketParams(p=1.0, y_high=1000.0, y_low=500.0, loan=100.0,
                     epsilon=0.05, delta=0.9)
@@ -365,6 +365,22 @@ class TestTinySuccessCoverage:
             l2 = loan_ceiling_incentive(e, BASE)
         assert abs(Fraction(l2) / exact - 1) <= 1e-15
         np.testing.assert_allclose(l2, 4.761904761904762e-308, rtol=1e-12)
+
+    @given(e=st.one_of(st.floats(0.0, 1.0),
+                       st.floats(-300.0, 0.0).map(lambda x: 10.0 ** x)),
+           n=st.sampled_from([1, 2, 3, 10, 1000]))
+    @example(e=0.7, n=2)
+    @settings(max_examples=500)
+    def test_one_route_for_floats_and_arrays(self, e, n):
+        """A float, a 0-d array and an element of a longer array give the
+        same bits, so `binding_repayment` and the scalar ceilings agree
+        with the batch engines. `math` gives 0.9099999999999999 at e=0.7,
+        n=2, where numpy's array loop gives 0.91."""
+        row = np.linspace(0.0, 1.0, 17)
+        row[5] = e
+        got = [_coverage(e, n), _coverage(np.array(e), n), _coverage(row, n)[5]]
+        assert type(got[0]) is float and np.shape(got[1]) == ()
+        assert len({np.float64(x).tobytes() for x in got}) == 1
 
 
 # ----------------------------------------------------------------------

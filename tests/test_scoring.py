@@ -419,13 +419,9 @@ class TestCsvCodecs:
                             patch.setattr(scoring, "_parse_rows", fail)
                         assert _columns(read_metrics_csv(path)) == want
 
-    def test_valid_quoted_files_skip_the_row_walk(self, tmp_path, monkeypatch):
-        """A valid file with quoted cells is read in one csv.reader pass,
-        without the line-tracking `_csv_rows` walk, into the table of the
-        same file unquoted."""
-        def fail(*args, **kwargs):
-            raise AssertionError("called")
-
+    def test_valid_quoted_files_read_as_plain(self, tmp_path):
+        """A valid file with quoted cells reads into the table of the same
+        file unquoted."""
         for end in ("\n", "\r\n"):
             plain = tmp_path / "plain.csv"
             plain.write_text(f"farmer_id,metric_id,value{end}F1,m,10{end}"
@@ -434,9 +430,7 @@ class TestCsvCodecs:
             quoted.write_text(f'farmer_id,metric_id,value{end}"F1",m,10{end}'
                               f'F2,"q",0.5{end}', encoding="utf-8", newline="")
             want = _columns(read_metrics_csv(plain))
-            with monkeypatch.context() as patch:
-                patch.setattr(scoring, "_csv_rows", fail)
-                assert _columns(read_metrics_csv(quoted)) == want
+            assert _columns(read_metrics_csv(quoted)) == want
 
     def test_invalid_utf8_is_a_located_error(self, tmp_path):
         """A byte that is not UTF-8 names the file, the byte and its line:
@@ -764,10 +758,10 @@ class TestColumnarMatchesReference:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_chunk_boundaries_change_nothing(self, tmp_path, monkeypatch,
                                              chunk_bytes, text, normalization):
-        """With chunks of a few characters (and csv.reader slices of one or
-        two rows), boundaries fall inside and between lines, next to CRLF
-        ends and before a missing final newline; the table, the scores
-        and any error are still the reference's."""
+        """With chunks of a few characters, boundaries fall inside and
+        between lines, next to CRLF ends and before a missing final
+        newline; the table, the scores and any error are still the
+        reference's."""
         monkeypatch.setattr(scoring, "_CHUNK_BYTES", chunk_bytes)
         path = tmp_path / "metrics.csv"
         path.write_bytes(text.encode("utf-8"))
@@ -858,22 +852,29 @@ class TestChunkedReads:
     def test_memory_stays_near_the_file_size(self, tmp_path):
         """Reading a 3 MB cohort peaks under 4x the file's bytes and holds
         under 1.5x once read: the file is read, decoded and split one chunk
-        at a time, and the table keeps one string per distinct id."""
+        at a time, and the table keeps one string per distinct id. With its
+        first farmer id quoted, the file is walked row by row from its whole
+        text; the walk holds one row at a time, so the read still peaks
+        under 8x (a walk that held every row would reach about 15x)."""
         rng = np.random.default_rng(0)
         lines = ["farmer_id,metric_id,value"] + [
             f"farmer_{i:05d},metric_{j:02d},{value!r}"
             for i in range(2500)
             for j, value in enumerate(np.round(rng.normal(50.0, 10.0, 36), 6).tolist())]
         path = tmp_path / "metrics.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        size = path.stat().st_size
-        assert size > 2_900_000
-        tracemalloc.start()
-        try:
-            table = read_metrics_csv(path)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(table) == 90_000
-        assert peak < 4 * size
-        assert held < 1.5 * size
+        for quoted, peak_ratio in ((False, 4), (True, 8)):
+            if quoted:
+                lines[1] = '"' + lines[1].replace(",", '",', 1)
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            size = path.stat().st_size
+            assert size > 2_900_000
+            tracemalloc.start()
+            try:
+                table = read_metrics_csv(path)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(table) == 90_000
+            assert table.farmer_ids[0] == "farmer_00000"
+            assert peak < peak_ratio * size
+            assert held < 1.5 * size
