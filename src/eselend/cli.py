@@ -300,8 +300,11 @@ def cmd_ceilings(settings: dict) -> int:
     params = _market(settings)
     e_grid = _parse_grid(settings["e_grid"], "e-grid")
     e = np.array(e_grid)
-    l1 = loan_ceiling_affordability(e, params)
-    l2 = loan_ceiling_incentive(e, params)
+    try:
+        l1 = loan_ceiling_affordability(e, params)
+        l2 = loan_ceiling_incentive(e, params)
+    except DomainError as exc:
+        raise DomainError(f"e={_fmt(e_grid[exc.cell])}: {exc}") from None
     _write_output(settings, "ceilings", {"e": e_grid, "L1": l1.tolist(),
                   "L2": l2.tolist(), "binding": ["L2"] * len(e_grid)})
     offenders = e[~(l1 > l2)].tolist()

@@ -24,9 +24,9 @@ __all__ = [
 class EselendError(Exception):
     """Base class for all package errors.
 
-    ``cell`` is the index of the input cell a batched solver rejected, and
-    None otherwise; when several cells fail, the first failing check names
-    its first failing cell.
+    ``cell`` is the index of the first bad entry of an array argument, such
+    as a batched solver's cells, and None otherwise; when several entries
+    fail, the first failing check names its first failing entry.
     """
 
     cell: int | None = None

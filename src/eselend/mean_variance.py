@@ -423,6 +423,4 @@ DEFAULT_SWEEP_W = binding_repayment(0.5, 2, DEFAULT_SWEEP_PARAMS)
 
 def slope_for_baseline(b: float) -> float:
     """Score slope that makes e span [b, 1] as E spans [0, 100]."""
-    if not 0.0 <= b <= 1.0:
-        raise DomainError("b must lie in [0, 1]")
-    return (1.0 - b) / 100.0
+    return (1.0 - _require_in("b", b, 0, 1)) / 100.0

@@ -73,13 +73,11 @@ def _require_finite(name: str, value: float) -> float:
 
 
 def _require_in(name: str, value, lo: float, hi: float):
-    """Range check for scalars and arrays (NaN fails it); returns ``value``."""
-    if isinstance(value, float):
-        ok = lo <= value <= hi
-    else:
-        ok = np.all((np.asarray(value) >= lo) & (np.asarray(value) <= hi))
-    if not ok:
-        raise DomainError(f"{name} must lie in [{lo}, {hi}]")
+    """Check that ``value``, or each entry of it, lies in [lo, hi] (NaN does
+    not); returns it as a float or a float array, which names its cell."""
+    value = np.asarray(value, dtype=float) if np.ndim(value) else float(value)
+    _raise_first(np.logical_not((value >= lo) & (value <= hi)), DomainError,
+                 f"{name} must lie in [{lo}, {hi}]")
     return value
 
 
@@ -156,8 +154,7 @@ class ScoreLink:
         _require_finite("b", self.b)
         if self.k < 0:
             raise DomainError("k must be >= 0")
-        if not 0 <= self.b <= 1:
-            raise DomainError("b must lie in [0, 1]")
+        _require_in("b", self.b, 0, 1)
         if 100.0 * self.k + self.b > 1.0 + LINK_CAP_SLACK:
             raise DomainError("link must satisfy 100*k + b <= 1")
 
@@ -185,13 +182,13 @@ def _group_size(n, *, real: bool = False):
 
     The enumeration and break-even routes need a whole number of members:
     an int or numpy integer, never a bool. With ``real=True`` any finite
-    ``n >= 1`` is accepted and returned as a float, for the first-order
-    condition routes, which are analytic in ``n``.
+    ``n >= 1``, or an array of them, is returned as a float or float array,
+    for the first-order condition routes, which are analytic in ``n``.
     """
     if real:
-        n = float(n)
-        if not (math.isfinite(n) and n >= 1.0):
-            raise DomainError("group size n must be >= 1")
+        n = np.asarray(n, dtype=float) if np.ndim(n) else float(n)
+        _raise_first(np.logical_not(np.isfinite(n) & (n >= 1.0)), DomainError,
+                     "group size n must be >= 1")
         return n
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise DomainError("group size n must be an integer")
@@ -268,9 +265,8 @@ def success_probability(E, link: ScoreLink):
     The result is clipped into [0, 1] to absorb float dust at the cap (the
     link invariants already confine the exact value to [0, 1]).
     """
-    _require_in("score E", E, 0.0, 100.0)
-    e = link.k * np.asarray(E, dtype=float) + link.b
-    e = np.clip(e, 0.0, 1.0)
+    E = _require_in("score E", E, 0.0, 100.0)
+    e = np.clip(link.k * E + link.b, 0.0, 1.0)
     return float(e) if np.ndim(E) == 0 else e
 
 
@@ -313,11 +309,9 @@ def loan_ceiling_affordability(e, params: MarketParams):
 
     ``L1 = (p*y_high + p*y_low) / (2*(1+epsilon)) * (1 - (1-e)^2)``
     """
-    _require_in("e", e, 0.0, 1.0)
-    e = np.asarray(e, dtype=float)
+    e = _require_in("e", e, 0.0, 1.0)
     pooled = params.high_revenue + params.low_revenue
-    out = pooled / (2.0 * (1.0 + params.epsilon)) * _coverage(e, 2)
-    return float(out) if out.ndim == 0 else out
+    return pooled / (2.0 * (1.0 + params.epsilon)) * _coverage(e, 2)
 
 
 def loan_ceiling_incentive(e, params: MarketParams):
@@ -330,14 +324,11 @@ def loan_ceiling_incentive(e, params: MarketParams):
     cleared of the fraction, ``p*y_low*s / (2*(1+epsilon) - delta*s)`` with
     ``s = 1-(1-e)^2``, which does not overflow at e below about 1e-308.
     """
-    _require_in("e", e, 0.0, 1.0)
-    e = np.asarray(e, dtype=float)
-    if np.any(e == 0):
-        raise DomainError("incentive ceiling is undefined at e = 0")
+    e = _require_in("e", e, 0.0, 1.0)
+    _raise_first(e == 0.0, DomainError, "incentive ceiling is undefined at e = 0")
     coverage = _coverage(e, 2)
-    out = (params.low_revenue * coverage
-           / (2.0 * (1.0 + params.epsilon) - params.delta * coverage))
-    return float(out) if out.ndim == 0 else out
+    return (params.low_revenue * coverage
+            / (2.0 * (1.0 + params.epsilon) - params.delta * coverage))
 
 
 # ----------------------------------------------------------------------

@@ -325,8 +325,7 @@ def optimal_ese_group_batch(ns, params: MarketParams, cost: CostModel,
     then a FOC not finite at an endpoint, raises an error whose ``cell`` is
     the index of the first size that fails it.
     """
-    n = np.array(ns, dtype=float).reshape(-1)
-    _raise_first(~(np.isfinite(n) & (n >= 1.0)), DomainError, "group size n must be >= 1")
+    n = _group_size(np.array(ns, dtype=float).reshape(-1), real=True)
     if link.k == 0.0:
         values = _objective(success_probability(np.zeros_like(n), link), n, params, cost)
         return [Optimum(0.0, True, value) for value in values.tolist()]

@@ -42,7 +42,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, _raise_first
+from .errors import DomainError
 from .mean_variance import Moments
 from .model_core import (
     MarketParams,
@@ -50,6 +50,7 @@ from .model_core import (
     _group_size,
     _repayment,
     _require_finite,
+    _require_in,
     _success_profits,
     profit_distribution_group,
 )
@@ -170,7 +171,7 @@ def simulate_member_profit_batch(es, group, ws, params: MarketParams,
     es, ws = np.fromiter(es, float), np.fromiter(ws, float)
     if len(es) != len(ws):
         raise DomainError("es and ws must have the same length")
-    _raise_first(~((es >= 0.0) & (es <= 1.0)), DomainError, "e must lie in [0.0, 1.0]")
+    _require_in("e", es, 0.0, 1.0)
     # Entry c is the profit of code own * (peer successes + 1).
     tables = np.concatenate((np.zeros((len(ws), 1)),
                              _success_profits(n, _repayment(ws), params)[:, ::-1]), axis=1)

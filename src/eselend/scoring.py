@@ -27,8 +27,8 @@ decoded on its own and its cells are one ``str.split(",")`` of it with
 newlines turned into commas, checked a whole column at a time. So no more
 than one chunk of the file is held at a time, and repeated ids in the
 returned table share one ``str`` object. Any other file, and a plain file
-with a bad record, is decoded whole and walked one `csv.reader` row at a
-time, which names the line its first bad record starts on.
+with a bad record, is checked as UTF-8 and walked one `csv.reader` row at
+a time, which names the line its first bad record starts on.
 
 File formats: metric records arrive as CSV with header
 ``farmer_id,metric_id,value``; the schema is CSV with header
@@ -42,7 +42,6 @@ ConfigError, both with file and line context.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 from itertools import repeat
@@ -372,17 +371,20 @@ def _aligned(data: bytes) -> bool:
             and _two_commas_a_line(data))
 
 
-def _csv_rows(text: str, path: Path, error: type[Exception]):
-    """Yield `csv.reader`'s rows of ``text`` as ``(line it starts on, row)``.
-    A `csv.Error` raises ``error`` at the line of the row it stopped in."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    start = 1
-    try:
-        for row in reader:
-            yield start, row
-            start = reader.line_num + 1
-    except csv.Error as exc:
-        raise error(f"{path}:{start}: {exc}") from None
+def _csv_rows(path: Path, error: type[Exception]):
+    """Yield `csv.reader`'s rows of the file as ``(line it starts on, row)``,
+    once `_decode` has checked its bytes. A `csv.Error` raises ``error``
+    at the line of the row it stopped in."""
+    _decode(path.read_bytes(), path, error)
+    with path.open(newline="", encoding="utf-8-sig") as file:
+        reader = csv.reader(file)
+        start = 1
+        try:
+            for row in reader:
+                yield start, row
+                start = reader.line_num + 1
+        except csv.Error as exc:
+            raise error(f"{path}:{start}: {exc}") from None
 
 
 def read_metrics_csv(path) -> MetricTable:
@@ -453,11 +455,11 @@ def _split_table(file) -> MetricTable | None:
 
 
 def _walk_table(path: Path) -> MetricTable:
-    """`read_metrics_csv` by one lazy `csv.reader` walk of the whole decoded
-    text, raising at the line its first problem starts on. At a bad header
+    """`read_metrics_csv` by one lazy `csv.reader` walk of the file,
+    raising at the line its first problem starts on. At a bad header
     or record the rest of the rows are still read, so that a `csv.Error`
     further on is the one raised."""
-    rows = _csv_rows(_decode(path.read_bytes(), path, DataError), path, DataError)
+    rows = _csv_rows(path, DataError)
     _, header = next(rows, (1, None))
     if header is None:
         raise ConfigError(f"{path}: empty metrics file")
@@ -513,8 +515,7 @@ def read_schema_csv(path, normalization: str = "MIN_MAX") -> ScoringScheme:
     """Load a scoring schema; see the module docstring for the format."""
     path = Path(path)
     metrics: list[MetricDef] = []
-    rows = _csv_rows(_decode(path.read_bytes(), path, ConfigError), path,
-                     ConfigError)
+    rows = _csv_rows(path, ConfigError)
     _, header = next(rows, (1, None))
     if header is None:
         raise ConfigError(f"{path}: empty schema file")

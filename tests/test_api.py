@@ -10,6 +10,7 @@ import math
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -224,9 +225,8 @@ def _sim_scalar(cell):
 # Batch, good cells, and per bad cell the one-cell reference and the
 # ``cell`` that reference reports: a scalar route (None), or the batch on
 # that cell alone (0) where no scalar route raises the check. That holds
-# for b = 0, for the FOC, and for the break-even w that overflows: the
-# batch names its own break-even w, from numpy's expm1 and log1p, which
-# can differ in the last digit from `binding_repayment`'s.
+# for b = 0 and for the FOC. A break-even w that overflows is named as
+# `binding_repayment` gives it, since both reach it through `_coverage`.
 _BATCHES = {
     "mv fixed w": (_mv_fixed, [_mv_cell(), _mv_cell(0.0), _mv_cell(0.001, c=800.0)], [
         (_mv_cell(-1.0), _mv_scalar, None),
@@ -243,7 +243,8 @@ _BATCHES = {
         (_mv_cell(link=eselend.ScoreLink(k=0.005, b=1e-320)),
          lambda cell: eselend.binding_repayment(cell[3].b, 2, cell[0]), None),
         (_mv_cell(params=dataclasses.replace(_MARKET, loan=1e160)),
-         lambda cell: eselend.optimal_ese_mv(None, *cell), 0),
+         lambda cell: eselend.mv_utility(
+             0.0, eselend.binding_repayment(0.3, 2, cell[0]), *cell), None),
         (_mv_cell(c=1.7e308), lambda cell: eselend.mv_utility(
             0.0, eselend.binding_repayment(0.3, 2, _MARKET), *cell), None),
     ]),
@@ -296,3 +297,43 @@ def test_the_first_failing_check_names_the_cell():
     with pytest.raises(eselend.DomainError, match=r"^e must lie in \[0.0, 1.0\]$") as got:
         _simulate([(0.5, 150.0), (0.5, -1.0), (1.5, 150.0)])
     assert got.value.cell == 2
+
+
+# The public functions whose E or e may be an array.
+_ARRAY_FUNCTIONS = ("success_probability", "loan_ceiling_affordability",
+                    "loan_ceiling_incentive", "expected_profit_group",
+                    "expected_profit_group_sum", "group_objective", "group_foc")
+
+
+@given(data=st.data())
+@settings(max_examples=300)
+def test_a_bad_array_entry_is_named_by_its_index(data):
+    """One NaN, infinite, out-of-range or (for the incentive ceiling) zero
+    entry at a random index of an ``E`` or ``e`` array: the DomainError
+    carries that index in ``cell``, and the message the function raises
+    for that entry alone."""
+    name = data.draw(st.sampled_from(_ARRAY_FUNCTIONS), "function")
+    function = getattr(eselend, name)
+    params = inspect.signature(function).parameters
+    arg = "E" if "E" in params else "e"
+    top = 100.0 if arg == "E" else 1.0
+    zero_is_bad = name == "loan_ceiling_incentive"
+    special = [math.nan, math.inf, -math.inf] + ([0.0] if zero_is_bad else [])
+    bad = data.draw(st.sampled_from(special)
+                    | st.floats(max_value=0.0, exclude_max=True, allow_infinity=False)
+                    | st.floats(min_value=top, exclude_min=True, allow_infinity=False),
+                    "bad entry")
+    entries = data.draw(st.lists(st.floats(0.0, top, exclude_min=zero_is_bad),
+                                 max_size=6), "good entries")
+    index = data.draw(st.integers(0, len(entries)), "index")
+    entries.insert(index, bad)
+    kwargs = {param: _VALID[param] for param in params if param in _VALID}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(eselend.DomainError) as got:
+            function(**{**kwargs, arg: np.array(entries)})
+        with pytest.raises(eselend.DomainError) as alone:
+            function(**{**kwargs, arg: bad})
+    assert got.value.cell == index
+    assert alone.value.cell is None
+    assert str(got.value) == str(alone.value)

@@ -91,11 +91,21 @@ class TestCeilings:
         assert main(["ceilings", "--e-grid", "", "--out", str(out)]) == 2
         assert not out.exists()
 
-    def test_grid_with_zero_exits_two(self, tmp_path):
-        """e=0 makes the incentive ceiling undefined: exit 2."""
+    def test_grid_with_zero_exits_two(self, tmp_path, capsys):
+        """e=0 makes the incentive ceiling undefined: exit 2, naming that e."""
         out = tmp_path / "c.csv"
         rc = main(["ceilings", "--e-grid", "0.0,0.5", "--out", str(out)])
         assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: e=0: incentive ceiling is undefined at e = 0\n")
+
+    def test_grid_beyond_one_exits_two(self, tmp_path, capsys):
+        """An e above 1 is named, exits 2 and writes no file."""
+        out = tmp_path / "c.csv"
+        rc = main(["ceilings", "--e-grid", "0.5,1.5", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: e=1.5: e must lie in [0.0, 1.0]\n"
+        assert not out.exists()
 
     def test_tiny_success_keeps_ordering(self, tmp_path):
         """At e=1e-300 the pair coverage 1-(1-e)^2 is 2e-300, not 0: both
