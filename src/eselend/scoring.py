@@ -13,10 +13,13 @@ values outside them clip to the ends of [0, 1]. The z-score variant always
 uses cohort statistics.
 
 Records are held as columns, not one object each: `read_metrics_csv`
-returns a `MetricTable` of farmer ids, metric ids and a float64 value
-array, and `composite_score` codes farmers and metrics as the rows and
-columns of one farmers x metrics matrix, from whose counts it reports
-duplicate, unknown and missing pairs.
+returns a `MetricTable` of the distinct farmer and metric ids, in
+first-seen order, one integer code per record for each, and a float64
+value array. Each id of each record is coded once, as it is read.
+`composite_score` turns the codes into the rows (farmers sorted) and
+columns (schema order) of one farmers x metrics matrix through lookup
+arrays built from the distinct ids, and reports duplicate, unknown and
+missing pairs from its counts.
 A list of `MetricRecord`s is converted to a table and scored the same way.
 
 The metrics reader takes one of two routes. A plain file is split as
@@ -25,10 +28,10 @@ when a chunk holds no quote, NUL or lone carriage return and each of its
 lines has exactly two commas (one pass over its bytes checks this), it is
 decoded on its own and its cells are one ``str.split(",")`` of it with
 newlines turned into commas, checked a whole column at a time. So no more
-than one chunk of the file is held at a time, and repeated ids in the
-returned table share one ``str`` object. Any other file, and a plain file
-with a bad record, is checked as UTF-8 and walked one `csv.reader` row at
-a time, which names the line its first bad record starts on.
+than one chunk of the file is held at a time. Any other file, and a plain
+file with a bad record, is streamed from the file one `csv.reader` row at
+a time, which names the line its first bad record starts on; invalid UTF-8
+anywhere in the file is the error reported ahead of any other.
 
 File formats: metric records arrive as CSV with header
 ``farmer_id,metric_id,value``; the schema is CSV with header
@@ -43,8 +46,10 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import count
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -141,29 +146,48 @@ class MetricRecord:
             raise DataError(problem)
 
 
+def _coder() -> defaultdict:
+    """An empty id coder. Looking an id up gives its code, the number of
+    distinct ids looked up before its first lookup, so ``list(coder)`` is
+    the distinct ids in first-seen order, indexed by code."""
+    return defaultdict(count().__next__)
+
+
+def _encode(coder: defaultdict, column: Sequence[str]) -> np.ndarray:
+    """The codes of a column of ids, one lookup of ``coder`` each."""
+    return np.fromiter(map(coder.__getitem__, column), np.intp, count=len(column))
+
+
 @dataclass(frozen=True, eq=False)
 class MetricTable:
-    """Metric records as three columns of equal length, in record order.
+    """Metric records as columns of equal length, in record order.
 
-    Every id is a non-empty string and every value is finite: the table
-    comes from `read_metrics_csv`, which checks whole columns, or from
-    `from_records`, whose records checked themselves. ``len()`` is the
-    record count.
+    ``farmers`` and ``metrics`` are the distinct ids, in the order of
+    their first record. Record i is farmer ``farmers[farmer_codes[i]]``'s
+    value ``values[i]`` of metric ``metrics[metric_codes[i]]``; the codes
+    are ``np.intp`` arrays. Every id is a non-empty string and every value
+    is finite: the table comes from `read_metrics_csv`, which checks whole
+    columns, or from `from_records`, whose records checked themselves.
+    ``len()`` is the record count.
     """
 
-    farmer_ids: list[str]
-    metric_ids: list[str]
+    farmers: list[str]
+    metrics: list[str]
+    farmer_codes: np.ndarray
+    metric_codes: np.ndarray
     values: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.farmer_ids)
+        return len(self.values)
 
     @classmethod
     def from_records(cls, records: Iterable[MetricRecord]) -> MetricTable:
         """The columns of ``records``, in their order."""
         records = list(records)
-        return cls([rec.farmer_id for rec in records],
-                   [rec.metric_id for rec in records],
+        farmers, metrics = _coder(), _coder()
+        farmer_codes = _encode(farmers, [rec.farmer_id for rec in records])
+        metric_codes = _encode(metrics, [rec.metric_id for rec in records])
+        return cls(list(farmers), list(metrics), farmer_codes, metric_codes,
                    np.array([float(rec.value) for rec in records], dtype=float))
 
 
@@ -274,25 +298,30 @@ def composite_score(records: MetricTable | Iterable[MetricRecord],
     imputation happens here: a fabricated value would silently change a
     credit decision.
 
-    Farmers (sorted) and metrics (schema order) are coded as the rows and
-    columns of one farmers x metrics matrix. Each metric's column is
-    contiguous, so `normalize` sees the same array a per-metric list of the
-    cohort's values would give it, and the totals add up in schema order.
+    Farmers (sorted) and metrics (schema order) are the rows and columns of
+    one farmers x metrics matrix; the table's codes are turned into them
+    through one lookup array per column, built from its distinct ids. Each
+    metric's column is contiguous, so `normalize` sees the same array a
+    per-metric list of the cohort's values would give it, and the totals
+    add up in schema order.
     """
     table = (records if isinstance(records, MetricTable)
              else MetricTable.from_records(records))
     schema = scheme.schema
     n_metrics = len(schema)
     metric_index = {metric.id: j for j, metric in enumerate(schema)}
-    columns = np.fromiter(map(metric_index.get, table.metric_ids, repeat(-1)),
-                          dtype=np.intp, count=len(table))
-    farmers = sorted(set(table.farmer_ids))
-    farmer_index = {farmer: i for i, farmer in enumerate(farmers)}
-    rows = np.fromiter(map(farmer_index.__getitem__, table.farmer_ids),
-                       dtype=np.intp, count=len(table))
+    columns = np.array([metric_index.get(metric, -1) for metric in table.metrics],
+                       dtype=np.intp)[table.metric_codes]
+    order = sorted(range(len(table.farmers)), key=table.farmers.__getitem__)
+    farmers = [table.farmers[code] for code in order]
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    rows = rank[table.farmer_codes]
 
-    problems = [f"unknown metric {table.metric_ids[i]!r} for farmer {table.farmer_ids[i]!r}"
-                for i in np.flatnonzero(columns < 0).tolist()]
+    unknown = np.flatnonzero(columns < 0)
+    problems = [f"unknown metric {table.metrics[metric]!r} for farmer {table.farmers[farmer]!r}"
+                for farmer, metric in zip(table.farmer_codes[unknown].tolist(),
+                                          table.metric_codes[unknown].tolist())]
     known = columns >= 0
     counts = np.bincount(rows[known] * n_metrics + columns[known],
                          minlength=len(farmers) * n_metrics)
@@ -373,9 +402,12 @@ def _aligned(data: bytes) -> bool:
 
 def _csv_rows(path: Path, error: type[Exception]):
     """Yield `csv.reader`'s rows of the file as ``(line it starts on, row)``,
-    once `_decode` has checked its bytes. A `csv.Error` raises ``error``
-    at the line of the row it stopped in."""
-    _decode(path.read_bytes(), path, error)
+    streamed from the file. When the stream stops at invalid UTF-8 or a
+    `csv.Error`, `_decode` of the whole file first raises ``error`` at the
+    first invalid byte, if there is one anywhere; otherwise ``error`` names
+    the line of the row the reader stopped in. A caller that raises an
+    error of its own first reads on to the end or runs `_decode` too, so
+    invalid UTF-8 is always the error reported."""
     with path.open(newline="", encoding="utf-8-sig") as file:
         reader = csv.reader(file)
         start = 1
@@ -383,7 +415,8 @@ def _csv_rows(path: Path, error: type[Exception]):
             for row in reader:
                 yield start, row
                 start = reader.line_num + 1
-        except csv.Error as exc:
+        except (UnicodeDecodeError, csv.Error) as exc:
+            _decode(path.read_bytes(), path, error)
             raise error(f"{path}:{start}: {exc}") from None
 
 
@@ -395,8 +428,8 @@ def read_metrics_csv(path) -> MetricTable:
     (see the module docstring). Any other file, and any file the split
     route cannot turn into a valid table (one with a quote, a blank row,
     invalid UTF-8 or a bad record), is walked row by row by `_walk_table`,
-    which raises at the line of the first problem. Repeated ids in the
-    table are one ``str`` object each.
+    which raises at the line of the first problem. Either route codes each
+    id once, as it is read.
     """
     path = Path(path)
     with path.open("rb") as file:
@@ -410,13 +443,13 @@ def _split_table(file) -> MetricTable | None:
     The header line and then each run of whole lines that ends at the
     first newline after `_CHUNK_BYTES` bytes are decoded on their own and
     split with one ``str.split(",")``, newlines turned into commas; cells
-    are stripped where an id may hold whitespace. Each id becomes its first
-    copy in one dict that lives for the whole file, so repeats share one
-    object. None at the first run that is not aligned or not valid UTF-8,
-    a bad header, a bad record, or a file with no records.
+    are stripped where an id may hold whitespace. Each column's ids are
+    coded by one `_coder` that lives for the whole file. None at the
+    first run that is not aligned or not valid UTF-8, a bad header, a bad
+    record, or a file with no records.
     """
-    ids: dict[str, str] = {}
-    farmer_ids, metric_ids, values = [], [], []
+    farmers, metrics = _coder(), _coder()
+    farmer_codes, metric_codes, values = [], [], []
     header = True
     data = file.readline().removeprefix(_UTF8_BOM)
     while data:
@@ -436,14 +469,13 @@ def _split_table(file) -> MetricTable | None:
                 return None
             header = False
         else:
-            farmers, metrics = cells[0::3], cells[1::3]
-            farmer_ids += map(ids.setdefault, farmers, farmers)
-            metric_ids += map(ids.setdefault, metrics, metrics)
-            if "" in ids:
+            farmer_codes.append(_encode(farmers, cells[0::3]))
+            metric_codes.append(_encode(metrics, cells[1::3]))
+            if "" in farmers or "" in metrics:
                 return None
             try:
                 values.append(np.fromiter(map(float, cells[2::3]), dtype=float,
-                                          count=len(farmers)))
+                                          count=len(farmer_codes[-1])))
             except ValueError:
                 return None
             if not np.isfinite(values[-1]).all():
@@ -451,14 +483,18 @@ def _split_table(file) -> MetricTable | None:
         data = file.read(_CHUNK_BYTES) + file.readline()
     if not values:
         return None
-    return MetricTable(farmer_ids, metric_ids, np.concatenate(values))
+    # One column at a time, so each one's chunks go before the next is joined.
+    farmer_codes = np.concatenate(farmer_codes)
+    metric_codes = np.concatenate(metric_codes)
+    return MetricTable(list(farmers), list(metrics), farmer_codes, metric_codes,
+                       np.concatenate(values))
 
 
 def _walk_table(path: Path) -> MetricTable:
     """`read_metrics_csv` by one lazy `csv.reader` walk of the file,
     raising at the line its first problem starts on. At a bad header
     or record the rest of the rows are still read, so that a `csv.Error`
-    further on is the one raised."""
+    or invalid UTF-8 further on is the one raised."""
     rows = _csv_rows(path, DataError)
     _, header = next(rows, (1, None))
     if header is None:
@@ -479,9 +515,10 @@ def _walk_table(path: Path) -> MetricTable:
 def _parse_rows(rows: Iterable[tuple], path: Path) -> MetricTable:
     """The table of ``(line, row)`` pairs read one at a time in file order,
     skipping blank rows and raising at the first bad one with its line.
-    Repeated ids share one object."""
-    ids: dict[str, str] = {}
-    farmer_ids, metric_ids, values = [], [], []
+    Each record's ids are coded and its codes and value appended to typed
+    buffers, which become the table's arrays."""
+    farmers, metrics = _coder(), _coder()
+    farmer_codes, metric_codes, values = array("q"), array("q"), array("d")
     for lineno, row in rows:
         if not any(cell.strip() for cell in row):
             continue
@@ -495,10 +532,12 @@ def _parse_rows(rows: Iterable[tuple], path: Path) -> MetricTable:
         problem = _record_problem(farmer_id, metric_id, value)
         if problem is not None:
             raise DataError(f"{path}:{lineno}: {problem}")
-        farmer_ids.append(ids.setdefault(farmer_id, farmer_id))
-        metric_ids.append(ids.setdefault(metric_id, metric_id))
+        farmer_codes.append(farmers[farmer_id])
+        metric_codes.append(metrics[metric_id])
         values.append(value)
-    return MetricTable(farmer_ids, metric_ids, np.array(values, dtype=float))
+    return MetricTable(list(farmers), list(metrics),
+                       np.asarray(farmer_codes, dtype=np.intp),
+                       np.asarray(metric_codes, dtype=np.intp), np.asarray(values))
 
 
 def _parse_optional_float(raw: str, path: Path, lineno: int, column: str) -> float | None:
@@ -514,6 +553,17 @@ def _parse_optional_float(raw: str, path: Path, lineno: int, column: str) -> flo
 def read_schema_csv(path, normalization: str = "MIN_MAX") -> ScoringScheme:
     """Load a scoring schema; see the module docstring for the format."""
     path = Path(path)
+    try:
+        metrics = _parse_schema(path)
+    except ConfigError:  # invalid UTF-8 anywhere is reported first
+        _decode(path.read_bytes(), path, ConfigError)
+        raise
+    return ScoringScheme(schema=tuple(metrics), normalization=normalization)
+
+
+def _parse_schema(path: Path) -> list[MetricDef]:
+    """The schema file's metrics, streamed one `csv.reader` row at a time
+    and raising at the first bad one with its line."""
     metrics: list[MetricDef] = []
     rows = _csv_rows(path, ConfigError)
     _, header = next(rows, (1, None))
@@ -549,7 +599,7 @@ def read_schema_csv(path, normalization: str = "MIN_MAX") -> ScoringScheme:
             raise ConfigError(f"{path}:{lineno}: {exc}") from None
     if not metrics:
         raise ConfigError(f"{path}: schema file contains no metrics")
-    return ScoringScheme(schema=tuple(metrics), normalization=normalization)
+    return metrics
 
 
 def write_scores_csv(path, scores: Mapping[str, float],

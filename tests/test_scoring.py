@@ -44,8 +44,10 @@ def _metric(id="m1", pillar="ENVIRONMENTAL", direction="HIGHER_BETTER",
 
 
 def _columns(table):
-    """A metric table's three columns as plain lists."""
-    return table.farmer_ids, table.metric_ids, table.values.tolist()
+    """A metric table's three columns as plain lists, its codes decoded."""
+    return ([table.farmers[code] for code in table.farmer_codes.tolist()],
+            [table.metrics[code] for code in table.metric_codes.tolist()],
+            table.values.tolist())
 
 
 def _bundled_scheme():
@@ -446,6 +448,25 @@ class TestCsvCodecs:
             read_schema_csv(path)
         assert str(excinfo.value) == f"{path}: not valid UTF-8: byte 0xe9 on line 3"
 
+    @pytest.mark.parametrize("read, error, first", [
+        (read_metrics_csv, DataError, "farmer_id,metric_id,value\nF1,m,abc\n"),
+        (read_metrics_csv, DataError,
+         "farmer_id,metric_id,value\nF1,m," + "9" * 140_000 + "\n"),
+        (read_schema_csv, ConfigError, _SHORT + "a,GOVERNANCE,HIGHER_BETTER,CONTINUOUS\n"),
+    ], ids=["metrics-record", "metrics-csv-error", "schema-row"])
+    def test_invalid_utf8_after_a_bad_row_comes_first(self, tmp_path, read,
+                                                      error, first):
+        """A file is streamed, but a bad record, a `csv.Error` (here a cell
+        over csv's field limit) or a bad schema row far ahead of a byte that
+        is not UTF-8 still yields to the UTF-8 error."""
+        path = tmp_path / "input.csv"
+        filler = "F2,m,1\n" * 10_000
+        path.write_bytes((first + filler).encode() + b"F3,m\xff,1\n")
+        with pytest.raises(error) as excinfo:
+            read(path)
+        line = (first + filler).count("\n") + 1
+        assert str(excinfo.value) == f"{path}: not valid UTF-8: byte 0xff on line {line}"
+
     def test_errors_name_the_line_a_record_starts_on(self, tmp_path):
         """After a quoted cell that spans two lines, a bad record is named
         by the line it starts on, not by its record number."""
@@ -774,6 +795,54 @@ class TestColumnarMatchesReference:
                 == _outcome(lambda: _reference_score(_reference_read(path), scheme)))
 
 
+@st.composite
+def _shuffled_records(draw):
+    """Metric records of up to four farmers, and the same records in
+    another order: every (farmer, metric) pair, then a few drops,
+    duplicates and unknown metrics. An unknown metric's farmer may be one
+    with no other record."""
+    records = []
+    for farmer in [f"F{i}" for i in range(draw(st.integers(0, 4)))]:
+        for metric in _PROPERTY_SCHEMA:
+            value = draw(st.sampled_from([0.0, 1.0]) if metric.kind == "BINARY"
+                         else st.floats(-100.0, 100.0))
+            records.append(MetricRecord(farmer, metric.id, value))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["drop", "duplicate", "unknown"]))
+        at = draw(st.integers(0, len(records)))
+        if kind == "drop" and records:
+            del records[at % len(records)]
+        elif kind == "duplicate" and records:
+            records.insert(at, records[at % len(records)])
+        elif kind == "unknown":
+            farmer = draw(st.sampled_from(["F0", "G"]))
+            records.insert(at, MetricRecord(farmer, draw(st.sampled_from(["ghost", "soil2"])), 1.0))
+    return records, draw(st.permutations(records))
+
+
+_ONE_FARMER = [MetricRecord("F0", metric.id, 1.0) for metric in _PROPERTY_SCHEMA]
+
+
+class TestRecordOrder:
+    """Ids are coded in first-seen order, but the order of a table's
+    records changes neither its scores, key order included, nor any
+    error's text and details."""
+
+    @given(pair=_shuffled_records(),
+           normalization=st.sampled_from(["MIN_MAX", "Z_SCORE_CLIPPED"]))
+    @example(pair=([], []), normalization="MIN_MAX")
+    @example(pair=(_ONE_FARMER + [MetricRecord("G", "ghost", 1.0)],
+                   [MetricRecord("G", "ghost", 1.0)] + _ONE_FARMER[::-1]),
+             normalization="MIN_MAX")
+    @settings(max_examples=300)
+    def test_record_order_changes_nothing(self, pair, normalization):
+        records, shuffled = pair
+        scheme = ScoringScheme(schema=_PROPERTY_SCHEMA, normalization=normalization)
+        want = _outcome(lambda: composite_score(MetricTable.from_records(records), scheme))
+        assert _outcome(lambda: composite_score(MetricTable.from_records(shuffled),
+                                                scheme)) == want
+
+
 # ----------------------------------------------------------------------
 # chunked reads: located errors, shared ids, memory
 # ----------------------------------------------------------------------
@@ -832,38 +901,43 @@ class TestChunkedReads:
                              ids=["split", "csv", "row-walk"])
     def test_repeated_ids_share_one_object(self, tmp_path, monkeypatch,
                                            quote, blank):
-        """Every route gives each distinct id one str object, and the scores
-        are those of a table whose ids are all distinct objects."""
+        """Every route holds each distinct id once: ``farmers`` and
+        ``metrics`` list the ids without repeats, in first-seen order, and
+        decoding the codes gives back the file's columns. The scores are
+        those of `MetricTable.from_records` on the same records."""
         monkeypatch.setattr(scoring, "_CHUNK_BYTES", 64)
         path = tmp_path / "metrics.csv"
         path.write_text(_cohort_text(40, quote=quote, blank=blank),
                         encoding="utf-8")
         table = read_metrics_csv(path)
-        for column in (table.farmer_ids, table.metric_ids):
-            assert len({id(s) for s in column}) == len(set(column)) < len(column)
-        fresh = MetricTable([s.encode().decode() for s in table.farmer_ids],
-                            [s.encode().decode() for s in table.metric_ids],
-                            table.values)
-        assert len({id(s) for s in fresh.farmer_ids}) == len(fresh)
+        records = [MetricRecord(r.farmer_id, r.metric_id, r.value)
+                   for r in _reference_read(path)]
+        want = ([r.farmer_id for r in records], [r.metric_id for r in records],
+                [r.value for r in records])
+        assert _columns(table) == want
+        assert table.farmer_codes.dtype == table.metric_codes.dtype == np.intp
+        for ids, column in ((table.farmers, want[0]), (table.metrics, want[1])):
+            assert ids == list(dict.fromkeys(column))
+            assert len(ids) < len(column)
         scheme = ScoringScheme(schema=_PROPERTY_SCHEMA)
         assert (list(composite_score(table, scheme).items())
-                == list(composite_score(fresh, scheme).items()))
+                == list(composite_score(records, scheme).items()))
 
     def test_memory_stays_near_the_file_size(self, tmp_path):
         """Reading a 3 MB cohort peaks under 4x the file's bytes and holds
         under 1.5x once read: the file is read, decoded and split one chunk
         at a time, and the table keeps one string per distinct id. With its
-        first farmer id quoted, the file's bytes and text are held once for
-        the UTF-8 check, and then it is streamed from the file row by row;
-        the walk holds one row at a time, so the read peaks under 3x (a
-        walk that held every row would reach about 15x)."""
+        first farmer id quoted, the file is streamed row by row, and each
+        row's codes and value go into typed buffers, so the read peaks under
+        1.75x (a walk that held every row would reach about 15x, and one
+        that held the file's bytes and text for its UTF-8 check about 2x)."""
         rng = np.random.default_rng(0)
         lines = ["farmer_id,metric_id,value"] + [
             f"farmer_{i:05d},metric_{j:02d},{value!r}"
             for i in range(2500)
             for j, value in enumerate(np.round(rng.normal(50.0, 10.0, 36), 6).tolist())]
         path = tmp_path / "metrics.csv"
-        for quoted, peak_ratio in ((False, 4), (True, 3)):
+        for quoted, peak_ratio in ((False, 4), (True, 1.75)):
             if quoted:
                 lines[1] = '"' + lines[1].replace(",", '",', 1)
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -876,6 +950,6 @@ class TestChunkedReads:
             finally:
                 tracemalloc.stop()
             assert len(table) == 90_000
-            assert table.farmer_ids[0] == "farmer_00000"
+            assert table.farmers[table.farmer_codes[0]] == "farmer_00000"
             assert peak < peak_ratio * size
             assert held < 1.5 * size
