@@ -176,13 +176,15 @@ def mv_utility(E: float, w: float, params: MarketParams, gamma, cost: CostModel,
 
     One score at a time, from the cross-checked moments of
     `profit_moments_pair`; `optimal_ese_mv_batch` re-validates its optima
-    through the same moment enumeration, a whole sweep at once.
+    through the same moment enumeration, a whole sweep at once. The
+    arguments are checked in the optimizer's order: ``w``, then gamma, then
+    the float range, then the score.
     """
-    gamma = _risk_aversion(float(gamma))
-    e = float(success_probability(E, link))
     w = _repayment(w)
+    gamma = _risk_aversion(float(gamma))
     ph, pl = params.high_revenue, params.low_revenue
     _check_float_range(w, ph, pl, gamma, cost.c)
+    e = float(success_probability(E, link))
     return float(_utility(e, w, ph, pl, gamma, cost.c))
 
 
@@ -201,8 +203,8 @@ def mv_foc(E, w: float, params: MarketParams, gamma, cost: CostModel,
     check against the utility). Identically zero when ``k = 0``; the
     arguments are checked as in `mv_utility`.
     """
-    gamma = _risk_aversion(float(gamma))
     w = _repayment(w)
+    gamma = _risk_aversion(float(gamma))
     ph, pl = params.high_revenue, params.low_revenue
     _check_float_range(w, ph, pl, gamma, cost.c)
     return _foc(success_probability(E, link), w, ph, pl, gamma, cost.c, link.k)
@@ -319,15 +321,15 @@ def optimal_ese_mv_batch(w, cells) -> list[Optimum]:
 
     Each cell is a ``(params, gamma, cost, link)`` tuple. ``w`` is shared: a
     number is a fixed repayment and ``None`` the break-even one, as in
-    `optimal_ese_mv`. The cells are checked as arrays first, in this order:
-    gamma finite and >= 0, ``b > 0`` and a finite break-even ``w`` at
-    ``e = b`` (its largest), then the float range at that ``w`` or the fixed
-    one. Both modes build ``N = s^2 U`` from the pair outcome table (the module
-    docstring), a quartic for a fixed ``w`` and of degree 8 for the
-    break-even ``w``. The polynomial does not depend on the link, so cells
-    that differ only in ``(k, b)`` share it, and each distinct polynomial
-    is solved once; a cell's result does not depend on the other cells in
-    the batch. The candidates are E = 0, E = 100 and every real root
+    `optimal_ese_mv`. The shared ``w`` is checked first, then the cells as
+    arrays, in this order: gamma finite and >= 0, ``b > 0`` and a finite
+    break-even ``w`` at ``e = b`` (its largest), then the float range at
+    that ``w`` or the fixed one. Both modes build ``N = s^2 U`` from the
+    pair outcome table (the module docstring), a quartic for a fixed ``w``
+    and of degree 8 for the break-even ``w``. The polynomial does not depend
+    on the link, so cells that differ only in ``(k, b)`` share it, and each
+    distinct polynomial is solved once; a cell's result does not depend on
+    the other cells in the batch. The candidates are E = 0, E = 100 and every real root
     of ``N' s - 2 N s'`` inside the open score range, mapped back through
     ``E = (e - b) / k``. They are ranked by ``N / s^2`` from the table's
     rows at each candidate, and ties go to the lower score. A root within

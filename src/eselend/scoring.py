@@ -30,8 +30,8 @@ decoded on its own and its cells are one ``str.split(",")`` of it with
 newlines turned into commas, checked a whole column at a time. So no more
 than one chunk of the file is held at a time. Any other file, and a plain
 file with a bad record, is streamed from the file one `csv.reader` row at
-a time, which names the line its first bad record starts on; invalid UTF-8
-anywhere in the file is the error reported ahead of any other.
+a time, as a schema file is, and names the line its first bad record
+starts on.
 
 File formats: metric records arrive as CSV with header
 ``farmer_id,metric_id,value``; the schema is CSV with header
@@ -39,7 +39,10 @@ File formats: metric records arrive as CSV with header
 may be blank); scores leave as CSV with header ``farmer_id,score`` and four
 decimal places. Input files are UTF-8, with an optional byte-order mark.
 Malformed metric data raises DataError, malformed schema raises
-ConfigError, both with file and line context.
+ConfigError, both with file and line context. Of several faults in a
+file, the one reported is the first in this order: invalid UTF-8
+anywhere, then a `csv.Error` anywhere (such as a cell over csv's field
+limit), then the first bad header or row.
 """
 
 from __future__ import annotations
@@ -402,22 +405,49 @@ def _aligned(data: bytes) -> bool:
 
 def _csv_rows(path: Path, error: type[Exception]):
     """Yield `csv.reader`'s rows of the file as ``(line it starts on, row)``,
-    streamed from the file. When the stream stops at invalid UTF-8 or a
-    `csv.Error`, `_decode` of the whole file first raises ``error`` at the
-    first invalid byte, if there is one anywhere; otherwise ``error`` names
-    the line of the row the reader stopped in. A caller that raises an
-    error of its own first reads on to the end or runs `_decode` too, so
-    invalid UTF-8 is always the error reported."""
+    each cell stripped, streamed from the file. When the stream stops at
+    invalid UTF-8 or a `csv.Error`, `_decode` of the whole file first raises
+    ``error`` at the first invalid byte, if there is one anywhere; otherwise
+    ``error`` names the line of the row the reader stopped in."""
     with path.open(newline="", encoding="utf-8-sig") as file:
         reader = csv.reader(file)
         start = 1
         try:
             for row in reader:
-                yield start, row
+                yield start, [cell.strip() for cell in row]
                 start = reader.line_num + 1
         except (UnicodeDecodeError, csv.Error) as exc:
             _decode(path.read_bytes(), path, error)
             raise error(f"{path}:{start}: {exc}") from None
+
+
+def _walk(path: Path, error: type[Exception], what: str, parse):
+    """``parse(path, header, rows)`` of one lazy `_csv_rows` walk of an
+    input file: the header's cells and the ``(line, cells)`` pairs of the
+    rows after it, blank rows skipped. A row whose width is not the
+    header's raises ``error`` at its line; an empty file raises
+    ConfigError. When ``parse`` raises ``error``, the rest of the rows are
+    read first, so the errors come in one order: invalid UTF-8 anywhere,
+    then a `csv.Error` anywhere, then the first bad header or row."""
+    rows = _csv_rows(path, error)
+    _, header = next(rows, (1, None))
+    if header is None:
+        raise ConfigError(f"{path}: empty {what} file")
+
+    def records():
+        for lineno, row in rows:
+            if not any(row):
+                continue
+            if len(row) != len(header):
+                raise error(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+            yield lineno, row
+
+    try:
+        return parse(path, header, records())
+    except error:
+        for _ in rows:
+            pass
+        raise
 
 
 def read_metrics_csv(path) -> MetricTable:
@@ -427,14 +457,15 @@ def read_metrics_csv(path) -> MetricTable:
     decoded and split a chunk of whole lines at a time by `_split_table`
     (see the module docstring). Any other file, and any file the split
     route cannot turn into a valid table (one with a quote, a blank row,
-    invalid UTF-8 or a bad record), is walked row by row by `_walk_table`,
-    which raises at the line of the first problem. Either route codes each
-    id once, as it is read.
+    invalid UTF-8 or a bad record), is walked row by row by `_walk`, as a
+    schema is, which raises invalid UTF-8 anywhere first, then a
+    `csv.Error` anywhere, then the first bad header or record, at its line.
+    Either route codes each id once, as it is read.
     """
     path = Path(path)
     with path.open("rb") as file:
         table = _split_table(file)
-    return _walk_table(path) if table is None else table
+    return _walk(path, DataError, "metrics", _parse_rows) if table is None else table
 
 
 def _split_table(file) -> MetricTable | None:
@@ -490,41 +521,16 @@ def _split_table(file) -> MetricTable | None:
                        np.concatenate(values))
 
 
-def _walk_table(path: Path) -> MetricTable:
-    """`read_metrics_csv` by one lazy `csv.reader` walk of the file,
-    raising at the line its first problem starts on. At a bad header
-    or record the rest of the rows are still read, so that a `csv.Error`
-    or invalid UTF-8 further on is the one raised."""
-    rows = _csv_rows(path, DataError)
-    _, header = next(rows, (1, None))
-    if header is None:
-        raise ConfigError(f"{path}: empty metrics file")
-    try:
-        if [h.strip() for h in header] != _METRICS_HEADER:
-            raise DataError(f"{path}:1: expected header {','.join(_METRICS_HEADER)}")
-        table = _parse_rows(rows, path)
-    except DataError:
-        for _ in rows:
-            pass
-        raise
-    if not len(table):
-        raise ConfigError(f"{path}: metrics file contains no records")
-    return table
-
-
-def _parse_rows(rows: Iterable[tuple], path: Path) -> MetricTable:
-    """The table of ``(line, row)`` pairs read one at a time in file order,
-    skipping blank rows and raising at the first bad one with its line.
-    Each record's ids are coded and its codes and value appended to typed
-    buffers, which become the table's arrays."""
+def _parse_rows(path: Path, header: list[str], rows: Iterable[tuple]) -> MetricTable:
+    """The table of a metrics file's header and ``(line, cells)`` rows, read
+    one at a time in file order and raising at the first bad one with its
+    line. Each record's ids are coded and its codes and value appended to
+    typed buffers, which become the table's arrays."""
+    if header != _METRICS_HEADER:
+        raise DataError(f"{path}:1: expected header {','.join(_METRICS_HEADER)}")
     farmers, metrics = _coder(), _coder()
     farmer_codes, metric_codes, values = array("q"), array("q"), array("d")
-    for lineno, row in rows:
-        if not any(cell.strip() for cell in row):
-            continue
-        if len(row) != 3:
-            raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-        farmer_id, metric_id, raw = (cell.strip() for cell in row)
+    for lineno, (farmer_id, metric_id, raw) in rows:
         try:
             value = float(raw)
         except ValueError:
@@ -535,13 +541,14 @@ def _parse_rows(rows: Iterable[tuple], path: Path) -> MetricTable:
         farmer_codes.append(farmers[farmer_id])
         metric_codes.append(metrics[metric_id])
         values.append(value)
+    if not values:
+        raise ConfigError(f"{path}: metrics file contains no records")
     return MetricTable(list(farmers), list(metrics),
                        np.asarray(farmer_codes, dtype=np.intp),
                        np.asarray(metric_codes, dtype=np.intp), np.asarray(values))
 
 
 def _parse_optional_float(raw: str, path: Path, lineno: int, column: str) -> float | None:
-    raw = raw.strip()
     if not raw:
         return None
     try:
@@ -552,40 +559,23 @@ def _parse_optional_float(raw: str, path: Path, lineno: int, column: str) -> flo
 
 def read_schema_csv(path, normalization: str = "MIN_MAX") -> ScoringScheme:
     """Load a scoring schema; see the module docstring for the format."""
-    path = Path(path)
-    try:
-        metrics = _parse_schema(path)
-    except ConfigError:  # invalid UTF-8 anywhere is reported first
-        _decode(path.read_bytes(), path, ConfigError)
-        raise
+    metrics = _walk(Path(path), ConfigError, "schema", _parse_schema)
     return ScoringScheme(schema=tuple(metrics), normalization=normalization)
 
 
-def _parse_schema(path: Path) -> list[MetricDef]:
-    """The schema file's metrics, streamed one `csv.reader` row at a time
-    and raising at the first bad one with its line."""
-    metrics: list[MetricDef] = []
-    rows = _csv_rows(path, ConfigError)
-    _, header = next(rows, (1, None))
-    if header is None:
-        raise ConfigError(f"{path}: empty schema file")
-    names = [h.strip() for h in header]
-    if names != _SCHEMA_HEADER and names != _SCHEMA_HEADER[:4]:
+def _parse_schema(path: Path, header: list[str], rows: Iterable[tuple]) -> list[MetricDef]:
+    """The metrics of a schema file's header and ``(line, cells)`` rows,
+    raising at the first bad one with its line."""
+    if header != _SCHEMA_HEADER and header != _SCHEMA_HEADER[:4]:
         raise ConfigError(
             f"{path}:1: expected header {','.join(_SCHEMA_HEADER)} "
             "(weight, min, and max may be omitted)"
         )
-    width = len(names)
+    metrics: list[MetricDef] = []
     for lineno, row in rows:
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != width:
-            raise ConfigError(
-                f"{path}:{lineno}: expected {width} fields, got {len(row)}"
-            )
-        metric_id, pillar, direction, kind = (cell.strip() for cell in row[:4])
+        metric_id, pillar, direction, kind = row[:4]
         weight = bound_lo = bound_hi = None
-        if width == 7:
+        if len(row) == 7:
             weight = _parse_optional_float(row[4], path, lineno, "weight")
             bound_lo = _parse_optional_float(row[5], path, lineno, "min")
             bound_hi = _parse_optional_float(row[6], path, lineno, "max")

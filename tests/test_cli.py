@@ -741,11 +741,13 @@ class TestScore:
             assert main(argv) == 3
             assert capsys.readouterr().err == f"error: {metrics}:3: {limit}\n"
         metrics.write_text("farmer_id,metric_id,value\nF1,m,1\n", encoding="utf-8")
-        schema.write_text("metric_id,pillar,direction,kind\n"
-                          f"{big},ENVIRONMENTAL,HIGHER_BETTER,CONTINUOUS\n",
-                          encoding="utf-8")
-        assert main(argv) == 2
-        assert capsys.readouterr().err == f"error: {schema}:2: {limit}\n"
+        # in a schema too, also after an unknown pillar on line 2
+        for rows, line in (("", 2), ("m,GOVERNANCE,HIGHER_BETTER,CONTINUOUS\n", 3)):
+            schema.write_text("metric_id,pillar,direction,kind\n" + rows
+                              + f"{big},ENVIRONMENTAL,HIGHER_BETTER,CONTINUOUS\n",
+                              encoding="utf-8")
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {schema}:{line}: {limit}\n"
         assert not out.exists()
 
     def test_requires_metrics(self, tmp_path):

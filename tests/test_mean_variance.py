@@ -549,6 +549,36 @@ class TestOptimalEseMvBatch:
             assert excinfo.value.cell == len(cells) - 1
 
 
+_ENTRY_POINTS = {
+    "mv_utility": lambda E, w, gamma, cost: mv_utility(E, w, BASE, gamma, cost, LINK),
+    "mv_foc": lambda E, w, gamma, cost: mv_foc(E, w, BASE, gamma, cost, LINK),
+    "optimal_ese_mv": lambda E, w, gamma, cost: optimal_ese_mv(w, BASE, gamma, cost, LINK),
+    "optimal_ese_mv_batch":
+        lambda E, w, gamma, cost: optimal_ese_mv_batch(w, [(BASE, gamma, cost, LINK)]),
+}
+
+
+class TestCheckOrder:
+    """Every mean-variance entry point checks its arguments in one order:
+    w, then gamma, then the float range, then the score (where the score
+    is an argument)."""
+
+    @pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+    @pytest.mark.parametrize("w, gamma, cost, message", [
+        (-1.0, -1.0, COST, "w must be > 0"),
+        (150.0, -1.0, CostModel(c=1e307), "gamma must be >= 0"),
+        (150.0, 0.5, CostModel(c=1e307), r"float range at c=1e\+307"),
+    ], ids=["w", "gamma", "float-range"])
+    def test_the_first_failing_check_is_reported(self, entry, w, gamma, cost, message):
+        with pytest.raises(DomainError, match=message):
+            _ENTRY_POINTS[entry](150.0, w, gamma, cost)
+
+    @pytest.mark.parametrize("entry", ["mv_utility", "mv_foc"])
+    def test_the_score_is_checked_last(self, entry):
+        with pytest.raises(DomainError, match="score E"):
+            _ENTRY_POINTS[entry](150.0, 150.0, 0.5, COST)
+
+
 class TestRealRoots:
     """The batched root finder against one-row calls and exact counts."""
 

@@ -357,6 +357,8 @@ class TestCompositeScore:
 
 _SHORT = "metric_id,pillar,direction,kind\n"
 _LONG = "metric_id,pillar,direction,kind,weight,min,max\n"
+# A quoted cell over csv's 131,072-character field limit: a csv.Error.
+_OVERSIZED = '"' + "x" * 140_000 + '"'
 
 
 class TestCsvCodecs:
@@ -692,6 +694,7 @@ _BAD_ROWS = st.sampled_from([
     "F1,so\x00il,1",                               # a NUL
     '"F1,soil",1', '"F1",soil,"1"',                # quoted cells
     '"F1\nF2",soil,1',                              # a quoted newline
+    _OVERSIZED + ",soil,1",                        # a cell over csv's limit
 ])
 _LINE_ENDS = st.sampled_from(["\n", "\n", "\r\n", "\r"])
 
@@ -793,6 +796,156 @@ class TestColumnarMatchesReference:
         scheme = ScoringScheme(schema=_PROPERTY_SCHEMA, normalization=normalization)
         assert (_outcome(lambda: composite_score(read_metrics_csv(path), scheme))
                 == _outcome(lambda: _reference_score(_reference_read(path), scheme)))
+
+
+_SCHEMA_COLUMNS = ["metric_id", "pillar", "direction", "kind", "weight", "min", "max"]
+
+
+def _reference_schema(path, normalization):
+    """Row-by-row schema reader: the oracle for `read_schema_csv`. The
+    whole file is parsed before any row is checked, so a csv.Error anywhere
+    comes before a bad header or row, and errors name the line their row
+    starts on."""
+    parsed = []
+    start = 1
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
+                parsed.append((start, row))
+                start = reader.line_num + 1
+        except csv.Error as exc:
+            raise ConfigError(f"{path}:{start}: {exc}") from None
+    if not parsed:
+        raise ConfigError(f"{path}: empty schema file")
+    (_, header), *parsed = parsed
+    header = [h.strip() for h in header]
+    if header != _SCHEMA_COLUMNS and header != _SCHEMA_COLUMNS[:4]:
+        raise ConfigError(f"{path}:1: expected header {','.join(_SCHEMA_COLUMNS)} "
+                          "(weight, min, and max may be omitted)")
+    metrics = []
+    for lineno, row in parsed:
+        cells = [cell.strip() for cell in row]
+        if not any(cells):
+            continue
+        if len(cells) != len(header):
+            raise ConfigError(f"{path}:{lineno}: expected {len(header)} fields, "
+                              f"got {len(cells)}")
+        fields = dict(zip(header, cells))
+        numbers = {}
+        for column in ("weight", "min", "max"):
+            raw = fields.get(column, "")
+            try:
+                numbers[column] = float(raw) if raw else None
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: {column} {raw!r} is not a number") from None
+        if (numbers["min"] is None) != (numbers["max"] is None):
+            raise ConfigError(f"{path}:{lineno}: min and max must be given together")
+        bounds = None if numbers["min"] is None else (numbers["min"], numbers["max"])
+        try:
+            metrics.append(MetricDef(*cells[:4], weight=numbers["weight"], bounds=bounds))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    if not metrics:
+        raise ConfigError(f"{path}: schema file contains no metrics")
+    return ScoringScheme(schema=tuple(metrics), normalization=normalization)
+
+
+@st.composite
+def _schema_files(draw):
+    """Schema CSV text in the four- or seven-column form: up to four
+    metrics, then a few defects (blank, padded, short, long or oversized
+    rows, an unknown pillar, direction or kind, a non-numeric weight, min or
+    max, a min without a max, a duplicate id, overrides that do not sum to
+    1, a bad header), with cells padded or quoted (a quoted id may hold a
+    newline), an optional BOM and final newline, and LF, CRLF or lone-CR
+    line ends."""
+    width = draw(st.sampled_from([4, 7]))
+    ids = draw(st.lists(st.sampled_from(["soil", "water", "a\nb", "margin"]),
+                        max_size=4, unique=True))
+    weights = draw(st.sampled_from(["none", "none", "even", "uneven", "partial"]))
+    rows = []
+    for i, metric in enumerate(ids):
+        row = [metric, draw(st.sampled_from(PILLARS)),
+               draw(st.sampled_from(["HIGHER_BETTER", "LOWER_BETTER"])),
+               draw(st.sampled_from(["CONTINUOUS", "BINARY"]))]
+        if width == 7:
+            weight = {"none": "", "even": repr(1.0 / len(ids)), "uneven": "0.5",
+                      "partial": "1" if i == 0 else ""}[weights]
+            row += [weight, *draw(st.sampled_from([("", ""), ("0", "50"), ("", ""),
+                                                   ("-1.5", "2e1"), ("", ""), ("5", "5")]))]
+        rows.append(row)
+    header = _SCHEMA_COLUMNS[:width]
+    kinds = ["blank", "blank", "short", "long", "oversized", "pillar", "direction",
+             "kind", "duplicate", "empty-id", "header"]
+    valid = list(rows) or [["soil", "SOCIAL", "HIGHER_BETTER", "CONTINUOUS", "", "", ""][:width]]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(kinds + ["number", "min-only"] * (width == 7)))
+        row = list(draw(st.sampled_from(valid)))
+        if kind == "blank":
+            row = [""] * draw(st.integers(1, width + 1))
+        elif kind == "short":
+            row.pop()
+        elif kind == "long":
+            row.append("")
+        elif kind == "oversized":
+            row[0] = _OVERSIZED
+        elif kind in ("pillar", "direction", "kind"):
+            row[_SCHEMA_COLUMNS.index(kind)] = draw(st.sampled_from(["GOVERNANCE", "social", ""]))
+        elif kind == "number":
+            row[draw(st.integers(4, 6))] = draw(st.sampled_from(["heavy", "1 2", "nan", "-inf"]))
+        elif kind == "min-only":
+            row[5:7] = [draw(st.sampled_from(["0", "1"])), ""]
+        elif kind == "empty-id":
+            row[0] = " "
+        elif kind == "header":
+            header = draw(st.sampled_from([["id", "pillar", "direction", "kind"],
+                                           header + ["extra"], header[:3]]))
+            continue
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    pad = _PAD if draw(st.booleans()) else st.just("")
+    quote = draw(st.sampled_from([False, False, True]))
+
+    def cell(text):
+        if text.startswith('"'):
+            return text
+        if "\n" in text or (quote and draw(st.booleans())):
+            return '"' + text + '"'
+        return draw(pad) + text + draw(pad)
+
+    end = draw(_LINE_ENDS)
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    if draw(st.sampled_from([False] * 30 + [True])):
+        return bom
+    last = end if draw(st.integers(0, 3)) else ""
+    return bom + end.join(",".join(map(cell, row)) for row in [header] + rows) + last
+
+
+def _scheme_outcome(run):
+    """A scoring scheme, or the type and text of the error raised."""
+    try:
+        return run()
+    except ConfigError as exc:
+        return type(exc), str(exc)
+
+
+class TestSchemaMatchesReference:
+    """The schema reader gives the row-by-row reference's scheme or raises
+    its exact error: invalid UTF-8 aside, a csv.Error anywhere in the file
+    comes before the first bad header or row."""
+
+    @given(text=_schema_files(),
+           normalization=st.sampled_from(["MIN_MAX", "Z_SCORE_CLIPPED"]))
+    @example(text=_SHORT + "a,GOVERNANCE,HIGHER_BETTER,CONTINUOUS\n"
+             + _OVERSIZED + ",SOCIAL,HIGHER_BETTER,CONTINUOUS\n",
+             normalization="MIN_MAX")
+    @settings(max_examples=500,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_scheme_or_same_error(self, tmp_path, text, normalization):
+        path = tmp_path / "schema.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert (_scheme_outcome(lambda: read_schema_csv(path, normalization))
+                == _scheme_outcome(lambda: _reference_schema(path, normalization)))
 
 
 @st.composite
