@@ -14,7 +14,7 @@ from eselend import (
     binding_repayment,
     loan_ceiling_affordability,
     loan_ceiling_incentive,
-    profit_distribution_pair,
+    profit_distribution_group,
 )
 
 params = MarketParams(p=1.0, y_high=1000.0, y_low=500.0, loan=100.0,
@@ -37,7 +37,7 @@ print("no more than L2 without inviting strategic default.")
 print()
 e = 0.5
 w = binding_repayment(e, 2, params)
-dist = profit_distribution_pair(e, w, params)
+dist = profit_distribution_group(e, 2, w, params)
 print(f"Member profit distribution at e={e}, w={w:.2f}:")
 for prob, profit in zip(dist.probabilities, dist.profits):
     print(f"  probability {prob:.2f}  profit {profit:9.2f}")

@@ -74,18 +74,13 @@ class Moments:
             raise DomainError("variance must be >= 0")
 
 
-def _risk_aversion(gamma):
-    """Check risk-aversion coefficients, a float or one per cell: finite,
-    then >= 0 (0 is neutrality)."""
-    _raise_first(~np.isfinite(gamma), DomainError, "gamma must be finite, got {!r}", gamma)
-    _raise_first(gamma < 0, DomainError, "gamma must be >= 0")
-    return gamma
-
-
-def _check_float_range(w, ph, pl, gamma, c) -> None:
-    """Reject arguments whose mean-variance utility overflows the float
-    range, naming the first at fault: ``w``, gamma, then c. Each argument
-    is a float or one value per cell.
+def _check(w, ph, pl, gamma, c, principal=None, b=None):
+    """Check a mean-variance problem, each argument a float or one value per
+    cell, in the order every entry point reports: ``w`` finite, then > 0;
+    gamma finite, then >= 0; for the break-even ``w=None`` only, ``b > 0``
+    and a finite break-even ``w`` at ``e = b`` (its largest); last, the
+    float range at that ``w`` or the fixed one, broadcast to the cells,
+    naming ``w``, gamma, then c. Returns the checked ``w``.
 
     ``M = max(pYh + pYl, 2w, 1)`` bounds ``A`` and ``B``; ``2w``, like the
     revenue in `MarketParams`, must stay within `PROFIT_BOUND`. The moments
@@ -93,14 +88,26 @@ def _check_float_range(w, ph, pl, gamma, c) -> None:
     within about 50 times it, so 1024 times it must be finite. ``gamma = c
     = 0`` checks the moments alone.
     """
+    if w is not None:
+        w = _repayment(w)
+    _raise_first(~np.isfinite(gamma), DomainError, "gamma must be finite, got {!r}", gamma)
+    _raise_first(gamma < 0, DomainError, "gamma must be >= 0")
     overflow = "the mean-variance utility overflows the float range at "
     with np.errstate(over="ignore"):
-        m = np.maximum(np.maximum(ph + pl, 2.0 * w), 1.0)
+        if w is None:
+            _raise_first(b <= 0.0, DomainError, "endogenous repayment requires b > 0 so "
+                         "the success probability is positive at every score")
+            top = principal / _coverage(b, 2)
+            _raise_first(~np.isfinite(top), DomainError, "w must be finite, got {!r}", top)
+        else:
+            top = np.broadcast_to(w, np.shape(gamma))
+        m = np.maximum(np.maximum(ph + pl, 2.0 * top), 1.0)
         spread = 1024.0 * (1.0 + gamma) * m * m
-        _raise_first(2.0 * w > PROFIT_BOUND, DomainError, overflow + "w={!r}", w)
+        _raise_first(2.0 * top > PROFIT_BOUND, DomainError, overflow + "w={!r}", top)
         _raise_first(~np.isfinite(spread), DomainError, overflow + "gamma={!r}", gamma)
         _raise_first(~np.isfinite(spread + 1024.0 * c), DomainError,
                      overflow + "c={!r}", c)
+    return w
 
 
 def _var_poly(e, A, B):
@@ -162,9 +169,8 @@ def profit_moments_pair(e: float, w: float, params: MarketParams) -> Moments:
     returned. A ``w`` whose variance overflows the float range raises
     DomainError.
     """
-    w = _repayment(w)
     ph, pl = params.high_revenue, params.low_revenue
-    _check_float_range(w, ph, pl, 0.0, 0.0)
+    w = _check(w, ph, pl, 0.0, 0.0)
     e = _require_in("e", float(e), 0.0, 1.0)
     mean, var = _moments(e, w, ph, pl)
     return Moments(mean=float(mean), variance=float(var))
@@ -176,14 +182,12 @@ def mv_utility(E: float, w: float, params: MarketParams, gamma, cost: CostModel,
 
     One score at a time, from the cross-checked moments of
     `profit_moments_pair`; `optimal_ese_mv_batch` re-validates its optima
-    through the same moment enumeration, a whole sweep at once. The
-    arguments are checked in the optimizer's order: ``w``, then gamma, then
-    the float range, then the score.
+    through the same moment enumeration, a whole sweep at once. `_check`
+    checks the arguments in the optimizer's order: ``w``, then gamma, then
+    the float range; the score comes last.
     """
-    w = _repayment(w)
-    gamma = _risk_aversion(float(gamma))
-    ph, pl = params.high_revenue, params.low_revenue
-    _check_float_range(w, ph, pl, gamma, cost.c)
+    ph, pl, gamma = params.high_revenue, params.low_revenue, float(gamma)
+    w = _check(w, ph, pl, gamma, cost.c)
     e = float(success_probability(E, link))
     return float(_utility(e, w, ph, pl, gamma, cost.c))
 
@@ -203,10 +207,8 @@ def mv_foc(E, w: float, params: MarketParams, gamma, cost: CostModel,
     check against the utility). Identically zero when ``k = 0``; the
     arguments are checked as in `mv_utility`.
     """
-    w = _repayment(w)
-    gamma = _risk_aversion(float(gamma))
-    ph, pl = params.high_revenue, params.low_revenue
-    _check_float_range(w, ph, pl, gamma, cost.c)
+    ph, pl, gamma = params.high_revenue, params.low_revenue, float(gamma)
+    w = _check(w, ph, pl, gamma, cost.c)
     return _foc(success_probability(E, link), w, ph, pl, gamma, cost.c, link.k)
 
 
@@ -321,12 +323,11 @@ def optimal_ese_mv_batch(w, cells) -> list[Optimum]:
 
     Each cell is a ``(params, gamma, cost, link)`` tuple. ``w`` is shared: a
     number is a fixed repayment and ``None`` the break-even one, as in
-    `optimal_ese_mv`. The shared ``w`` is checked first, then the cells as
-    arrays, in this order: gamma finite and >= 0, ``b > 0`` and a finite
-    break-even ``w`` at ``e = b`` (its largest), then the float range at
-    that ``w`` or the fixed one. Both modes build ``N = s^2 U`` from the
-    pair outcome table (the module docstring), a quartic for a fixed ``w``
-    and of degree 8 for the break-even ``w``. The polynomial does not depend
+    `optimal_ese_mv`. One call of `_check` checks the shared ``w`` and then
+    the cells as arrays, in its order (gamma, then the break-even ``w``,
+    then the float range). Both modes build ``N = s^2 U`` from the pair
+    outcome table (the module docstring), a quartic for a fixed ``w`` and
+    of degree 8 for the break-even ``w``. The polynomial does not depend
     on the link, so cells that differ only in ``(k, b)`` share it, and each
     distinct polynomial is solved once; a cell's result does not depend on
     the other cells in the batch. The candidates are E = 0, E = 100 and every real root
@@ -344,22 +345,11 @@ def optimal_ese_mv_batch(w, cells) -> list[Optimum]:
     scale. An error about a cell carries the cell's index in ``cell``: the
     first failing check names its first failing cell.
     """
-    w = None if w is None else _repayment(w)
     ph, pl, principal, gamma, c, k, b = np.array(
         [(params.high_revenue, params.low_revenue, params.loan * (1.0 + params.epsilon),
           gamma, cost.c, link.k, link.b) for params, gamma, cost, link in cells],
         dtype=float).reshape(-1, 7).T
-    _risk_aversion(gamma)
-    if w is None:
-        _raise_first(b <= 0.0, DomainError, "endogenous repayment requires b > 0 so "
-                     "the success probability is positive at every score")
-        # the break-even w is largest at the lowest score, e = b
-        with np.errstate(over="ignore"):
-            top_w = principal / _coverage(b, 2)
-        _raise_first(~np.isfinite(top_w), DomainError, "w must be finite, got {!r}", top_w)
-    else:
-        top_w = np.full_like(b, w)
-    _check_float_range(top_w, ph, pl, gamma, c)
+    w = _check(w, ph, pl, gamma, c, principal, b)
     s, table = _outcome_table(ph, pl, principal, w)
     # dU/de = (N' s - 2 N s') / s^3 with s > 0 on (0, 1]
     N = _scaled_utility(_poly(0.0, 1.0), s, table, gamma, c, _pmul)

@@ -388,6 +388,13 @@ def _check_profit_bound(largest, w) -> None:
                  "the outcome profits overflow the float range at w={!r}", w)
 
 
+def _enumerable(n) -> int:
+    """`_group_size` for the enumeration, which stops at ``MAX_ENUM_GROUP``."""
+    if _group_size(n) > MAX_ENUM_GROUP:
+        raise DomainError(f"enumeration supports n <= {MAX_ENUM_GROUP}")
+    return int(n)
+
+
 def _outcomes(e, n: int, w: float, params: MarketParams):
     """A member's ``n + 1`` outcomes as ``(probabilities, profits)``.
 
@@ -401,9 +408,7 @@ def _outcomes(e, n: int, w: float, params: MarketParams):
     underflow to 0 instead of poisoning the row, and ``e = 1`` puts all
     mass on ``k = 0``.
     """
-    n = _group_size(n)
-    if n > MAX_ENUM_GROUP:
-        raise DomainError(f"enumeration supports n <= {MAX_ENUM_GROUP}")
+    n = _enumerable(n)
     e = np.asarray(_require_in("e", e, 0.0, 1.0), dtype=float)
     profits = np.append(_success_profits(n, _repayment(w), params), 0.0)
     k = np.arange(n, dtype=float).reshape((n,) + (1,) * e.ndim)
@@ -422,7 +427,9 @@ def expected_profit_group_sum(E, n: int, w: float, params: MarketParams, cost: C
     [pYh - w - k(w - pYl)/(n-k)]``, less the effort cost. Supported for
     group sizes up to 1000. Agrees with `expected_profit_group` to float
     accuracy; kept separate so the closed form has an independent check.
+    Checks ``n``, ``w`` and the score in `expected_profit_group`'s order.
     """
+    n, w = _enumerable(n), _repayment(w)
     e = success_probability(E, link)
     probabilities, profits = _outcomes(e, n, w, params)
     out = np.tensordot(profits, probabilities, 1) - cost.effort_cost(e)

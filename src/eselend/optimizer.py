@@ -91,8 +91,8 @@ class Optimum:
 def group_objective(E, n, params: MarketParams, cost: CostModel, link: ScoreLink):
     """n-member expected profit with the binding repayment substituted in;
     any real ``n >= 1``, as in `group_foc` (a pair is ``n = 2``)."""
-    return _objective(success_probability(E, link), _group_size(n, real=True),
-                      params, cost)
+    n = _group_size(n, real=True)
+    return _objective(success_probability(E, link), n, params, cost)
 
 
 def _objective(e, n, params: MarketParams, cost: CostModel):
@@ -105,9 +105,11 @@ def group_foc(E, n, params: MarketParams, cost: CostModel, link: ScoreLink):
     """Stationarity residual of `group_objective`, divided through by ``k``.
 
     Analytic in ``n``, so fractional group sizes are allowed here (used for
-    finite-difference validation of the group-size sensitivity).
+    finite-difference validation of the group-size sensitivity). ``n`` is
+    checked before the score, as in `dE_dn`.
     """
-    return _foc(success_probability(E, link), _group_size(n, real=True), params, cost)
+    n = _group_size(n, real=True)
+    return _foc(success_probability(E, link), n, params, cost)
 
 
 def _foc(e, n, params: MarketParams, cost: CostModel):

@@ -23,15 +23,16 @@ missing pairs from its counts.
 A list of `MetricRecord`s is converted to a table and scored the same way.
 
 The metrics reader takes one of two routes. A plain file is split as
-text, one chunk of whole lines (about `_CHUNK_BYTES` bytes) at a time:
-when a chunk holds no quote, NUL or lone carriage return and each of its
-lines has exactly two commas (one pass over its bytes checks this), it is
-decoded on its own and its cells are one ``str.split(",")`` of it with
-newlines turned into commas, checked a whole column at a time. So no more
-than one chunk of the file is held at a time. Any other file, and a plain
-file with a bad record, is streamed from the file one `csv.reader` row at
-a time, as a schema file is, and names the line its first bad record
-starts on.
+text, one chunk of whole lines (about `_CHUNK_BYTES` bytes, or half of
+csv's field limit if that is less) at a time: when a chunk holds no
+quote, NUL or lone carriage return, each of its lines has exactly two
+commas (one translation of its bytes checks both) and no line is longer
+than csv's field limit, it is decoded on its own and its cells are one
+``str.split(",")`` of it with newlines turned into commas, checked a whole
+column at a time. So no more than one chunk of the file is held at a
+time. Any other file, and a plain file with a bad record, is streamed
+from the file one `csv.reader` row at a time, as a schema file is, and
+names the line its first bad record starts on.
 
 File formats: metric records arrive as CSV with header
 ``farmer_id,metric_id,value``; the schema is CSV with header
@@ -361,15 +362,15 @@ def composite_score(records: MetricTable | Iterable[MetricRecord],
 _METRICS_HEADER = ["farmer_id", "metric_id", "value"]
 _SCHEMA_HEADER = ["metric_id", "pillar", "direction", "kind", "weight", "min", "max"]
 _UTF8_BOM = b"\xef\xbb\xbf"
-# Every byte but the comma and the newline, for bytes.translate to delete.
-_NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b",\n")))
+# Every byte but comma, quote, NUL, CR and LF, for bytes.translate to delete.
+_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b',"\0\r\n')))
 # The ASCII characters str.strip() removes, other than LF and CR; any
 # non-ASCII character may be Unicode whitespace as well. A text-split file
 # holds CR only in CRLF, where it ends a line's last cell, which float()
 # reads past.
 _ASCII_SPACE = "\t\x0b\x0c\x1c\x1d\x1e\x1f "
-#: Bytes per chunk of a metrics file; a chunk ends at the first newline
-#: after this many.
+#: Bytes per chunk of a metrics file, or half of csv's field limit if that
+#: is less; a chunk ends at the first newline after this many.
 _CHUNK_BYTES = 262_144
 
 
@@ -386,21 +387,15 @@ def _decode(data: bytes, path: Path, error: type[Exception]) -> str:
                     f"on line {line}") from None
 
 
-def _two_commas_a_line(data: bytes) -> bool:
-    """Whether every line of ``data`` holds exactly two commas: its commas
-    and newlines, in order, must read ``,,\\n`` repeated."""
-    seps = data.translate(None, _NOT_SEPARATOR)
+def _aligned(data: bytes) -> bool:
+    """Whether ``data`` can be split as text: it holds no quote, NUL or
+    lone carriage return, and every line of it has exactly two commas. So,
+    with CRLF folded to LF, its commas, quotes, NULs, carriage returns and
+    newlines, in order, must read ``,,\\n`` repeated."""
+    seps = data.replace(b"\r\n", b"\n").translate(None, _NOT_STRUCTURE)
     if not data.endswith(b"\n"):
         seps += b"\n"  # the last line's end is implied
     return seps == b",,\n" * (len(seps) // 3)
-
-
-def _aligned(data: bytes) -> bool:
-    """Whether ``data`` can be split as text: it holds no quote, NUL or
-    lone carriage return, and every line of it has exactly two commas."""
-    lone_cr = b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
-    return (b'"' not in data and b"\0" not in data and not lone_cr
-            and _two_commas_a_line(data))
 
 
 def _csv_rows(path: Path, error: type[Exception]):
@@ -453,13 +448,14 @@ def _walk(path: Path, error: type[Exception], what: str, parse):
 def read_metrics_csv(path) -> MetricTable:
     """Load metric records, reporting problems with file and line context.
 
-    Blank rows are skipped and cells are stripped. A plain file is read,
-    decoded and split a chunk of whole lines at a time by `_split_table`
-    (see the module docstring). Any other file, and any file the split
-    route cannot turn into a valid table (one with a quote, a blank row,
-    invalid UTF-8 or a bad record), is walked row by row by `_walk`, as a
-    schema is, which raises invalid UTF-8 anywhere first, then a
-    `csv.Error` anywhere, then the first bad header or record, at its line.
+    Blank rows are skipped and cells are stripped. A plain file with no
+    line longer than csv's field limit is read, decoded and split a chunk
+    of whole lines at a time by `_split_table` (see the module docstring).
+    Any other file, and any file the split route cannot turn into a valid
+    table (one with a quote, a blank row, a long line, invalid UTF-8 or a
+    bad record), is walked row by row by `_walk`, as a schema is, which
+    raises invalid UTF-8 anywhere first, then a `csv.Error` anywhere, then
+    the first bad header or record, at its line.
     Either route codes each id once, as it is read.
     """
     path = Path(path)
@@ -472,27 +468,30 @@ def _split_table(file) -> MetricTable | None:
     """The table of an aligned metrics file, or None.
 
     The header line and then each run of whole lines that ends at the
-    first newline after `_CHUNK_BYTES` bytes are decoded on their own and
-    split with one ``str.split(",")``, newlines turned into commas; cells
-    are stripped where an id may hold whitespace. Each column's ids are
-    coded by one `_coder` that lives for the whole file. None at the
-    first run that is not aligned or not valid UTF-8, a bad header, a bad
-    record, or a file with no records.
+    first newline after `_CHUNK_BYTES` bytes, or half of csv's field limit
+    if that is less, are decoded on their own and split with one
+    ``str.split(",")``, newlines turned into commas; cells are stripped
+    where an id may hold whitespace. Each column's ids are coded by one
+    `_coder` that lives for the whole file. None at the first run that is
+    not aligned, not valid UTF-8 or cut mid-line before the end of the
+    file (the header and a run's last line are read half the field limit
+    at a time, so no split line is longer than the limit), a bad header,
+    a bad record, or a file with no records.
     """
     farmers, metrics = _coder(), _coder()
     farmer_codes, metric_codes, values = [], [], []
     header = True
-    data = file.readline().removeprefix(_UTF8_BOM)
+    tail = csv.field_size_limit() // 2
+    data = file.readline(tail).removeprefix(_UTF8_BOM)
     while data:
+        whole = data.endswith(b"\n") or not file.peek(1)  # no line cut at the bound
         try:
-            text = str(data, "utf-8") if _aligned(data) else None
+            text = str(data, "utf-8") if whole and _aligned(data) else None
         except UnicodeDecodeError:
             text = None
         if text is None:
             return None
-        cells = text.replace("\n", ",").split(",")
-        if text.endswith("\n"):
-            cells.pop()
+        cells = text.removesuffix("\n").replace("\n", ",").split(",")
         if not text.isascii() or any(ch in text for ch in _ASCII_SPACE):
             cells = [cell.strip() for cell in cells]
         if header:  # CRLF leaves "\r" on its last cell
@@ -511,7 +510,7 @@ def _split_table(file) -> MetricTable | None:
                 return None
             if not np.isfinite(values[-1]).all():
                 return None
-        data = file.read(_CHUNK_BYTES) + file.readline()
+        data = file.read(min(_CHUNK_BYTES, tail)) + file.readline(tail)
     if not values:
         return None
     # One column at a time, so each one's chunks go before the next is joined.

@@ -182,6 +182,31 @@ def test_only_errors_sets_a_cell():
                 f"{path.name}:{node.lineno} assigns .cell")
 
 
+def _docstrings(tree):
+    """The docstring nodes of a module and of its classes and functions."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                yield first.value
+
+
+def test_only_check_spells_the_mean_variance_checks():
+    """No code in mean_variance.py but `mean_variance._check` holds a gamma,
+    break-even ``b`` or float-range message, so every entry point reports
+    its checks in the one order that routine writes down."""
+    tree = ast.parse((SRC / "mean_variance.py").read_text(encoding="utf-8"))
+    skip = {id(node) for node in _docstrings(tree)}
+    for function in tree.body:
+        if isinstance(function, ast.FunctionDef) and function.name == "_check":
+            skip |= {id(node) for node in ast.walk(function)}
+    for node in ast.walk(tree):
+        if (id(node) not in skip and isinstance(node, ast.Constant)
+                and isinstance(node.value, str)):
+            for phrase in ("gamma must", "overflows the float range", "requires b > 0"):
+                assert phrase not in node.value, f"line {node.lineno} spells {phrase!r}"
+
+
 # ----------------------------------------------------------------------
 # batch cell naming
 # ----------------------------------------------------------------------
@@ -289,14 +314,45 @@ def test_a_bad_cell_is_named_by_its_index(data):
 def test_the_first_failing_check_names_the_cell():
     """With two different bad cells, the check that comes first in the
     batch's order names its first failing cell, even when the other bad
-    cell comes earlier: gamma before the float range, e before w."""
+    cell comes earlier: gamma before the float range, gamma before
+    ``b > 0``, the break-even w before the float range, e before w."""
     cells = [_mv_cell(), _mv_cell(c=1.7e308), _mv_cell(-1.0)]
     with pytest.raises(eselend.DomainError, match="^gamma must be >= 0$") as got:
         _mv_fixed(cells)
     assert got.value.cell == 2
+    cells = [_mv_cell(), _mv_cell(link=_ZERO_START), _mv_cell(-1.0)]
+    with pytest.raises(eselend.DomainError, match="^gamma must be >= 0$") as got:
+        _mv_break_even(cells)
+    assert got.value.cell == 2
+    cells = [_mv_cell(), _mv_cell(c=1.7e308),
+             _mv_cell(link=eselend.ScoreLink(k=0.005, b=1e-320))]
+    with pytest.raises(eselend.DomainError, match="^w must be finite, got inf$") as got:
+        _mv_break_even(cells)
+    assert got.value.cell == 2
     with pytest.raises(eselend.DomainError, match=r"^e must lie in \[0.0, 1.0\]$") as got:
         _simulate([(0.5, 150.0), (0.5, -1.0), (1.5, 150.0)])
     assert got.value.cell == 2
+
+
+_GROUP_ROUTINES_WITH_W = ("expected_profit_group", "expected_profit_group_sum")
+_GROUP_ROUTINES = _GROUP_ROUTINES_WITH_W + ("group_objective", "group_foc", "dE_dn")
+
+
+@pytest.mark.parametrize("name, spoiled, message", [
+    *((name, {"n": 0, "w": -1.0}, "^group size n must be >= 1$") for name in _GROUP_ROUTINES),
+    ("expected_profit_group_sum", {"n": 1001, "w": -1.0},
+     "^enumeration supports n <= 1000$"),
+    *((name, {"w": -1.0}, "^w must be > 0$") for name in _GROUP_ROUTINES_WITH_W),
+    *((name, {}, r"^score E must lie in \[0.0, 100.0\]$") for name in _GROUP_ROUTINES),
+])
+def test_group_routines_check_n_then_w_then_the_score(name, spoiled, message):
+    """With the score out of range, every group routine that takes one
+    reports a bad ``n`` first, then a bad ``w`` where it takes one, and
+    the score last; a routine without ``w`` ignores the spoiled one."""
+    function = getattr(eselend, name)
+    given = {**_VALID, "E": -1.0, **spoiled}
+    with pytest.raises(eselend.DomainError, match=message):
+        function(**{param: given[param] for param in inspect.signature(function).parameters})
 
 
 # The public functions whose E or e may be an array.

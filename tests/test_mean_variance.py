@@ -464,10 +464,10 @@ class TestOptimalEseMvBatch:
 
     def test_entry_checks_do_not_grow_with_the_batch(self, monkeypatch):
         """A 315-cell break-even batch checks its entries with as many calls
-        of `binding_repayment` and `_check_float_range` as a one-cell batch:
+        of `binding_repayment` and `_check` as a one-cell batch:
         the checks run on arrays, not cell by cell."""
         calls = Counter()
-        for name in ("binding_repayment", "_check_float_range"):
+        for name in ("binding_repayment", "_check"):
             def counted(*args, _real=getattr(mean_variance, name), _name=name):
                 calls[_name] += 1
                 return _real(*args)

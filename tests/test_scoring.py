@@ -359,6 +359,8 @@ _SHORT = "metric_id,pillar,direction,kind\n"
 _LONG = "metric_id,pillar,direction,kind,weight,min,max\n"
 # A quoted cell over csv's 131,072-character field limit: a csv.Error.
 _OVERSIZED = '"' + "x" * 140_000 + '"'
+# The same cell unquoted, in a file the text splitter would otherwise take.
+_OVERSIZED_PLAIN = "farmer_id,metric_id,value\n" + "x" * 140_000 + ",soil,1\n"
 
 
 class TestCsvCodecs:
@@ -692,9 +694,11 @@ _BAD_ROWS = st.sampled_from([
     "F1,soil,nan", "F1,soil,-inf", "F1,soil,1e999",  # non-finite values
     "F1,soil,abc", "F1,soil,", "F1,soil,1 2",      # not numbers
     "F1,so\x00il,1",                               # a NUL
+    "F1,so\ril,1",                                 # a lone CR inside a row
     '"F1,soil",1', '"F1",soil,"1"',                # quoted cells
     '"F1\nF2",soil,1',                              # a quoted newline
     _OVERSIZED + ",soil,1",                        # a cell over csv's limit
+    "x" * 140_000 + ",soil,1",                     # ... unquoted
 ])
 _LINE_ENDS = st.sampled_from(["\n", "\n", "\r\n", "\r"])
 
@@ -756,6 +760,8 @@ class TestColumnarMatchesReference:
              normalization="MIN_MAX")
     @example(text='farmer_id,metric_id,value\n"F\n0",soil,1\nF0,water,abc\n',
              normalization="MIN_MAX")
+    @example(text=_OVERSIZED_PLAIN, normalization="MIN_MAX")
+    @example(text="farmer_id,metric_id,value\nF1,so\ril,1\n", normalization="MIN_MAX")
     @settings(max_examples=600,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_same_scores_or_same_error(self, tmp_path, text, normalization):
@@ -1033,6 +1039,19 @@ class TestChunkedReads:
         with pytest.raises(DataError) as excinfo:
             read_metrics_csv(path)
         assert str(excinfo.value) == f"{path}:1002: value 'abc' is not a number"
+
+    def test_a_line_cut_by_the_read_bound_is_walked(self, tmp_path):
+        """The reader takes a line half of csv's field limit at a time. A
+        longer line, cut there into two runs that would each split as a
+        record, goes to the walk instead, which names its five fields."""
+        tail = csv.field_size_limit() // 2
+        cut = min(scoring._CHUNK_BYTES, tail) + tail
+        line = "F1,soil," + "0" * (cut - len("F1,soil,")) + "F2,water,1"
+        path = tmp_path / "metrics.csv"
+        path.write_text("farmer_id,metric_id,value\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(DataError) as excinfo:
+            read_metrics_csv(path)
+        assert str(excinfo.value) == f"{path}:2: expected 3 fields, got 5"
 
     @pytest.mark.parametrize("bad", [b"\xff", b"\xe2\n", b"\xe2\x82"],
                              ids=["stray", "cut-by-newline", "cut-by-end"])
