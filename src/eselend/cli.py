@@ -452,7 +452,7 @@ def cmd_simulate(settings: dict) -> int:
         if diff == 0.0:
             z = 0.0
         elif result.std_error_mean == 0.0:
-            z = math.inf
+            z = math.copysign(math.inf, diff)
         else:
             z = diff / result.std_error_mean
         rows.append([e, n, result.trials, result.seed,

@@ -11,10 +11,10 @@ polynomial forms in ``e`` with ``A = pYh - w`` and ``B = pYh + pYl - 2w``:
 `profit_moments_pair` checks both against the enumeration and raises
 InvariantViolation if they disagree beyond floating-point noise.
 
-The optimizer reads the pair outcome table instead: the member earns
-``A s`` with probability ``e^2`` and ``B s`` with probability ``e(1-e)``,
-with ``s = 1`` for a fixed ``w`` and ``s = e(2-e)`` for the break-even
-``w = L(1+eps)/s``, which every solver here takes as ``w=None``. One
+The optimizer reads the pair outcome table instead, profits times ``s``
+with ``o = w s`` owed: ``pYh s - o`` with probability ``e^2``, ``(pYh +
+pYl) s - 2 o`` with ``e(1-e)``. A fixed ``w`` has ``s = 1``; the break-even
+``w=None`` of every solver here has ``s = e(2-e)``, ``o = L(1+eps)``. One
 builder turns the table into the polynomial ``N = s^2 U``, so the maximizer
 on the score range is an endpoint or a real root of ``N' s - 2 N s'``.
 `optimal_ese_mv_batch` finds the roots of a whole sweep at once
@@ -28,8 +28,6 @@ calibration and fixed ``w`` are at the bottom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, EvaluationError, InvariantViolation, _raise_first
@@ -37,10 +35,10 @@ from .model_core import (
     PROFIT_BOUND,
     CostModel,
     MarketParams,
+    Moments,
     ScoreLink,
     _coverage,
     _repayment,
-    _require_finite,
     _require_in,
     binding_repayment,
     success_probability,
@@ -48,7 +46,6 @@ from .model_core import (
 from .optimizer import Optimum, _snap_tolerance
 
 __all__ = [
-    "Moments",
     "profit_moments_pair",
     "mv_utility",
     "mv_foc",
@@ -60,27 +57,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Moments:
-    """Mean and variance of a member's repayment-stage profit."""
-
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        _require_finite("mean", self.mean)
-        _require_finite("variance", self.variance)
-        if self.variance < 0:
-            raise DomainError("variance must be >= 0")
-
-
 def _check(w, ph, pl, gamma, c, principal=None, b=None):
     """Check a mean-variance problem, each argument a float or one value per
-    cell, in the order every entry point reports: ``w`` finite, then > 0;
-    gamma finite, then >= 0; for the break-even ``w=None`` only, ``b > 0``
-    and a finite break-even ``w`` at ``e = b`` (its largest); last, the
-    float range at that ``w`` or the fixed one, broadcast to the cells,
-    naming ``w``, gamma, then c. Returns the checked ``w``.
+    cell, in the order every entry point reports: ``w`` (``None`` only with
+    a principal) finite, then > 0; gamma finite, then >= 0; for the
+    break-even ``w=None`` only, ``b > 0`` and a finite ``w`` at ``e = b``
+    (its largest); last, the float range at that ``w`` or the fixed one,
+    broadcast to the cells, naming ``w``, gamma, then c. Returns ``w``.
 
     ``M = max(pYh + pYl, 2w, 1)`` bounds ``A`` and ``B``; ``2w``, like the
     revenue in `MarketParams`, must stay within `PROFIT_BOUND`. The moments
@@ -90,6 +73,8 @@ def _check(w, ph, pl, gamma, c, principal=None, b=None):
     """
     if w is not None:
         w = _repayment(w)
+    elif principal is None:
+        raise DomainError("w must be a number; optimal_ese_mv solves the break-even w=None")
     _raise_first(~np.isfinite(gamma), DomainError, "gamma must be finite, got {!r}", gamma)
     _raise_first(gamma < 0, DomainError, "gamma must be >= 0")
     overflow = "the mean-variance utility overflows the float range at "
@@ -254,15 +239,13 @@ def _peval(p, e):
 def _outcome_table(ph, pl, principal, w):
     """The pair outcome table (module docstring) as polynomials in ``e``:
     ``s`` and rows ``(P, X)``, an outcome's probability and its profit times
-    ``s``. ``w=None`` is the break-even ``w = principal / s``."""
-    if w is None:
-        s = _poly(0.0, 2.0, -1.0)
-        a_s = _poly(-principal, 2.0 * ph, -ph)
-        b_s = _poly(-2.0 * principal, 2.0 * (ph + pl), -(ph + pl))
-    else:
-        s = _poly(1.0)
-        a_s, b_s = _poly(ph - w), _poly(ph + pl - 2.0 * w)
-    return s, ((_poly(0.0, 0.0, 1.0), a_s), (_poly(0.0, 1.0, -1.0), b_s))
+    ``s``: ``pYh s - o`` and ``(pYh + pYl) s - 2 o``, ``o = w s`` owed. A
+    fixed ``w`` has ``s = 1``; the break-even ``w=None`` has ``s = e(2-e)``
+    and ``o = principal``."""
+    s = _poly(0.0, 2.0, -1.0) if w is None else _poly(1.0)
+    owed = _poly(principal) if w is None else w * s
+    return s, ((_poly(0.0, 0.0, 1.0), ph * s - owed),
+               (_poly(0.0, 1.0, -1.0), (ph + pl) * s - 2.0 * owed))
 
 
 def _scaled_utility(e, s, rows, gamma, c, mul):

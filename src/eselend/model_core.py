@@ -40,6 +40,7 @@ __all__ = [
     "ScoreLink",
     "CostModel",
     "ProfitDistribution",
+    "Moments",
     "success_probability",
     "binding_repayment",
     "loan_ceiling_affordability",
@@ -252,6 +253,20 @@ class ProfitDistribution:
 
     def __len__(self) -> int:
         return len(self.probabilities)
+
+
+@dataclass(frozen=True)
+class Moments:
+    """Mean and variance of a member's repayment-stage profit."""
+
+    mean: float
+    variance: float
+
+    def __post_init__(self):
+        _require_finite("mean", self.mean)
+        _require_finite("variance", self.variance)
+        if self.variance < 0:
+            raise DomainError("variance must be >= 0")
 
 
 # ----------------------------------------------------------------------

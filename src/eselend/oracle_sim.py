@@ -43,9 +43,9 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .mean_variance import Moments
 from .model_core import (
     MarketParams,
+    Moments,
     ProfitDistribution,
     _group_size,
     _repayment,

@@ -371,7 +371,7 @@ _NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b',"\0\r\n')))
 _ASCII_SPACE = "\t\x0b\x0c\x1c\x1d\x1e\x1f "
 #: Bytes per chunk of a metrics file, or half of csv's field limit if that
 #: is less; a chunk ends at the first newline after this many.
-_CHUNK_BYTES = 262_144
+_CHUNK_BYTES = 65_536
 
 
 def _decode(data: bytes, path: Path, error: type[Exception]) -> str:

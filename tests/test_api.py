@@ -182,6 +182,20 @@ def test_only_errors_sets_a_cell():
                 f"{path.name}:{node.lineno} assigns .cell")
 
 
+def test_simulator_imports_no_solver():
+    """The simulator is an independent oracle: of the package, oracle_sim.py
+    imports only `errors` and `model_core`, not the solvers it checks."""
+    tree = ast.parse((SRC / "oracle_sim.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert {name for name in imported if name.startswith((".", "eselend"))} == {
+        ".errors", ".model_core"}
+
+
 def _docstrings(tree):
     """The docstring nodes of a module and of its classes and functions."""
     for node in ast.walk(tree):

@@ -546,6 +546,17 @@ class TestSimulate:
         assert err.startswith("error: e=0.5, n=2: simulated mean deviates")
         assert "standard errors (limit 4)" in err
 
+    def test_zero_error_miss_keeps_its_sign(self, tmp_path, capsys):
+        """One trial at seed 42 fails, so the simulated mean 0 has no
+        spread and lies below the exact 520: z is -inf, not inf, and the
+        cell exits 4 by inf standard errors."""
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--trials", "1", "--e-grid", "0.5",
+                     "--n-set", "2", "--out", str(out)]) == 4
+        _, _, rows = _read_rows(out)
+        assert rows == [["0.5", "2", "1", "42", "0", "520", "0", "286600", "-inf"]]
+        assert "by inf standard errors" in capsys.readouterr().err
+
     def test_failing_cell_is_named(self, tmp_path, monkeypatch, capsys):
         """An error the simulator raises for one e is prefixed with its
         (e, n) cell and exits 2 before anything is written."""

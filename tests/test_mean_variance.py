@@ -34,7 +34,7 @@ from eselend import (
     slope_for_baseline,
     success_probability,
 )
-from eselend import cli, mean_variance
+from eselend import cli, mean_variance, model_core
 from oracles import RootCounter
 
 BASE = MarketParams(p=1.0, y_high=1000.0, y_low=500.0, loan=100.0,
@@ -578,6 +578,19 @@ class TestCheckOrder:
         with pytest.raises(DomainError, match="score E"):
             _ENTRY_POINTS[entry](150.0, 150.0, 0.5, COST)
 
+    @pytest.mark.parametrize("call", [
+        lambda: profit_moments_pair(0.5, None, BASE),
+        lambda: _ENTRY_POINTS["mv_utility"](50.0, None, -1.0, COST),
+        lambda: _ENTRY_POINTS["mv_foc"](50.0, None, -1.0, COST),
+    ], ids=["profit_moments_pair", "mv_utility", "mv_foc"])
+    def test_one_cell_calls_name_a_break_even_w(self, call):
+        """The one-cell calls take a number ``w`` only: ``w=None``, the
+        break-even repayment, raises DomainError naming ``w`` (before a
+        bad gamma), not a TypeError from comparing None with a float."""
+        with pytest.raises(DomainError, match="^w must be a number; optimal_ese_mv "
+                           "solves the break-even w=None$"):
+            call()
+
 
 class TestRealRoots:
     """The batched root finder against one-row calls and exact counts."""
@@ -653,6 +666,34 @@ class TestUtilityBuilder:
             utility = mv_utility(E, w_i, params, gamma, cost, link)
             for value in values:
                 assert abs(value - utility) <= 1e-9 * max(1.0, abs(utility))
+
+
+class TestOutcomeTable:
+    """The engine's pair outcome table against the model's one
+    enumeration of a member's outcomes."""
+
+    @given(data=st.data(), endogenous=st.booleans(),
+           scores=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=8))
+    @settings(max_examples=300)
+    def test_rows_are_the_pair_enumeration(self, data, endogenous, scores):
+        """At random scores of a random cell, in both repayment modes, each
+        row of `_outcome_table` at ``e`` is the matching n = 2 success row
+        of `model_core._outcomes`, its profit times ``s``, at ``w`` or the
+        break-even `binding_repayment`: probabilities within 1e-12, profits
+        within 1e-12 of ``pYh + pYl``."""
+        w, params, _, _, link = _draw_cell(data, endogenous)
+        ph, pl = params.high_revenue, params.low_revenue
+        s, table = mean_variance._outcome_table(
+            np.array([ph]), np.array([pl]),
+            np.array([params.loan * (1.0 + params.epsilon)]), w)
+        for e in success_probability(np.array(scores), link).tolist():
+            w_e = binding_repayment(e, 2, params) if endogenous else w
+            probabilities, profits = model_core._outcomes(e, 2, w_e, params)
+            s_e = mean_variance._peval(s, e)[0]
+            assert len(table) == len(profits) - 1
+            for (P, X), q, x in zip(table, probabilities, profits):
+                assert abs(mean_variance._peval(P, e)[0] - q) <= 1e-12
+                assert abs(mean_variance._peval(X, e)[0] - x * s_e) <= 1e-12 * (ph + pl)
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ The bundled sample schema (36 metrics: 11 environmental, 6 social,
 import csv
 import dataclasses
 import importlib.resources as resources
+import io
 import math
 import tracemalloc
 
@@ -1039,6 +1040,30 @@ class TestChunkedReads:
         with pytest.raises(DataError) as excinfo:
             read_metrics_csv(path)
         assert str(excinfo.value) == f"{path}:1002: value 'abc' is not a number"
+
+    def test_each_run_reads_chunk_bytes(self, tmp_path):
+        """At csv's default field limit every run after the header is one
+        ``read`` of `_CHUNK_BYTES`, so the constant is the size the split
+        route reads and not a bound that half the field limit overrides."""
+        class RecordedReads(io.BufferedReader):
+            def __init__(self, raw):
+                super().__init__(raw)
+                self.sizes = []
+
+            def read(self, size=-1):
+                self.sizes.append(size)
+                return super().read(size)
+
+        text = _cohort_text(6000)
+        assert len(text) > 4 * (csv.field_size_limit() // 2)
+        path = tmp_path / "metrics.csv"
+        path.write_text(text, encoding="utf-8")
+        with RecordedReads(io.FileIO(path)) as file:
+            table = scoring._split_table(file)
+            sizes = file.sizes
+        assert len(table.values) == text.count("\n") - 1
+        assert len(sizes) > 4
+        assert set(sizes) == {scoring._CHUNK_BYTES}
 
     def test_a_line_cut_by_the_read_bound_is_walked(self, tmp_path):
         """The reader takes a line half of csv's field limit at a time. A
