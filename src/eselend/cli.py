@@ -59,6 +59,7 @@ from .optimizer import ese_limit, optimal_ese_group_batch
 from .oracle_sim import SimConfig, enumerate_member_profit, simulate_member_profit_batch
 from .scoring import (
     NORMALIZATIONS,
+    _csv_quote,
     composite_score,
     read_metrics_csv,
     read_schema_csv,
@@ -249,13 +250,6 @@ def _provenance(command: str, settings: dict) -> str:
         f"{key}={_fmt(value)}" for key, value in sorted(settings.items())
         if key not in ("out", "plot_data")
     )
-
-
-def _csv_quote(text: str) -> str:
-    """A field as csv.writer writes it beside others (QUOTE_MINIMAL)."""
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
 
 
 def _write_output(settings: dict, command: str, table: dict) -> None:

@@ -62,7 +62,12 @@ class InvariantViolation(EselendError, RuntimeError):
 
 def _raise_first(bad, error, message, *values):
     """Raise ``error(message)`` for the first cell flagged in ``bad``, formatted
-    with the cell's entries of ``values`` as floats; an array names the cell."""
+    with the cell's entries of ``values`` as floats; an array names the cell.
+    A scalar ``bad`` (a bool or numpy bool) is tested without array calls."""
+    if isinstance(bad, (bool, np.bool_)):
+        if bad:
+            raise error(message.format(*map(float, values)))
+        return
     for i in np.flatnonzero(bad)[:1]:
         exc = error(message.format(*(float(np.broadcast_to(v, np.shape(bad)).flat[i])
                                      for v in values)))

@@ -75,10 +75,15 @@ def _require_finite(name: str, value: float) -> float:
 
 def _require_in(name: str, value, lo: float, hi: float):
     """Check that ``value``, or each entry of it, lies in [lo, hi] (NaN does
-    not); returns it as a float or a float array, which names its cell."""
-    value = np.asarray(value, dtype=float) if np.ndim(value) else float(value)
-    _raise_first(np.logical_not((value >= lo) & (value <= hi)), DomainError,
-                 f"{name} must lie in [{lo}, {hi}]")
+    not); returns it as a float or a float array, which names its cell. A
+    Python float or int is checked without numpy."""
+    if isinstance(value, (float, int)):
+        value = float(value)
+        bad = not lo <= value <= hi
+    else:
+        value = np.asarray(value, dtype=float) if np.ndim(value) else float(value)
+        bad = np.logical_not((value >= lo) & (value <= hi))
+    _raise_first(bad, DomainError, f"{name} must lie in [{lo}, {hi}]")
     return value
 
 

@@ -332,8 +332,8 @@ def optimal_ese_group_batch(ns, params: MarketParams, cost: CostModel,
         values = _objective(success_probability(np.zeros_like(n), link), n, params, cost)
         return [Optimum(0.0, True, value) for value in values.tolist()]
 
-    def g(E, n):
-        return _foc(success_probability(E, link), n, params, cost)
+    def g(E, n):  # E lies in [0, 100]: an endpoint or a bisection midpoint
+        return _foc(np.clip(link.k * E + link.b, 0.0, 1.0), n, params, cost)
 
     # g is monotone, so finite endpoint values bound it everywhere between.
     # A size too large for them overflows; the check below names it.

@@ -26,24 +26,26 @@ The metrics reader takes one of two routes. A plain file is split as
 text, one chunk of whole lines (about `_CHUNK_BYTES` bytes, or half of
 csv's field limit if that is less) at a time: when a chunk holds no
 quote, NUL or lone carriage return, each of its lines has exactly two
-commas (one translation of its bytes checks both) and no line is longer
-than csv's field limit, it is decoded on its own and its cells are one
-``str.split(",")`` of it with newlines turned into commas, checked a whole
-column at a time. So no more than one chunk of the file is held at a
-time. Any other file, and a plain file with a bad record, is streamed
-from the file one `csv.reader` row at a time, as a schema file is, and
-names the line its first bad record starts on.
+commas (one translation of its bytes checks both, after CRLF is folded
+to LF in a chunk that holds a carriage return; no other chunk is copied)
+and no line is longer than csv's field limit, it is decoded on its own
+and its cells are one ``str.split(",")`` of it with newlines turned into
+commas, checked a whole column at a time. So no more than one chunk of
+the file is held at a time. Any other file, and a plain file with a bad
+record, is streamed from the file one `csv.reader` row at a time, as a
+schema file is, and names the line its first bad record starts on.
 
 File formats: metric records arrive as CSV with header
 ``farmer_id,metric_id,value``; the schema is CSV with header
 ``metric_id,pillar,direction,kind,weight,min,max`` (the last three columns
 may be blank); scores leave as CSV with header ``farmer_id,score`` and four
-decimal places. Input files are UTF-8, with an optional byte-order mark.
-Malformed metric data raises DataError, malformed schema raises
-ConfigError, both with file and line context. Of several faults in a
-file, the one reported is the first in this order: invalid UTF-8
-anywhere, then a `csv.Error` anywhere (such as a cell over csv's field
-limit), then the first bad header or row.
+decimal places, in the bytes csv.writer writes: ids quoted only where
+QUOTE_MINIMAL quotes them, and CRLF rows. Input files are UTF-8, with an
+optional byte-order mark. Malformed metric data raises DataError,
+malformed schema raises ConfigError, both with file and line context. Of
+several faults in a file, the one reported is the first in this order:
+invalid UTF-8 anywhere, then a `csv.Error` anywhere (such as a cell over
+csv's field limit), then the first bad header or row.
 """
 
 from __future__ import annotations
@@ -391,8 +393,11 @@ def _aligned(data: bytes) -> bool:
     """Whether ``data`` can be split as text: it holds no quote, NUL or
     lone carriage return, and every line of it has exactly two commas. So,
     with CRLF folded to LF, its commas, quotes, NULs, carriage returns and
-    newlines, in order, must read ``,,\\n`` repeated."""
-    seps = data.replace(b"\r\n", b"\n").translate(None, _NOT_STRUCTURE)
+    newlines, in order, must read ``,,\\n`` repeated. Only a run that holds
+    a carriage return is folded; any other run has no CRLF to fold."""
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+    seps = data.translate(None, _NOT_STRUCTURE)
     if not data.endswith(b"\n"):
         seps += b"\n"  # the last line's end is implied
     return seps == b",,\n" * (len(seps) // 3)
@@ -591,18 +596,26 @@ def _parse_schema(path: Path, header: list[str], rows: Iterable[tuple]) -> list[
     return metrics
 
 
+def _csv_quote(text: str) -> str:
+    """A field as csv.writer writes it beside others (QUOTE_MINIMAL): one
+    that holds a comma, quote, CR or LF is quoted, its quotes doubled."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_scores_csv(path, scores: Mapping[str, float],
                      header_comment: str | None = None) -> None:
-    """Write ``farmer_id,score`` rows, scores at four decimal places.
+    """Write ``farmer_id,score`` rows, farmers sorted, scores at four
+    decimal places: csv.writer's bytes, each id quoted by `_csv_quote`
+    (QUOTE_MINIMAL) and every row ended by CRLF.
 
     header_comment, when given, is emitted verbatim as the first line
     (callers use it for a ``#`` provenance comment).
     """
-    path = Path(path)
+    farmers = sorted(scores)
+    rows = zip(map(_csv_quote, farmers), map(scores.__getitem__, farmers))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if header_comment is not None:
             fh.write(header_comment + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["farmer_id", "score"])
-        for farmer in sorted(scores):
-            writer.writerow([farmer, f"{scores[farmer]:.4f}"])
+        fh.write("farmer_id,score\r\n" + "".join(map("%s,%.4f\r\n".__mod__, rows)))

@@ -6,6 +6,7 @@ Expected values quoted in docstrings are hand computations from the model
 formulas; each test states the arithmetic it pins down.
 """
 
+import math
 import warnings
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from eselend import (
     simulate_member_profit_batch,
     success_probability,
 )
+from eselend import errors, model_core
 from eselend.model_core import PROFIT_BOUND, _coverage
 
 BASE = MarketParams(p=1.0, y_high=1000.0, y_low=500.0, loan=100.0,
@@ -171,6 +173,47 @@ class TestSuccessProbability:
             success_probability(-1.0, link)
         with pytest.raises(DomainError):
             success_probability(100.5, link)
+
+
+class TestScalarChecks:
+    """A Python float or int is range-checked with plain comparisons, and
+    a failing scalar gets the message an array entry gets, naming no cell."""
+
+    def test_in_range_scalar_makes_no_numpy_call(self, monkeypatch):
+        def numpy_called(*args, **kwargs):
+            raise AssertionError("a scalar check called numpy")
+
+        for name in ("asarray", "ndim", "logical_not", "flatnonzero", "broadcast_to"):
+            monkeypatch.setattr(np, name, numpy_called)
+        for value in (0.5, 0, 1, True, np.float64(0.25)):
+            checked = model_core._require_in("e", value, 0.0, 1.0)
+            assert type(checked) is float and checked == value
+        errors._raise_first(False, DomainError, "never raised")
+        errors._raise_first(np.False_, DomainError, "never raised")
+
+    @pytest.mark.parametrize("value", [1.5, 2, -1, np.float64(-0.5), math.nan,
+                                       np.float64(math.nan), np.float32(2.0),
+                                       np.int64(3)])
+    def test_out_of_range_scalar_fails_as_an_array_entry(self, value):
+        with pytest.raises(DomainError) as scalar:
+            model_core._require_in("e", value, 0.0, 1.0)
+        with pytest.raises(DomainError) as array:
+            model_core._require_in("e", np.array([0.5, value]), 0.0, 1.0)
+        assert str(scalar.value) == str(array.value) == "e must lie in [0.0, 1.0]"
+        assert (scalar.value.cell, array.value.cell) == (None, 1)
+
+    @pytest.mark.parametrize("w", [math.nan, -math.inf, np.float64(math.inf)])
+    def test_scalar_message_formats_its_value(self, w):
+        with pytest.raises(DomainError) as scalar:
+            model_core._repayment(w)
+        with pytest.raises(DomainError) as array:
+            model_core._repayment(np.array([1.0, w]))
+        assert str(scalar.value) == str(array.value) == f"w must be finite, got {float(w)!r}"
+        assert (scalar.value.cell, array.value.cell) == (None, 1)
+        with pytest.raises(DomainError) as direct:
+            errors._raise_first(np.True_, DomainError, "w must be finite, got {!r}",
+                                np.float64(w))
+        assert str(direct.value) == str(scalar.value)
 
 
 # ----------------------------------------------------------------------

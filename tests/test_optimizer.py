@@ -32,6 +32,7 @@ from eselend import (
     optimal_ese_group_batch,
     optimal_ese_pair,
     optimal_ese_pair_as_printed,
+    optimizer,
 )
 
 BASE = MarketParams(p=1.0, y_high=1000.0, y_low=500.0, loan=100.0,
@@ -336,6 +337,32 @@ class TestOptimalEseGroupBatch:
                                match=r"FOC is not finite at E=0\.0") as excinfo:
                 optimal_ese_group_batch([2, 1e308, 3], BASE, COST, LINK)
         assert excinfo.value.cell == 1
+
+    def test_checks_scores_once_per_batch(self, monkeypatch):
+        """Bisection midpoints lie in [0, 100] by construction, so the
+        bisection applies the link unchecked: `success_probability` runs
+        once per batch, for the optima's values, whatever the number of
+        FOC evaluations."""
+        calls = {"success_probability": 0, "_foc": 0}
+
+        def counted(name):
+            original = getattr(optimizer, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(optimizer, name, counted(name))
+        foc_evals = set()
+        for sizes, cost in (([2], COST), ([2, 3, 40.25, 1000], COST),
+                            ([3], CostModel(c=100.0))):
+            calls.update(success_probability=0, _foc=0)
+            optimal_ese_group_batch(sizes, BASE, cost, LINK)
+            assert calls["success_probability"] == 1
+            foc_evals.add(calls["_foc"])
+        assert min(foc_evals) == 2 < max(foc_evals)
 
     @given(data=st.data())
     @settings(max_examples=300)

@@ -1150,3 +1150,84 @@ class TestChunkedReads:
             assert table.farmers[table.farmer_codes[0]] == "farmer_00000"
             assert peak < peak_ratio * size
             assert held < 1.5 * size
+
+
+# ----------------------------------------------------------------------
+# the split route's alignment check and the scores writer
+# ----------------------------------------------------------------------
+
+
+def _reference_aligned(data):
+    """`scoring._aligned` as it was before it skipped the CRLF fold of a
+    run with no carriage return, kept as its reference: every run folded."""
+    seps = data.replace(b"\r\n", b"\n").translate(None, scoring._NOT_STRUCTURE)
+    if not data.endswith(b"\n"):
+        seps += b"\n"
+    return seps == b",,\n" * (len(seps) // 3)
+
+
+class _Unfoldable(bytes):
+    """Bytes that fail the test if anything folds them."""
+
+    def replace(self, *args):
+        raise AssertionError("a run with no carriage return was folded")
+
+
+_RUN_PIECES = st.sampled_from([b",", b'"', b"\0", b"\r", b"\n", b"\r\n", b"a",
+                               b"Z", b"a,b,1\n", b"a,b,1\r\n", b",,\n"])
+
+
+class TestAlignedRuns:
+    """`_aligned` copies a run only to fold its CRLF, and only when it
+    holds a carriage return; its answer is that of folding every run."""
+
+    @pytest.mark.parametrize("data", [
+        b"farmer_id,metric_id,value\nF1,soil,1\n", b"F1,soil,1", b"F1,soil\n",
+        b'"F1",soil,1\n', b"F1,soil,\x001\n", b""])
+    def test_a_run_without_cr_is_never_folded(self, data):
+        assert scoring._aligned(_Unfoldable(data)) == _reference_aligned(data)
+
+    @given(data=st.lists(_RUN_PIECES, max_size=12).map(b"".join))
+    @example(data=b"F1,soil,1\r\nF2,soil,0\r\n")
+    @example(data=b"F1,soil,1\rF2,soil,0\n")
+    @example(data=b"F1,soil,1\r")
+    def test_matches_folding_every_run(self, data):
+        assert scoring._aligned(data) == _reference_aligned(data)
+
+
+def _reference_write_scores(path, scores, header_comment=None):
+    """The csv.writer route that `write_scores_csv` replaced, kept as its
+    reference: one ``writerow`` per farmer, in sorted id order."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if header_comment is not None:
+            fh.write(header_comment + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(["farmer_id", "score"])
+        for farmer in sorted(scores):
+            writer.writerow([farmer, f"{scores[farmer]:.4f}"])
+
+
+# NUL is left out: csv.writer's handling of it changed in Python 3.11.
+_IDS = st.text(st.characters(blacklist_characters="\x00")
+               | st.sampled_from(list(',"\r\n é中')), max_size=6)
+# Multiples of 0.00005 put many scores on a tie at the fourth decimal.
+_SCORES = (st.floats(0.0, 100.0) | st.sampled_from([0.0, 100.0])
+           | st.integers(0, 2_000_000).map(lambda k: k / 20_000))
+
+
+class TestScoresWriter:
+    """`write_scores_csv` writes the bytes of the csv.writer route."""
+
+    @settings(max_examples=300,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(scores=st.dictionaries(_IDS, _SCORES, max_size=8),
+           header_comment=st.none() | st.just("# eselend score seed=1"))
+    @example(scores={"F1": 12.34565, "F2": 0.00005, "F3": 0.0, "F4": 100.0},
+             header_comment=None)
+    @example(scores={'a,"b"': 1.0, "c\r\nd": 2.0, " e ": 3.0, "é": 4.0,
+                     "": 5.0}, header_comment=None)
+    def test_matches_csv_writer(self, scores, header_comment, tmp_path):
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        write_scores_csv(new, scores, header_comment=header_comment)
+        _reference_write_scores(ref, scores, header_comment=header_comment)
+        assert new.read_bytes() == ref.read_bytes()
