@@ -430,16 +430,14 @@ def cmd_simulate(settings: dict) -> int:
         except DomainError as exc:
             raise DomainError(f"e={_fmt(e)}, n={n}: {exc}") from None
         ws.append(w)
-    # Cells run e-major, so the cells of group size n_set[j] are [j::stride].
-    stride = len(n_set)
-    simulated = [None] * len(cells)
-    for j, n in enumerate(n_set):
-        try:
-            simulated[j::stride] = simulate_member_profit_batch(
-                e_grid, n, ws[j::stride], params, sim_cfg)
-        except DomainError as exc:
-            cell = "" if exc.cell is None else f"e={_fmt(e_grid[exc.cell])}, "
-            raise DomainError(f"{cell}n={n}: {exc}") from None
+    try:
+        simulated = simulate_member_profit_batch(
+            [e for e, _ in cells], [n for _, n in cells], ws, params, sim_cfg)
+    except DomainError as exc:
+        if exc.cell is None:  # the counter space, which the largest n sets
+            raise DomainError(f"n={max(n_set)}: {exc}") from None
+        e, n = cells[exc.cell]
+        raise DomainError(f"e={_fmt(e)}, n={n}: {exc}") from None
     rows = []
     for (e, n), result, moments in zip(cells, simulated, exact):
         diff = result.empirical_mean - moments.mean

@@ -73,3 +73,16 @@ def _raise_first(bad, error, message, *values):
                                      for v in values)))
         exc.cell = int(i) if np.ndim(bad) else None
         raise exc
+
+
+def _each(check, values) -> list:
+    """``[check(value) for value in values]``, where an error that ``check``
+    raises names the index of its value in ``cell``."""
+    checked = []
+    for i, value in enumerate(values):
+        try:
+            checked.append(check(value))
+        except EselendError as exc:
+            exc.cell = i
+            raise
+    return checked

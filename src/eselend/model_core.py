@@ -73,16 +73,21 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
+def _as_float(value):
+    """``value`` as a float, or as a float array if it has dimensions; a
+    Python float or int takes no numpy call."""
+    if isinstance(value, (float, int)):
+        return float(value)
+    return np.asarray(value, dtype=float) if np.ndim(value) else float(value)
+
+
 def _require_in(name: str, value, lo: float, hi: float):
     """Check that ``value``, or each entry of it, lies in [lo, hi] (NaN does
     not); returns it as a float or a float array, which names its cell. A
-    Python float or int is checked without numpy."""
-    if isinstance(value, (float, int)):
-        value = float(value)
-        bad = not lo <= value <= hi
-    else:
-        value = np.asarray(value, dtype=float) if np.ndim(value) else float(value)
-        bad = np.logical_not((value >= lo) & (value <= hi))
+    scalar is checked without numpy."""
+    value = _as_float(value)
+    bad = (not lo <= value <= hi if isinstance(value, float)
+           else np.logical_not((value >= lo) & (value <= hi)))
     _raise_first(bad, DomainError, f"{name} must lie in [{lo}, {hi}]")
     return value
 
@@ -189,12 +194,14 @@ def _group_size(n, *, real: bool = False):
     The enumeration and break-even routes need a whole number of members:
     an int or numpy integer, never a bool. With ``real=True`` any finite
     ``n >= 1``, or an array of them, is returned as a float or float array,
-    for the first-order condition routes, which are analytic in ``n``.
+    for the first-order condition routes, which are analytic in ``n``; a
+    scalar is checked without numpy.
     """
     if real:
-        n = np.asarray(n, dtype=float) if np.ndim(n) else float(n)
-        _raise_first(np.logical_not(np.isfinite(n) & (n >= 1.0)), DomainError,
-                     "group size n must be >= 1")
+        n = _as_float(n)
+        bad = (not 1.0 <= n < math.inf if isinstance(n, float)
+               else np.logical_not(np.isfinite(n) & (n >= 1.0)))
+        _raise_first(bad, DomainError, "group size n must be >= 1")
         return n
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise DomainError("group size n must be an integer")
@@ -205,9 +212,10 @@ def _group_size(n, *, real: bool = False):
 
 def _repayment(w):
     """Check a repayment ``w``, or one per cell: finite, then > 0; returns
-    it as a float, or as a float array."""
-    w = np.asarray(w, dtype=float) if np.ndim(w) else float(w)
-    _raise_first(~np.isfinite(w), DomainError, "w must be finite, got {!r}", w)
+    it as a float, or as a float array. A scalar is checked without numpy."""
+    w = _as_float(w)
+    bad = not math.isfinite(w) if isinstance(w, float) else ~np.isfinite(w)
+    _raise_first(bad, DomainError, "w must be finite, got {!r}", w)
     _raise_first(w <= 0.0, DomainError, "w must be > 0")
     return w
 
@@ -283,11 +291,13 @@ def success_probability(E, link: ScoreLink):
     """Map score(s) ``E`` in [0, 100] to success probability ``e = k*E + b``.
 
     The result is clipped into [0, 1] to absorb float dust at the cap (the
-    link invariants already confine the exact value to [0, 1]).
+    link invariants already confine the exact value to [0, 1]). A scalar
+    ``E`` gives a float, clipped without numpy.
     """
     E = _require_in("score E", E, 0.0, 100.0)
-    e = np.clip(link.k * E + link.b, 0.0, 1.0)
-    return float(e) if np.ndim(E) == 0 else e
+    if isinstance(E, float):
+        return float(min(max(link.k * E + link.b, 0.0), 1.0))
+    return np.clip(link.k * E + link.b, 0.0, 1.0)
 
 
 def _coverage(e, n):

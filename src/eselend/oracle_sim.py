@@ -8,30 +8,39 @@ results are reproducible bit for bit across runs and machines;
 
 Random source
 -------------
-Each (trial, member) pair gets the 64-bit counter ``t * n + j`` and the
-uniform draw is ``mix64(seed + (counter + 1) * 0x9E3779B97F4A7C15)`` mapped
-to [0, 1) via the top 53 bits, where ``mix64`` is the splitmix64 finalizer:
+A seed has one stream of draws. Draw ``c`` is
+``mix64(seed + (c + 1) * 0x9E3779B97F4A7C15)`` mapped to [0, 1) via the
+top 53 bits, where ``mix64`` is the splitmix64 finalizer:
 
     z ^= z >> 30;  z *= 0xBF58476D1CE4E5B9
     z ^= z >> 27;  z *= 0x94D049BB133111EB
     z ^= z >> 31
 
-Every draw is a pure function of (seed, counter), and the counter does not
-depend on e. So for one group size the simulator computes a single shared
-stream, in blocks of about 65,536 draws laid out member-major, and compares
-each block with every e of the batch. A draw's top 53 bits ``x = z >> 11``
-stand for ``u = x * 2^-53``, and ``u < e`` holds exactly when
-``x < ceil(e * 2^53)``, that is when the raw hash ``z`` lies below
-``ceil(e * 2^53) * 2^11``. So success is one integer compare on the hash,
-which is never shifted; at e = 1 the limit is 2^64 and every member
-succeeds. A member's profit takes one of n + 1 values, so each trial has an
-outcome code in [0, n] per e. One count per block serves several e: their
-codes are packed as the base-(n + 1) digits of one integer, at most 4,096
-values, and counted with one bincount. At the end each e's n + 1 counts are
-the sums of the packed counts over the other digits. The counts are exact
-and do not depend on how the trials are split or the cells packed, and the
-moments come from them as from an exact distribution, with no running float
-sums to cancel.
+For group size n, trial t, member j reads draw ``t * n + j``, so a size
+reads the first ``n * trials`` draws of the stream, whatever other sizes
+share the batch. Every draw is a pure function of (seed, counter), and the
+counter depends on neither e nor the other sizes, so the simulator hashes
+each draw once for all the cells that read it. The distinct sizes form
+chains: in descending order, each size joins the first chain whose period,
+the lcm of its sizes, stays at most ``_PERIOD_MAX``, or starts a chain of
+its own. A chain of period P hashes the first ``max(n) * trials`` draws in
+blocks of P rows by ``_BLOCK_DRAWS // P`` columns, draw ``c0 + P * r + j``
+in row j of column r. As n divides P, a column holds P / n whole trials of
+size n, trial k in rows ``n * k`` to ``n * k + n - 1``, and each block is
+compared with every e of the sizes that still read it.
+
+A draw's top 53 bits ``x = z >> 11`` stand for ``u = x * 2^-53``, and
+``u < e`` holds exactly when ``x < ceil(e * 2^53)``, that is when the raw
+hash ``z`` lies below ``ceil(e * 2^53) * 2^11``. So success is one integer
+compare on the hash, which is never shifted; at e = 1 the limit is 2^64
+and every member succeeds. A member's profit takes one of n + 1 values, so
+each trial has an outcome code in [0, n] per e. One count per block serves
+several e of one size: their codes are packed as the base-(n + 1) digits
+of one integer, at most 4,096 values, and counted with one bincount. At
+the end each e's n + 1 counts are the sums of the packed counts over the
+other digits. The counts are exact and do not depend on how the trials are
+split, the sizes chained or the cells packed, and the moments come from
+them as from an exact distribution, with no running float sums to cancel.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _each
 from .model_core import (
     MarketParams,
     Moments,
@@ -63,9 +72,13 @@ __all__ = [
     "enumerate_member_profit",
 ]
 
-#: Draws per block of the shared stream; a block holds ``_BLOCK_DRAWS // n``
-#: trials of all n members.
+#: Draws per block of a chain's stream; a chain of period P hashes blocks of
+#: P rows by ``_BLOCK_DRAWS // P`` columns.
 _BLOCK_DRAWS = 65_536
+
+#: Largest period, the lcm of the group sizes, of a chain with several
+#: sizes; a size above it hashes its own chain.
+_PERIOD_MAX = 128
 
 #: Most values of one count of packed outcome codes: a count packs as many
 #: cells as fit, so long e lists and large n split into several counts.
@@ -146,79 +159,140 @@ def _below(z: np.ndarray, threshold: int, out: np.ndarray) -> np.ndarray:
     return np.less(z, np.uint64(threshold << 11), out=out)
 
 
-def simulate_member_profit_batch(es, group, ws, params: MarketParams,
-                                 cfg: SimConfig = SimConfig()) -> list[SimResult]:
-    """Monte Carlo moments of the tracked member's profit at many ``(e, w)``.
+def _chains(sizes) -> list[list]:
+    """The distinct ``sizes`` as ``[period, sizes]`` chains, sizes in
+    descending order: each size joins the first chain whose lcm stays at
+    most ``_PERIOD_MAX``, or starts a chain of its own."""
+    chains = []
+    for n in sorted(set(sizes), reverse=True):
+        for chain in chains:
+            if math.lcm(chain[0], n) <= _PERIOD_MAX:
+                chain[0] = math.lcm(chain[0], n)
+                chain[1].append(n)
+                break
+        else:
+            chains.append([n, [n]])
+    return chains
 
-    ``group`` is the integer group size n. Each trial draws n independent
+
+def _pieces(n, full, tail, z, hit, code, packed):
+    """Views of size n's trials in ``full`` whole columns of a block, then
+    in the first ``tail`` rows of the next: the hashes ``z``, the ``hit``
+    flags and their uint8 view as (trials, members, columns), the codes
+    and packed codes as (trials, columns) from the front of ``code`` and
+    ``packed``; and the number of trials."""
+    pieces, start = [], 0
+    for rows, col, cols in ((len(z), 0, full), (tail, full, 1)):
+        if not rows * cols:
+            continue
+        shape, stop = (rows // n, n, cols), start + rows // n * cols
+        flags = hit[:rows, col:col + cols].reshape(shape)
+        pieces.append((z[:rows, col:col + cols].reshape(shape), flags,
+                       flags.view(np.uint8), code[start:stop].reshape(shape[::2]),
+                       packed[start:stop].reshape(shape[::2])))
+        start = stop
+    return pieces, start
+
+
+def simulate_member_profit_batch(es, ns, ws, params: MarketParams,
+                                 cfg: SimConfig = SimConfig()) -> list[SimResult]:
+    """Monte Carlo moments of the tracked member's profit at many
+    ``(e, n, w)``.
+
+    ``es``, ``ns`` and ``ws`` hold one success probability, integer group
+    size and repayment per cell. Each trial of size n draws n independent
     success indicators (member 0 is the tracked borrower, counters run
-    member-major as ``trial * n + member``).
+    member-major as ``trial * n + member``), so size n reads the first
+    ``n * trials`` draws of the seed's one stream.
     With ``k`` peer failures and own success the profit is
     ``p y_high - w - k (w - p y_low) / (n - k)``; own failure pays 0.
     Each cell counts how many trials give each of the n + 1 outcomes, and
     its mean and population variance are those of the `ProfitDistribution`
     with probabilities ``counts / trials``, as in `enumerate_member_profit`;
     ``std_error_mean = sqrt(variance / trials)``. Result ``i`` depends only
-    on (es[i], n, ws[i], params, trials, seed): the counters do not depend
-    on e, so every block of draws is hashed once and compared with every
-    cell, and several cells share one count per block, their outcome codes
-    packed as the digits of one integer. The cells are checked as arrays
-    first: e in [0, 1], w finite and > 0, then the profits' bound. An error
-    about a cell carries its index in ``cell``: the first failing check
-    names its first failing cell.
+    on (es[i], ns[i], ws[i], params, trials, seed): each chain of sizes
+    (see the module docstring) hashes its largest size's draws once, block
+    by block in P rows, size n reads trial k's members from rows ``n * k``
+    on of a column, and several cells of one size share one count per
+    block. The cells are checked first, each check over every cell: n an
+    integer >= 1, e in [0, 1], w finite and > 0, then the profits' bound.
+    An error about a cell carries its index in ``cell``: the first failing
+    check names its first failing cell. The check that ``trials * max(ns)``
+    fits the counter space names no cell.
     """
-    n = _group_size(group)
+    ns = _each(_group_size, ns)
     es, ws = np.fromiter(es, float), np.fromiter(ws, float)
-    if len(es) != len(ws):
-        raise DomainError("es and ws must have the same length")
+    if not len(es) == len(ns) == len(ws):
+        raise DomainError("es, ns and ws must have the same length")
     _require_in("e", es, 0.0, 1.0)
-    # Entry c is the profit of code own * (peer successes + 1).
-    tables = np.concatenate((np.zeros((len(ws), 1)),
-                             _success_profits(n, _repayment(ws), params)[:, ::-1]), axis=1)
-    if cfg.trials * n >= 2 ** 62:
-        raise DomainError("trials * n too large for the 64-bit counter space")
-    if not len(es):
+    ws = _repayment(ws)
+    # Entry c of a cell's table is the profit of code own * (peer successes + 1).
+    tables = _each(lambda cell: np.append(0.0, _success_profits(*cell, params)[::-1]),
+                   zip(ns, ws))
+    if not ns:
         return []
+    if cfg.trials * max(ns) >= 2 ** 62:
+        raise DomainError("trials * n too large for the 64-bit counter space")
 
     # x * 2^-53 < e holds exactly when x < ceil(e * 2^53).
     thresholds = [math.ceil(e * 2.0 ** 53) for e in es]
-    # Each count packs the codes of up to `width` cells, one base-(n + 1)
-    # digit per cell, the group's first cell in the lowest digit.
-    width = 1
-    while (n + 1) ** (width + 1) <= _PACK_BINS:
-        width += 1
-    groups = [range(i, min(i + width, len(es))) for i in range(0, len(es), width)]
-    cubes = [np.zeros((n + 1) ** len(cells), dtype=np.int64) for cells in groups]
-    rows = max(1, _BLOCK_DRAWS // n)
-    offsets = np.arange(rows, dtype=np.uint64) * np.uint64(n)
-    offsets = (offsets + np.arange(n, dtype=np.uint64)[:, None]) * np.uint64(_GOLDEN)
-    z, tmp = np.empty_like(offsets), np.empty_like(offsets)
-    hit = np.empty(offsets.shape, dtype=bool)
-    code = np.empty(rows, dtype=np.min_scalar_type(n))
-    # Room for the packed codes and for their base n + 1.
-    packed = np.empty(rows, dtype=np.min_scalar_type((n + 1) ** width))
-    for t in range(0, cfg.trials, rows):
-        r = min(rows, cfg.trials - t)
-        hashed = _hash64(_stream_base(cfg.seed, t * n), offsets[:, :r], z[:, :r],
-                         tmp[:, :r])
-        digit, digits = code[:r], packed[:r]
-        for cells, cube in zip(groups, cubes):
-            digits.fill(0)
-            for i in reversed(cells):
-                # A trial's code is own * (own + peer successes), in [0, n].
-                success = _below(hashed, thresholds[i], hit[:, :r]).view(np.uint8)
-                np.add.reduce(success, axis=0, dtype=digit.dtype, out=digit)
-                digit *= success[0]
-                digits *= n + 1
-                digits += digit
-            cube += np.bincount(digits, minlength=len(cube))
-
-    counts = np.empty((len(es), n + 1), dtype=np.int64)
-    for cells, cube in zip(groups, cubes):
-        # Axis j of the reversed cube is the digit of the group's cell j.
-        cube = cube.reshape((n + 1,) * len(cells)).T
-        for j, i in enumerate(cells):
-            counts[i] = np.moveaxis(cube, j, 0).reshape(n + 1, -1).sum(axis=1)
+    counts = [None] * len(ns)
+    for period, sizes in _chains(ns):
+        cols = max(1, _BLOCK_DRAWS // period)
+        offsets = np.arange(cols, dtype=np.uint64) * np.uint64(period)
+        offsets = (offsets + np.arange(period, dtype=np.uint64)[:, None]) * np.uint64(_GOLDEN)
+        z, tmp = np.empty_like(offsets), np.empty_like(offsets)
+        hit = np.empty(offsets.shape, dtype=bool)
+        plans = []
+        for n in sizes:
+            # Each count packs the codes of up to `width` cells of size n,
+            # one base-(n + 1) digit per cell, the group's first cell in
+            # the lowest digit.
+            width = 1
+            while (n + 1) ** (width + 1) <= _PACK_BINS:
+                width += 1
+            cells = [i for i, size in enumerate(ns) if size == n]
+            groups = [cells[i:i + width] for i in range(0, len(cells), width)]
+            cubes = [np.zeros((n + 1) ** len(group), dtype=np.int64) for group in groups]
+            code = np.empty(period // n * cols, dtype=np.min_scalar_type(n))
+            # Room for the packed codes and for their base n + 1.
+            packed = np.empty(code.size, dtype=np.min_scalar_type((n + 1) ** width))
+            plans.append((n, groups, cubes, code, packed,
+                          _pieces(n, cols, 0, z, hit, code, packed)))
+        end = sizes[0] * cfg.trials
+        for c0 in range(0, end, offsets.size):
+            # The block holds `full` whole columns of the chain's draws and
+            # the first `tail` rows of the next column.
+            full, tail = divmod(min(end - c0, offsets.size), period)
+            base = _stream_base(cfg.seed, c0)
+            _hash64(base, offsets[:, :full], z[:, :full], tmp[:, :full])
+            if tail:
+                _hash64(base, offsets[:tail, full], z[:tail, full], tmp[:tail, full])
+            for n, groups, cubes, code, packed, whole in plans:
+                # Size n reads the draws below n * trials.
+                left = n * cfg.trials - c0
+                if left <= 0:
+                    break
+                full, tail = divmod(min(left, offsets.size), period)
+                pieces, m = whole if full == cols else _pieces(n, full, tail, z, hit,
+                                                                 code, packed)
+                for group, cube in zip(groups, cubes):
+                    packed[:m].fill(0)
+                    for i in reversed(group):
+                        for hashed, flags, success, digit, digits in pieces:
+                            # A trial's code is own * (own + peer successes).
+                            _below(hashed, thresholds[i], flags)
+                            np.add.reduce(success, axis=1, dtype=digit.dtype, out=digit)
+                            digit *= success[:, 0]
+                            digits *= n + 1
+                            digits += digit
+                    cube += np.bincount(packed[:m], minlength=len(cube))
+        for n, groups, cubes, *_ in plans:
+            for group, cube in zip(groups, cubes):
+                # Axis j of the reversed cube is the digit of the group's cell j.
+                cube = cube.reshape((n + 1,) * len(group)).T
+                for j, i in enumerate(group):
+                    counts[i] = np.moveaxis(cube, j, 0).reshape(n + 1, -1).sum(axis=1)
 
     results = []
     for cell_counts, table in zip(counts, tables):
@@ -233,7 +307,7 @@ def simulate_member_profit(e: float, group, w: float, params: MarketParams,
                            cfg: SimConfig = SimConfig()) -> SimResult:
     """Monte Carlo moments of the tracked member's profit
     (`simulate_member_profit_batch` on one cell)."""
-    return simulate_member_profit_batch([e], group, [w], params, cfg)[0]
+    return simulate_member_profit_batch([e], [group], [w], params, cfg)[0]
 
 
 def enumerate_member_profit(e: float, group, w: float, params: MarketParams) -> Moments:

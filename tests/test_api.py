@@ -250,7 +250,7 @@ def _group(ns):
 
 def _simulate(cells):
     es, ws = zip(*cells)
-    return eselend.simulate_member_profit_batch(es, 3, ws, _MARKET, _SIM)
+    return eselend.simulate_member_profit_batch(es, [3] * len(es), ws, _MARKET, _SIM)
 
 
 def _mv_scalar(cell):

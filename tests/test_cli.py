@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eselend import DomainError, cli, mean_variance, optimizer
+from eselend import DomainError, cli, mean_variance, optimizer, oracle_sim
 from eselend.cli import main
 from eselend.errors import _raise_first
 
@@ -526,12 +526,12 @@ class TestSimulate:
         writes its table, then exits 4 naming the worst cell."""
         real = cli.simulate_member_profit_batch
 
-        def biased(es, n, ws, params, cfg):
-            results = real(es, n, ws, params, cfg)
+        def biased(es, ns, ws, params, cfg):
+            results = real(es, ns, ws, params, cfg)
             return [dataclasses.replace(
                 result, empirical_mean=result.empirical_mean
                 + (10.0 if (e, n) == (0.5, 2) else 0.0) * result.std_error_mean)
-                for e, result in zip(es, results)]
+                for e, n, result in zip(es, ns, results)]
 
         monkeypatch.setattr(cli, "simulate_member_profit_batch", biased)
         out = tmp_path / "s.csv"
@@ -560,7 +560,7 @@ class TestSimulate:
     def test_failing_cell_is_named(self, tmp_path, monkeypatch, capsys):
         """An error the simulator raises for one e is prefixed with its
         (e, n) cell and exits 2 before anything is written."""
-        def failing(es, n, ws, params, cfg):
+        def failing(es, ns, ws, params, cfg):
             _raise_first([False, True], DomainError, "empirical_mean must be finite")
 
         monkeypatch.setattr(cli, "simulate_member_profit_batch", failing)
@@ -593,6 +593,30 @@ class TestSimulate:
         assert (capsys.readouterr().err == "error: n=2: trials * n too large "
                 "for the 64-bit counter space\n")
         assert not out.exists()
+
+    def test_counter_space_error_names_the_largest_size(self, tmp_path, capsys):
+        """With several sizes, the counter-space error names the largest,
+        which sets how many draws a seed's stream needs."""
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--e-grid", "0.5", "--n-set", "2,3",
+                     "--trials", str(2 ** 61), "--out", str(out)]) == 2
+        assert (capsys.readouterr().err == "error: n=3: trials * n too large "
+                "for the 64-bit counter space\n")
+        assert not out.exists()
+
+    def test_default_grid_hashes_the_largest_size_once(self, tmp_path, monkeypatch):
+        """The default grid (n in 2, 3 and 10, 10^6 trials) hashes the
+        first 10 * 10^6 draws of the seed's stream once, not a stream of
+        n * 10^6 draws per size."""
+        real, hashed = oracle_sim._hash64, []
+
+        def counting(base, offsets, z, tmp):
+            hashed.append(offsets.size)
+            return real(base, offsets, z, tmp)
+
+        monkeypatch.setattr(oracle_sim, "_hash64", counting)
+        assert main(["simulate", "--out", str(tmp_path / "s.csv")]) == 0
+        assert sum(hashed) == 10_000_000
 
     def test_zero_trials_exits_two(self, tmp_path):
         out = tmp_path / "s.csv"

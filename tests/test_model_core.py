@@ -7,6 +7,7 @@ formulas; each test states the arithmetic it pins down.
 """
 
 import math
+import struct
 import warnings
 from fractions import Fraction
 
@@ -180,16 +181,52 @@ class TestScalarChecks:
     a failing scalar gets the message an array entry gets, naming no cell."""
 
     def test_in_range_scalar_makes_no_numpy_call(self, monkeypatch):
+        """`_require_in`, `_repayment`, `_group_size(real=True)` and a
+        scalar `success_probability` check and return a Python float or
+        int with plain comparisons."""
+        link = ScoreLink(k=0.01, b=0.0)
+
         def numpy_called(*args, **kwargs):
             raise AssertionError("a scalar check called numpy")
 
-        for name in ("asarray", "ndim", "logical_not", "flatnonzero", "broadcast_to"):
+        for name in ("asarray", "ndim", "logical_not", "flatnonzero", "broadcast_to",
+                     "isfinite", "clip"):
             monkeypatch.setattr(np, name, numpy_called)
         for value in (0.5, 0, 1, True, np.float64(0.25)):
             checked = model_core._require_in("e", value, 0.0, 1.0)
             assert type(checked) is float and checked == value
+        for check, value in ((model_core._repayment, 1.5), (model_core._repayment, 2),
+                             (lambda n: model_core._group_size(n, real=True), 2.0),
+                             (lambda n: model_core._group_size(n, real=True), 3),
+                             (lambda E: model_core.success_probability(E, link), 50.0)):
+            checked = check(value)
+            assert type(checked) is float
+        assert model_core.success_probability(50.0, link) == 0.5
         errors._raise_first(False, DomainError, "never raised")
         errors._raise_first(np.False_, DomainError, "never raised")
+
+    @pytest.mark.parametrize("E, k, b", [
+        (0.0, -0.0, -0.0), (50.0, -0.0, -0.0), (0.0, 0.0, -0.0), (0.0, 0.01, 0.0),
+        (100.0, 0.01, 0.0), (100.0, 0.01 + 1e-12, 0.0), (100.0, 0.0, 1.0),
+        (33.3, 0.007, 0.3), (1e-300, 0.01, 0.0), (100, 0.003, 0.7)])
+    def test_scalar_score_maps_as_an_array_entry(self, E, k, b):
+        """A scalar score gives the bits of the array route's entry: -0.0
+        stays -0.0, and a link at its slack clips to 1."""
+        link = ScoreLink(k=k, b=b)
+        scalar = model_core.success_probability(E, link)
+        entry = float(model_core.success_probability(np.array([E]), link)[0])
+        assert type(scalar) is float
+        assert struct.pack("<d", scalar) == struct.pack("<d", entry)
+
+    @pytest.mark.parametrize("n", [0.5, 0, -1, math.nan, math.inf, -math.inf,
+                                   np.float64(math.nan), np.float32(0.25), np.int64(0)])
+    def test_out_of_range_group_size_fails_as_an_array_entry(self, n):
+        with pytest.raises(DomainError) as scalar:
+            model_core._group_size(n, real=True)
+        with pytest.raises(DomainError) as array:
+            model_core._group_size(np.array([2.0, n]), real=True)
+        assert str(scalar.value) == str(array.value) == "group size n must be >= 1"
+        assert (scalar.value.cell, array.value.cell) == (None, 1)
 
     @pytest.mark.parametrize("value", [1.5, 2, -1, np.float64(-0.5), math.nan,
                                        np.float64(math.nan), np.float32(2.0),
@@ -202,18 +239,22 @@ class TestScalarChecks:
         assert str(scalar.value) == str(array.value) == "e must lie in [0.0, 1.0]"
         assert (scalar.value.cell, array.value.cell) == (None, 1)
 
-    @pytest.mark.parametrize("w", [math.nan, -math.inf, np.float64(math.inf)])
+    @pytest.mark.parametrize("w", [math.nan, -math.inf, np.float64(math.inf), 0.0, -0.0,
+                                   -1, np.float32(-2.0)])
     def test_scalar_message_formats_its_value(self, w):
         with pytest.raises(DomainError) as scalar:
             model_core._repayment(w)
         with pytest.raises(DomainError) as array:
             model_core._repayment(np.array([1.0, w]))
-        assert str(scalar.value) == str(array.value) == f"w must be finite, got {float(w)!r}"
+        message = (f"w must be finite, got {float(w)!r}" if not math.isfinite(w)
+                   else "w must be > 0")
+        assert str(scalar.value) == str(array.value) == message
         assert (scalar.value.cell, array.value.cell) == (None, 1)
-        with pytest.raises(DomainError) as direct:
-            errors._raise_first(np.True_, DomainError, "w must be finite, got {!r}",
-                                np.float64(w))
-        assert str(direct.value) == str(scalar.value)
+        if not math.isfinite(w):
+            with pytest.raises(DomainError) as direct:
+                errors._raise_first(np.True_, DomainError, "w must be finite, got {!r}",
+                                    np.float64(w))
+            assert str(direct.value) == str(scalar.value)
 
 
 # ----------------------------------------------------------------------
@@ -530,7 +571,7 @@ _W_ROUTES = {
     "profit_distribution_group":
         lambda w: profit_distribution_group(0.5, 3, w, BASE),
     "simulate_member_profit_batch": lambda w: simulate_member_profit_batch(
-        [0.5], 3, [w], BASE, SimConfig(trials=1000)),
+        [0.5], [3], [w], BASE, SimConfig(trials=1000)),
     "optimal_ese_mv_batch":
         lambda w: optimal_ese_mv_batch(w, [(BASE, 0.5, _COST, _LINK)]),
     "mv_utility": lambda w: mv_utility(50.0, w, BASE, 0.5, _COST, _LINK),

@@ -13,9 +13,11 @@ distribution.
 """
 
 import math
+import re
 import time
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -293,7 +295,8 @@ def _trial_counts(n: int) -> list[int]:
 
 
 class TestSimulateBatch:
-    """One draw stream per (n, block), compared against every e."""
+    """One draw stream per seed, hashed once per chain of sizes and block,
+    compared against every e."""
 
     @given(data=st.data())
     @settings(max_examples=200)
@@ -325,7 +328,7 @@ class TestSimulateBatch:
             st.sampled_from(es), max_size=size - len(es)), "repeats")), "order")
         ws = data.draw(st.lists(st.floats(1.0, 600.0), min_size=len(es),
                                 max_size=len(es)), "ws")
-        got = simulate_member_profit_batch(es, n, ws, BASE,
+        got = simulate_member_profit_batch(es, [n] * len(es), ws, BASE,
                                            SimConfig(trials=trials, seed=seed))
         uniforms = list(_ref_uniforms(seed, n, trials))
         for e, w, result in zip(es, ws, got):
@@ -339,65 +342,135 @@ class TestSimulateBatch:
         over several blocks and for 129 cells."""
         es, ws = [0.3, 0.5, 0.8, 0.5], [140.0, 150.0, 160.0, 120.0]
         cfg = SimConfig(trials=66_535, seed=8)
-        got = simulate_member_profit_batch(es, 4, ws, BASE, cfg)
+        got = simulate_member_profit_batch(es, [4] * len(es), ws, BASE, cfg)
         assert got == [simulate_member_profit(e, 4, w, BASE, cfg)
                        for e, w in zip(es, ws)]
         es = [i / 128 for i in range(129)]
         ws = [100.0 + i for i in range(len(es))]
         cfg = SimConfig(trials=3000, seed=-8)
-        got = simulate_member_profit_batch(es, 3, ws, BASE, cfg)
+        got = simulate_member_profit_batch(es, [3] * len(es), ws, BASE, cfg)
         assert got == [simulate_member_profit(e, 3, w, BASE, cfg)
                        for e, w in zip(es, ws)]
+
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_mixed_sizes_match_one_stream_per_size(self, data):
+        """A batch of several group sizes, in any cell order, equals one
+        call per size, each hashing its own stream (``_PERIOD_MAX`` = 1):
+        for size sets from 1..40, primes and sets whose lcm exceeds the
+        bound included, trial counts on both sides of a block or column
+        edge of any size, and any 64-bit seed."""
+        primes = st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
+        sizes = sorted(data.draw(st.sets(st.integers(1, 40) | primes, min_size=1,
+                                         max_size=6), "sizes"))
+        # Trials where a size's last draw falls just before, on or just
+        # after the end of a column or a block of its chain.
+        edges = {1, 2}
+        for period, chain in oracle_sim._chains(sizes):
+            assert len(chain) == 1 or period <= oracle_sim._PERIOD_MAX
+            for n in chain:
+                assert period % n == 0
+                for span in (period, max(1, _BLOCK_DRAWS // period) * period):
+                    for k in (1, 2):
+                        edges.update((k * span // n - 1, k * span // n,
+                                      k * span // n + 1))
+        trials = data.draw(st.sampled_from(sorted(
+            t for t in edges if 1 <= t and t * max(sizes) <= 2 ** 21)), "trials")
+        seed = data.draw(st.integers(-2 ** 64, 2 ** 64), "seed")
+        e = (st.sampled_from([0.0, 1.0, 0.5, 1.0 - 2.0 ** -53, 2.0 ** -53])
+             | st.floats(0.0, 1.0))
+        cells = data.draw(st.permutations([
+            (data.draw(e, "e"), n, data.draw(st.floats(1.0, 600.0), "w"))
+            for n in sizes for _ in range(data.draw(st.integers(1, 3), "cells"))]),
+            "order")
+        es, ns, ws = map(list, zip(*cells))
+        cfg = SimConfig(trials=trials, seed=seed)
+        got = simulate_member_profit_batch(es, ns, ws, BASE, cfg)
+        with mock.patch.object(oracle_sim, "_PERIOD_MAX", 1):
+            for n in sizes:
+                mine = [i for i, size in enumerate(ns) if size == n]
+                alone = simulate_member_profit_batch(
+                    [es[i] for i in mine], [n] * len(mine), [ws[i] for i in mine],
+                    BASE, cfg)
+                assert [got[i] for i in mine] == alone
+
+    def test_chains_keep_the_period_bound(self):
+        """Sizes join the first chain whose lcm stays at most 128; a larger
+        size hashes alone. Sizes 2..12 hash 12 + 11 + 7 draws a trial, not
+        77."""
+        assert oracle_sim._chains([2, 3, 10, 3]) == [[30, [10, 3, 2]]]
+        assert oracle_sim._chains(range(2, 13)) == [
+            [120, [12, 10, 8, 6, 5, 4, 3, 2]], [99, [11, 9]], [7, [7]]]
+        assert oracle_sim._chains([7, 11, 13]) == [[91, [13, 7]], [11, [11]]]
+        assert oracle_sim._chains([200, 7, 300]) == [[300, [300]], [200, [200]], [7, [7]]]
 
     @pytest.mark.parametrize("block_draws", [1, 7, 1000])
     @pytest.mark.parametrize("pack_bins", [1, 27, 4096])
     def test_results_do_not_depend_on_the_split(self, monkeypatch, block_draws,
                                                 pack_bins):
-        """Other block sizes, and counts that pack fewer cells (down to one
-        cell per count), give every cell the same result as the default
-        split."""
+        """Other block sizes, chain periods (down to one chain per size),
+        and counts that pack fewer cells (down to one cell per count) give
+        every cell of a batch of sizes 1, 3, 6 and 10 the same result as
+        the default split."""
         es = [0.0, 0.3, 1.0, 0.5, 0.3, 2.0 ** -53, 0.8, 1.0 - 2.0 ** -53, 0.5]
         ws = [100.0 + 10 * i for i in range(len(es))]
-        for n, trials in ((1, 2_001), (3, 1_003), (10, 401)):
-            cfg = SimConfig(trials=trials, seed=n)
-            want = simulate_member_profit_batch(es, n, ws, BASE, cfg)
-            with monkeypatch.context() as patch:
-                patch.setattr(oracle_sim, "_BLOCK_DRAWS", block_draws)
-                patch.setattr(oracle_sim, "_PACK_BINS", pack_bins)
-                assert simulate_member_profit_batch(es, n, ws, BASE, cfg) == want
+        ns = [1, 3, 10, 6, 3, 10, 1, 6, 10]
+        for trials in (2_001, 1_003, 401):
+            cfg = SimConfig(trials=trials, seed=trials)
+            want = simulate_member_profit_batch(es, ns, ws, BASE, cfg)
+            for period_max in (1, 10, 128):
+                with monkeypatch.context() as patch:
+                    patch.setattr(oracle_sim, "_BLOCK_DRAWS", block_draws)
+                    patch.setattr(oracle_sim, "_PACK_BINS", pack_bins)
+                    patch.setattr(oracle_sim, "_PERIOD_MAX", period_max)
+                    assert simulate_member_profit_batch(es, ns, ws, BASE, cfg) == want
 
     def test_empty_batch(self):
         """No cells, no results."""
-        assert simulate_member_profit_batch([], 3, [], BASE) == []
+        assert simulate_member_profit_batch([], [], [], BASE) == []
 
     def test_errors_carry_the_cell_index(self):
         """A bad cell raises with its index in ``cell``; the counter-space
         guard belongs to no cell."""
         cfg = SimConfig(trials=100, seed=1)
+        for n, message in ((0, "must be >= 1"), (2.0, "must be an integer"),
+                           (True, "must be an integer")):
+            with pytest.raises(DomainError, match=message) as excinfo:
+                simulate_member_profit_batch([0.5, 1.5, 0.5], [2, 3, n],
+                                             [150.0] * 3, BASE, cfg)
+            assert excinfo.value.cell == 2
         with pytest.raises(DomainError, match="e must lie") as excinfo:
-            simulate_member_profit_batch([0.5, 1.5], 2, [150.0, 150.0], BASE, cfg)
+            simulate_member_profit_batch([0.5, 1.5], [2, 3], [150.0, 150.0], BASE, cfg)
         assert excinfo.value.cell == 1
         with pytest.raises(DomainError, match="w must be > 0") as excinfo:
-            simulate_member_profit_batch([0.5, 0.5, 0.5], 2, [150.0, 150.0, -1.0],
+            simulate_member_profit_batch([0.5, 0.5, 0.5], [2, 3, 2], [150.0, 150.0, -1.0],
                                          BASE, cfg)
         assert excinfo.value.cell == 2
         es = [0.5] * 67
         with pytest.raises(DomainError, match="w must be finite") as excinfo:
-            simulate_member_profit_batch(es, 2, [150.0] * 66 + [math.inf],
+            simulate_member_profit_batch(es, [2] * 67, [150.0] * 66 + [math.inf],
                                          BASE, cfg)
         assert excinfo.value.cell == 66
-        # w = 1e308 overflows the profit of a failing peer to -inf.
+        # w = 1e308 overflows the profit of a failing peer to -inf. A lone
+        # member's profit at w = 2^479 stays within the bound 2^480, and
+        # one with two failing peers (about -3w) does not.
         with pytest.raises(DomainError,
                            match=r"float range at w=1e\+308") as excinfo:
-            simulate_member_profit_batch(es, 3, [150.0] * 65 + [1e308, 150.0],
+            simulate_member_profit_batch(es, [3] * 67, [150.0] * 65 + [1e308, 150.0],
                                          BASE, cfg)
         assert excinfo.value.cell == 65
+        with pytest.raises(DomainError,
+                           match=re.escape(f"float range at w={2.0 ** 479!r}")) as excinfo:
+            simulate_member_profit_batch([0.5] * 3, [1, 3, 3], [2.0 ** 479] * 3, BASE, cfg)
+        assert excinfo.value.cell == 1
+        # 2^61 trials fit the counter space at n = 1, not at n = 2.
         with pytest.raises(DomainError, match="counter space") as excinfo:
-            simulate_member_profit_batch([0.5], 2, [150.0], BASE,
+            simulate_member_profit_batch([0.5, 0.5], [1, 2], [150.0, 150.0], BASE,
                                          SimConfig(trials=2 ** 61, seed=1))
         assert excinfo.value.cell is None
-        with pytest.raises(DomainError, match="same length"):
-            simulate_member_profit_batch([0.5, 0.6], 2, [150.0], BASE, cfg)
+        for ns, ws in (([2, 2], [150.0]), ([2], [150.0, 150.0])):
+            with pytest.raises(DomainError, match="same length"):
+                simulate_member_profit_batch([0.5, 0.6], ns, ws, BASE, cfg)
 
     def test_large_group_memory_is_bounded(self):
         """n = 1000 over 65,537 trials works block by block: a few seconds
@@ -424,7 +497,7 @@ class TestSimulateBatch:
         cfg = SimConfig(trials=65_536, seed=4)
         tracemalloc.start()
         try:
-            got = simulate_member_profit_batch(es, 2, [150.0] * 500, BASE, cfg)
+            got = simulate_member_profit_batch(es, [2] * 500, [150.0] * 500, BASE, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
