@@ -252,16 +252,28 @@ def _provenance(command: str, settings: dict) -> str:
     )
 
 
+# The Python type that `ndarray.tolist` gives for each numpy dtype kind the
+# writer takes without looking at the cells.
+_KIND_TYPES = {"f": float, "i": int, "b": bool}
+
+
 def _write_output(settings: dict, command: str, table: dict) -> None:
     """Write ``table`` (column name -> cells; two columns or more) as the
     CSV at ``out`` and, with ``plot_data``, its ``.dat`` twin: the bytes of
-    `_fmt` on every cell through csv.writer, and space-joined LF lines.
-    Each column is classified once into one field of a ``%`` row template;
-    a column of mixed or other types goes through `_fmt` cell by cell.
+    `_fmt` on every cell of the column's ``tolist()`` for a numpy array, and
+    of the cell itself otherwise, through csv.writer, and space-joined LF
+    lines. Each column is classified once into one field of a ``%`` row
+    template: a float, integer or boolean array by its dtype, after one
+    ``tolist()``, and any other column by the types of its cells; a column
+    of mixed or other types goes through `_fmt` cell by cell.
     """
     fields = []  # (row template field, CSV cells, .dat cells) per column
     for cells in table.values():
-        kinds = set(map(type, cells))
+        if isinstance(cells, np.ndarray) and cells.dtype.kind in _KIND_TYPES:
+            kinds = {_KIND_TYPES[cells.dtype.kind]}
+            cells = cells.tolist()
+        else:
+            kinds = set(map(type, cells))
         if kinds == {float} or kinds == {int}:
             fields.append(("%.10g" if float in kinds else "%d", cells, cells))
             continue
@@ -299,8 +311,8 @@ def cmd_ceilings(settings: dict) -> int:
         l2 = loan_ceiling_incentive(e, params)
     except DomainError as exc:
         raise DomainError(f"e={_fmt(e_grid[exc.cell])}: {exc}") from None
-    _write_output(settings, "ceilings", {"e": e_grid, "L1": l1.tolist(),
-                  "L2": l2.tolist(), "binding": ["L2"] * len(e_grid)})
+    _write_output(settings, "ceilings", {"e": e, "L1": l1, "L2": l2,
+                                         "binding": ["L2"] * len(e_grid)})
     offenders = e[~(l1 > l2)].tolist()
     if offenders:
         raise InvariantViolation(
@@ -331,20 +343,19 @@ def cmd_sweep_group_size(settings: dict) -> int:
     except EvaluationError as exc:
         raise EvaluationError(f"group size n={sizes[exc.cell]}: {exc}") from None
     _write_output(settings, "sweep-group-size", {
-        "n": sizes, "optimal_E": [opt.score for opt in optima],
-        "at_boundary": [opt.at_boundary for opt in optima],
+        "n": sizes, "optimal_E": optima.score, "at_boundary": optima.at_boundary,
         "limit_E": [limit] * len(sizes)})
     return 0
 
 
-def _solve_sweep(settings: dict, scenarios: list, gammas: list[float]) -> list:
+def _solve_sweep(settings: dict, scenarios: list, gammas: list[float]):
     """Solve every (scenario, gamma) cell of a mean-variance sweep at once.
 
     ``scenarios`` holds (label, params, b, c) tuples. ``k`` defaults to
     `slope_for_baseline` of each scenario's ``b``, and ``endogenous_w``
-    replaces the fixed ``w`` by the break-even repayment. Returns the optima
-    scenario by scenario in gamma order; an error names the scenario or cell
-    it came from.
+    replaces the fixed ``w`` by the break-even repayment. Returns the
+    `Optima` of the cells scenario by scenario in gamma order; an error
+    names the scenario or cell it came from.
     """
     cells = []
     for label, params, b, c in scenarios:
@@ -379,8 +390,7 @@ def cmd_sweep_mv(settings: dict) -> int:
         "b": [b for _, _, b, _ in scenarios for _ in gammas],
         "c": [c for _, _, _, c in scenarios for _ in gammas],
         "gamma": gammas * len(scenarios),
-        "optimal_E": [opt.score for opt in optima],
-        "at_boundary": [opt.at_boundary for opt in optima]})
+        "optimal_E": optima.score, "at_boundary": optima.at_boundary})
     return 0
 
 
@@ -398,8 +408,7 @@ def cmd_sweep_yield(settings: dict) -> int:
     optima = _solve_sweep(settings, scenarios, gammas)
     _write_output(settings, "sweep-yield", {
         "scenario": [name for name in names for _ in gammas],
-        "gamma": gammas * len(names),
-        "optimal_E": [opt.score for opt in optima]})
+        "gamma": gammas * len(names), "optimal_E": optima.score})
     return 0
 
 

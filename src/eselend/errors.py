@@ -86,3 +86,22 @@ def _each(check, values) -> list:
             exc.cell = i
             raise
     return checked
+
+
+def _each_group(check, groups) -> list:
+    """``[check(key, cells) for key, cells in groups]``, each ``cells`` a
+    list of entry indices, where ``check`` names a bad entry by its place in
+    ``cells``. Every group is checked; of the errors raised, the one whose
+    entry comes first is raised again, naming that entry's index in
+    ``cell``."""
+    checked, first = [], None
+    for key, cells in groups:
+        try:
+            checked.append(check(key, cells))
+        except EselendError as exc:
+            exc.cell = cells[exc.cell]
+            if first is None or exc.cell < first.cell:
+                first = exc
+    if first is not None:
+        raise first
+    return checked

@@ -20,10 +20,12 @@ on the score range is an endpoint or a real root of ``N' s - 2 N s'``.
 `optimal_ese_mv_batch` finds the roots of a whole sweep at once
 (companion-matrix eigenvalues), each distinct first-order-condition
 polynomial once, so a cell's result does not depend on the other cells in
-its batch. It ranks the candidates by ``N / s^2`` and re-validates every
+its batch. It ranks the candidates by ``N / s^2``, re-validates every
 winner in one array pass through the moments and first-order condition
-that `mv_utility` and `mv_foc` take one cell at a time. The sweeps' market
-calibration and fixed ``w`` are at the bottom.
+that `mv_utility` and `mv_foc` take one cell at a time, and returns the
+winners as `Optima` arrays; `optimal_ese_mv` takes its one cell as an
+`Optimum`. The sweeps' market calibration and fixed ``w`` are at the
+bottom.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .model_core import (
     binding_repayment,
     success_probability,
 )
-from .optimizer import Optimum, _snap_tolerance
+from .optimizer import Optima, Optimum, _first, _snap_tolerance
 
 __all__ = [
     "profit_moments_pair",
@@ -301,7 +303,7 @@ def _real_roots(coefs):
     return out[inverse]
 
 
-def optimal_ese_mv_batch(w, cells) -> list[Optimum]:
+def optimal_ese_mv_batch(w, cells) -> Optima:
     """Mean-variance optimal scores of many cells, solved together.
 
     Each cell is a ``(params, gamma, cost, link)`` tuple. ``w`` is shared: a
@@ -320,6 +322,7 @@ def optimal_ese_mv_batch(w, cells) -> list[Optimum]:
     `argmax_grid`'s snap tolerance of an endpoint becomes that endpoint, and
     ``at_boundary`` is set exactly when the optimum is an endpoint. With
     ``k = 0`` both endpoints tie, so the optimum is E = 0 at the boundary.
+    Returns `Optima`, one entry per cell.
 
     One array pass re-validates every optimum apart from the engine: the
     `mv_utility` route, at ``w`` or the break-even ``L(1+eps)/(1-(1-e)^2)``,
@@ -366,7 +369,7 @@ def optimal_ese_mv_batch(w, cells) -> list[Optimum]:
         _raise_first(~at_boundary & (abs(residual) > 1e-6 * scale), InvariantViolation,
                      "interior optimum at E={!r} leaves FOC residual {!r}",
                      score, residual)
-    return list(map(Optimum, score.tolist(), at_boundary.tolist(), value.tolist()))
+    return Optima(score, at_boundary, value)
 
 
 def optimal_ese_mv(w, params: MarketParams, gamma, cost: CostModel,
@@ -380,7 +383,7 @@ def optimal_ese_mv(w, params: MarketParams, gamma, cost: CostModel,
     score range, i.e. ``b > 0``. The risk term is quartic in ``e``, so the
     utility need not be concave.
     """
-    return optimal_ese_mv_batch(w, [(params, gamma, cost, link)])[0]
+    return _first(optimal_ese_mv_batch(w, [(params, gamma, cost, link)]))
 
 
 # ----------------------------------------------------------------------

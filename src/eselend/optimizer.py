@@ -15,7 +15,10 @@ A pair is ``n = 2``, where `optimal_ese_pair` gives the optimum in closed
 form. For general ``n``, ``g`` is strictly decreasing in ``e``, so the
 optimum is its one root or an endpoint; `optimal_ese_group_batch` bisects
 the roots of many group sizes in lockstep and `optimal_ese_group` solves
-one. The objective and FOC routes take any real ``n >= 1``.
+one. The objective and FOC routes take any real ``n >= 1``. A one-cell
+solver returns an `Optimum` of Python scalars; a batch solver returns
+`Optima`, one array per field, which callers hand on without building an
+object per cell.
 `argmax_grid` provides an independent derivative-free maximizer (a fixed
 2,001-point grid plus golden-section refinement capped at 200 iterations),
 a public utility and the cross-check route in the tests for the closed
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,6 +50,7 @@ from .model_core import (
 
 __all__ = [
     "Optimum",
+    "Optima",
     "group_objective",
     "group_foc",
     "argmax_grid",
@@ -68,7 +72,8 @@ _MAX_ITER = 200
 
 @dataclass(frozen=True)
 class Optimum:
-    """A maximizer on the score scale.
+    """A maximizer on the score scale, with Python ``float`` and ``bool``
+    fields; the batch solvers return their cells as `Optima` instead.
 
     at_boundary is True when the reported score is a clamped interval
     endpoint rather than an interior stationary point. When it is False the
@@ -81,6 +86,20 @@ class Optimum:
     score: float
     at_boundary: bool
     objective_value: float
+
+
+class Optima(NamedTuple):
+    """The maximizers of a batch, one array per `Optimum` field and one
+    entry per cell: float64 scores and values, boolean flags."""
+
+    score: np.ndarray
+    at_boundary: np.ndarray
+    objective_value: np.ndarray
+
+
+def _first(optima: Optima) -> Optimum:
+    """Cell 0 of a batch as an `Optimum` of Python scalars."""
+    return Optimum(*(field[0].item() for field in optima))
 
 
 # ----------------------------------------------------------------------
@@ -309,7 +328,7 @@ FOC_ROOT_TOL = 1e-10
 
 
 def optimal_ese_group_batch(ns, params: MarketParams, cost: CostModel,
-                            link: ScoreLink) -> list[Optimum]:
+                            link: ScoreLink) -> Optima:
     """Optimal scores of many group sizes, solved together.
 
     The slope of ``g`` in ``e``, ``-pYl n (n-1) (1-e)^{n-2} - c``, is
@@ -323,14 +342,15 @@ def optimal_ese_group_batch(ns, params: MarketParams, cost: CostModel,
     until no midpoint lies strictly inside its bracket; the end with the
     smaller ``|g|`` is the root. ``n`` may be fractional; the FOC is
     analytic in ``n``. With ``k = 0`` the score has no effect, and every
-    optimum is E = 0 at the boundary, as in `optimal_ese_pair`. A bad size,
-    then a FOC not finite at an endpoint, raises an error whose ``cell`` is
-    the index of the first size that fails it.
+    optimum is E = 0 at the boundary, as in `optimal_ese_pair`. Returns
+    `Optima`, one entry per size. A bad size, then a FOC not finite at an
+    endpoint, raises an error whose ``cell`` is the index of the first size
+    that fails it.
     """
     n = _group_size(np.array(ns, dtype=float).reshape(-1), real=True)
     if link.k == 0.0:
         values = _objective(success_probability(np.zeros_like(n), link), n, params, cost)
-        return [Optimum(0.0, True, value) for value in values.tolist()]
+        return Optima(np.zeros_like(n), np.ones(n.shape, dtype=bool), values)
 
     def g(E, n):  # E lies in [0, 100]: an endpoint or a bisection midpoint
         return _foc(np.clip(link.k * E + link.b, 0.0, 1.0), n, params, cost)
@@ -350,26 +370,29 @@ def optimal_ese_group_batch(ns, params: MarketParams, cost: CostModel,
     g_lo, g_hi, n_in = g0[inner], g100[inner], n[inner]
     while True:
         mid = 0.5 * (lo + hi)
-        live = (lo < mid) & (mid < hi)
-        if not live.any():
+        if not ((lo < mid) & (mid < hi)).any():
             break
+        # An exhausted bracket's midpoint is one of its ends, whose g has the
+        # sign that sends the update back to that end, so every bracket is
+        # updated and the exhausted ones keep their ends and values.
         g_mid = g(mid, n_in)
-        up = live & (g_mid > 0.0)
-        down = live & ~up
-        lo, g_lo = np.where(up, mid, lo), np.where(up, g_mid, g_lo)
-        hi, g_hi = np.where(down, mid, hi), np.where(down, g_mid, g_hi)
+        up = g_mid > 0.0
+        np.copyto(lo, mid, where=up)
+        np.copyto(g_lo, g_mid, where=up)
+        down = ~up
+        np.copyto(hi, mid, where=down)
+        np.copyto(g_hi, g_mid, where=down)
     scores[inner] = np.where(np.abs(g_lo) <= np.abs(g_hi), lo, hi)
 
     values = _objective(success_probability(scores, link), n, params, cost)
-    return [Optimum(score, boundary, value) for score, boundary, value
-            in zip(scores.tolist(), at_boundary.tolist(), values.tolist())]
+    return Optima(scores, at_boundary, values)
 
 
 def optimal_ese_group(n: float, params: MarketParams, cost: CostModel,
                       link: ScoreLink) -> Optimum:
     """Maximize the substituted n-member objective over scores in [0, 100]
     (`optimal_ese_group_batch` on one size; ``n`` may be fractional)."""
-    return optimal_ese_group_batch([n], params, cost, link)[0]
+    return _first(optimal_ese_group_batch([n], params, cost, link))
 
 
 # ----------------------------------------------------------------------

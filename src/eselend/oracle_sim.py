@@ -51,7 +51,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, _each
+from .errors import DomainError, _each, _each_group
 from .model_core import (
     MarketParams,
     Moments,
@@ -221,14 +221,22 @@ def simulate_member_profit_batch(es, ns, ws, params: MarketParams,
     fits the counter space names no cell.
     """
     ns = _each(_group_size, ns)
+    by_size = {}  # the cells of each size, in cell order
+    for i, n in enumerate(ns):
+        by_size.setdefault(n, []).append(i)
     es, ws = np.fromiter(es, float), np.fromiter(ws, float)
     if not len(es) == len(ns) == len(ws):
         raise DomainError("es, ns and ws must have the same length")
     _require_in("e", es, 0.0, 1.0)
     ws = _repayment(ws)
-    # Entry c of a cell's table is the profit of code own * (peer successes + 1).
-    tables = _each(lambda cell: np.append(0.0, _success_profits(*cell, params)[::-1]),
-                   zip(ns, ws))
+    # One `_success_profits` call per size. Entry c of a cell's table is the
+    # profit of code own * (peer successes + 1).
+    profits = _each_group(lambda n, cells: _success_profits(n, ws[cells], params),
+                          by_size.items())
+    tables = [None] * len(ns)
+    for cells, rows in zip(by_size.values(), profits):
+        for i, row in zip(cells, rows):
+            tables[i] = np.append(0.0, row[::-1])
     if not ns:
         return []
     if cfg.trials * max(ns) >= 2 ** 62:
@@ -251,7 +259,7 @@ def simulate_member_profit_batch(es, ns, ws, params: MarketParams,
             width = 1
             while (n + 1) ** (width + 1) <= _PACK_BINS:
                 width += 1
-            cells = [i for i, size in enumerate(ns) if size == n]
+            cells = by_size[n]
             groups = [cells[i:i + width] for i in range(0, len(cells), width)]
             cubes = [np.zeros((n + 1) ** len(group), dtype=np.int64) for group in groups]
             code = np.empty(period // n * cols, dtype=np.min_scalar_type(n))

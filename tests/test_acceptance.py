@@ -498,8 +498,7 @@ def test_criterion_08a_score_vs_risk_aversion(mv_sweep):
     cells = [(params, float(g), CostModel(c=c),
               ScoreLink(k=slope_for_baseline(b), b=b))
              for b in BASELINES for c in COSTS for g in fine]
-    fine_scores = np.array([opt.score for opt in
-                            optimal_ese_mv_batch(w, cells)])
+    fine_scores = optimal_ese_mv_batch(w, cells).score
     fine_scores = fine_scores.reshape(len(BASELINES),
                                       len(COSTS), fine.size)
     elapsed += time.perf_counter() - started

@@ -18,6 +18,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -996,9 +997,11 @@ class TestSweepDefaults:
 
 def _reference_write(settings, command, table):
     """The per-cell route the row-template writer replaced, kept as its
-    reference: `_fmt` on every cell through csv.writer, and space-joined
-    ``.dat`` lines."""
-    columns, rows = list(table), list(zip(*table.values()))
+    reference: `_fmt` on every cell, of a numpy array's ``tolist()``,
+    through csv.writer, and space-joined ``.dat`` lines."""
+    columns = list(table)
+    rows = list(zip(*(cells.tolist() if isinstance(cells, np.ndarray) else cells
+                      for cells in table.values())))
     provenance = cli._provenance(command, settings)
     out = Path(settings["out"])
     with open(out, "w", newline="", encoding="utf-8") as fh:
@@ -1016,8 +1019,9 @@ def _reference_write(settings, command, table):
 
 _FLOATS = st.floats() | st.sampled_from(
     [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2e-308, 1e300,
-     -1e300, 100.0, 1e16])
+     -1e300, 100.0, 1e16, 1e22])
 _INTS = st.integers() | st.sampled_from([-7, 2**53 + 1, -(2**63), 10**30])
+_INT64 = st.integers(-(2**63), 2**63 - 1) | st.sampled_from([-(2**63), 2**63 - 1, -1, 0])
 # NUL is left out: csv.writer's handling of it changed in Python 3.11.
 _TEXT = st.text(st.characters(blacklist_characters="\x00")
                 | st.sampled_from(list(',"\r\n \u00e9\u4e2d')), max_size=6)
@@ -1031,17 +1035,31 @@ _CELLS = {
     "int-float": _INTS | _FLOATS,
     "with-none": st.none() | st.booleans() | _FLOATS | _TEXT,
 }
+# Numpy array columns: the cells of each kind and the array's dtype.
+_ARRAYS = {
+    "float64 array": (_FLOATS, np.float64),
+    "int64 array": (_INT64, np.int64),
+    "bool array": (st.booleans(), np.bool_),
+}
 
 
 @st.composite
 def _tables(draw):
-    """Tables of two to five columns, each of one kind of cell, zero to six
-    rows. A table has two columns or more, as every output does."""
+    """Tables of two to five columns, each a list of one kind of cell or a
+    float64, int64 or boolean array, zero to six rows. A table has two
+    columns or more, as every output does."""
     rows = draw(st.integers(0, 6))
     names = draw(st.lists(_TEXT, min_size=2, max_size=5, unique=True))
-    return {name: draw(st.lists(_CELLS[draw(st.sampled_from(sorted(_CELLS)))],
-                                min_size=rows, max_size=rows))
-            for name in names}
+    table = {}
+    for name in names:
+        kind = draw(st.sampled_from(sorted(_CELLS) + sorted(_ARRAYS)))
+        if kind in _ARRAYS:
+            cells, dtype = _ARRAYS[kind]
+            table[name] = np.array(draw(st.lists(cells, min_size=rows, max_size=rows)),
+                                   dtype=dtype)
+        else:
+            table[name] = draw(st.lists(_CELLS[kind], min_size=rows, max_size=rows))
+    return table
 
 
 class TestOutputFiles:
@@ -1065,10 +1083,13 @@ class TestOutputFiles:
     @pytest.mark.parametrize("argv", [
         ["sweep-group-size", "--n-max", "1000"],
         ["ceilings", "--e-grid", "0.01:0.99:5000"],
+        ["sweep-mv", "--endogenous-w"],
+        ["sweep-yield"],
     ])
     def test_contract_outputs_match_per_cell_route(self, argv, tmp_path,
                                                    monkeypatch):
-        """The benchmark's two contract invocations, with --plot-data."""
+        """The benchmark's two contract invocations and the mean-variance
+        sweeps, whose solvers hand the writer arrays, with --plot-data."""
         new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
         assert main([*argv, "--plot-data", "--out", str(new)]) == 0
         monkeypatch.setattr(cli, "_write_output", _reference_write)
@@ -1076,6 +1097,24 @@ class TestOutputFiles:
         assert new.read_bytes() == ref.read_bytes()
         assert (new.with_suffix(".dat").read_bytes()
                 == ref.with_suffix(".dat").read_bytes())
+
+    def test_solvers_build_no_optimum(self, tmp_path, monkeypatch):
+        """The batch solvers hand their result arrays to the writer, so no
+        command builds an `Optimum` per cell: `sweep-group-size` builds one,
+        the large-group limit of `ese_limit`, and the others none."""
+        built = Counter()
+        real = optimizer.Optimum.__init__
+
+        def counting(self, *args, **kwargs):
+            built[argv[0]] += 1
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(optimizer.Optimum, "__init__", counting)
+        for argv in (["sweep-group-size", "--n-max", "1000"],
+                     ["ceilings", "--e-grid", "0.01:0.99:5000"],
+                     ["sweep-mv"], ["sweep-mv", "--endogenous-w"], ["sweep-yield"]):
+            assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+        assert built == {"sweep-group-size": 1}
 
     @pytest.mark.parametrize("command", [
         "ceilings", "sweep-group-size", "sweep-mv", "sweep-yield", "simulate"])

@@ -8,6 +8,7 @@ probability 1/4 each, so the mean is 512.5 and the variance is
 0.25*850^2 + 0.25*1200^2 - 512.5^2 = 277968.75.
 """
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -21,6 +22,7 @@ from eselend import (
     InvariantViolation,
     MarketParams,
     Moments,
+    Optima,
     ScoreLink,
     argmax_grid,
     binding_repayment,
@@ -407,6 +409,14 @@ class TestOptimalEseMv:
         assert optimal_ese_mv(150.0, BASE, 0.5, COST, LINK).at_boundary
 
 
+def _assert_optima(batch, cells):
+    """``batch`` is an `Optima` of ``cells`` float64 scores, boolean flags
+    and float64 values."""
+    assert isinstance(batch, Optima)
+    assert [field.dtype for field in batch] == [np.float64, np.bool_, np.float64]
+    assert all(field.shape == (cells,) for field in batch)
+
+
 class TestOptimalEseMvBatch:
     """Many cells solved together, each re-validated on its own."""
 
@@ -418,7 +428,12 @@ class TestOptimalEseMvBatch:
         for w in (140.0, None):
             batch = optimal_ese_mv_batch(w, cells)
             single = [optimal_ese_mv(w, *cell) for cell in cells]
-            assert batch == single
+            _assert_optima(batch, len(cells))
+            for field in Optima._fields:
+                assert (getattr(batch, field).tolist()
+                        == [getattr(opt, field) for opt in single]), (w, field)
+            for opt in single:
+                assert list(map(type, dataclasses.astuple(opt))) == [float, bool, float]
 
     def test_flat_link_reports_lower_bound(self):
         """k = 0: every score gives the same utility, so E = 0 at the
@@ -440,7 +455,8 @@ class TestOptimalEseMvBatch:
                 assert (opt.score, opt.at_boundary) == (score, True)
 
     def test_empty_batch(self):
-        assert optimal_ese_mv_batch(150.0, []) == []
+        for w in (150.0, None):
+            _assert_optima(optimal_ese_mv_batch(w, []), 0)
 
     def test_errors_carry_the_cell_index(self, monkeypatch):
         """Validation and re-validation failures name the cell's index;
@@ -529,8 +545,11 @@ class TestOptimalEseMvBatch:
                                    max_size=3 * len(pool)), "picks")
         batch = [pool[i] for i in picks]
         for w in (data.draw(st.floats(10.0, 500.0), "w"), None):
-            assert optimal_ese_mv_batch(w, batch) == [
-                optimal_ese_mv(w, *cell) for cell in batch]
+            got = optimal_ese_mv_batch(w, batch)
+            single = [optimal_ese_mv(w, *cell) for cell in batch]
+            for field in Optima._fields:
+                assert (getattr(got, field).tolist()
+                        == [getattr(opt, field) for opt in single]), (w, field)
 
     def test_overflow_is_rejected_per_cell(self):
         """A cell whose utility would overflow the float range is a domain

@@ -7,12 +7,13 @@ reference calibration used throughout is p=1, yields 1000/500, L=100,
 eps=0.05, delta=0.9, c=1000, k=0.01, b=0.
 """
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eselend import (
@@ -20,6 +21,7 @@ from eselend import (
     DomainError,
     EvaluationError,
     MarketParams,
+    Optima,
     Optimum,
     ScoreLink,
     argmax_grid,
@@ -33,7 +35,9 @@ from eselend import (
     optimal_ese_pair,
     optimal_ese_pair_as_printed,
     optimizer,
+    success_probability,
 )
+from eselend.model_core import LINK_CAP_SLACK
 
 BASE = MarketParams(p=1.0, y_high=1000.0, y_low=500.0, loan=100.0,
                     epsilon=0.05, delta=0.9)
@@ -285,6 +289,14 @@ class TestSolveGroupFoc:
                                    520.0 - 500.0 * 0.5 ** 2.5, rtol=1e-14)
 
 
+def _assert_optima(batch, cells):
+    """``batch`` is an `Optima` of ``cells`` float64 scores, boolean flags
+    and float64 values."""
+    assert isinstance(batch, Optima)
+    assert [field.dtype for field in batch] == [np.float64, np.bool_, np.float64]
+    assert all(field.shape == (cells,) for field in batch)
+
+
 class TestOptimalEseGroupBatch:
     """Many group sizes solved together by lockstep bisection."""
 
@@ -294,10 +306,17 @@ class TestOptimalEseGroupBatch:
         for link in (LINK, ScoreLink(k=0.004, b=0.3)):
             batch = optimal_ese_group_batch(sizes, BASE, COST, link)
             single = [optimal_ese_group(n, BASE, COST, link) for n in sizes]
-            assert batch == single
+            _assert_optima(batch, len(sizes))
+            for field in Optima._fields:
+                assert (getattr(batch, field).tolist()
+                        == [getattr(opt, field) for opt in single]), field
+            for opt in single:
+                assert list(map(type, dataclasses.astuple(opt))) == [float, bool, float]
+        _assert_optima(optimal_ese_group_batch(sizes, BASE, COST,
+                                               ScoreLink(k=0.0, b=0.5)), len(sizes))
 
     def test_empty_batch(self):
-        assert optimal_ese_group_batch([], BASE, COST, LINK) == []
+        _assert_optima(optimal_ese_group_batch([], BASE, COST, LINK), 0)
 
     def test_endpoint_rule(self):
         """|g| <= 1e-10 at an endpoint makes it a root, not a boundary:
@@ -305,18 +324,18 @@ class TestOptimalEseGroupBatch:
         optimum is a boundary: a cheap effort technology (c=100) keeps g > 0
         up to E = 100, and a baseline b = 0.9 with c = 4000 puts g < 0 from
         E = 0 on."""
-        lone = optimal_ese_group_batch([1], BASE, COST, LINK)[0]
+        lone = optimal_ese_group(1, BASE, COST, LINK)
         assert (lone.score, lone.at_boundary) == (100.0, False)
         # n=1 with c = 1000 -+ 1e-6 puts g(100) at +-1e-6, beyond the
         # tolerance: a boundary optimum, then a root just inside E = 100.
         for c, at_boundary in ((1000.0 - 1e-6, True), (1000.0 + 1e-6, False)):
-            opt = optimal_ese_group_batch([1], BASE, CostModel(c=c), LINK)[0]
+            opt = optimal_ese_group(1, BASE, CostModel(c=c), LINK)
             np.testing.assert_allclose(opt.score, min(1e5 / c, 100.0), rtol=1e-15)
             assert opt.at_boundary == at_boundary
-        top = optimal_ese_group_batch([3], BASE, CostModel(c=100.0), LINK)[0]
+        top = optimal_ese_group(3, BASE, CostModel(c=100.0), LINK)
         assert (top.score, top.at_boundary) == (100.0, True)
-        bottom = optimal_ese_group_batch([3], BASE, CostModel(c=4000.0),
-                                         ScoreLink(k=0.001, b=0.9))[0]
+        bottom = optimal_ese_group(3, BASE, CostModel(c=4000.0),
+                                   ScoreLink(k=0.001, b=0.9))
         assert (bottom.score, bottom.at_boundary) == (0.0, True)
 
     def test_errors_carry_the_cell_index(self):
@@ -394,7 +413,8 @@ class TestOptimalEseGroupBatch:
         noise = 64.0 * np.finfo(float).eps * (
             params.high_revenue + params.low_revenue
             + params.loan * (1.0 + params.epsilon) + cost.c)
-        for n, opt in zip(sizes, optimal_ese_group_batch(sizes, params, cost, link)):
+        for n, *cell in zip(sizes, *optimal_ese_group_batch(sizes, params, cost, link)):
+            opt = Optimum(*cell)
             blind = argmax_grid(
                 lambda E: group_objective(E, n, params, cost, link))
             scale = max(1.0, abs(opt.objective_value), abs(blind.objective_value))
@@ -405,6 +425,103 @@ class TestOptimalEseGroupBatch:
                 np.testing.assert_allclose(opt.score, blind.score, atol=1e-6)
                 if not endpoint_root:
                     assert opt.at_boundary == blind.at_boundary
+
+
+def _lockstep_reference(ns, params, cost, link):
+    """The group engine for ``k > 0`` with its bisection loop as first
+    written, the reference for bit identity: every step masks its updates
+    by the brackets still live and rebuilds ``lo``, ``hi`` and their FOC
+    values with `numpy.where`. Returns the scores, flags and values."""
+    tol = optimizer.FOC_ROOT_TOL
+    n = np.array(ns, dtype=float).reshape(-1)
+
+    def g(E, n):
+        return optimizer._foc(np.clip(link.k * E + link.b, 0.0, 1.0), n, params, cost)
+
+    g0, g100 = g(0.0, n), g(100.0, n)
+    lower = g0 <= tol
+    scores = np.where(lower, 0.0, 100.0)
+    at_boundary = np.where(lower, g0 < -tol, g100 > tol)
+
+    inner = np.flatnonzero(~lower & (g100 < -tol))
+    lo, hi = np.zeros(inner.size), np.full(inner.size, 100.0)
+    g_lo, g_hi, n_in = g0[inner], g100[inner], n[inner]
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = (lo < mid) & (mid < hi)
+        if not live.any():
+            break
+        g_mid = g(mid, n_in)
+        up = live & (g_mid > 0.0)
+        down = live & ~up
+        lo, g_lo = np.where(up, mid, lo), np.where(up, g_mid, g_lo)
+        hi, g_hi = np.where(down, mid, hi), np.where(down, g_mid, g_hi)
+    scores[inner] = np.where(np.abs(g_lo) <= np.abs(g_hi), lo, hi)
+
+    values = optimizer._objective(success_probability(scores, link), n, params, cost)
+    return scores, at_boundary, values
+
+
+@st.composite
+def _group_problems(draw):
+    """Sizes and a calibration for the group engine: integer and fractional
+    sizes up to 1000, links up to the cap's slack, where ``100k + b > 1``
+    and the clip to e = 1 binds, and half the time revenues on the scale of
+    `FOC_ROOT_TOL` with a cost that puts ``g`` at one endpoint, for the
+    first size, within a few ulps of ``-FOC_ROOT_TOL`` or ``+FOC_ROOT_TOL``."""
+    b = draw(st.floats(0.0, 1.0, exclude_max=True), "b")
+    k_top = (1.0 + 0.5 * LINK_CAP_SLACK - b) / 100.0
+    k = draw(st.floats(0.0, k_top, exclude_min=True) | st.just(k_top), "k")
+    link = ScoreLink(k=k, b=b)
+    sizes = draw(st.lists(st.integers(1, 1000) | st.floats(1.0, 1000.0),
+                          min_size=1, max_size=8), "sizes")
+    y_low = draw(st.floats(50.0, 800.0), "y_low")
+    y_high = y_low + draw(st.floats(50.0, 1500.0), "y_gap")
+    if not draw(st.booleans(), "near the tolerance"):
+        params = MarketParams(p=draw(st.floats(0.2, 3.0), "p"), y_high=y_high,
+                              y_low=y_low, loan=100.0, epsilon=0.05, delta=0.9)
+        return sizes, params, CostModel(c=draw(st.floats(100.0, 4000.0), "c")), link
+    tol = optimizer.FOC_ROOT_TOL
+    p = draw(st.floats(1.0, 4.0), "revenue / tol") * tol / y_high
+    params = MarketParams(p=p, y_high=y_high, y_low=y_low, loan=100.0,
+                          epsilon=0.05, delta=0.9)
+    e = min(k * draw(st.sampled_from([0.0, 100.0]), "endpoint") + b, 1.0)
+    assume(e > 0.0)
+    target = draw(st.sampled_from([-tol, tol]), "g at the endpoint")
+    n = float(sizes[0])
+    c = (params.high_revenue
+         + params.low_revenue * (n * (1.0 - e) ** (n - 1.0) - 1.0) - target) / e
+    assume(0.0 < c < math.inf)
+    for _ in range(draw(st.integers(0, 3), "ulps")):
+        c = np.nextafter(c, draw(st.sampled_from([0.0, math.inf]), "toward"))
+    return sizes, params, CostModel(c=float(c)), link
+
+
+class TestLockstepBisectionMatchesReference:
+    """The engine's scores, flags and values are bit-identical to the
+    reference loop's."""
+
+    @staticmethod
+    def _assert_identical(sizes, params, cost, link):
+        got = optimal_ese_group_batch(sizes, params, cost, link)
+        want = _lockstep_reference(sizes, params, cost, link)
+        for field, expected in zip(Optima._fields, want):
+            assert np.array_equal(getattr(got, field), expected), field
+            assert getattr(got, field).tobytes() == expected.tobytes(), field
+
+    @given(problem=_group_problems())
+    @settings(max_examples=400)
+    def test_random_problems(self, problem):
+        self._assert_identical(*problem)
+
+    def test_default_grid(self):
+        """`sweep-group-size --n-max 1000` at its defaults, where the roots
+        of large n land exactly on E = 50, the large-group limit."""
+        sizes = range(1, 1001)
+        self._assert_identical(sizes, BASE, COST, LINK)
+        scores = optimal_ese_group_batch(sizes, BASE, COST, LINK).score
+        assert ese_limit(BASE, COST, LINK).score == 50.0
+        assert np.count_nonzero(scores == 50.0) > 100
 
 
 # ----------------------------------------------------------------------

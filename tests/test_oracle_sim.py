@@ -425,6 +425,23 @@ class TestSimulateBatch:
                     patch.setattr(oracle_sim, "_PERIOD_MAX", period_max)
                     assert simulate_member_profit_batch(es, ns, ws, BASE, cfg) == want
 
+    def test_outcome_tables_are_built_once_per_size(self, monkeypatch):
+        """The default `simulate` grid, 3 e x sizes 2, 3 and 10, builds its
+        nine outcome tables with one `_success_profits` call per size."""
+        sizes = []
+        real = oracle_sim._success_profits
+
+        def counted(n, w, params):
+            sizes.append(n)
+            return real(n, w, params)
+
+        monkeypatch.setattr(oracle_sim, "_success_profits", counted)
+        cells = [(e, n) for e in (0.3, 0.5, 0.8) for n in (2, 3, 10)]
+        simulate_member_profit_batch([e for e, _ in cells], [n for _, n in cells],
+                                     [150.0] * len(cells), BASE,
+                                     SimConfig(trials=64, seed=1))
+        assert sorted(sizes) == [2, 3, 10]
+
     def test_empty_batch(self):
         """No cells, no results."""
         assert simulate_member_profit_batch([], [], [], BASE) == []
@@ -463,6 +480,12 @@ class TestSimulateBatch:
                            match=re.escape(f"float range at w={2.0 ** 479!r}")) as excinfo:
             simulate_member_profit_batch([0.5] * 3, [1, 3, 3], [2.0 ** 479] * 3, BASE, cfg)
         assert excinfo.value.cell == 1
+        # Sizes 2 and 3 each have a cell beyond the bound; size 2 comes
+        # first, but size 3's bad cell is the batch's first.
+        with pytest.raises(DomainError, match=r"float range at w=1e\+308") as excinfo:
+            simulate_member_profit_batch([0.5] * 4, [2, 3, 3, 2],
+                                         [150.0, 150.0, 1e308, 1e308], BASE, cfg)
+        assert excinfo.value.cell == 2
         # 2^61 trials fit the counter space at n = 1, not at n = 2.
         with pytest.raises(DomainError, match="counter space") as excinfo:
             simulate_member_profit_batch([0.5, 0.5], [1, 2], [150.0, 150.0], BASE,
