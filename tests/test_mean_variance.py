@@ -409,12 +409,17 @@ class TestOptimalEseMv:
         assert optimal_ese_mv(150.0, BASE, 0.5, COST, LINK).at_boundary
 
 
-def _assert_optima(batch, cells):
-    """``batch`` is an `Optima` of ``cells`` float64 scores, boolean flags
-    and float64 values."""
+def _assert_optima(batch, single):
+    """``batch`` is an `Optima` of float64 scores and values and boolean
+    flags, whose cells equal, field by field, the one-cell optima
+    ``single``, each of Python floats and a bool."""
     assert isinstance(batch, Optima)
     assert [field.dtype for field in batch] == [np.float64, np.bool_, np.float64]
-    assert all(field.shape == (cells,) for field in batch)
+    for field in Optima._fields:
+        assert (getattr(batch, field).tolist()
+                == [getattr(opt, field) for opt in single]), field
+    for opt in single:
+        assert list(map(type, dataclasses.astuple(opt))) == [float, bool, float]
 
 
 class TestOptimalEseMvBatch:
@@ -426,14 +431,8 @@ class TestOptimalEseMvBatch:
                  for b in (0.3, 0.7) for c in (800.0, 2000.0)
                  for gamma in (0.0, 0.001, 0.3)]
         for w in (140.0, None):
-            batch = optimal_ese_mv_batch(w, cells)
-            single = [optimal_ese_mv(w, *cell) for cell in cells]
-            _assert_optima(batch, len(cells))
-            for field in Optima._fields:
-                assert (getattr(batch, field).tolist()
-                        == [getattr(opt, field) for opt in single]), (w, field)
-            for opt in single:
-                assert list(map(type, dataclasses.astuple(opt))) == [float, bool, float]
+            _assert_optima(optimal_ese_mv_batch(w, cells),
+                           [optimal_ese_mv(w, *cell) for cell in cells])
 
     def test_flat_link_reports_lower_bound(self):
         """k = 0: every score gives the same utility, so E = 0 at the
@@ -456,7 +455,7 @@ class TestOptimalEseMvBatch:
 
     def test_empty_batch(self):
         for w in (150.0, None):
-            _assert_optima(optimal_ese_mv_batch(w, []), 0)
+            _assert_optima(optimal_ese_mv_batch(w, []), [])
 
     def test_errors_carry_the_cell_index(self, monkeypatch):
         """Validation and re-validation failures name the cell's index;
@@ -545,11 +544,8 @@ class TestOptimalEseMvBatch:
                                    max_size=3 * len(pool)), "picks")
         batch = [pool[i] for i in picks]
         for w in (data.draw(st.floats(10.0, 500.0), "w"), None):
-            got = optimal_ese_mv_batch(w, batch)
-            single = [optimal_ese_mv(w, *cell) for cell in batch]
-            for field in Optima._fields:
-                assert (getattr(got, field).tolist()
-                        == [getattr(opt, field) for opt in single]), (w, field)
+            _assert_optima(optimal_ese_mv_batch(w, batch),
+                           [optimal_ese_mv(w, *cell) for cell in batch])
 
     def test_overflow_is_rejected_per_cell(self):
         """A cell whose utility would overflow the float range is a domain

@@ -289,12 +289,17 @@ class TestSolveGroupFoc:
                                    520.0 - 500.0 * 0.5 ** 2.5, rtol=1e-14)
 
 
-def _assert_optima(batch, cells):
-    """``batch`` is an `Optima` of ``cells`` float64 scores, boolean flags
-    and float64 values."""
+def _assert_optima(batch, single):
+    """``batch`` is an `Optima` of float64 scores and values and boolean
+    flags, whose cells equal, field by field, the one-cell optima
+    ``single``, each of Python floats and a bool."""
     assert isinstance(batch, Optima)
     assert [field.dtype for field in batch] == [np.float64, np.bool_, np.float64]
-    assert all(field.shape == (cells,) for field in batch)
+    for field in Optima._fields:
+        assert (getattr(batch, field).tolist()
+                == [getattr(opt, field) for opt in single]), field
+    for opt in single:
+        assert list(map(type, dataclasses.astuple(opt))) == [float, bool, float]
 
 
 class TestOptimalEseGroupBatch:
@@ -303,20 +308,12 @@ class TestOptimalEseGroupBatch:
     def test_matches_one_cell_calls(self):
         """A mixed batch returns exactly the per-size optima, in order."""
         sizes = [1, 2, 3, 2.5, 7, 40.25, 1000]
-        for link in (LINK, ScoreLink(k=0.004, b=0.3)):
-            batch = optimal_ese_group_batch(sizes, BASE, COST, link)
-            single = [optimal_ese_group(n, BASE, COST, link) for n in sizes]
-            _assert_optima(batch, len(sizes))
-            for field in Optima._fields:
-                assert (getattr(batch, field).tolist()
-                        == [getattr(opt, field) for opt in single]), field
-            for opt in single:
-                assert list(map(type, dataclasses.astuple(opt))) == [float, bool, float]
-        _assert_optima(optimal_ese_group_batch(sizes, BASE, COST,
-                                               ScoreLink(k=0.0, b=0.5)), len(sizes))
+        for link in (LINK, ScoreLink(k=0.004, b=0.3), ScoreLink(k=0.0, b=0.5)):
+            _assert_optima(optimal_ese_group_batch(sizes, BASE, COST, link),
+                           [optimal_ese_group(n, BASE, COST, link) for n in sizes])
 
     def test_empty_batch(self):
-        _assert_optima(optimal_ese_group_batch([], BASE, COST, LINK), 0)
+        _assert_optima(optimal_ese_group_batch([], BASE, COST, LINK), [])
 
     def test_endpoint_rule(self):
         """|g| <= 1e-10 at an endpoint makes it a root, not a boundary:
@@ -506,7 +503,6 @@ class TestLockstepBisectionMatchesReference:
         got = optimal_ese_group_batch(sizes, params, cost, link)
         want = _lockstep_reference(sizes, params, cost, link)
         for field, expected in zip(Optima._fields, want):
-            assert np.array_equal(getattr(got, field), expected), field
             assert getattr(got, field).tobytes() == expected.tobytes(), field
 
     @given(problem=_group_problems())
