@@ -4,7 +4,8 @@ Every error raised by this package derives from :class:`EselendError`, so
 callers can catch one base class. The subclasses separate the failure kinds
 that need different handling at the CLI boundary: bad numeric inputs, bad
 input data files, bad configuration, non-finite evaluations, and violated
-internal invariants.
+internal invariants. `_raise_first` is the one routine that names a failing
+cell: every batch runs each of its checks over every cell through it.
 """
 
 from __future__ import annotations
@@ -73,35 +74,3 @@ def _raise_first(bad, error, message, *values):
                                      for v in values)))
         exc.cell = int(i) if np.ndim(bad) else None
         raise exc
-
-
-def _each(check, values) -> list:
-    """``[check(value) for value in values]``, where an error that ``check``
-    raises names the index of its value in ``cell``."""
-    checked = []
-    for i, value in enumerate(values):
-        try:
-            checked.append(check(value))
-        except EselendError as exc:
-            exc.cell = i
-            raise
-    return checked
-
-
-def _each_group(check, groups) -> list:
-    """``[check(key, cells) for key, cells in groups]``, each ``cells`` a
-    list of entry indices, where ``check`` names a bad entry by its place in
-    ``cells``. Every group is checked; of the errors raised, the one whose
-    entry comes first is raised again, naming that entry's index in
-    ``cell``."""
-    checked, first = [], None
-    for key, cells in groups:
-        try:
-            checked.append(check(key, cells))
-        except EselendError as exc:
-            exc.cell = cells[exc.cell]
-            if first is None or exc.cell < first.cell:
-                first = exc
-    if first is not None:
-        raise first
-    return checked

@@ -189,13 +189,15 @@ class CostModel:
 
 
 def _group_size(n, *, real: bool = False):
-    """Check a group size ``n >= 1`` and return it.
+    """Check a group size ``n >= 1``, or a list or array of them, and return it.
 
-    The enumeration and break-even routes need a whole number of members:
-    an int or numpy integer, never a bool. With ``real=True`` any finite
-    ``n >= 1``, or an array of them, is returned as a float or float array,
-    for the first-order condition routes, which are analytic in ``n``; a
-    scalar is checked without numpy.
+    The enumeration, break-even and simulation routes need a whole number of
+    members: an int or numpy integer, never a bool. A list is checked for
+    "an integer" and then for ">= 1", each over every cell, and returned as
+    a list of ints. With ``real=True`` any finite ``n >= 1``, or an array of
+    them, is returned as a float or float array, for the first-order
+    condition routes, which are analytic in ``n``. A scalar is checked
+    without numpy and names no cell.
     """
     if real:
         n = _as_float(n)
@@ -203,6 +205,11 @@ def _group_size(n, *, real: bool = False):
                else np.logical_not(np.isfinite(n) & (n >= 1.0)))
         _raise_first(bad, DomainError, "group size n must be >= 1")
         return n
+    if isinstance(n, list):
+        _raise_first([isinstance(m, bool) or not isinstance(m, (int, np.integer)) for m in n],
+                     DomainError, "group size n must be an integer")
+        _raise_first([m < 1 for m in n], DomainError, "group size n must be >= 1")
+        return [int(m) for m in n]
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise DomainError("group size n must be an integer")
     if n < 1:
@@ -399,16 +406,13 @@ def _success_profits(n: int, w, params: MarketParams) -> np.ndarray:
 
     The k failing peers each contribute ``p*y_low`` toward their repayment
     ``w``; the ``n - k`` successful members split the shortfall equally.
-    A ``w`` that puts a profit beyond ``PROFIT_BOUND`` in magnitude raises
-    DomainError, so the moments stay finite.
+    A huge ``w`` gives infinite profits without a warning; each caller
+    passes the rows' largest magnitude to `_check_profit_bound`.
     """
     k = np.arange(n, dtype=float)
     col = np.asarray(w)[..., None]
     with np.errstate(over="ignore", invalid="ignore"):
-        shortfall_share = k * (col - params.low_revenue) / (n - k)
-        profits = params.high_revenue - col - shortfall_share
-        _check_profit_bound(np.abs(profits).max(axis=-1), w)
-    return profits
+        return params.high_revenue - col - k * (col - params.low_revenue) / (n - k)
 
 
 def _check_profit_bound(largest, w) -> None:
@@ -432,15 +436,17 @@ def _outcomes(e, n: int, w: float, params: MarketParams):
     probability ``C(n-1,k) e^{n-k} (1-e)^k`` and the `_success_profits`
     profit; the last row is own failure, ``1 - e`` on profit 0.
     ``probabilities`` has shape ``(n + 1,) + shape(e)``. Checks ``n`` (at
-    most ``MAX_ENUM_GROUP``), ``e`` and ``w``, in that order. The binomial
-    coefficients come from the ratio recurrence ``C(n-1, k+1) = C(n-1, k)
-    (n-1-k) / (k+1)``; the powers combine in log space, so extreme tails
-    underflow to 0 instead of poisoning the row, and ``e = 1`` puts all
-    mass on ``k = 0``.
+    most ``MAX_ENUM_GROUP``), ``e``, ``w`` and the profits' bound, in that
+    order. The binomial coefficients come from the ratio recurrence
+    ``C(n-1, k+1) = C(n-1, k) (n-1-k) / (k+1)``; the powers combine in log
+    space, so extreme tails underflow to 0 instead of poisoning the row,
+    and ``e = 1`` puts all mass on ``k = 0``.
     """
     n = _enumerable(n)
     e = np.asarray(_require_in("e", e, 0.0, 1.0), dtype=float)
-    profits = np.append(_success_profits(n, _repayment(w), params), 0.0)
+    w = _repayment(w)
+    profits = np.append(_success_profits(n, w, params), 0.0)
+    _check_profit_bound(np.abs(profits).max(), w)
     k = np.arange(n, dtype=float).reshape((n,) + (1,) * e.ndim)
     j = np.arange(n - 1, dtype=float)
     coeff = np.concatenate(([1.0], np.cumprod((n - 1 - j) / (j + 1))))

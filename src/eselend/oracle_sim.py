@@ -51,11 +51,12 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, _each, _each_group
+from .errors import DomainError
 from .model_core import (
     MarketParams,
     Moments,
     ProfitDistribution,
+    _check_profit_bound,
     _group_size,
     _repayment,
     _require_finite,
@@ -215,12 +216,13 @@ def simulate_member_profit_batch(es, ns, ws, params: MarketParams,
     by block in P rows, size n reads trial k's members from rows ``n * k``
     on of a column, and several cells of one size share one count per
     block. The cells are checked first, each check over every cell: n an
-    integer >= 1, e in [0, 1], w finite and > 0, then the profits' bound.
-    An error about a cell carries its index in ``cell``: the first failing
-    check names its first failing cell. The check that ``trials * max(ns)``
+    integer, n >= 1, e in [0, 1], w finite, w > 0, then the bound on the
+    profits of the tables, built with one call per distinct size. An error
+    about a cell carries its index in ``cell``: the first failing check
+    names its first failing cell. The check that ``trials * max(ns)``
     fits the counter space names no cell.
     """
-    ns = _each(_group_size, ns)
+    ns = _group_size(list(ns))
     by_size = {}  # the cells of each size, in cell order
     for i, n in enumerate(ns):
         by_size.setdefault(n, []).append(i)
@@ -231,12 +233,13 @@ def simulate_member_profit_batch(es, ns, ws, params: MarketParams,
     ws = _repayment(ws)
     # One `_success_profits` call per size. Entry c of a cell's table is the
     # profit of code own * (peer successes + 1).
-    profits = _each_group(lambda n, cells: _success_profits(n, ws[cells], params),
-                          by_size.items())
-    tables = [None] * len(ns)
-    for cells, rows in zip(by_size.values(), profits):
+    tables, largest = [None] * len(ns), np.empty(len(ns))
+    for n, cells in by_size.items():
+        rows = _success_profits(n, ws[cells], params)
+        largest[cells] = np.abs(rows).max(axis=-1)
         for i, row in zip(cells, rows):
             tables[i] = np.append(0.0, row[::-1])
+    _check_profit_bound(largest, ws)
     if not ns:
         return []
     if cfg.trials * max(ns) >= 2 ** 62:

@@ -477,6 +477,21 @@ class TestSweepYield:
         assert main(["sweep-yield", "--yields", "1000:500,600",
                      "--out", str(out)]) == 2
 
+    def test_blank_yields_token_is_skipped(self, tmp_path):
+        """An empty token between commas is skipped: the CSV matches the one
+        without it, apart from the provenance line, which records the spec
+        as given."""
+        tables = []
+        for spec in ("1000:500,,600:300", "1000:500,600:300"):
+            out = tmp_path / "y.csv"
+            assert main(["sweep-yield", "--yields", spec, "--gamma-grid", "0:1:3",
+                         "--out", str(out)]) == 0
+            first, header, rows = _read_rows(out)
+            assert first.endswith(f" yields={spec}")
+            tables.append((first.rpartition(" yields=")[0], header, rows))
+        assert tables[0] == tables[1]
+        assert len(tables[0][2]) == 6
+
 
 # ----------------------------------------------------------------------
 # simulate

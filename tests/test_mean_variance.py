@@ -520,6 +520,24 @@ class TestOptimalEseMvBatch:
                 optimal_ese_mv_batch(w, batch)
                 assert sum(solved) == distinct, (command, w)
 
+    @pytest.mark.parametrize("w", [mean_variance.DEFAULT_SWEEP_W, None],
+                             ids=["fixed-w", "break-even-w"])
+    def test_objective_value_is_the_ranking_value(self, w):
+        """On every default `sweep-mv` cell, `objective_value` is bit for bit
+        the value the engine ranks candidates by, `_utility_at` on the pair
+        outcome table at the optimum's e, and not the re-validation route's
+        utility, which differs from it in the last bits of a few cells."""
+        cells = _cli_cells("sweep-mv")
+        optima = optimal_ese_mv_batch(w, cells)
+        ph, pl, principal, gamma, c, k, b = np.array(
+            [(params.high_revenue, params.low_revenue,
+              params.loan * (1.0 + params.epsilon), gamma, cost.c, link.k, link.b)
+             for params, gamma, cost, link in cells]).T
+        s, table = mean_variance._outcome_table(ph, pl, principal, w)
+        e = np.clip(k * optima.score + b, 0.0, 1.0)
+        assert np.array_equal(optima.objective_value,
+                              mean_variance._utility_at(e, s, table, gamma, c))
+
     @given(data=st.data())
     @settings(max_examples=100)
     def test_a_cell_does_not_depend_on_its_batch(self, data):

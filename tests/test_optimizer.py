@@ -115,6 +115,46 @@ class TestArgmaxGrid:
         with pytest.raises(EvaluationError):
             argmax_grid(bad)
 
+    def test_golden_section_names_its_non_finite_probe(self):
+        """NaN on (50.001, 50.049), which no grid point reaches, around the
+        vertex 50: golden section on the grid neighbours (49.95, 50.05)
+        names its first probe there, 49.95 + 0.1 / phi = 50.0118."""
+        a, b = (float(x) for x in np.linspace(0.0, 100.0, 2001)[[999, 1001]])
+        with pytest.raises(EvaluationError) as excinfo:
+            argmax_grid(lambda E: math.nan if 50.001 < E < 50.049 else -(E - 50.0) ** 2)
+        assert str(excinfo.value) == (
+            f"objective is not finite at E={a + optimizer._INVPHI * (b - a)!r}")
+
+    @pytest.mark.parametrize("lo, hi", [
+        # The polish probes x0 + 0.05 right of the vertex 50.0123.
+        (50.0613, 50.0633),
+        # The polish extrapolates to the vertex itself, which golden
+        # section comes no closer to than its 1e-10 tolerance allows.
+        (50.0123 - 1e-13, 50.0123 + 1e-13),
+    ], ids=["side-point", "vertex"])
+    def test_polish_names_a_non_finite_point(self, lo, hi):
+        """NaN on a short interval near the vertex of -(E - 50.0123)^2 that
+        only the polish reaches: the error names a point inside it."""
+        with pytest.raises(EvaluationError, match="objective is not finite at E=") as excinfo:
+            argmax_grid(lambda E: math.nan if lo < E < hi else -(E - 50.0123) ** 2)
+        assert lo < float(str(excinfo.value).rpartition("=")[2]) < hi
+
+    @pytest.mark.parametrize("f", [
+        # Slopes 1 and 10 either side: the fits at h and h/2 put the vertex
+        # 0.41 h and 0.20 h from x0, more than h/8 apart.
+        lambda E: -(50.0123 - E) if E < 50.0123 else -10.0 * (E - 50.0123),
+        # The fitted vertex evaluates to -1, far below the search best.
+        lambda E: -1.0 if abs(E - 50.0123) < 1e-13 else -(E - 50.0123) ** 2,
+    ], ids=["fits-disagree", "vertex-dip"])
+    def test_polish_keeps_the_search_best(self, f):
+        """When the polish declines, the optimum is the golden-section best
+        from the neighbours of the best grid point."""
+        grid = np.linspace(0.0, 100.0, 2001)
+        i = int(np.argmax([f(E) for E in grid]))
+        x, fx = optimizer._golden_max(f, float(grid[i - 1]), float(grid[i + 1]),
+                                      1e-10, optimizer._MAX_ITER)
+        assert argmax_grid(f) == Optimum(x, False, fx)
+
 
 # ----------------------------------------------------------------------
 # pair optimum

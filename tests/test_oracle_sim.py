@@ -36,6 +36,7 @@ from eselend import (
     simulate_member_profit_batch,
 )
 from eselend import oracle_sim
+from eselend.model_core import PROFIT_BOUND
 from eselend.oracle_sim import _BLOCK_DRAWS, _below, _hash64, _stream_base
 
 BASE = MarketParams(p=1.0, y_high=1000.0, y_low=500.0, loan=100.0,
@@ -259,6 +260,11 @@ class TestSimulateContract:
         with pytest.raises(DomainError):
             SimConfig(trials=1000, seed=False)
 
+    def test_result_rejects_a_negative_variance(self):
+        """A `SimResult` built with a variance below 0 is a domain error."""
+        with pytest.raises(DomainError, match=r"^empirical_variance must be >= 0$"):
+            SimResult(1.0, -1.0, 0.0, 10, 1)
+
     def test_input_validation(self):
         """Out-of-range e and nonpositive w are domain errors."""
         cfg = SimConfig(trials=100, seed=1)
@@ -292,6 +298,37 @@ def _trial_counts(n: int) -> list[int]:
     counts = {1, 2, rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows + 1,
               3 * rows + 2, 4 * rows + 1}
     return sorted(t for t in counts if 1 <= t and t * n <= 2 ** 19)
+
+
+#: Ways to spoil a cell's field, each caught by one of the batch's checks.
+_SPOILS = [(field, value) for field, values in (
+    ("n", (0, -3, 2.0, True, np.float64(3))),
+    ("e", (-0.1, 1.5, math.nan)),
+    ("w", (math.inf, math.nan, 0.0, -1.0, 1e308))) for value in values]
+
+
+def _first_failure(es, ns, ws):
+    """``(message, cell)`` of the batch's documented checks, each over every
+    cell in this order: n an integer, n >= 1, e in [0, 1], w finite, w > 0,
+    then every outcome profit within ``PROFIT_BOUND``; None if all pass."""
+    def largest(n, w):
+        return max(abs(BASE.high_revenue - w - k * (w - BASE.low_revenue) / (n - k))
+                   for k in range(n))
+
+    checks = (
+        ("group size n must be an integer",
+         lambda e, n, w: isinstance(n, bool) or not isinstance(n, (int, np.integer))),
+        ("group size n must be >= 1", lambda e, n, w: n < 1),
+        ("e must lie in [0.0, 1.0]", lambda e, n, w: not 0.0 <= e <= 1.0),
+        ("w must be finite, got {!r}", lambda e, n, w: not math.isfinite(w)),
+        ("w must be > 0", lambda e, n, w: w <= 0.0),
+        ("the outcome profits overflow the float range at w={!r}",
+         lambda e, n, w: not largest(n, w) <= PROFIT_BOUND))
+    for message, bad in checks:
+        for i, cell in enumerate(zip(es, ns, ws)):
+            if bad(*cell):
+                return message.format(ws[i]), i
+    return None
 
 
 class TestSimulateBatch:
@@ -494,6 +531,33 @@ class TestSimulateBatch:
         for ns, ws in (([2, 2], [150.0]), ([2], [150.0, 150.0])):
             with pytest.raises(DomainError, match="same length"):
                 simulate_member_profit_batch([0.5, 0.6], ns, ws, BASE, cfg)
+
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_checks_run_in_the_documented_order(self, data):
+        """1-12 valid cells with up to three fields spoiled from `_SPOILS`
+        raise the error of the first failing check at its first failing
+        cell, as `_first_failure` computes it: a cell below 1 before one
+        that is not an integer names the latter."""
+        cells = data.draw(st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(1, 4),
+                                             st.floats(1.0, 1000.0)),
+                                   min_size=1, max_size=12), "cells")
+        fields = {"e": [e for e, _, _ in cells], "n": [n for _, n, _ in cells],
+                  "w": [w for _, _, w in cells]}
+        spoils = data.draw(st.lists(st.tuples(st.integers(0, len(cells) - 1),
+                                              st.sampled_from(_SPOILS)), max_size=3), "spoils")
+        for i, (field, value) in spoils:
+            fields[field][i] = value
+        es, ns, ws = fields["e"], fields["n"], fields["w"]
+        cfg = SimConfig(trials=16, seed=1)
+        want = _first_failure(es, ns, ws)
+        if want is None:
+            assert len(simulate_member_profit_batch(es, ns, ws, BASE, cfg)) == len(cells)
+            return
+        with pytest.raises(DomainError) as excinfo:
+            simulate_member_profit_batch(es, ns, ws, BASE, cfg)
+        assert type(excinfo.value) is DomainError
+        assert (str(excinfo.value), excinfo.value.cell) == want
 
     def test_large_group_memory_is_bounded(self):
         """n = 1000 over 65,537 trials works block by block: a few seconds
