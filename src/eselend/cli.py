@@ -112,10 +112,11 @@ _MARKET = asdict(DEFAULT_SWEEP_PARAMS)
 
 
 def _fmt(value) -> str:
-    """Deterministic cell formatting: 10 significant digits for floats."""
+    """Deterministic cell formatting: 10 significant digits for floats,
+    and ``true``/``false`` for Python and numpy bools."""
     if value is None:
         return "auto"
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.10g}"
@@ -258,24 +259,36 @@ _KIND_TYPES = {"f": float, "i": int, "b": bool}
 
 
 def _write_output(settings: dict, command: str, table: dict) -> None:
-    """Write ``table`` (column name -> cells; two columns or more) as the
-    CSV at ``out`` and, with ``plot_data``, its ``.dat`` twin: the bytes of
-    `_fmt` on every cell of the column's ``tolist()`` for a numpy array, and
-    of the cell itself otherwise, through csv.writer, and space-joined LF
-    lines. Each column is classified once into one field of a ``%`` row
-    template: a float, integer or boolean array by its dtype, after one
-    ``tolist()``, and any other column by the types of its cells; a column
-    of mixed or other types goes through `_fmt` cell by cell.
+    """Write ``table`` (column name -> cells; two columns or more, one of
+    them a sequence) as the CSV at ``out`` and, with ``plot_data``, its
+    ``.dat`` twin: the bytes of `_fmt` on every cell of the column's
+    ``tolist()`` for a numpy array, and of the cell itself otherwise,
+    through csv.writer, and space-joined LF lines. A column given as one
+    ``str``, ``int``, ``float``, ``bool`` or numpy scalar holds that value
+    on every row. Each column is classified once into one field of a ``%`` row
+    template: a scalar is formatted and quoted once into the template's
+    text; a float, integer or boolean array by its dtype, after one
+    ``tolist()``, and a ``range`` as integers; any other column by the types
+    of its cells, and one of mixed or other types goes through `_fmt` cell
+    by cell.
     """
-    fields = []  # (row template field, CSV cells, .dat cells) per column
+    specs, columns = [], []  # (CSV, .dat) template fields; sequences' cells
     for cells in table.values():
-        if isinstance(cells, np.ndarray) and cells.dtype.kind in _KIND_TYPES:
+        if isinstance(cells, (str, int, float, np.generic)):
+            text = _fmt(cells)
+            specs.append((_csv_quote(text).replace("%", "%%"), text.replace("%", "%%")))
+            continue
+        if isinstance(cells, range):
+            kinds = {int}
+        elif isinstance(cells, np.ndarray) and cells.dtype.kind in _KIND_TYPES:
             kinds = {_KIND_TYPES[cells.dtype.kind]}
             cells = cells.tolist()
         else:
             kinds = set(map(type, cells))
         if kinds == {float} or kinds == {int}:
-            fields.append(("%.10g" if float in kinds else "%d", cells, cells))
+            spec = "%.10g" if float in kinds else "%d"
+            specs.append((spec, spec))
+            columns.append((cells, cells))
             continue
         if kinds == {str}:
             text = cells
@@ -284,17 +297,18 @@ def _write_output(settings: dict, command: str, table: dict) -> None:
         else:
             text = [_fmt(cell) for cell in cells]
         quoted = {field: _csv_quote(field) for field in set(text)}
-        fields.append(("%s", list(map(quoted.__getitem__, text)), text))
-    specs, csv_cols, dat_cols = zip(*fields)
+        specs.append(("%s", "%s"))
+        columns.append((list(map(quoted.__getitem__, text)), text))
+    (csv_specs, dat_specs), (csv_cols, dat_cols) = zip(*specs), zip(*columns)
     provenance = _provenance(command, settings) + "\n"
     out = Path(settings["out"])
     with open(out, "w", newline="", encoding="utf-8") as fh:
         fh.write(provenance + ",".join(map(_csv_quote, table)) + "\r\n")
-        fh.write("".join(map((",".join(specs) + "\r\n").__mod__, zip(*csv_cols))))
+        fh.write("".join(map((",".join(csv_specs) + "\r\n").__mod__, zip(*csv_cols))))
     if settings["plot_data"]:
         with open(out.with_suffix(".dat"), "w", encoding="utf-8") as fh:
             fh.write(provenance + "# " + " ".join(table) + "\n")
-            fh.write("".join(map((" ".join(specs) + "\n").__mod__, zip(*dat_cols))))
+            fh.write("".join(map((" ".join(dat_specs) + "\n").__mod__, zip(*dat_cols))))
 
 
 # ----------------------------------------------------------------------
@@ -312,7 +326,7 @@ def cmd_ceilings(settings: dict) -> int:
     except DomainError as exc:
         raise DomainError(f"e={_fmt(e_grid[exc.cell])}: {exc}") from None
     _write_output(settings, "ceilings", {"e": e, "L1": l1, "L2": l2,
-                                         "binding": ["L2"] * len(e_grid)})
+                                         "binding": "L2"})
     offenders = e[~(l1 > l2)].tolist()
     if offenders:
         raise InvariantViolation(
@@ -344,7 +358,7 @@ def cmd_sweep_group_size(settings: dict) -> int:
         raise EvaluationError(f"group size n={sizes[exc.cell]}: {exc}") from None
     _write_output(settings, "sweep-group-size", {
         "n": sizes, "optimal_E": optima.score, "at_boundary": optima.at_boundary,
-        "limit_E": [limit] * len(sizes)})
+        "limit_E": limit})
     return 0
 
 
@@ -456,12 +470,13 @@ def cmd_simulate(settings: dict) -> int:
             z = math.copysign(math.inf, diff)
         else:
             z = diff / result.std_error_mean
-        rows.append([e, n, result.trials, result.seed,
-                     result.empirical_mean, moments.mean,
+        rows.append([e, n, result.empirical_mean, moments.mean,
                      result.empirical_variance, moments.variance, z])
+    e_cells, n_cells, *stats = zip(*rows)
     columns = ["e", "n", "trials", "seed", "empirical_mean", "analytic_mean",
                "empirical_var", "analytic_var", "z_mean"]
-    _write_output(settings, "simulate", dict(zip(columns, zip(*rows))))
+    _write_output(settings, "simulate", dict(zip(
+        columns, [e_cells, n_cells, sim_cfg.trials, sim_cfg.seed, *stats])))
     e, n, *_, z = max(rows, key=lambda row: abs(row[-1]))
     if abs(z) > 4.0:
         raise InvariantViolation(

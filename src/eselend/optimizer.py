@@ -352,8 +352,12 @@ def optimal_ese_group_batch(ns, params: MarketParams, cost: CostModel,
         values = _objective(success_probability(np.zeros_like(n), link), n, params, cost)
         return Optima(np.zeros_like(n), np.ones(n.shape, dtype=bool), values)
 
-    def g(E, n):  # E lies in [0, 100]: an endpoint or a bisection midpoint
-        return _foc(np.clip(link.k * E + link.b, 0.0, 1.0), n, params, cost)
+    # E lies in [0, 100]: an endpoint or a bisection midpoint. A ScoreLink has
+    # k >= 0 and b >= 0, so k*E + b is never below zero and a lower clip
+    # never acts; the cap at 1 absorbs the float dust of a link at the cap's
+    # slack. np.minimum gives np.clip's bits here without its Python wrapper.
+    def g(E, n):
+        return _foc(np.minimum(link.k * E + link.b, 1.0), n, params, cost)
 
     # g is monotone, so finite endpoint values bound it everywhere between.
     # A size too large for them overflows; the check below names it.

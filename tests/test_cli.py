@@ -26,7 +26,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eselend import DomainError, cli, mean_variance, optimizer, oracle_sim
+from eselend import (CostModel, DomainError, ScoreLink, cli, mean_variance, optimizer,
+                     oracle_sim)
 from eselend.cli import main
 from eselend.errors import _raise_first
 
@@ -1012,11 +1013,15 @@ class TestSweepDefaults:
 
 def _reference_write(settings, command, table):
     """The per-cell route the row-template writer replaced, kept as its
-    reference: `_fmt` on every cell, of a numpy array's ``tolist()``,
-    through csv.writer, and space-joined ``.dat`` lines."""
+    reference: `_fmt` on every cell, of a numpy array's ``tolist()``, and
+    on a scalar column's one value repeated on every row, through
+    csv.writer, and space-joined ``.dat`` lines."""
     columns = list(table)
-    rows = list(zip(*(cells.tolist() if isinstance(cells, np.ndarray) else cells
-                      for cells in table.values())))
+    lists = {name: cells.tolist() if isinstance(cells, np.ndarray) else list(cells)
+             for name, cells in table.items() if not _is_scalar(cells)}
+    count = len(next(iter(lists.values())))
+    rows = list(zip(*(lists[name] if name in lists else [cells] * count
+                      for name, cells in table.items())))
     provenance = cli._provenance(command, settings)
     out = Path(settings["out"])
     with open(out, "w", newline="", encoding="utf-8") as fh:
@@ -1030,6 +1035,11 @@ def _reference_write(settings, command, table):
             fh.write("# " + " ".join(columns) + "\n")
             for row in rows:
                 fh.write(" ".join(cli._fmt(cell) for cell in row) + "\n")
+
+
+def _is_scalar(cells):
+    """Whether a table column is one value for every row."""
+    return isinstance(cells, (str, int, float, bool, np.generic))
 
 
 _FLOATS = st.floats() | st.sampled_from(
@@ -1049,6 +1059,7 @@ _CELLS = {
     "bool-int": st.booleans() | _INTS,
     "int-float": _INTS | _FLOATS,
     "with-none": st.none() | st.booleans() | _FLOATS | _TEXT,
+    "numpy bool": st.booleans().map(np.bool_),
 }
 # Numpy array columns: the cells of each kind and the array's dtype.
 _ARRAYS = {
@@ -1056,19 +1067,41 @@ _ARRAYS = {
     "int64 array": (_INT64, np.int64),
     "bool array": (st.booleans(), np.bool_),
 }
+# Scalar columns, one value for every row: each kind, numpy scalars too.
+_SCALARS = {
+    "str scalar": _TEXT,
+    "float scalar": _FLOATS,
+    "int scalar": _INTS,
+    "bool scalar": st.booleans(),
+    "numpy str scalar": _TEXT.map(np.str_),
+    "float64 scalar": _FLOATS.map(np.float64),
+    "float32 scalar": st.floats(width=32).map(np.float32),
+    "int64 scalar": _INT64.map(np.int64),
+    "numpy bool scalar": st.booleans().map(np.bool_),
+}
+_SEQUENCES = sorted(_CELLS) + sorted(_ARRAYS) + ["range"]
 
 
 @st.composite
 def _tables(draw):
-    """Tables of two to five columns, each a list of one kind of cell or a
-    float64, int64 or boolean array, zero to six rows. A table has two
-    columns or more, as every output does."""
+    """Tables of two to five columns, zero to six rows. A column is a list
+    of one kind of cell, a float64, int64 or boolean array, a ``range`` or
+    one scalar for every row. A table has two columns or more, as every
+    output does, and at least one column that is not a scalar."""
     rows = draw(st.integers(0, 6))
     names = draw(st.lists(_TEXT, min_size=2, max_size=5, unique=True))
+    kinds = draw(st.lists(st.sampled_from(_SEQUENCES + sorted(_SCALARS)),
+                          min_size=len(names), max_size=len(names))
+                 .filter(lambda kinds: not set(kinds) <= set(_SCALARS)))
     table = {}
-    for name in names:
-        kind = draw(st.sampled_from(sorted(_CELLS) + sorted(_ARRAYS)))
-        if kind in _ARRAYS:
+    for name, kind in zip(names, kinds):
+        if kind in _SCALARS:
+            table[name] = draw(_SCALARS[kind])
+        elif kind == "range":
+            start = draw(_INTS)
+            step = draw(st.integers(-(2**70), 2**70).filter(bool))
+            table[name] = range(start, start + rows * step, step)
+        elif kind in _ARRAYS:
             cells, dtype = _ARRAYS[kind]
             table[name] = np.array(draw(st.lists(cells, min_size=rows, max_size=rows)),
                                    dtype=dtype)
@@ -1094,6 +1127,59 @@ class TestOutputFiles:
                 written[name] = (out.read_bytes(),
                                  out.with_suffix(".dat").read_bytes())
         assert written["new"] == written["ref"]
+
+    def test_scalar_columns_fill_every_row(self, tmp_path):
+        """A str or float given as a column is written, formatted and
+        quoted, on every row of the CSV and of the .dat twin; a ``%`` in it
+        is text, not a template field."""
+        out = tmp_path / "s.csv"
+        cli._write_output({"out": str(out), "plot_data": True}, "test",
+                          {"x": [1.5, -2.0, 3e20], "tag": 'a,"b"%d',
+                           "limit": 0.1 + 0.2})
+        assert out.read_bytes() == (
+            b'# eselend test \nx,tag,limit\r\n1.5,"a,""b""%d",0.3\r\n'
+            b'-2,"a,""b""%d",0.3\r\n3e+20,"a,""b""%d",0.3\r\n')
+        assert out.with_suffix(".dat").read_bytes() == (
+            b'# eselend test \n# x tag limit\n1.5 a,"b"%d 0.3\n'
+            b'-2 a,"b"%d 0.3\n3e+20 a,"b"%d 0.3\n')
+
+    def test_numpy_bools_are_written_as_bools(self, tmp_path):
+        """`_fmt` writes a numpy bool as ``true``/``false``, as the writer
+        writes a bool array's cells, in a list column and as a scalar."""
+        assert (cli._fmt(np.True_), cli._fmt(np.False_)) == ("true", "false")
+        out = tmp_path / "b.csv"
+        cli._write_output({"out": str(out), "plot_data": False}, "test",
+                          {"list": [np.True_, np.False_],
+                           "array": np.array([True, False]), "scalar": np.True_})
+        assert out.read_bytes() == (b"# eselend test \nlist,array,scalar\r\n"
+                                    b"true,true,true\r\nfalse,false,true\r\n")
+
+    def test_constant_columns_are_formatted_once(self, tmp_path, monkeypatch):
+        """The benchmark's contract invocations format `ceilings`' binding
+        column and `sweep-group-size`'s limit_E column once each, and their
+        `_fmt` calls do not grow with the row count."""
+        cli._parser()  # its first build formats every option's default
+        defaults = cli._COMMANDS["sweep-group-size"][2]
+        limit = optimizer.ese_limit(
+            cli._market(defaults), CostModel(c=defaults["c"]),
+            ScoreLink(k=defaults["k"], b=defaults["b"])).score
+        real, calls = cli._fmt, []
+
+        def counting(value):
+            calls.append(value)
+            return real(value)
+
+        monkeypatch.setattr(cli, "_fmt", counting)
+        for argv, sizes, constant in (
+                (["sweep-group-size", "--n-max"], ("10", "1000"), limit),
+                (["ceilings", "--e-grid"], ("0.01:0.99:50", "0.01:0.99:5000"), "L2")):
+            counts = []
+            for size in sizes:
+                calls.clear()
+                assert main([*argv, size, "--out", str(tmp_path / "out.csv")]) == 0
+                assert calls.count(constant) == 1
+                counts.append(len(calls))
+            assert counts[0] == counts[1]
 
     @pytest.mark.parametrize("argv", [
         ["sweep-group-size", "--n-max", "1000"],

@@ -560,6 +560,40 @@ class TestLockstepBisectionMatchesReference:
         assert np.count_nonzero(scores == 50.0) > 100
 
 
+@st.composite
+def _links_and_scores(draw):
+    """A valid `ScoreLink`, with b = -0.0, k = 0 and ``100k + b`` at the
+    top of the cap's slack among the draws, and the midpoints of one path of
+    the group engine's bisection on [0, 100]."""
+    b = draw(st.floats(0.0, 1.0) | st.sampled_from([-0.0, 0.0, 1.0]), "b")
+    k_top = (1.0 + LINK_CAP_SLACK - b) / 100.0
+    k = draw(st.floats(0.0, k_top) | st.sampled_from([-0.0, 0.0, k_top]), "k")
+    while 100.0 * k + b > 1.0 + LINK_CAP_SLACK:
+        k = float(np.nextafter(k, 0.0))
+    lo, hi, mids = 0.0, 100.0, []
+    for up in draw(st.lists(st.booleans(), max_size=64), "path"):
+        mids.append(0.5 * (lo + hi))
+        lo, hi = (mids[-1], hi) if up else (lo, mids[-1])
+    return ScoreLink(k=k, b=b), np.array(mids)
+
+
+class TestGroupEngineNeedsNoLowerClip:
+    """The group engine maps a score to ``e`` with ``np.minimum(k*E + b,
+    1.0)``: for every valid link and every score its ``g`` sees (the
+    endpoints as floats, bisection midpoints as an array), that is
+    bit-identical to ``np.clip(k*E + b, 0.0, 1.0)``."""
+
+    @given(case=_links_and_scores())
+    @settings(max_examples=300)
+    def test_minimum_is_clip(self, case):
+        link, mids = case
+        for E in (0.0, 100.0, mids):
+            x = link.k * E + link.b
+            capped, clipped = np.minimum(x, 1.0), np.clip(x, 0.0, 1.0)
+            assert type(capped) is type(clipped)
+            assert np.asarray(capped).tobytes() == np.asarray(clipped).tobytes()
+
+
 # ----------------------------------------------------------------------
 # group-size sensitivity
 # ----------------------------------------------------------------------
