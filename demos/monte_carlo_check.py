@@ -21,7 +21,8 @@ params = MarketParams(p=1.0, y_high=1000.0, y_low=500.0, loan=100.0,
 cfg = SimConfig(trials=200_000, seed=42)
 cells = [(e, n) for e in (0.3, 0.5, 0.8) for n in (2, 5)]
 ws = [binding_repayment(e, n, params) for e, n in cells]
-# One call for the whole grid: both sizes read one stream of draws.
+# One call for the whole grid: both sizes read one stream of draws, and
+# each e is tested once per draw for both.
 sims = simulate_member_profit_batch([e for e, _ in cells], [n for _, n in cells],
                                     ws, params, cfg)
 

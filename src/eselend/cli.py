@@ -128,8 +128,9 @@ def _fmt(value) -> str:
 _MAX_GRID_COUNT = 1_000_000
 
 
-def _parse_grid(spec: str, what: str) -> list[float]:
-    """Parse 'start:stop:count' or a comma-separated list of numbers."""
+def _grid_array(spec: str, what: str) -> np.ndarray:
+    """Parse 'start:stop:count' or a comma-separated list of numbers into a
+    checked float array."""
     spec = spec.strip()
     if not spec:
         raise ConfigError(f"{what} is empty")
@@ -162,7 +163,12 @@ def _parse_grid(spec: str, what: str) -> list[float]:
         raise ConfigError(f"{what} is empty")
     if not np.isfinite(grid).all():
         raise ConfigError(f"{what} contains a non-finite value")
-    return grid.tolist()
+    return grid
+
+
+def _parse_grid(spec: str, what: str) -> list[float]:
+    """`_grid_array` as a list of floats."""
+    return _grid_array(spec, what).tolist()
 
 
 def _parse_yield_pairs(spec: str) -> list[tuple[float, float]]:
@@ -318,13 +324,12 @@ def _write_output(settings: dict, command: str, table: dict) -> None:
 
 def cmd_ceilings(settings: dict) -> int:
     params = _market(settings)
-    e_grid = _parse_grid(settings["e_grid"], "e-grid")
-    e = np.array(e_grid)
+    e = _grid_array(settings["e_grid"], "e-grid")
     try:
         l1 = loan_ceiling_affordability(e, params)
         l2 = loan_ceiling_incentive(e, params)
     except DomainError as exc:
-        raise DomainError(f"e={_fmt(e_grid[exc.cell])}: {exc}") from None
+        raise DomainError(f"e={_fmt(e[exc.cell])}: {exc}") from None
     _write_output(settings, "ceilings", {"e": e, "L1": l1, "L2": l2,
                                          "binding": "L2"})
     offenders = e[~(l1 > l2)].tolist()

@@ -26,8 +26,8 @@ the lcm of its sizes, stays at most ``_PERIOD_MAX``, or starts a chain of
 its own. A chain of period P hashes the first ``max(n) * trials`` draws in
 blocks of P rows by ``_BLOCK_DRAWS // P`` columns, draw ``c0 + P * r + j``
 in row j of column r. As n divides P, a column holds P / n whole trials of
-size n, trial k in rows ``n * k`` to ``n * k + n - 1``, and each block is
-compared with every e of the sizes that still read it.
+size n, trial k in rows ``n * k`` to ``n * k + n - 1``. Each block is
+compared once with each distinct e, for all the sizes that read it there.
 
 A draw's top 53 bits ``x = z >> 11`` stand for ``u = x * 2^-53``, and
 ``u < e`` holds exactly when ``x < ceil(e * 2^53)``, that is when the raw
@@ -35,12 +35,13 @@ hash ``z`` lies below ``ceil(e * 2^53) * 2^11``. So success is one integer
 compare on the hash, which is never shifted; at e = 1 the limit is 2^64
 and every member succeeds. A member's profit takes one of n + 1 values, so
 each trial has an outcome code in [0, n] per e. One count per block serves
-several e of one size: their codes are packed as the base-(n + 1) digits
-of one integer, at most 4,096 values, and counted with one bincount. At
-the end each e's n + 1 counts are the sums of the packed counts over the
-other digits. The counts are exact and do not depend on how the trials are
-split, the sizes chained or the cells packed, and the moments come from
-them as from an exact distribution, with no running float sums to cancel.
+several e of one size, taken in order of e: their codes are packed as the
+base-(n + 1) digits of one integer, at most 4,096 values, and counted with
+one bincount. At the end each e's n + 1 counts are the sums of the packed
+counts over the other digits. The counts are exact and do not depend on
+how the trials are split, the sizes chained or the cells packed, and the
+moments come from them as from an exact distribution, with no running
+float sums to cancel.
 """
 
 from __future__ import annotations
@@ -137,16 +138,15 @@ def _hash64(base: np.uint64, offsets: np.ndarray, z: np.ndarray,
     ``tmp`` is scratch of the same shape; nothing else is allocated. The
     draw is the top 53 bits ``x = z >> 11``, which stand for ``x * 2^-53``.
     """
-    with np.errstate(over="ignore"):
-        np.add(offsets, base, out=z)
-        np.right_shift(z, np.uint64(30), out=tmp)
-        z ^= tmp
-        z *= _MIX_1
-        np.right_shift(z, np.uint64(27), out=tmp)
-        z ^= tmp
-        z *= _MIX_2
-        np.right_shift(z, np.uint64(31), out=tmp)
-        z ^= tmp
+    np.add(offsets, base, out=z)
+    np.right_shift(z, np.uint64(30), out=tmp)
+    z ^= tmp
+    z *= _MIX_1
+    np.right_shift(z, np.uint64(27), out=tmp)
+    z ^= tmp
+    z *= _MIX_2
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
     return z
 
 
@@ -181,7 +181,7 @@ def _pieces(n, full, tail, z, hit, code, packed):
     in the first ``tail`` rows of the next: the hashes ``z``, the ``hit``
     flags and their uint8 view as (trials, members, columns), the codes
     and packed codes as (trials, columns) from the front of ``code`` and
-    ``packed``; and the number of trials."""
+    ``packed``; and that front of ``packed``."""
     pieces, start = [], 0
     for rows, col, cols in ((len(z), 0, full), (tail, full, 1)):
         if not rows * cols:
@@ -192,7 +192,7 @@ def _pieces(n, full, tail, z, hit, code, packed):
                        flags.view(np.uint8), code[start:stop].reshape(shape[::2]),
                        packed[start:stop].reshape(shape[::2])))
         start = stop
-    return pieces, start
+    return pieces, packed[:start]
 
 
 def simulate_member_profit_batch(es, ns, ws, params: MarketParams,
@@ -204,23 +204,23 @@ def simulate_member_profit_batch(es, ns, ws, params: MarketParams,
     size and repayment per cell. Each trial of size n draws n independent
     success indicators (member 0 is the tracked borrower, counters run
     member-major as ``trial * n + member``), so size n reads the first
-    ``n * trials`` draws of the seed's one stream.
-    With ``k`` peer failures and own success the profit is
-    ``p y_high - w - k (w - p y_low) / (n - k)``; own failure pays 0.
-    Each cell counts how many trials give each of the n + 1 outcomes, and
-    its mean and population variance are those of the `ProfitDistribution`
-    with probabilities ``counts / trials``, as in `enumerate_member_profit`;
-    ``std_error_mean = sqrt(variance / trials)``. Result ``i`` depends only
-    on (es[i], ns[i], ws[i], params, trials, seed): each chain of sizes
-    (see the module docstring) hashes its largest size's draws once, block
-    by block in P rows, size n reads trial k's members from rows ``n * k``
-    on of a column, and several cells of one size share one count per
-    block. The cells are checked first, each check over every cell: n an
-    integer, n >= 1, e in [0, 1], w finite, w > 0, then the bound on the
-    profits of the tables, built with one call per distinct size. An error
-    about a cell carries its index in ``cell``: the first failing check
-    names its first failing cell. The check that ``trials * max(ns)``
-    fits the counter space names no cell.
+    ``n * trials`` draws of the seed's one stream. With ``k`` peer failures
+    and own success the profit is ``p y_high - w - k (w - p y_low) / (n - k)``;
+    own failure pays 0. Each cell counts how many trials give each of the
+    n + 1 outcomes, and its mean and population variance are those of the
+    `ProfitDistribution` with probabilities ``counts / trials``, as in
+    `enumerate_member_profit`; ``std_error_mean = sqrt(variance / trials)``.
+    Result ``i`` depends only on (es[i], ns[i], ws[i], params, trials,
+    seed): each chain of sizes (see the module docstring) hashes its largest
+    size's draws once, block by block in P rows, size n reads trial k's
+    members from rows ``n * k`` on of a column, each distinct e is tested
+    once per block for every size that reads it, and several cells of one
+    size share one count per block. The cells are checked first, each check
+    over every cell: n an integer, n >= 1, e in [0, 1], w finite, w > 0,
+    then the bound on the profits of the tables, built with one call per
+    distinct size. An error about a cell carries its index in ``cell``: the
+    first failing check names its first failing cell. The check that
+    ``trials * max(ns)`` fits the counter space names no cell.
     """
     ns = _group_size(list(ns))
     by_size = {}  # the cells of each size, in cell order
@@ -254,22 +254,28 @@ def simulate_member_profit_batch(es, ns, ws, params: MarketParams,
         offsets = (offsets + np.arange(period, dtype=np.uint64)[:, None]) * np.uint64(_GOLDEN)
         z, tmp = np.empty_like(offsets), np.empty_like(offsets)
         hit = np.empty(offsets.shape, dtype=bool)
-        plans = []
+        plans, readers = [], {}  # readers: threshold -> (n, first, cube) per cell
         for n in sizes:
             # Each count packs the codes of up to `width` cells of size n,
-            # one base-(n + 1) digit per cell, the group's first cell in
-            # the lowest digit.
+            # taken in order of threshold, one base-(n + 1) digit per cell,
+            # the group's first cell in the highest digit.
             width = 1
             while (n + 1) ** (width + 1) <= _PACK_BINS:
                 width += 1
-            cells = by_size[n]
+            cells = sorted(by_size[n], key=thresholds.__getitem__)
             groups = [cells[i:i + width] for i in range(0, len(cells), width)]
             cubes = [np.zeros((n + 1) ** len(group), dtype=np.int64) for group in groups]
+            for k, i in enumerate(cells):
+                # A group is counted once its last cell has its digit.
+                last = k % width == width - 1 or k == len(cells) - 1
+                readers.setdefault(thresholds[i], []).append(
+                    (n, k % width == 0, cubes[k // width] if last else None))
             code = np.empty(period // n * cols, dtype=np.min_scalar_type(n))
             # Room for the packed codes and for their base n + 1.
             packed = np.empty(code.size, dtype=np.min_scalar_type((n + 1) ** width))
             plans.append((n, groups, cubes, code, packed,
                           _pieces(n, cols, 0, z, hit, code, packed)))
+        readers = sorted(readers.items())
         end = sizes[0] * cfg.trials
         for c0 in range(0, end, offsets.size):
             # The block holds `full` whole columns of the chain's draws and
@@ -279,29 +285,38 @@ def simulate_member_profit_batch(es, ns, ws, params: MarketParams,
             _hash64(base, offsets[:, :full], z[:, :full], tmp[:, :full])
             if tail:
                 _hash64(base, offsets[:tail, full], z[:tail, full], tmp[:tail, full])
+            views = {}  # the pieces and packed codes of each size that reads the block
             for n, groups, cubes, code, packed, whole in plans:
                 # Size n reads the draws below n * trials.
                 left = n * cfg.trials - c0
                 if left <= 0:
                     break
                 full, tail = divmod(min(left, offsets.size), period)
-                pieces, m = whole if full == cols else _pieces(n, full, tail, z, hit,
-                                                                 code, packed)
-                for group, cube in zip(groups, cubes):
-                    packed[:m].fill(0)
-                    for i in reversed(group):
-                        for hashed, flags, success, digit, digits in pieces:
-                            # A trial's code is own * (own + peer successes).
-                            _below(hashed, thresholds[i], flags)
-                            np.add.reduce(success, axis=1, dtype=digit.dtype, out=digit)
-                            digit *= success[:, 0]
+                views[n] = whole if full == cols else _pieces(n, full, tail, z, hit,
+                                                              code, packed)
+            for threshold, cells in readers:
+                cells = [cell for cell in cells if cell[0] in views]
+                # The largest size that reads the threshold in this block
+                # reads every draw that the others do.
+                for hashed, flags, *_ in views[cells[0][0]][0] if cells else ():
+                    _below(hashed, threshold, flags)
+                for n, first, cube in cells:
+                    pieces, packed = views[n]
+                    for hashed, flags, success, digit, digits in pieces:
+                        # A trial's code is own * (own + peer successes).
+                        np.add.reduce(success, axis=1, dtype=digit.dtype, out=digit)
+                        digit *= success[:, 0]
+                        if first:
+                            digits[...] = digit
+                        else:
                             digits *= n + 1
                             digits += digit
-                    cube += np.bincount(packed[:m], minlength=len(cube))
+                    if cube is not None:
+                        cube += np.bincount(packed, minlength=len(cube))
         for n, groups, cubes, *_ in plans:
             for group, cube in zip(groups, cubes):
-                # Axis j of the reversed cube is the digit of the group's cell j.
-                cube = cube.reshape((n + 1,) * len(group)).T
+                # Axis j of the cube is the digit of the group's cell j.
+                cube = cube.reshape((n + 1,) * len(group))
                 for j, i in enumerate(group):
                     counts[i] = np.moveaxis(cube, j, 0).reshape(n + 1, -1).sum(axis=1)
 

@@ -130,6 +130,27 @@ class TestCeilings:
         assert rows[0][2] == "4.761904762e-308"
         assert float(rows[0][1]) > float(rows[0][2])
 
+    def test_grid_array_reaches_the_ceilings(self, tmp_path, monkeypatch):
+        """The ceilings get the grid array that `np.linspace` built, not a
+        copy made from a list of its points."""
+        built, given = [], []
+        real_linspace, real_ceiling = np.linspace, cli.loan_ceiling_affordability
+
+        def linspace(*args, **kwargs):
+            built.append(real_linspace(*args, **kwargs))
+            return built[-1]
+
+        def ceiling(e, params):
+            given.append(e)
+            return real_ceiling(e, params)
+
+        monkeypatch.setattr(np, "linspace", linspace)
+        monkeypatch.setattr(cli, "loan_ceiling_affordability", ceiling)
+        assert main(["ceilings", "--e-grid", "0.1:0.9:5",
+                     "--out", str(tmp_path / "c.csv")]) == 0
+        assert len(built) == len(given) == 1
+        assert given[0] is built[0]
+
     def test_oversized_grid_count_exits_two(self, tmp_path, capsys):
         """A start:stop:count grid above a million points is refused before
         it is built."""
@@ -634,6 +655,26 @@ class TestSimulate:
         monkeypatch.setattr(oracle_sim, "_hash64", counting)
         assert main(["simulate", "--out", str(tmp_path / "s.csv")]) == 0
         assert sum(hashed) == 10_000_000
+
+    def test_default_grid_tests_each_e_once_per_draw(self, monkeypatch):
+        """The default grid (n in 2, 3 and 10) compares each of the first
+        10 * trials draws once per distinct e, as a batch of n = 10 alone
+        does, not once per cell."""
+        real, compared = oracle_sim._below, []
+
+        def counting(z, threshold, out):
+            compared.append(z.size)
+            return real(z, threshold, out)
+
+        monkeypatch.setattr(oracle_sim, "_below", counting)
+        cfg = oracle_sim.SimConfig(trials=200_000, seed=1)
+        for sizes in ((2, 3, 10), (10,)):
+            cells = [(e, n) for e in (0.3, 0.5, 0.8) for n in sizes]
+            compared.clear()
+            oracle_sim.simulate_member_profit_batch(
+                [e for e, _ in cells], [n for _, n in cells], [150.0] * len(cells),
+                mean_variance.DEFAULT_SWEEP_PARAMS, cfg)
+            assert sum(compared) == 6_000_000
 
     def test_zero_trials_exits_two(self, tmp_path):
         out = tmp_path / "s.csv"

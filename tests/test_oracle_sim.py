@@ -333,7 +333,8 @@ def _first_failure(es, ns, ws):
 
 class TestSimulateBatch:
     """One draw stream per seed, hashed once per chain of sizes and block,
-    compared against every e."""
+    and compared once per block with each distinct e for every size of the
+    chain that reads it."""
 
     @given(data=st.data())
     @settings(max_examples=200)
@@ -396,7 +397,8 @@ class TestSimulateBatch:
         call per size, each hashing its own stream (``_PERIOD_MAX`` = 1):
         for size sets from 1..40, primes and sets whose lcm exceeds the
         bound included, trial counts on both sides of a block or column
-        edge of any size, and any 64-bit seed."""
+        edge of any size, any 64-bit seed, and e drawn freely or from a
+        pool of at most three that several sizes share."""
         primes = st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
         sizes = sorted(data.draw(st.sets(st.integers(1, 40) | primes, min_size=1,
                                          max_size=6), "sizes"))
@@ -416,6 +418,10 @@ class TestSimulateBatch:
         seed = data.draw(st.integers(-2 ** 64, 2 ** 64), "seed")
         e = (st.sampled_from([0.0, 1.0, 0.5, 1.0 - 2.0 ** -53, 2.0 ** -53])
              | st.floats(0.0, 1.0))
+        if data.draw(st.booleans(), "shared"):
+            # Every e from a pool of at most three: several sizes of a chain
+            # read each threshold.
+            e = st.sampled_from(data.draw(st.lists(e, min_size=1, max_size=3), "pool"))
         cells = data.draw(st.permutations([
             (data.draw(e, "e"), n, data.draw(st.floats(1.0, 600.0), "w"))
             for n in sizes for _ in range(data.draw(st.integers(1, 3), "cells"))]),
@@ -578,19 +584,22 @@ class TestSimulateBatch:
         assert abs(got.empirical_mean - exact.mean) <= 4.0 * got.std_error_mean
 
     def test_long_e_list_memory_is_bounded(self):
-        """500 cells sharing one stream hold n + 1 counts each, not a code
-        per trial (that would be 500 x 65,536 bytes, about 31 MB)."""
-        es = [i / 499 for i in range(500)]
+        """500 cells sharing one stream, and 300 e each read by sizes 2, 3
+        and 6 of one chain, hold n + 1 counts a cell, not a code per trial
+        (that would be 500 x 65,536 bytes, about 31 MB) or flags per e."""
         cfg = SimConfig(trials=65_536, seed=4)
-        tracemalloc.start()
-        try:
-            got = simulate_member_profit_batch(es, [2] * 500, [150.0] * 500, BASE, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 16 * 2 ** 20
-        assert got[0].empirical_mean == 0.0
-        assert got[-1].empirical_mean == 850.0
+        for es, ns in (([i / 499 for i in range(500)], [2] * 500),
+                       ([i / 299 for i in range(300) for _ in range(3)], [2, 3, 6] * 300)):
+            tracemalloc.start()
+            try:
+                got = simulate_member_profit_batch(es, ns, [150.0] * len(es), BASE, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16 * 2 ** 20
+            # e = 0 pays nothing, and e = 1 pays y_high - w at every size.
+            k = len(set(ns))
+            assert [r.empirical_mean for r in got[:k] + got[-k:]] == [0.0] * k + [850.0] * k
 
 
 # ----------------------------------------------------------------------
