@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from dataclasses import asdict
@@ -60,6 +59,7 @@ from .oracle_sim import SimConfig, enumerate_member_profit, simulate_member_prof
 from .scoring import (
     NORMALIZATIONS,
     _csv_quote,
+    _format_rows,
     composite_score,
     read_metrics_csv,
     read_schema_csv,
@@ -192,6 +192,8 @@ def _parse_yield_pairs(spec: str) -> list[tuple[float, float]]:
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
+    import json  # here, not at module level: only --config runs need it
+
     try:
         with open(path, encoding="utf-8") as fh:
             loaded = json.load(fh)
@@ -223,6 +225,8 @@ def _config_value(name: str, value, default):
         else:
             if option.choices is None or converted in option.choices:
                 return converted
+    import json
+
     raise ConfigError(f"config key {name}: invalid {option.type.__name__} "
                       f"value {json.dumps(value)}")
 
@@ -252,11 +256,17 @@ def _market(settings: dict) -> MarketParams:
 
 
 def _provenance(command: str, settings: dict) -> str:
-    """First line of every output: the command and its effective values."""
+    """First line of every output: the command and its effective values,
+    keys sorted, each value as `_fmt` writes it; a value that holds a CR or
+    LF is written as the ``repr()`` of that text, so the line stays one."""
     return f"# eselend {command} " + " ".join(
-        f"{key}={_fmt(value)}" for key, value in sorted(settings.items())
+        f"{key}={_one_line(_fmt(value))}" for key, value in sorted(settings.items())
         if key not in ("out", "plot_data")
     )
+
+
+def _one_line(text: str) -> str:
+    return repr(text) if "\r" in text or "\n" in text else text
 
 
 # The Python type that `ndarray.tolist` gives for each numpy dtype kind the
@@ -276,14 +286,18 @@ def _write_output(settings: dict, command: str, table: dict) -> None:
     text; a float, integer or boolean array by its dtype, after one
     ``tolist()``, and a ``range`` as integers; any other column by the types
     of its cells, and one of mixed or other types goes through `_fmt` cell
-    by cell.
+    by cell. Each file's rows are formatted in one ``%`` call, by
+    `_format_rows` over the sequence columns. Every sequence column must
+    have as many cells as the first; ValueError names the first that does
+    not, before any file is opened.
     """
-    specs, columns = [], []  # (CSV, .dat) template fields; sequences' cells
-    for cells in table.values():
+    names, specs, columns = [], [], []  # sequences' names; (CSV, .dat) fields; cells
+    for name, cells in table.items():
         if isinstance(cells, (str, int, float, np.generic)):
             text = _fmt(cells)
             specs.append((_csv_quote(text).replace("%", "%%"), text.replace("%", "%%")))
             continue
+        names.append(name)
         if isinstance(cells, range):
             kinds = {int}
         elif isinstance(cells, np.ndarray) and cells.dtype.kind in _KIND_TYPES:
@@ -306,15 +320,20 @@ def _write_output(settings: dict, command: str, table: dict) -> None:
         specs.append(("%s", "%s"))
         columns.append((list(map(quoted.__getitem__, text)), text))
     (csv_specs, dat_specs), (csv_cols, dat_cols) = zip(*specs), zip(*columns)
+    rows = len(csv_cols[0])
+    for name, cells in zip(names, csv_cols):
+        if len(cells) != rows:
+            raise ValueError(f"column {name!r} has {len(cells)} rows, not the "
+                             f"{rows} of column {names[0]!r}")
     provenance = _provenance(command, settings) + "\n"
     out = Path(settings["out"])
     with open(out, "w", newline="", encoding="utf-8") as fh:
         fh.write(provenance + ",".join(map(_csv_quote, table)) + "\r\n")
-        fh.write("".join(map((",".join(csv_specs) + "\r\n").__mod__, zip(*csv_cols))))
+        fh.write(_format_rows(",".join(csv_specs) + "\r\n", csv_cols, rows))
     if settings["plot_data"]:
         with open(out.with_suffix(".dat"), "w", encoding="utf-8") as fh:
             fh.write(provenance + "# " + " ".join(table) + "\n")
-            fh.write("".join(map((" ".join(dat_specs) + "\n").__mod__, zip(*dat_cols))))
+            fh.write(_format_rows(" ".join(dat_specs) + "\n", dat_cols, rows))
 
 
 # ----------------------------------------------------------------------

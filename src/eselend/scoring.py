@@ -604,18 +604,33 @@ def _csv_quote(text: str) -> str:
     return text
 
 
+def _format_rows(template: str, columns: Sequence[Iterable], rows: int) -> str:
+    """``rows`` rows of the ``%`` row ``template``, one field per column of
+    ``columns`` (each ``rows`` cells), in one ``%`` call: the template
+    repeated ``rows`` times, applied to one flat tuple of every cell in row
+    order, which one slice assignment per column lays out."""
+    width = len(columns)
+    flat = [None] * (rows * width)
+    for j, cells in enumerate(columns):
+        flat[j::width] = cells
+    return (template * rows) % tuple(flat)
+
+
 def write_scores_csv(path, scores: Mapping[str, float],
                      header_comment: str | None = None) -> None:
     """Write ``farmer_id,score`` rows, farmers sorted, scores at four
     decimal places: csv.writer's bytes, each id quoted by `_csv_quote`
-    (QUOTE_MINIMAL) and every row ended by CRLF.
+    (QUOTE_MINIMAL) and every row ended by CRLF. The rows are formatted in
+    one ``%`` call, by `_format_rows`.
 
     header_comment, when given, is emitted verbatim as the first line
     (callers use it for a ``#`` provenance comment).
     """
     farmers = sorted(scores)
-    rows = zip(map(_csv_quote, farmers), map(scores.__getitem__, farmers))
+    body = _format_rows("%s,%.4f\r\n", (map(_csv_quote, farmers),
+                                        map(scores.__getitem__, farmers)),
+                        len(farmers))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if header_comment is not None:
             fh.write(header_comment + "\n")
-        fh.write("farmer_id,score\r\n" + "".join(map("%s,%.4f\r\n".__mod__, rows)))
+        fh.write("farmer_id,score\r\n" + body)

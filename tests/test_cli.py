@@ -949,6 +949,60 @@ class TestConfigResolution:
         assert a.read_bytes() == b.read_bytes()
 
 
+_TOY_SCORE_FILES = {
+    "schema": "metric_id,pillar,direction,kind\nm,ENVIRONMENTAL,HIGHER_BETTER,CONTINUOUS\n",
+    "metrics": "farmer_id,metric_id,value\nF1,m,10\nF2,m,30\n",
+}
+_SIMULATE_HEADER = ("e,n,trials,seed,empirical_mean,analytic_mean,empirical_var,"
+                    "analytic_var,z_mean")
+
+
+class TestProvenance:
+    """The provenance comment stays one line: a value that holds a CR or LF
+    is written as its repr(), whether it came from a flag or from --config."""
+
+    @pytest.mark.parametrize("command, name, value, others, header", [
+        ("ceilings", "e_grid", "0.3,\n0.5", {}, "e,L1,L2,binding"),
+        ("simulate", "e_grid", "0.3,\r\n0.5", {"n_set": "2", "trials": "1000"},
+         _SIMULATE_HEADER),
+        ("simulate", "n_set", "2,\n3", {"e_grid": "0.5", "trials": "1000"},
+         _SIMULATE_HEADER),
+        ("sweep-mv", "b_set", "0.3,\n0.5", {"c_set": "1000", "gamma_grid": "0:1:3"},
+         "b,c,gamma,optimal_E,at_boundary"),
+        ("sweep-mv", "c_set", "800,\r1000", {"b_set": "0.5", "gamma_grid": "0:1:3"},
+         "b,c,gamma,optimal_E,at_boundary"),
+        ("sweep-yield", "gamma_grid", "0,\n1", {}, "scenario,gamma,optimal_E"),
+        ("sweep-yield", "yields", "1000:500,\n600:300", {"gamma_grid": "0:1:3"},
+         "scenario,gamma,optimal_E"),
+        ("score", "metrics", "met\nrics.csv", {"schema": "schema.csv"}, "farmer_id,score"),
+        ("score", "schema", "sch\rema.csv", {"metrics": "metrics.csv"}, "farmer_id,score"),
+    ])
+    @pytest.mark.parametrize("by_config", [False, True])
+    def test_line_break_is_written_as_repr(self, command, name, value, others,
+                                           header, by_config, tmp_path):
+        options = {**others, name: value}
+        if command == "score":  # the file options name files of the toy cohort
+            options = {key: str(tmp_path / file) for key, file in options.items()}
+            for key, path in options.items():
+                Path(path).write_text(_TOY_SCORE_FILES[key], encoding="utf-8")
+        value = options.pop(name)
+        out = tmp_path / "out.csv"
+        argv = [command, "--out", str(out)]
+        for key, text in options.items():
+            argv += ["--" + key.replace("_", "-"), text]
+        if by_config:
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({name: value}), encoding="utf-8")
+            argv += ["--config", str(config)]
+        else:
+            argv += ["--" + name.replace("_", "-"), value]
+        assert main(argv) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert [line for line in lines if line.startswith("#")] == lines[:1]
+        assert f" {name}={value!r} " in lines[0] + " "
+        assert lines[1] == header
+
+
 class TestSpecErrors:
     """Malformed list, grid and config specs exit 2 with one message."""
 
@@ -1184,6 +1238,18 @@ class TestOutputFiles:
             b'# eselend test \n# x tag limit\n1.5 a,"b"%d 0.3\n'
             b'-2 a,"b"%d 0.3\n3e+20 a,"b"%d 0.3\n')
 
+    def test_unequal_columns_raise_before_writing(self, tmp_path):
+        """A sequence column with more or fewer cells than the first is an
+        error that names the first such column, and no file is opened;
+        ``zip`` used to cut every column to the shortest."""
+        out = tmp_path / "u.csv"
+        with pytest.raises(ValueError, match=r"^column 'L2' has 2 rows, not the "
+                                             r"3 of column 'e'$"):
+            cli._write_output({"out": str(out), "plot_data": True}, "test",
+                              {"tag": "x", "e": [0.1, 0.2, 0.3], "L1": np.zeros(3),
+                               "L2": [1.0, 2.0], "n": range(4)})
+        assert list(tmp_path.iterdir()) == []
+
     def test_numpy_bools_are_written_as_bools(self, tmp_path):
         """`_fmt` writes a numpy bool as ``true``/``false``, as the writer
         writes a bool array's cells, in a list column and as a scalar."""
@@ -1390,3 +1456,16 @@ class TestSharedParser:
             [sys.executable, "-c", code], capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": package_root}, check=True)
         assert result.stdout == f"0\n{1 + len(cli._COMMANDS)}\n"
+
+    def test_start_up_imports_no_json(self):
+        """Only a --config run loads json; the other tests of --config show
+        that it still loads there."""
+        code = ("import sys\n"
+                "import eselend.cli\n"
+                "eselend.cli.build_parser()\n"
+                "print('json' in sys.modules)\n")
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": package_root}, check=True)
+        assert result.stdout == "False\n"
