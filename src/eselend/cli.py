@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import shlex
 import sys
 from dataclasses import asdict
 from importlib import resources
@@ -257,69 +258,61 @@ def _market(settings: dict) -> MarketParams:
 
 def _provenance(command: str, settings: dict) -> str:
     """First line of every output: the command and its effective values,
-    keys sorted, each value as `_fmt` writes it; a value that holds a CR or
-    LF is written as the ``repr()`` of that text, so the line stays one."""
+    keys sorted, each value as `_fmt` writes it. A value that holds a line
+    break (CR, LF or any other that ``str.splitlines`` splits at) is first
+    escaped as its ``repr()`` without the outer quotes, so the line stays
+    one. Each value is then written as its ``shlex.quote``, so that
+    ``shlex.split`` gives one ``key=value`` token per setting; text made only
+    of ``[\\w@%+=:,./-]`` is written as it is."""
     return f"# eselend {command} " + " ".join(
-        f"{key}={_one_line(_fmt(value))}" for key, value in sorted(settings.items())
+        f"{key}={_token(_fmt(value))}" for key, value in sorted(settings.items())
         if key not in ("out", "plot_data")
     )
 
 
-def _one_line(text: str) -> str:
-    return repr(text) if "\r" in text or "\n" in text else text
-
-
-# The Python type that `ndarray.tolist` gives for each numpy dtype kind the
-# writer takes without looking at the cells.
-_KIND_TYPES = {"f": float, "i": int, "b": bool}
+def _token(text: str) -> str:
+    if "".join(text.splitlines()) != text:
+        text = repr(text)[1:-1]
+    return shlex.quote(text)
 
 
 def _write_output(settings: dict, command: str, table: dict) -> None:
-    """Write ``table`` (column name -> cells; two columns or more, one of
-    them a sequence) as the CSV at ``out`` and, with ``plot_data``, its
-    ``.dat`` twin: the bytes of `_fmt` on every cell of the column's
-    ``tolist()`` for a numpy array, and of the cell itself otherwise,
-    through csv.writer, and space-joined LF lines. A column given as one
-    ``str``, ``int``, ``float``, ``bool`` or numpy scalar holds that value
-    on every row. Each column is classified once into one field of a ``%`` row
-    template: a scalar is formatted and quoted once into the template's
-    text; a float, integer or boolean array by its dtype, after one
-    ``tolist()``, and a ``range`` as integers; any other column by the types
-    of its cells, and one of mixed or other types goes through `_fmt` cell
-    by cell. Each file's rows are formatted in one ``%`` call, by
-    `_format_rows` over the sequence columns. Every sequence column must
-    have as many cells as the first; ValueError names the first that does
-    not, before any file is opened.
+    """Write ``table`` (column name -> cells) as the CSV at ``out`` and, with
+    ``plot_data``, its ``.dat`` twin: the bytes of `_fmt` on every cell,
+    through csv.writer, and space-joined LF lines. A column is one of three
+    kinds:
+
+    - a float, integer or boolean numpy array, written by its dtype as
+      ``%.10g``, ``%d`` or ``true``/``false`` after one ``tolist()``;
+    - a list of str, each cell quoted where csv.writer would quote it;
+    - one scalar (``str``, ``int``, ``float``, ``bool`` or numpy scalar),
+      formatted and quoted once and written on every row.
+
+    Each file's rows are formatted in one ``%`` call, by `_format_rows`
+    over the array and list columns. At least one column must be an array
+    or a list, and every such column must have as many cells as the first;
+    ValueError says which rule fails before any file is opened.
     """
-    names, specs, columns = [], [], []  # sequences' names; (CSV, .dat) fields; cells
+    specs, columns = [], []  # (CSV, .dat) fields; (name, CSV cells, .dat cells)
     for name, cells in table.items():
         if isinstance(cells, (str, int, float, np.generic)):
             text = _fmt(cells)
             specs.append((_csv_quote(text).replace("%", "%%"), text.replace("%", "%%")))
             continue
-        names.append(name)
-        if isinstance(cells, range):
-            kinds = {int}
-        elif isinstance(cells, np.ndarray) and cells.dtype.kind in _KIND_TYPES:
-            kinds = {_KIND_TYPES[cells.dtype.kind]}
-            cells = cells.tolist()
-        else:
-            kinds = set(map(type, cells))
-        if kinds == {float} or kinds == {int}:
-            spec = "%.10g" if float in kinds else "%d"
-            specs.append((spec, spec))
-            columns.append((cells, cells))
+        if isinstance(cells, list):
+            specs.append(("%s", "%s"))
+            columns.append((name, list(map(_csv_quote, cells)), cells))
             continue
-        if kinds == {str}:
-            text = cells
-        elif kinds == {bool}:
-            text = ["true" if cell else "false" for cell in cells]
-        else:
-            text = [_fmt(cell) for cell in cells]
-        quoted = {field: _csv_quote(field) for field in set(text)}
-        specs.append(("%s", "%s"))
-        columns.append((list(map(quoted.__getitem__, text)), text))
-    (csv_specs, dat_specs), (csv_cols, dat_cols) = zip(*specs), zip(*columns)
+        kind, cells = cells.dtype.kind, cells.tolist()
+        if kind == "b":
+            cells = ["true" if cell else "false" for cell in cells]
+        spec = {"b": "%s", "f": "%.10g"}.get(kind, "%d")
+        specs.append((spec, spec))
+        columns.append((name, cells, cells))
+    if not columns:
+        raise ValueError(f"table {command!r} needs an array or list column to "
+                         "set its rows; every column is one scalar")
+    (csv_specs, dat_specs), (names, csv_cols, dat_cols) = zip(*specs), zip(*columns)
     rows = len(csv_cols[0])
     for name, cells in zip(names, csv_cols):
         if len(cells) != rows:
@@ -381,8 +374,8 @@ def cmd_sweep_group_size(settings: dict) -> int:
     except EvaluationError as exc:
         raise EvaluationError(f"group size n={sizes[exc.cell]}: {exc}") from None
     _write_output(settings, "sweep-group-size", {
-        "n": sizes, "optimal_E": optima.score, "at_boundary": optima.at_boundary,
-        "limit_E": limit})
+        "n": list(map(str, sizes)), "optimal_E": optima.score,
+        "at_boundary": optima.at_boundary, "limit_E": limit})
     return 0
 
 
@@ -425,9 +418,9 @@ def cmd_sweep_mv(settings: dict) -> int:
                  for b in b_set for c in c_set]
     optima = _solve_sweep(settings, scenarios, gammas)
     _write_output(settings, "sweep-mv", {
-        "b": [b for _, _, b, _ in scenarios for _ in gammas],
-        "c": [c for _, _, _, c in scenarios for _ in gammas],
-        "gamma": gammas * len(scenarios),
+        "b": np.repeat([b for _, _, b, _ in scenarios], len(gammas)),
+        "c": np.repeat([c for _, _, _, c in scenarios], len(gammas)),
+        "gamma": np.tile(gammas, len(scenarios)),
         "optimal_E": optima.score, "at_boundary": optima.at_boundary})
     return 0
 
@@ -446,7 +439,7 @@ def cmd_sweep_yield(settings: dict) -> int:
     optima = _solve_sweep(settings, scenarios, gammas)
     _write_output(settings, "sweep-yield", {
         "scenario": [name for name in names for _ in gammas],
-        "gamma": gammas * len(names), "optimal_E": optima.score})
+        "gamma": np.tile(gammas, len(names)), "optimal_E": optima.score})
     return 0
 
 
@@ -496,7 +489,7 @@ def cmd_simulate(settings: dict) -> int:
             z = diff / result.std_error_mean
         rows.append([e, n, result.empirical_mean, moments.mean,
                      result.empirical_variance, moments.variance, z])
-    e_cells, n_cells, *stats = zip(*rows)
+    e_cells, n_cells, *stats = map(np.array, zip(*rows))
     columns = ["e", "n", "trials", "seed", "empirical_mean", "analytic_mean",
                "empirical_var", "analytic_var", "z_mean"]
     _write_output(settings, "simulate", dict(zip(

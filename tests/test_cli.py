@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -958,8 +959,9 @@ _SIMULATE_HEADER = ("e,n,trials,seed,empirical_mean,analytic_mean,empirical_var,
 
 
 class TestProvenance:
-    """The provenance comment stays one line: a value that holds a CR or LF
-    is written as its repr(), whether it came from a flag or from --config."""
+    """The provenance comment stays one line: a value that holds a line
+    break, CR, LF or any other that str.splitlines splits at, is written as
+    its repr(), whether it came from a flag or from --config."""
 
     @pytest.mark.parametrize("command, name, value, others, header", [
         ("ceilings", "e_grid", "0.3,\n0.5", {}, "e,L1,L2,binding"),
@@ -976,6 +978,8 @@ class TestProvenance:
          "scenario,gamma,optimal_E"),
         ("score", "metrics", "met\nrics.csv", {"schema": "schema.csv"}, "farmer_id,score"),
         ("score", "schema", "sch\rema.csv", {"metrics": "metrics.csv"}, "farmer_id,score"),
+        ("ceilings", "e_grid", "0.3,\x0c0.5", {}, "e,L1,L2,binding"),
+        ("ceilings", "e_grid", "0.3,\u20280.5", {}, "e,L1,L2,binding"),
     ])
     @pytest.mark.parametrize("by_config", [False, True])
     def test_line_break_is_written_as_repr(self, command, name, value, others,
@@ -1001,6 +1005,48 @@ class TestProvenance:
         assert [line for line in lines if line.startswith("#")] == lines[:1]
         assert f" {name}={value!r} " in lines[0] + " "
         assert lines[1] == header
+
+    @pytest.mark.parametrize("command, name, value, others", [
+        ("score", "metrics", "my metrics.csv", {"schema": "schema.csv"}),
+        ("sweep-mv", "b_set", "0.4, 0.6", {"c_set": "1000", "gamma_grid": "0:1:3"}),
+        ("sweep-mv", "b_set", "0.4,\t0.6", {"c_set": "1000", "gamma_grid": "0:1:3"}),
+        ("sweep-mv", "c_set", "800, \n1000", {"b_set": "0.5", "gamma_grid": "0:1:3"}),
+        ("score", "metrics", "farmers'.csv", {"schema": "schema.csv"}),
+        ("score", "metrics", "back\\slash.csv", {"schema": "schema.csv"}),
+        ("score", "metrics", "farmers'\n\"m\".csv", {"schema": "schema.csv"}),
+    ])
+    @pytest.mark.parametrize("by_config", [False, True])
+    def test_whitespace_value_splits_back(self, command, name, value, others,
+                                          by_config, tmp_path):
+        """``shlex.split`` reads the provenance line back as one
+        ``key=value`` token per setting when a value holds whitespace, a
+        quote or a backslash; a value with a line break reads back as its
+        repr() without the outer quotes."""
+        if command == "score":  # the file options name files of the toy cohort
+            paths = {key: tmp_path / file
+                     for key, file in {**others, name: value}.items()}
+            for key, path in paths.items():
+                path.write_text(_TOY_SCORE_FILES[key], encoding="utf-8")
+            others = {key: str(path) for key, path in paths.items() if key != name}
+            value = str(paths[name])
+        out = tmp_path / "out.csv"
+        argv = [command, "--out", str(out)]
+        for key, text in others.items():
+            argv += ["--" + key.replace("_", "-"), text]
+        if by_config:
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({name: value}), encoding="utf-8")
+            argv += ["--config", str(config)]
+        else:
+            argv += ["--" + name.replace("_", "-"), value]
+        assert main(argv) == 0
+        first = out.read_text(encoding="utf-8").splitlines()[0]
+        tokens = shlex.split(first)
+        assert tokens[:3] == ["#", "eselend", command]
+        assert all("=" in token for token in tokens[3:])
+        read = dict(token.split("=", 1) for token in tokens[3:])
+        assert read[name] == (repr(value)[1:-1] if "\n" in value else value)
+        assert len(read) == len(tokens) - 3
 
 
 class TestSpecErrors:
@@ -1145,21 +1191,13 @@ _INT64 = st.integers(-(2**63), 2**63 - 1) | st.sampled_from([-(2**63), 2**63 - 1
 # NUL is left out: csv.writer's handling of it changed in Python 3.11.
 _TEXT = st.text(st.characters(blacklist_characters="\x00")
                 | st.sampled_from(list(',"\r\n \u00e9\u4e2d')), max_size=6)
-_CELLS = {
-    "float": _FLOATS,
-    "float64": _FLOATS.map(np.float64),
-    "int": _INTS,
-    "bool": st.booleans(),
-    "str": _TEXT,
-    "bool-int": st.booleans() | _INTS,
-    "int-float": _INTS | _FLOATS,
-    "with-none": st.none() | st.booleans() | _FLOATS | _TEXT,
-    "numpy bool": st.booleans().map(np.bool_),
-}
 # Numpy array columns: the cells of each kind and the array's dtype.
 _ARRAYS = {
     "float64 array": (_FLOATS, np.float64),
+    "float32 array": (st.floats(width=32), np.float32),
     "int64 array": (_INT64, np.int64),
+    "int32 array": (st.integers(-(2**31), 2**31 - 1), np.int32),
+    "uint64 array": (st.integers(0, 2**64 - 1) | st.just(2**64 - 1), np.uint64),
     "bool array": (st.booleans(), np.bool_),
 }
 # Scalar columns, one value for every row: each kind, numpy scalars too.
@@ -1174,15 +1212,15 @@ _SCALARS = {
     "int64 scalar": _INT64.map(np.int64),
     "numpy bool scalar": st.booleans().map(np.bool_),
 }
-_SEQUENCES = sorted(_CELLS) + sorted(_ARRAYS) + ["range"]
+_SEQUENCES = sorted(_ARRAYS) + ["str list"]
 
 
 @st.composite
 def _tables(draw):
-    """Tables of two to five columns, zero to six rows. A column is a list
-    of one kind of cell, a float64, int64 or boolean array, a ``range`` or
-    one scalar for every row. A table has two columns or more, as every
-    output does, and at least one column that is not a scalar."""
+    """Tables of two to five columns, zero to six rows. A column is one of
+    the writer's three kinds: a float, integer or boolean array, a list of
+    str or one scalar for every row. A table has two columns or more, as
+    every output does, and at least one column that is not a scalar."""
     rows = draw(st.integers(0, 6))
     names = draw(st.lists(_TEXT, min_size=2, max_size=5, unique=True))
     kinds = draw(st.lists(st.sampled_from(_SEQUENCES + sorted(_SCALARS)),
@@ -1192,17 +1230,22 @@ def _tables(draw):
     for name, kind in zip(names, kinds):
         if kind in _SCALARS:
             table[name] = draw(_SCALARS[kind])
-        elif kind == "range":
-            start = draw(_INTS)
-            step = draw(st.integers(-(2**70), 2**70).filter(bool))
-            table[name] = range(start, start + rows * step, step)
         elif kind in _ARRAYS:
             cells, dtype = _ARRAYS[kind]
             table[name] = np.array(draw(st.lists(cells, min_size=rows, max_size=rows)),
                                    dtype=dtype)
         else:
-            table[name] = draw(st.lists(_CELLS[kind], min_size=rows, max_size=rows))
+            table[name] = draw(st.lists(_TEXT, min_size=rows, max_size=rows))
     return table
+
+
+def _is_column(cells):
+    """Whether ``cells`` is one of the writer's three column kinds."""
+    if isinstance(cells, np.ndarray):
+        return cells.dtype.kind in "fiub"
+    if isinstance(cells, list):
+        return all(type(cell) is str for cell in cells)
+    return _is_scalar(cells)
 
 
 class TestOutputFiles:
@@ -1229,7 +1272,7 @@ class TestOutputFiles:
         is text, not a template field."""
         out = tmp_path / "s.csv"
         cli._write_output({"out": str(out), "plot_data": True}, "test",
-                          {"x": [1.5, -2.0, 3e20], "tag": 'a,"b"%d',
+                          {"x": np.array([1.5, -2.0, 3e20]), "tag": 'a,"b"%d',
                            "limit": 0.1 + 0.2})
         assert out.read_bytes() == (
             b'# eselend test \nx,tag,limit\r\n1.5,"a,""b""%d",0.3\r\n'
@@ -1239,27 +1282,73 @@ class TestOutputFiles:
             b'-2 a,"b"%d 0.3\n3e+20 a,"b"%d 0.3\n')
 
     def test_unequal_columns_raise_before_writing(self, tmp_path):
-        """A sequence column with more or fewer cells than the first is an
-        error that names the first such column, and no file is opened;
-        ``zip`` used to cut every column to the shortest."""
+        """An array or list column with more or fewer cells than the first
+        is an error that names the first such column, and no file is
+        opened; ``zip`` used to cut every column to the shortest."""
         out = tmp_path / "u.csv"
         with pytest.raises(ValueError, match=r"^column 'L2' has 2 rows, not the "
                                              r"3 of column 'e'$"):
             cli._write_output({"out": str(out), "plot_data": True}, "test",
-                              {"tag": "x", "e": [0.1, 0.2, 0.3], "L1": np.zeros(3),
-                               "L2": [1.0, 2.0], "n": range(4)})
+                              {"tag": "x", "e": np.array([0.1, 0.2, 0.3]),
+                               "L1": np.zeros(3), "L2": ["a", "b"], "n": np.arange(4)})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_scalar_only_table_raises_before_writing(self, tmp_path):
+        """A table of scalars alone has no row count: the error names the
+        table and the rule, and no file is opened."""
+        out = tmp_path / "s.csv"
+        with pytest.raises(ValueError, match=r"^table 'test' needs an array or list "
+                                             r"column to set its rows; every column "
+                                             r"is one scalar$"):
+            cli._write_output({"out": str(out), "plot_data": True}, "test",
+                              {"a": 1.0, "b": "x"})
         assert list(tmp_path.iterdir()) == []
 
     def test_numpy_bools_are_written_as_bools(self, tmp_path):
         """`_fmt` writes a numpy bool as ``true``/``false``, as the writer
-        writes a bool array's cells, in a list column and as a scalar."""
+        writes a bool array's cells, and as a scalar."""
         assert (cli._fmt(np.True_), cli._fmt(np.False_)) == ("true", "false")
         out = tmp_path / "b.csv"
         cli._write_output({"out": str(out), "plot_data": False}, "test",
-                          {"list": [np.True_, np.False_],
-                           "array": np.array([True, False]), "scalar": np.True_})
-        assert out.read_bytes() == (b"# eselend test \nlist,array,scalar\r\n"
-                                    b"true,true,true\r\nfalse,false,true\r\n")
+                          {"array": np.array([True, False]), "scalar": np.True_})
+        assert out.read_bytes() == (b"# eselend test \narray,scalar\r\n"
+                                    b"true,true\r\nfalse,true\r\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["ceilings"], ["ceilings", "--e-grid", "0.01:0.99:5000"],
+        ["sweep-group-size"], ["sweep-group-size", "--n-max", "1000"],
+        ["sweep-mv"], ["sweep-mv", "--endogenous-w"],
+        ["sweep-yield"], ["sweep-yield", "--endogenous-w"],
+        ["simulate"], ["simulate", "--seed", "1"],
+    ])
+    def test_commands_hand_the_writer_its_three_kinds(self, argv, tmp_path,
+                                                      monkeypatch):
+        """Every table command, at its defaults and at the benchmark's
+        invocations, hands the writer only arrays, lists of str and
+        scalars."""
+        real, seen = cli._write_output, []
+
+        def checking(settings, command, table):
+            seen.append(command)
+            assert {name: type(cells) for name, cells in table.items()
+                    if not _is_column(cells)} == {}
+            real(settings, command, table)
+
+        monkeypatch.setattr(cli, "_write_output", checking)
+        assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+        assert seen == [argv[0]]
+
+    @pytest.mark.parametrize("n_min, n_max", [
+        (2**63 - 3, 2**63 - 2), (2**63 - 2, 2**63 - 1), (2**63 - 1, 2**63 + 1),
+        (10**20, 10**20)])
+    def test_group_sizes_past_int64_are_exact(self, n_min, n_max, tmp_path):
+        """The n column holds every size exactly on both sides of the
+        int64 range."""
+        out = tmp_path / "g.csv"
+        assert main(["sweep-group-size", "--n-min", str(n_min), "--n-max",
+                     str(n_max), "--out", str(out)]) == 0
+        _, _, rows = _read_rows(out)
+        assert [row[0] for row in rows] == list(map(str, range(n_min, n_max + 1)))
 
     def test_constant_columns_are_formatted_once(self, tmp_path, monkeypatch):
         """The benchmark's contract invocations format `ceilings`' binding
