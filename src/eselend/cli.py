@@ -44,7 +44,8 @@ from .errors import (
 from .mean_variance import (
     DEFAULT_SWEEP_PARAMS,
     DEFAULT_SWEEP_W,
-    optimal_ese_mv_batch,
+    _optimal_ese_mv_arrays,
+    _row,
     slope_for_baseline,
 )
 from .model_core import (
@@ -384,11 +385,14 @@ def _solve_sweep(settings: dict, scenarios: list, gammas: list[float]):
 
     ``scenarios`` holds (label, params, b, c) tuples. ``k`` defaults to
     `slope_for_baseline` of each scenario's ``b``, and ``endogenous_w``
-    replaces the fixed ``w`` by the break-even repayment. Returns the
-    `Optima` of the cells scenario by scenario in gamma order; an error
-    names the scenario or cell it came from.
+    replaces the fixed ``w`` by the break-even repayment. Each scenario's
+    `ScoreLink` and `CostModel` are built and checked once, into one
+    `mean_variance._row` of the engine's arrays, and the row is repeated per
+    gamma for `mean_variance._optimal_ese_mv_arrays`. Returns the `Optima`
+    of the cells scenario by scenario in gamma order; an error names the
+    scenario or cell it came from.
     """
-    cells = []
+    rows = []
     for label, params, b, c in scenarios:
         try:
             k = slope_for_baseline(b) if settings["k"] is None else settings["k"]
@@ -396,15 +400,18 @@ def _solve_sweep(settings: dict, scenarios: list, gammas: list[float]):
             cost = CostModel(c=c)
         except DomainError as exc:
             raise DomainError(f"{label}: {exc}") from None
-        cells += [(params, gamma, cost, link) for gamma in gammas]
+        rows.append(_row(params, cost, link))
+    ph, pl, principal, c, k, b = np.repeat(np.array(rows, dtype=float).T, len(gammas),
+                                           axis=1)
+    gamma = np.tile(np.array(gammas, dtype=float), len(scenarios))
     try:
-        optima = optimal_ese_mv_batch(
-            None if settings["endogenous_w"] else settings["w"], cells)
+        optima = _optimal_ese_mv_arrays(None if settings["endogenous_w"] else settings["w"],
+                                        ph, pl, principal, gamma, c, k, b)
     except (DomainError, EvaluationError, InvariantViolation) as exc:
         if exc.cell is None:
             raise
-        scenario, gamma = divmod(exc.cell, len(gammas))
-        label = f"{scenarios[scenario][0]}, gamma={_fmt(gammas[gamma])}"
+        scenario, j = divmod(exc.cell, len(gammas))
+        label = f"{scenarios[scenario][0]}, gamma={_fmt(gammas[j])}"
         raise type(exc)(f"{label}: {exc}") from None
     return optima
 

@@ -69,7 +69,7 @@ def _raise_first(bad, error, message, *values):
         if bad:
             raise error(message.format(*map(float, values)))
         return
-    for i in np.flatnonzero(bad)[:1]:
+    for i in np.asarray(bad).ravel().nonzero()[0][:1]:
         exc = error(message.format(*(float(np.broadcast_to(v, np.shape(bad)).flat[i])
                                      for v in values)))
         exc.cell = int(i) if np.ndim(bad) else None

@@ -17,7 +17,10 @@ pYl) s - 2 o`` with ``e(1-e)``. A fixed ``w`` has ``s = 1``; the break-even
 ``w=None`` of every solver here has ``s = e(2-e)``, ``o = L(1+eps)``. One
 builder turns the table into the polynomial ``N = s^2 U``, so the maximizer
 on the score range is an endpoint or a real root of ``N' s - 2 N s'``.
-`optimal_ese_mv_batch` finds the roots of a whole sweep at once
+`optimal_ese_mv_batch` unpacks its cells once, into one float array per
+field, and hands them to the array core `_optimal_ese_mv_arrays`, which the
+sweep subcommands call directly with one row per scenario repeated over
+the gamma grid. The core finds the roots of a whole sweep at once
 (companion-matrix eigenvalues), each distinct first-order-condition
 polynomial once, so a cell's result does not depend on the other cells in
 its batch. It ranks the candidates by ``N / s^2``, re-validates every
@@ -57,6 +60,8 @@ __all__ = [
     "DEFAULT_SWEEP_PARAMS",
     "DEFAULT_SWEEP_W",
 ]
+
+_EPS = np.finfo(float).eps
 
 
 def _check(w, ph, pl, gamma, c, principal=None, b=None):
@@ -122,7 +127,7 @@ def _moments(e, w, ph, pl):
     var = sum(P * (X - mean) ** 2 for P, X in table)
     mean_poly, var_poly = e * e * A + e * (1.0 - e) * B, _var_poly(e, A, B)
     tol = (1e-10 * np.maximum(np.maximum(abs(mean), abs(var)), 1.0)
-           + 256.0 * np.finfo(float).eps * np.maximum(np.maximum(A * A, B * B), 1.0))
+           + 256.0 * _EPS * np.maximum(np.maximum(A * A, B * B), 1.0))
     _raise_first((abs(mean - mean_poly) > tol) | (abs(var - var_poly) > tol),
                  InvariantViolation, "moment routes disagree: enumeration "
                  "({!r}, {!r}) vs polynomial ({!r}, {!r}) at e={!r}, w={!r}",
@@ -204,8 +209,9 @@ _WIDTH = 10
 
 
 def _poly(*coefs):
-    """A polynomial in ``e``: row j holds each cell's ``e^j`` coefficient."""
-    out = np.zeros((_WIDTH, max(np.size(coef) for coef in coefs)))
+    """A polynomial in ``e``: row j holds each cell's ``e^j`` coefficient,
+    each coefficient a float or one value per cell."""
+    out = np.zeros((_WIDTH, max(getattr(coef, "size", 1) for coef in coefs)))
     for j, coef in enumerate(coefs):
         out[j] = coef
     return out
@@ -213,13 +219,15 @@ def _poly(*coefs):
 
 def _terms(p):
     """Indices of the coefficients of ``p`` that are nonzero in some cell."""
-    return np.flatnonzero(p.any(axis=1))
+    return np.logical_or.reduce(p, axis=1).nonzero()[0]
 
 
 def _pmul(p, q):
     """Product of polynomials, truncated to `_WIDTH` coefficients (no
-    product of the engine reaches beyond them), one pass per term of ``q``."""
-    out = np.zeros(np.broadcast_shapes(p.shape, q.shape))
+    product of the engine reaches beyond them), one pass per term of ``q``.
+    Each has one column or one per cell, so the product is as wide as the
+    one that is not a single column (an empty batch stays empty)."""
+    out = np.zeros((_WIDTH, q.shape[1] if p.shape[1] == 1 else p.shape[1]))
     for j in _terms(q):
         out[j:] += p[:_WIDTH - j] * q[j]
     return out
@@ -288,14 +296,14 @@ def _real_roots(coefs):
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     coefs = coefs[first]
     mag = np.abs(coefs)
-    significant = mag > np.finfo(float).eps * mag.max(axis=1, keepdims=True)
-    hi = coefs.shape[1] - 1 - np.argmax(significant[:, ::-1], axis=1)
-    lo = np.argmax(coefs != 0.0, axis=1)
-    degree = np.where(significant.any(axis=1), hi - lo, 0)
-    out = np.full((len(coefs), degree.max(initial=0)), np.nan)
-    for d in np.unique(degree[degree > 0]):
-        rows = np.flatnonzero(degree == d)
-        c = np.take_along_axis(coefs[rows], lo[rows, None] + np.arange(d + 1), axis=1)
+    significant = mag > _EPS * mag.max(axis=1, keepdims=True)
+    hi = coefs.shape[1] - 1 - significant[:, ::-1].argmax(axis=1)
+    lo = (coefs != 0.0).argmax(axis=1)
+    degree = np.where(np.logical_or.reduce(significant, axis=1), hi - lo, 0)
+    out = np.full((len(coefs), np.maximum.reduce(degree, initial=0)), np.nan)
+    for d in sorted(set(degree[degree > 0].tolist())):
+        rows = (degree == d).nonzero()[0]
+        c = coefs[rows[:, None], lo[rows, None] + np.arange(d + 1)]
         companion = np.zeros((len(rows), d, d))
         companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
         companion[:, :, -1] = -c[:, :d] / c[:, d:]
@@ -308,21 +316,23 @@ def optimal_ese_mv_batch(w, cells) -> Optima:
 
     Each cell is a ``(params, gamma, cost, link)`` tuple. ``w`` is shared: a
     number is a fixed repayment and ``None`` the break-even one, as in
-    `optimal_ese_mv`. One call of `_check` checks the shared ``w`` and then
-    the cells as arrays, in its order (gamma, then the break-even ``w``,
-    then the float range). Both modes build ``N = s^2 U`` from the pair
-    outcome table (the module docstring), a quartic for a fixed ``w`` and
-    of degree 8 for the break-even ``w``. The polynomial does not depend
-    on the link, so cells that differ only in ``(k, b)`` share it, and each
-    distinct polynomial is solved once; a cell's result does not depend on
-    the other cells in the batch. The candidates are E = 0, E = 100 and every real root
-    of ``N' s - 2 N s'`` inside the open score range, mapped back through
-    ``E = (e - b) / k``. They are ranked by ``N / s^2`` from the table's
-    rows at each candidate, and ties go to the lower score. A root within
-    `argmax_grid`'s snap tolerance of an endpoint becomes that endpoint, and
-    ``at_boundary`` is set exactly when the optimum is an endpoint. With
-    ``k = 0`` both endpoints tie, so the optimum is E = 0 at the boundary.
-    Returns `Optima`, one entry per cell.
+    `optimal_ese_mv`. The wrapper unpacks its cells once, into one array
+    per field, and hands them to the array core `_optimal_ese_mv_arrays`,
+    which does all that follows. One call of `_check` checks the shared
+    ``w`` and then the cells as arrays, in its order (gamma, then the
+    break-even ``w``, then the float range). Both modes build ``N = s^2 U``
+    from the pair outcome table (the module docstring), a quartic for a
+    fixed ``w`` and of degree 8 for the break-even ``w``. The polynomial
+    does not depend on the link, so cells that differ only in ``(k, b)``
+    share it, and each distinct polynomial is solved once; a cell's result
+    does not depend on the other cells in the batch. The candidates are E =
+    0, E = 100 and every real root of ``N' s - 2 N s'`` inside the open
+    score range, mapped back through ``E = (e - b) / k``. They are ranked by
+    ``N / s^2`` from the table's rows at each candidate, and ties go to the
+    lower score. A root within `argmax_grid`'s snap tolerance of an endpoint
+    becomes that endpoint, and ``at_boundary`` is set exactly when the
+    optimum is an endpoint. With ``k = 0`` both endpoints tie, so the
+    optimum is E = 0 at the boundary. Returns `Optima`, one entry per cell.
 
     One array pass re-validates every optimum apart from the engine: the
     `mv_utility` route, at ``w`` or the break-even ``L(1+eps)/(1-(1-e)^2)``,
@@ -331,32 +341,52 @@ def optimal_ese_mv_batch(w, cells) -> Optima:
     scale. An error about a cell carries the cell's index in ``cell``: the
     first failing check names its first failing cell.
     """
-    ph, pl, principal, gamma, c, k, b = np.array(
-        [(params.high_revenue, params.low_revenue, params.loan * (1.0 + params.epsilon),
-          gamma, cost.c, link.k, link.b) for params, gamma, cost, link in cells],
+    ph, pl, principal, c, k, b, gamma = np.array(
+        [(*_row(params, cost, link), gamma) for params, gamma, cost, link in cells],
         dtype=float).reshape(-1, 7).T
+    return _optimal_ese_mv_arrays(w, ph, pl, principal, gamma, c, k, b)
+
+
+def _row(params: MarketParams, cost: CostModel, link: ScoreLink) -> tuple:
+    """A cell's entries but gamma, in `_optimal_ese_mv_arrays`'s order:
+    ``(pYh, pYl, L(1+eps), c, k, b)``."""
+    return (params.high_revenue, params.low_revenue, params.loan * (1.0 + params.epsilon),
+            cost.c, link.k, link.b)
+
+
+def _optimal_ese_mv_arrays(w, ph, pl, principal, gamma, c, k, b) -> Optima:
+    """`optimal_ese_mv_batch` on cells given as float arrays, one entry per
+    cell: revenues ``pYh`` and ``pYl``, the principal ``L(1+eps)``, gamma,
+    the cost ``c`` and the link's ``k`` and ``b``. ``w`` is shared. Only
+    `_check`'s checks run here, so every other entry must be as a checked
+    `MarketParams`, `CostModel` or `ScoreLink` holds it."""
     w = _check(w, ph, pl, gamma, c, principal, b)
     s, table = _outcome_table(ph, pl, principal, w)
     # dU/de = (N' s - 2 N s') / s^3 with s > 0 on (0, 1]
     N = _scaled_utility(_poly(0.0, 1.0), s, table, gamma, c, _pmul)
     roots = _real_roots((_pmul(_pder(N), s) - 2.0 * _pmul(N, _pder(s))).T)
 
+    # Candidates: E = 0 and E = 100, then each root inside the range as a score.
     kc, bc = k[:, None], b[:, None]
     inside = (roots > bc) & (roots < bc + 100.0 * kc)
-    scores = np.divide(roots - bc, kc, out=np.full_like(roots, np.nan), where=inside)
+    scores = np.full((len(b), roots.shape[1] + 2), np.nan)
+    scores[:, 0] = 0.0
+    scores[:, 1] = 100.0
+    np.divide(roots - bc, kc, out=scores[:, 2:], where=inside)
     snap = _snap_tolerance(0.0, 100.0)
     scores[scores <= snap] = 0.0
     scores[scores >= 100.0 - snap] = 100.0
-    edges = np.broadcast_to([0.0, 100.0], (len(b), 2))
-    scores = np.sort(np.concatenate([edges, scores], axis=1), axis=1)
-    values = _utility_at(np.clip(kc * scores + bc, 0.0, 1.0).T, s, table, gamma, c).T
+    scores.sort(axis=1)
+    # k, b >= 0 and every score >= +0.0, so k E + b is never below zero: the
+    # cap at 1 gives np.clip's bits without its Python wrapper.
+    values = _utility_at(np.minimum(kc * scores + bc, 1.0).T, s, table, gamma, c).T
     values[np.isnan(scores)] = -np.inf
-    best = np.argmax(values, axis=1)
+    best = values.argmax(axis=1)
 
     score, value = (x[np.arange(len(b)), best] for x in (scores, values))
     _raise_first(~np.isfinite(value), EvaluationError,
                  "objective is not finite at E={!r}", score)
-    e = np.clip(k * score + b, 0.0, 1.0)
+    e = np.minimum(k * score + b, 1.0)
     check = _utility(e, principal / _coverage(e, 2) if w is None else w,
                      ph, pl, gamma, c)
     scale = np.maximum(np.maximum(abs(value), abs(check)), 1.0)

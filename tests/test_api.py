@@ -106,6 +106,23 @@ def test_every_public_name_is_used_or_listed():
         f"now loaded: {sorted(set(_UNLOADED_PUBLIC) - unloaded)}")
 
 
+def test_every_import_is_loaded_where_it_is_imported():
+    """Every name a src/eselend module imports at its top level is loaded
+    in that module, so an import a change left behind cannot stay
+    (`__init__`'s star imports and ``__future__`` features aside)."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{path.stem}: {alias.asname or alias.name}"
+                   for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for alias in node.names if alias.name != "*"
+                   and (alias.asname or alias.name.split(".")[0]) not in loaded]
+    assert not unused, f"imported but never loaded: {unused}"
+
+
 # Valid values for every argument of a function that takes E, e, n, w or
 # gamma; each test case spoils one of those five.
 _VALID = {

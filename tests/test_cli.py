@@ -27,8 +27,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eselend import (CostModel, DomainError, ScoreLink, cli, mean_variance, optimizer,
-                     oracle_sim)
+from eselend import (CostModel, DomainError, EselendError, MarketParams, ScoreLink, cli,
+                     mean_variance, optimizer, oracle_sim)
 from eselend.cli import main
 from eselend.errors import _raise_first
 
@@ -514,6 +514,100 @@ class TestSweepYield:
             tables.append((first.rpartition(" yields=")[0], header, rows))
         assert tables[0] == tables[1]
         assert len(tables[0][2]) == 6
+
+
+# ----------------------------------------------------------------------
+# the sweeps' engine arrays
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def _sweeps(draw):
+    """A mean-variance sweep as `cli._solve_sweep` takes it: options in
+    either w mode, one to three (label, params, b, c) scenarios from yield
+    pairs, and a gamma grid that holds 0. ``b`` may be 0 at a fixed w; ``k``
+    is explicit or the per-baseline default. With ``spoil``, one scenario
+    or gamma is out of the engine's domain: a negative gamma, b = 0 with the
+    break-even w, or c = 1e308."""
+    endogenous = draw(st.booleans())
+    count = draw(st.integers(1, 3))
+    pairs = draw(st.lists(st.tuples(st.floats(100.0, 2000.0), st.floats(0.05, 0.95)),
+                          min_size=count, max_size=count))
+    baseline = st.floats(0.05, 0.9) if endogenous else st.floats(0.05, 0.9) | st.just(0.0)
+    bs = draw(st.lists(baseline, min_size=count, max_size=count))
+    cs = draw(st.lists(st.floats(100.0, 5000.0), min_size=count, max_size=count))
+    k = draw(st.none() | st.floats(0.0, 1.0).map(lambda share: share * (1.0 - max(bs)) / 100.0))
+    gammas = draw(st.lists(st.floats(0.0, 2.0), max_size=4))
+    gammas.insert(draw(st.integers(0, len(gammas))), 0.0)
+    spoil = draw(st.none() | st.sampled_from(["gamma", "b", "c"]))
+    if spoil == "gamma":
+        gammas.insert(draw(st.integers(0, len(gammas))), -draw(st.floats(0.01, 1.0)))
+    elif spoil is not None:
+        at = draw(st.integers(0, count - 1))
+        if spoil == "b":
+            endogenous, bs[at] = True, 0.0
+        else:
+            cs[at] = 1e308
+    scenarios = [(f"scenario {i}", dataclasses.replace(mean_variance.DEFAULT_SWEEP_PARAMS,
+                                                       y_high=y_high, y_low=y_high * ratio),
+                  b, c)
+                 for i, ((y_high, ratio), b, c) in enumerate(zip(pairs, bs, cs))]
+    options = {"k": k, "endogenous_w": endogenous, "w": draw(st.floats(50.0, 300.0))}
+    return options, scenarios, gammas
+
+
+def _outcome(solve):
+    """Each `Optima` field's bytes, or the error raised."""
+    try:
+        return [field.tobytes() for field in solve()]
+    except EselendError as exc:
+        return exc
+
+
+class TestSweepArrays:
+    """`cli._solve_sweep` hands the engine one row per scenario, repeated per
+    gamma, not one (params, gamma, cost, link) cell per gamma."""
+
+    def test_each_scenario_reads_its_market_once(self, tmp_path, monkeypatch):
+        """A sweep reads a market's revenue once per scenario, not once per
+        cell: 15 reads for the default `sweep-mv`, 2 for `sweep-yield`."""
+        reads = Counter()
+        real = MarketParams.high_revenue
+
+        def counted(params):
+            reads["high_revenue"] += 1
+            return real.fget(params)
+
+        monkeypatch.setattr(MarketParams, "high_revenue", property(counted))
+        for command, scenarios in (("sweep-mv", 15), ("sweep-yield", 2)):
+            reads.clear()
+            assert main([command, "--out", str(tmp_path / "sweep.csv")]) == 0
+            assert reads["high_revenue"] <= scenarios, command
+
+    @given(sweep=_sweeps())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_the_per_cell_batch(self, sweep):
+        """The sweep's `Optima` match `optimal_ese_mv_batch` on one
+        (params, gamma, cost, link) cell per (scenario, gamma) bit for bit,
+        and a spoiled cell raises the same error, which the sweep prefixes
+        with the cell's scenario and gamma."""
+        options, scenarios, gammas = sweep
+        cells = [(params, gamma, CostModel(c=c),
+                  ScoreLink(k=mean_variance.slope_for_baseline(b)
+                            if options["k"] is None else options["k"], b=b))
+                 for _, params, b, c in scenarios for gamma in gammas]
+        w = None if options["endogenous_w"] else options["w"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome(lambda: cli._solve_sweep(options, scenarios, gammas))
+            expected = _outcome(lambda: mean_variance.optimal_ese_mv_batch(w, cells))
+        if isinstance(expected, EselendError):
+            scenario, j = divmod(expected.cell, len(gammas))
+            assert type(got) is type(expected)
+            assert str(got) == (f"{scenarios[scenario][0]}, "
+                                f"gamma={cli._fmt(gammas[j])}: {expected}")
+        else:
+            assert got == expected
 
 
 # ----------------------------------------------------------------------
